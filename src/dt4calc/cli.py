@@ -1,15 +1,16 @@
 """Command line front end.
 
-Every subcommand builds a plain dict payload in a fixed key order and then
-renders it as text, JSON, or CSV.  All rationals are printed exactly as
-num/den strings and nothing time dependent is ever emitted, so two runs with
-the same configuration produce byte identical output.
+Every subcommand is one entry of COMMANDS: a function that reads the parsed
+arguments and builds a plain dict payload in a fixed key order, then its
+text and CSV renderers (JSON is the payload itself).  All rationals are
+printed exactly as num/den strings and nothing time dependent is ever
+emitted, so two runs with the same arguments produce byte identical output.
 
 Exit codes:
   0  success
   1  a checked value disagreed with its expected or oracle value
-  2  usage error (bad flags, unreadable orientation file, bad parameters)
-  3  enumeration bound exceeded
+  2  usage error (bad flags or counts, bad orientation file, bad parameters)
+  3  enumeration bound exceeded, or DT4_MAX_N is not an integer
   4  torus parameters hit a vanishing denominator weight
   5  requested case is outside the computed range
   6  internal consistency check failed
@@ -21,20 +22,17 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass
 
 from .chow import (cy_hypersurface_context, liqin_case, structure_sheaf_chi_check,
                    vdim_ideal_cy4)
-from .errors import (BoundExceeded, CheckFailed, InternalInconsistency,
-                     NonGenericParameters, NotEffective, OddPairing, Unsupported)
+from .errors import BoundExceeded, Dt4Error, NonGenericParameters, Unsupported
 from .localize import (FixedPointData, OrientationData, TorusParams,
-                       cyclic_completion_report, obstruction_crosscheck,
-                       vertex_oracle_check)
-from .partitions import ENV_BOUND_VAR, count_partitions, enumerate_partitions
+                       cyclic_completion_report, dt4_degree0_series,
+                       obstruction_crosscheck, vertex_oracle_check)
+from .partitions import count_partitions, enumerate_partitions
 from .series import goettsche_series, convolution_oracle, reduced_dt4_tstar
-from .suite import LIQIN_EXPECTED, run_suite, series_payload
+from .suite import LIQIN_EXPECTED, run_suite
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -45,98 +43,84 @@ EXIT_UNSUPPORTED = 5
 EXIT_INTERNAL = 6
 
 
-@dataclass
-class RunConfig:
-    """Complete description of one invocation; round-trips through a dict."""
-
-    subcommand: str
-    n_max: int | None = None
-    s: str = "1,2,3,-6"
-    orientation: str = "default"
-    fmt: str = "text"
-    check_oracle: bool = False
-    jobs: int = 1
-    only: str | None = None
-    d: int = 4
-    list_ids: bool = False
-    euler: int | None = None
-    c: str | None = None
-    left: str | None = None
-    right: str | None = None
-    bound_override: int | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**data)
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        override = os.environ.get(ENV_BOUND_VAR)
-        return cls(
-            subcommand=args.command,
-            n_max=getattr(args, "n_max", None),
-            s=getattr(args, "s", "1,2,3,-6"),
-            orientation=getattr(args, "orientation", "default"),
-            fmt=getattr(args, "format", "text"),
-            check_oracle=getattr(args, "check_oracle", False),
-            jobs=getattr(args, "jobs", 1),
-            only=getattr(args, "only", None),
-            d=getattr(args, "d", 4),
-            list_ids=getattr(args, "list", False),
-            euler=getattr(args, "euler", None),
-            c=getattr(args, "c", None),
-            left=getattr(args, "left", None),
-            right=getattr(args, "right", None),
-            bound_override=int(override) if override is not None else None,
-        )
-
-
 class UsageError(Exception):
     pass
 
 
-def _parse_params(cfg: RunConfig) -> TorusParams:
+# the first matching class gives the exit code; any other package error
+# signals a bug rather than bad input
+EXIT_CODES = (
+    (UsageError, EXIT_USAGE),
+    (BoundExceeded, EXIT_BOUND),
+    (NonGenericParameters, EXIT_NONGENERIC),
+    (Unsupported, EXIT_UNSUPPORTED),
+    (Dt4Error, EXIT_INTERNAL),
+)
+
+
+def _parse_params(text: str) -> TorusParams:
     try:
-        return TorusParams.parse(cfg.s)
+        return TorusParams.parse(text)
     except (ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"bad --s value {cfg.s!r}: {e}")
+        raise UsageError(f"bad --s value {text!r}: {e}")
 
 
-def _load_orientation(cfg: RunConfig) -> OrientationData:
-    if cfg.orientation == "default":
+def _load_orientation(path: str) -> OrientationData:
+    if path == "default":
         return OrientationData()
     try:
-        return OrientationData.from_file(cfg.orientation)
+        return OrientationData.from_file(path)
     except (OSError, ValueError) as e:
-        raise UsageError(f"bad orientation file {cfg.orientation!r}: {e}")
+        raise UsageError(f"bad orientation file {path!r}: {e}")
 
 
-def _parse_pair(text: str, flag: str) -> tuple[int, int]:
+_COUNT_WORDS = {2: "two", 3: "three"}
+
+
+def _int_list(text: str, flag: str, names: str) -> tuple[int, ...]:
+    """Exactly as many comma separated integers as `names` has entries."""
+    want = len(names.split(","))
     try:
-        parts = [int(x) for x in text.split(",")]
+        values = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"bad {flag} value {text!r}: expected two integers p,q")
-    if len(parts) != 2:
-        raise UsageError(f"bad {flag} value {text!r}: expected two integers p,q")
-    return parts[0], parts[1]
+        values = ()
+    if len(values) != want:
+        raise UsageError(f"bad {flag} value {text!r}: "
+                         f"expected {_COUNT_WORDS[want]} integers {names}")
+    return values
 
 
-def _parse_triple(text: str) -> tuple[int, int, int]:
-    try:
-        parts = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise UsageError(f"bad --c value {text!r}: expected three integers r,c1,n")
-    if len(parts) != 3:
-        raise UsageError(f"bad --c value {text!r}: expected three integers r,c1,n")
-    return parts[0], parts[1], parts[2]
+def _oracle_ok(data: FixedPointData) -> bool:
+    """The resolution oracle and the obstruction cross-check both agree."""
+    return vertex_oracle_check(data)[0] and obstruction_crosscheck(data)[0]
 
 
-# one command = one function returning (payload, exit_code)
+def _oracle_summary(checked: int, failures: list[str]) -> dict:
+    return {"checked": checked, "failures": failures,
+            "status": "FAIL" if failures else "PASS"}
 
-def cmd_liqin(cfg: RunConfig):
+
+def _oracle_line(payload: dict) -> list[str]:
+    if "oracle" not in payload:
+        return []
+    o = payload["oracle"]
+    return [f"oracle: {o['status']} ({o['checked']} partitions checked)"]
+
+
+def _table(records, cols) -> tuple[list, list]:
+    """CSV header `cols` and one row of those fields per record."""
+    return list(cols), [[r[c] for c in cols] for r in records]
+
+
+def _spaced(table) -> list[str]:
+    """Text form of a CSV table: the same rows, space separated."""
+    header, rows = table
+    return [" ".join(str(x) for x in row) for row in [header, *rows]]
+
+
+# one subcommand = a command returning (payload, exit_code) and its renderers
+
+def cmd_liqin(args):
     rows = [liqin_case(e1, e2) for (e1, e2, _, _) in LIQIN_EXPECTED]
     payload = {"rows": [{"eps1": r["eps1"], "eps2": r["eps2"], "chi": str(r["chi"]),
                          "k": r["k"], "k_binomial": r["k_binomial"]} for r in rows]}
@@ -144,14 +128,18 @@ def cmd_liqin(cfg: RunConfig):
     return payload, EXIT_OK if got == LIQIN_EXPECTED else EXIT_MISMATCH
 
 
-def cmd_chi(cfg: RunConfig):
-    if cfg.left is None and cfg.right is None:
+def csv_liqin(p):
+    return _table(p["rows"], ("eps1", "eps2", "chi", "k", "k_binomial"))
+
+
+def cmd_chi(args):
+    if args.left is None and args.right is None:
         rep = structure_sheaf_chi_check()
         payload = {"left": "0,0", "right": "0,0", "chi": str(rep["direct"]),
                    "oracle": str(rep["oracle"]), "ok": bool(rep["ok"])}
         return payload, EXIT_OK if rep["ok"] else EXIT_MISMATCH
-    left = _parse_pair(cfg.left or "0,0", "--left")
-    right = _parse_pair(cfg.right or "0,0", "--right")
+    left = _int_list(args.left or "0,0", "--left", "p,q")
+    right = _int_list(args.right or "0,0", "--right", "p,q")
     ctx = cy_hypersurface_context()
     value = ctx.chi(ctx.line_bundle(left), ctx.line_bundle(right))
     payload = {"left": f"{left[0]},{left[1]}", "right": f"{right[0]},{right[1]}",
@@ -159,10 +147,17 @@ def cmd_chi(cfg: RunConfig):
     return payload, EXIT_OK
 
 
-def cmd_vdim(cfg: RunConfig):
-    n_max = cfg.n_max if cfg.n_max is not None else 10
+def text_chi(p):
+    lines = [f"chi(O({p['left']}), O({p['right']})) = {p['chi']}"]
+    if "oracle" in p:
+        lines.append(f"ambient oracle: {p['oracle']}")
+        lines.append(f"status: {'OK' if p['ok'] else 'MISMATCH'}")
+    return lines
+
+
+def cmd_vdim(args):
     rows = []
-    for n in range(n_max + 1):
+    for n in range(args.n_max + 1):
         for h02 in (0, 1):
             rep = vdim_ideal_cy4(n, h02)
             rows.append({"n": n, "h02": h02, "chi": str(rep["chi"]),
@@ -170,23 +165,32 @@ def cmd_vdim(cfg: RunConfig):
     return {"rows": rows}, EXIT_OK
 
 
-def cmd_partitions(cfg: RunConfig):
-    n_max = cfg.n_max if cfg.n_max is not None else 6
-    counts = [count_partitions(cfg.d, n) for n in range(n_max + 1)]
-    payload = {"d": cfg.d, "n_max": n_max, "counts": counts, "total": sum(counts)}
-    if cfg.list_ids:
-        payload["ids"] = {str(n): [pi.id() for pi in enumerate_partitions(cfg.d, n)]
-                          for n in range(n_max + 1)}
+def csv_vdim(p):
+    return _table(p["rows"], ("n", "h02", "chi", "vdim"))
+
+
+def cmd_partitions(args):
+    counts = [count_partitions(args.d, n) for n in range(args.n_max + 1)]
+    payload = {"d": args.d, "n_max": args.n_max, "counts": counts, "total": sum(counts)}
+    if args.list:
+        payload["ids"] = {str(n): [pi.id() for pi in enumerate_partitions(args.d, n)]
+                          for n in range(args.n_max + 1)}
     return payload, EXIT_OK
 
 
-def cmd_vertex(cfg: RunConfig):
-    n_max = cfg.n_max if cfg.n_max is not None else 2
-    params = _parse_params(cfg)
+def text_partitions(p):
+    lines = [f"d={p['d']} partition counts"]
+    for n, c in enumerate(p["counts"]):
+        lines.append(f"n={n}: {c}")
+        lines.extend(f"  {pid}" for pid in p.get("ids", {}).get(str(n), []))
+    return lines + [f"total: {p['total']}"]
+
+
+def cmd_vertex(args):
+    params = _parse_params(args.s)
     points = []
-    checked = 0
     failures = []
-    for n in range(1, n_max + 1):
+    for n in range(1, args.n_max + 1):
         for pi in enumerate_partitions(4, n):
             data = FixedPointData(pi)
             entry = {
@@ -201,181 +205,29 @@ def cmd_vertex(cfg: RunConfig):
                 entry["contribution"] = str(data.contribution(params, 1))
             except NonGenericParameters as e:
                 entry["contribution"] = f"undefined ({e})"
-            if cfg.check_oracle:
-                ok1, _, _ = vertex_oracle_check(data)
-                ok2, _, _ = obstruction_crosscheck(data)
-                checked += 1
-                entry["oracle"] = "PASS" if (ok1 and ok2) else "FAIL"
-                if not (ok1 and ok2):
+            if args.check_oracle:
+                ok = _oracle_ok(data)
+                entry["oracle"] = "PASS" if ok else "FAIL"
+                if not ok:
                     failures.append(pi.id())
             points.append(entry)
-    payload = {"n_max": n_max, "s": str(params), "points": points}
-    if cfg.check_oracle:
-        payload["oracle"] = {"checked": checked, "failures": failures,
-                             "status": "PASS" if not failures else "FAIL"}
-        return payload, EXIT_OK if not failures else EXIT_MISMATCH
-    return payload, EXIT_OK
+    payload = {"n_max": args.n_max, "s": str(params), "points": points}
+    if args.check_oracle:
+        payload["oracle"] = _oracle_summary(len(points), failures)
+    return payload, EXIT_MISMATCH if failures else EXIT_OK
 
 
-def cmd_dt4_series(cfg: RunConfig):
-    n_max = cfg.n_max if cfg.n_max is not None else 2
-    params = _parse_params(cfg)
-    orientation = _load_orientation(cfg)
-    payload = series_payload(n_max, params, orientation, jobs=cfg.jobs,
-                             check_oracle=cfg.check_oracle,
-                             orientation_label=cfg.orientation)
-    code = EXIT_OK
-    if cfg.check_oracle and payload["oracle"]["status"] != "PASS":
-        code = EXIT_MISMATCH
-    return payload, code
-
-
-def cmd_goettsche(cfg: RunConfig):
-    if cfg.euler is None:
-        raise UsageError("goettsche needs --euler")
-    n_max = cfg.n_max if cfg.n_max is not None else 20
-    series = goettsche_series(cfg.euler, n_max)
-    payload = {"euler": cfg.euler, "n_max": n_max, "coefficients": series.as_ints()}
-    code = EXIT_OK
-    if cfg.check_oracle:
-        match = series == convolution_oracle(cfg.euler, n_max)
-        payload["oracle"] = "PASS" if match else "FAIL"
-        if not match:
-            code = EXIT_MISMATCH
-    return payload, code
-
-
-def cmd_tstar(cfg: RunConfig):
-    if cfg.c is None:
-        raise UsageError("tstar needs --c r,c1,n")
-    triple = _parse_triple(cfg.c)
-    needs_euler = triple[0] == 1 and triple[1] == 0 and triple[2] < 0
-    if needs_euler and cfg.euler is None:
-        raise UsageError("the punctual case needs --euler")
-    try:
-        rep = reduced_dt4_tstar(triple, cfg.euler if cfg.euler is not None else 0)
-    except ValueError as e:
-        raise UsageError(str(e))
-    payload = {"c": cfg.c, "case": rep["case"], "value": rep["value"]}
-    if "n" in rep:
-        payload["n"] = rep["n"]
-        payload["euler"] = cfg.euler
-    return payload, EXIT_OK
-
-
-def cmd_cyclic_check(cfg: RunConfig):
-    n_max = cfg.n_max if cfg.n_max is not None else 3
-    reports = []
-    all_ok = True
-    for n in range(n_max + 1):
-        for pi3 in enumerate_partitions(3, n):
-            rep = cyclic_completion_report(pi3)
-            all_ok = all_ok and rep["ok"]
-            reports.append({
-                "id": rep["partition"],
-                "n": n,
-                "ok": rep["ok"],
-                "rows": [{"degree": r["degree"], "match": r["match"],
-                          "lhs": str(r["lhs"]), "rhs": str(r["rhs"])}
-                         for r in rep["rows"]],
-            })
-    payload = {"n_max": n_max, "checked": len(reports), "ok": all_ok,
-               "reports": reports}
-    return payload, EXIT_OK if all_ok else EXIT_MISMATCH
-
-
-def cmd_suite(cfg: RunConfig):
-    orientation_path = None if cfg.orientation == "default" else cfg.orientation
-    results = run_suite(only=cfg.only, orientation_path=orientation_path)
-    if not results:
-        raise UsageError(f"no acceptance check matches --only {cfg.only!r}")
-    payload = {"results": [{"criterion": num, "name": r.name, "ok": r.ok,
-                            "detail": r.detail} for (num, r) in results]}
-    passed = sum(1 for _, r in results if r.ok)
-    payload["passed"] = passed
-    payload["failed"] = len(results) - passed
-    return payload, EXIT_OK if passed == len(results) else EXIT_MISMATCH
-
-
-# rendering: payload -> text lines or csv rows, fixed per command
-
-def _text_lines(command: str, payload: dict) -> list:
-    lines = []
-    if command == "liqin":
-        lines.append("eps1 eps2 chi k k_binomial")
-        for r in payload["rows"]:
-            lines.append(f"{r['eps1']} {r['eps2']} {r['chi']} {r['k']} {r['k_binomial']}")
-    elif command == "chi":
-        lines.append(f"chi(O({payload['left']}), O({payload['right']})) = {payload['chi']}")
-        if "oracle" in payload:
-            lines.append(f"ambient oracle: {payload['oracle']}")
-            lines.append(f"status: {'OK' if payload['ok'] else 'MISMATCH'}")
-    elif command == "vdim":
-        lines.append("n h02 chi vdim")
-        for r in payload["rows"]:
-            lines.append(f"{r['n']} {r['h02']} {r['chi']} {r['vdim']}")
-    elif command == "partitions":
-        lines.append(f"d={payload['d']} partition counts")
-        for n, c in enumerate(payload["counts"]):
-            lines.append(f"n={n}: {c}")
-            for pid in payload.get("ids", {}).get(str(n), []):
-                lines.append(f"  {pid}")
-        lines.append(f"total: {payload['total']}")
-    elif command == "vertex":
-        lines.append(f"# fixed points up to n={payload['n_max']}, s={payload['s']}")
-        for p in payload["points"]:
-            lines.append(f"# {p['id']} (n={p['n']})")
-            lines.append(f"tvir: {p['tvir']}")
-            lines.append("e1: " + "; ".join(_form_str(w) for w in p["e1"]))
-            lines.append("e2: " + "; ".join(_form_str(w) for w in p["e2"]))
-            lines.append(f"contribution: {p['contribution']}")
-            if "oracle" in p:
-                lines.append(f"oracle: {p['oracle']}")
-        if "oracle" in payload:
-            o = payload["oracle"]
-            lines.append(f"oracle: {o['status']} ({o['checked']} partitions checked)")
-    elif command == "dt4-series":
-        lines.append(f"# degree-0 series, n_max={payload['n_max']}, "
-                     f"s={payload['s']}, orientation={payload['orientation']}")
-        for n, c in enumerate(payload["coefficients"]):
-            lines.append(f"q^{n}: {c}")
-        for p in payload["points"]:
-            lines.append(f"point n={p['n']} {p['id']}: {p['value']}")
-        if "oracle" in payload:
-            o = payload["oracle"]
-            lines.append(f"oracle: {o['status']} ({o['checked']} partitions checked)")
-    elif command == "goettsche":
-        lines.append(f"# punctual Euler series, e={payload['euler']}, "
-                     f"n_max={payload['n_max']}")
-        for n, c in enumerate(payload["coefficients"]):
-            lines.append(f"q^{n}: {c}")
-        if "oracle" in payload:
-            lines.append(f"oracle: {payload['oracle']}")
-    elif command == "tstar":
-        lines.append(f"c = ({payload['c']})")
-        lines.append(f"case: {payload['case']}")
-        if "euler" in payload:
-            lines.append(f"euler: {payload['euler']}")
-        lines.append(f"value: {payload['value']}")
-    elif command == "cyclic-check":
-        for rep in payload["reports"]:
-            lines.append(f"{rep['id']} (n={rep['n']}): "
-                         f"{'PASS' if rep['ok'] else 'FAIL'}")
-            if not rep["ok"]:
-                for r in rep["rows"]:
-                    if not r["match"]:
-                        lines.append(f"  degree {r['degree']}: {r['lhs']} != {r['rhs']}")
-        lines.append(f"checked {payload['checked']} plane partitions: "
-                     f"{'all degrees match' if payload['ok'] else 'MISMATCH'}")
-    elif command == "suite":
-        for r in payload["results"]:
-            lines.append(f"{'PASS' if r['ok'] else 'FAIL'} {r['criterion']:>2} "
-                         f"{r['name']}: {r['detail']}")
-        lines.append(f"{len(payload['results'])} checks: "
-                     f"{payload['passed']} passed, {payload['failed']} failed")
-    else:
-        raise InternalInconsistency(f"no text renderer for {command}")
-    return lines
+def text_vertex(p):
+    lines = [f"# fixed points up to n={p['n_max']}, s={p['s']}"]
+    for pt in p["points"]:
+        lines.append(f"# {pt['id']} (n={pt['n']})")
+        lines.append(f"tvir: {pt['tvir']}")
+        lines.append("e1: " + "; ".join(_form_str(w) for w in pt["e1"]))
+        lines.append("e2: " + "; ".join(_form_str(w) for w in pt["e2"]))
+        lines.append(f"contribution: {pt['contribution']}")
+        if "oracle" in pt:
+            lines.append(f"oracle: {pt['oracle']}")
+    return lines + _oracle_line(p)
 
 
 def _form_str(triple) -> str:
@@ -393,67 +245,182 @@ def _form_str(triple) -> str:
     return head + "".join(f"{s}{t}" for s, t in parts[1:])
 
 
-def _csv_table(command: str, payload: dict):
-    if command == "liqin":
-        return (["eps1", "eps2", "chi", "k", "k_binomial"],
-                [[r["eps1"], r["eps2"], r["chi"], r["k"], r["k_binomial"]]
-                 for r in payload["rows"]])
-    if command == "vdim":
-        return (["n", "h02", "chi", "vdim"],
-                [[r["n"], r["h02"], r["chi"], r["vdim"]] for r in payload["rows"]])
-    if command == "partitions":
-        return (["n", "count"],
-                [[n, c] for n, c in enumerate(payload["counts"])])
-    if command == "goettsche":
-        return (["n", "coefficient"],
-                [[n, c] for n, c in enumerate(payload["coefficients"])])
-    if command == "dt4-series":
-        return (["n", "id", "value"],
-                [[p["n"], p["id"], p["value"]] for p in payload["points"]])
-    if command == "vertex":
-        return (["n", "id", "contribution"],
-                [[p["n"], p["id"], p["contribution"]] for p in payload["points"]])
-    if command == "cyclic-check":
-        return (["id", "n", "ok"],
-                [[r["id"], r["n"], r["ok"]] for r in payload["reports"]])
-    if command == "suite":
-        return (["criterion", "name", "ok", "detail"],
-                [[r["criterion"], r["name"], r["ok"], r["detail"]]
-                 for r in payload["results"]])
-    if command == "chi":
-        header = ["left", "right", "chi"] + (["oracle", "ok"] if "oracle" in payload else [])
-        return (header, [[payload[k] for k in header]])
-    if command == "tstar":
-        header = [k for k in ("c", "case", "n", "euler", "value") if k in payload]
-        return (header, [[payload[k] for k in header]])
-    raise InternalInconsistency(f"no csv renderer for {command}")
+def series_payload(n_max: int, params: TorusParams, orientation: OrientationData,
+                   jobs: int = 1, check_oracle: bool = False,
+                   orientation_label: str = "default") -> dict:
+    """Canonical report for a series run; `dt4-series` renders exactly this."""
+    coeffs, rows = dt4_degree0_series(n_max, params, orientation, jobs=jobs,
+                                      want_details=True)
+    payload = {
+        "n_max": n_max,
+        "s": str(params),
+        "orientation": orientation_label,
+        "coefficients": [str(c) for c in coeffs],
+        "points": [{"n": n, "id": pid, "value": str(v)} for (n, pid, v) in rows],
+    }
+    if check_oracle:
+        points = [pi for n in range(1, n_max + 1) for pi in enumerate_partitions(4, n)]
+        failures = [pi.id() for pi in points if not _oracle_ok(FixedPointData(pi))]
+        payload["oracle"] = _oracle_summary(len(points), failures)
+    return payload
 
 
-def render(command: str, payload: dict, fmt: str) -> str:
+def cmd_dt4_series(args):
+    params = _parse_params(args.s)
+    orientation = _load_orientation(args.orientation)
+    payload = series_payload(args.n_max, params, orientation, jobs=args.jobs,
+                             check_oracle=args.check_oracle,
+                             orientation_label=args.orientation)
+    failed = args.check_oracle and payload["oracle"]["failures"]
+    return payload, EXIT_MISMATCH if failed else EXIT_OK
+
+
+def text_series(p):
+    lines = [f"# degree-0 series, n_max={p['n_max']}, "
+             f"s={p['s']}, orientation={p['orientation']}"]
+    lines.extend(f"q^{n}: {c}" for n, c in enumerate(p["coefficients"]))
+    lines.extend(f"point n={pt['n']} {pt['id']}: {pt['value']}" for pt in p["points"])
+    return lines + _oracle_line(p)
+
+
+def cmd_goettsche(args):
+    if args.euler is None:
+        raise UsageError("goettsche needs --euler")
+    series = goettsche_series(args.euler, args.n_max)
+    payload = {"euler": args.euler, "n_max": args.n_max,
+               "coefficients": series.as_ints()}
+    if not args.check_oracle:
+        return payload, EXIT_OK
+    match = series == convolution_oracle(args.euler, args.n_max)
+    payload["oracle"] = "PASS" if match else "FAIL"
+    return payload, EXIT_OK if match else EXIT_MISMATCH
+
+
+def text_goettsche(p):
+    lines = [f"# punctual Euler series, e={p['euler']}, n_max={p['n_max']}"]
+    lines.extend(f"q^{n}: {c}" for n, c in enumerate(p["coefficients"]))
+    if "oracle" in p:
+        lines.append(f"oracle: {p['oracle']}")
+    return lines
+
+
+def cmd_tstar(args):
+    if args.c is None:
+        raise UsageError("tstar needs --c r,c1,n")
+    r, c1, n = _int_list(args.c, "--c", "r,c1,n")
+    if r == 1 and c1 == 0 and n < 0 and args.euler is None:
+        raise UsageError("the punctual case needs --euler")
+    try:
+        rep = reduced_dt4_tstar((r, c1, n), args.euler)
+    except ValueError as e:
+        raise UsageError(str(e))
+    payload = {"c": args.c, "case": rep["case"], "value": rep["value"]}
+    if "n" in rep:
+        payload["n"] = rep["n"]
+        payload["euler"] = args.euler
+    return payload, EXIT_OK
+
+
+def text_tstar(p):
+    lines = [f"c = ({p['c']})", f"case: {p['case']}"]
+    if "euler" in p:
+        lines.append(f"euler: {p['euler']}")
+    return lines + [f"value: {p['value']}"]
+
+
+def cmd_cyclic_check(args):
+    reports = []
+    for n in range(args.n_max + 1):
+        for pi3 in enumerate_partitions(3, n):
+            rep = cyclic_completion_report(pi3)
+            reports.append({
+                "id": rep["partition"],
+                "n": n,
+                "ok": rep["ok"],
+                "rows": [{"degree": r["degree"], "match": r["match"],
+                          "lhs": str(r["lhs"]), "rhs": str(r["rhs"])}
+                         for r in rep["rows"]],
+            })
+    all_ok = all(r["ok"] for r in reports)
+    payload = {"n_max": args.n_max, "checked": len(reports), "ok": all_ok,
+               "reports": reports}
+    return payload, EXIT_OK if all_ok else EXIT_MISMATCH
+
+
+def text_cyclic_check(p):
+    lines = []
+    for rep in p["reports"]:
+        lines.append(f"{rep['id']} (n={rep['n']}): {'PASS' if rep['ok'] else 'FAIL'}")
+        lines.extend(f"  degree {r['degree']}: {r['lhs']} != {r['rhs']}"
+                     for r in rep["rows"] if not r["match"])
+    lines.append(f"checked {p['checked']} plane partitions: "
+                 f"{'all degrees match' if p['ok'] else 'MISMATCH'}")
+    return lines
+
+
+def cmd_suite(args):
+    orientation_path = None if args.orientation == "default" else args.orientation
+    results = run_suite(only=args.only, orientation_path=orientation_path)
+    if not results:
+        raise UsageError(f"no acceptance check matches --only {args.only!r}")
+    payload = {"results": [{"criterion": num, "name": r.name, "ok": r.ok,
+                            "detail": r.detail} for (num, r) in results]}
+    passed = sum(1 for _, r in results if r.ok)
+    payload["passed"] = passed
+    payload["failed"] = len(results) - passed
+    return payload, EXIT_OK if passed == len(results) else EXIT_MISMATCH
+
+
+def text_suite(p):
+    lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['criterion']:>2} {r['name']}: {r['detail']}"
+             for r in p["results"]]
+    return lines + [f"{len(p['results'])} checks: {p['passed']} passed, {p['failed']} failed"]
+
+
+# name -> (command, text lines of the payload, CSV header and rows of the payload)
+COMMANDS = {
+    "liqin": (cmd_liqin, lambda p: _spaced(csv_liqin(p)), csv_liqin),
+    "chi": (cmd_chi, text_chi, lambda p: _table([p], list(p))),
+    "vdim": (cmd_vdim, lambda p: _spaced(csv_vdim(p)), csv_vdim),
+    "partitions": (cmd_partitions, text_partitions, lambda p: _table(
+        [{"n": n, "count": c} for n, c in enumerate(p["counts"])], ("n", "count"))),
+    "vertex": (cmd_vertex, text_vertex,
+               lambda p: _table(p["points"], ("n", "id", "contribution"))),
+    "dt4-series": (cmd_dt4_series, text_series,
+                   lambda p: _table(p["points"], ("n", "id", "value"))),
+    "goettsche": (cmd_goettsche, text_goettsche, lambda p: _table(
+        [{"n": n, "coefficient": c} for n, c in enumerate(p["coefficients"])],
+        ("n", "coefficient"))),
+    "tstar": (cmd_tstar, text_tstar, lambda p: _table(
+        [p], [k for k in ("c", "case", "n", "euler", "value") if k in p])),
+    "cyclic-check": (cmd_cyclic_check, text_cyclic_check,
+                     lambda p: _table(p["reports"], ("id", "n", "ok"))),
+    "suite": (cmd_suite, text_suite,
+              lambda p: _table(p["results"], ("criterion", "name", "ok", "detail"))),
+}
+
+
+def render(payload: dict, fmt: str, text_lines, csv_table) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
-        header, rows = _csv_table(command, payload)
+        header, rows = csv_table(payload)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
         return buf.getvalue()
-    return "\n".join(_text_lines(command, payload)) + "\n"
+    return "\n".join(text_lines(payload)) + "\n"
 
 
-COMMANDS = {
-    "liqin": cmd_liqin,
-    "chi": cmd_chi,
-    "vdim": cmd_vdim,
-    "partitions": cmd_partitions,
-    "vertex": cmd_vertex,
-    "dt4-series": cmd_dt4_series,
-    "goettsche": cmd_goettsche,
-    "tstar": cmd_tstar,
-    "cyclic-check": cmd_cyclic_check,
-    "suite": cmd_suite,
-}
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact localization and intersection-theory calculator "
                     "for rank-one invariants of four-folds.")
     sub = parser.add_subparsers(dest="command", required=True)
+    n_max = _at_least(0)
 
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
@@ -473,31 +441,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", help="line bundle bidegree p,q (default structure sheaf)")
     p.add_argument("--right", help="line bundle bidegree p,q")
     p = add("vdim", "virtual dimension table for ideal sheaves of points")
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=n_max, default=10)
     p = add("partitions", "downward-closed partition counts")
     p.add_argument("--d", type=int, choices=(2, 3, 4), default=4)
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--n-max", type=n_max, default=6)
     p.add_argument("--list", action="store_true", help="also print identifiers")
     p = add("vertex", "per fixed point characters, weights, and contributions")
-    p.add_argument("--n-max", type=int, default=2)
+    p.add_argument("--n-max", type=n_max, default=2)
     p.add_argument("--s", default="1,2,3,-6")
     p.add_argument("--check-oracle", action="store_true")
     p = add("dt4-series", "degree-0 equivariant series with per-point breakdown")
-    p.add_argument("--n-max", type=int, default=2)
+    p.add_argument("--n-max", type=n_max, default=2)
     p.add_argument("--s", default="1,2,3,-6")
     p.add_argument("--orientation", default="default",
                    help='"default" or a JSON file of per-point signs')
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--check-oracle", action="store_true")
     p = add("goettsche", "punctual Hilbert scheme Euler series")
     p.add_argument("--euler", type=int, help="Euler number of the surface")
-    p.add_argument("--n-max", type=int, default=20)
+    p.add_argument("--n-max", type=n_max, default=20)
     p.add_argument("--check-oracle", action="store_true")
     p = add("tstar", "reduced invariants of the cotangent fibre geometry")
     p.add_argument("--c", help="Chern character triple r,c1,n")
     p.add_argument("--euler", type=int, help="surface Euler number (punctual case)")
     p = add("cyclic-check", "push plane partitions into four variables and compare Ext")
-    p.add_argument("--n-max", type=int, default=3)
+    p.add_argument("--n-max", type=n_max, default=3)
     p = add("suite", "run the acceptance checks")
     p.add_argument("--only", help="run only checks whose name contains this")
     p.add_argument("--orientation", default="default")
@@ -505,27 +473,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig.from_args(args)
+    args = build_parser().parse_args(argv)
+    command, text_lines, csv_table = COMMANDS[args.command]
     try:
-        payload, code = COMMANDS[cfg.subcommand](cfg)
-    except UsageError as e:
+        payload, code = command(args)
+    except (UsageError, Dt4Error) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except BoundExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BOUND
-    except NonGenericParameters as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NONGENERIC
-    except Unsupported as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (NotEffective, OddPairing, CheckFailed, InternalInconsistency) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
-    sys.stdout.write(render(cfg.subcommand, payload, cfg.fmt))
+        return next(exit_code for kind, exit_code in EXIT_CODES if isinstance(e, kind))
+    sys.stdout.write(render(payload, args.format, text_lines, csv_table))
     return code
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import InternalInconsistency, NonGenericParameters, NotEffective, OddPairing
 from .exact import FactoredWeightProduct, Laurent, LinForm, weight_of
-from .partitions import DPartition, MonomialIdeal, enumerate_partitions
+from .partitions import DPartition, MonomialIdeal, enumerate_partitions, is_partition_id
 from .taylor import ext_characters, euler_character
 
 KAPPA_INV = Laurent.monomial((-1, -1, -1, -1))
@@ -79,7 +79,9 @@ class OrientationData:
     """Sign choice per fixed point, keyed by canonical partition id.
 
     Missing entries default to +1, so the empty map is the reference
-    orientation convention.
+    orientation convention.  A key that names no solid partition would be
+    silently ignored, so it is rejected, as is any sign that is not the
+    integer +1 or -1 (JSON `true` and `1.0` compare equal to 1).
     """
 
     __slots__ = ("signs",)
@@ -89,7 +91,10 @@ class OrientationData:
         for key, val in signs.items():
             if not isinstance(key, str):
                 raise ValueError(f"orientation key {key!r} is not a string")
-            if val not in (1, -1):
+            if not is_partition_id(key, 4):
+                raise ValueError(f"orientation key {key!r} is not the canonical id "
+                                 f"of a solid partition")
+            if type(val) is not int or val not in (1, -1):
                 raise ValueError(f"orientation for {key!r} must be +1 or -1, got {val!r}")
         self.signs = signs
 

@@ -152,6 +152,18 @@ class DPartition:
         return f"DPartition(d={self.d}, {self.id()!r})"
 
 
+def is_partition_id(text: str, d: int) -> bool:
+    """Whether `text` is the canonical id of some partition in dimension d."""
+    if text == "empty":
+        return True
+    try:
+        boxes = [tuple(int(x) for x in box.split(",")) for box in text.split(";")]
+        pi = DPartition(d, boxes, validate=True)
+    except ValueError:
+        return False
+    return len(set(boxes)) == len(boxes) and pi.id() == text
+
+
 # level cache: (d, n) -> tuple of DPartition, filled one size at a time
 _levels: dict[tuple[int, int], tuple[DPartition, ...]] = {}
 

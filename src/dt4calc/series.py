@@ -12,14 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .chow import generalized_binomial
 from .errors import Unsupported
-
-
-def _binom(top: int, k: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(k):
-        out *= Fraction(top - j, j + 1)
-    return out
 
 
 class CoefficientSeries:
@@ -125,7 +119,7 @@ def goettsche_series(e: int, n_max: int) -> CoefficientSeries:
         coeffs = [Fraction(0)] * (n_max + 1)
         m = 0
         while k * m <= n_max:
-            coeffs[k * m] = _binom(e + m - 1, m)
+            coeffs[k * m] = generalized_binomial(e + m - 1, m)
             m += 1
         out = out * CoefficientSeries(coeffs, n_max)
     return out

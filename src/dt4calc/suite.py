@@ -18,8 +18,7 @@ from .chow import (liqin_case, structure_sheaf_chi_check, surface_obstruction_id
 from .errors import Dt4Error
 from .localize import (FixedPointData, OrientationData, TorusParams,
                        cyclic_completion_report, dt4_degree0_series,
-                       obstruction_crosscheck, one_box_symbolic_report,
-                       vertex_oracle_check)
+                       one_box_symbolic_report, vertex_oracle_check)
 from .partitions import enumerate_partitions
 from .series import convolution_oracle, goettsche_series, partition_numbers
 
@@ -225,37 +224,9 @@ def check_orientation_flip(orientation: OrientationData | None = None,
                        f"flipping {target.id()} negates exactly its summand")
 
 
-def series_payload(n_max: int, params: TorusParams, orientation: OrientationData,
-                   jobs: int = 1, check_oracle: bool = False,
-                   orientation_label: str = "default") -> dict:
-    """Canonical report for a series run; the CLI renders exactly this."""
-    coeffs, rows = dt4_degree0_series(n_max, params, orientation, jobs=jobs,
-                                      want_details=True)
-    payload = {
-        "n_max": n_max,
-        "s": str(params),
-        "orientation": orientation_label,
-        "coefficients": [str(c) for c in coeffs],
-        "points": [{"n": n, "id": pid, "value": str(v)} for (n, pid, v) in rows],
-    }
-    if check_oracle:
-        checked = 0
-        failures = []
-        for n in range(1, n_max + 1):
-            for pi in enumerate_partitions(4, n):
-                data = FixedPointData(pi)
-                ok1, _, _ = vertex_oracle_check(data)
-                ok2, _, _ = obstruction_crosscheck(data)
-                checked += 1
-                if not (ok1 and ok2):
-                    failures.append(pi.id())
-        payload["oracle"] = {"checked": checked, "failures": failures,
-                             "status": "PASS" if not failures else "FAIL"}
-    return payload
-
-
 @_timed(None)
 def check_determinism(**_) -> CheckResult:
+    from .cli import series_payload  # the CLI imports this module
     one = json.dumps(series_payload(3, SUITE_PARAMS, OrientationData(), jobs=1), indent=2)
     many = json.dumps(series_payload(3, SUITE_PARAMS, OrientationData(), jobs=4), indent=2)
     ok = one.encode() == many.encode()

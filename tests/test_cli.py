@@ -1,13 +1,18 @@
-"""Front end: formats, exit codes, determinism, and configuration."""
+"""Front end: formats, exit codes, determinism, and argument checks."""
 
+import contextlib
 import csv
 import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dt4calc.cli import (EXIT_BOUND, EXIT_MISMATCH, EXIT_NONGENERIC, EXIT_OK,
-                         EXIT_UNSUPPORTED, EXIT_USAGE, RunConfig, main)
+                         EXIT_UNSUPPORTED, EXIT_USAGE, build_parser, main)
 
 GENERIC_S = "1,7,41,-49"
 
@@ -237,9 +242,93 @@ def test_unknown_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_run_config_round_trips():
-    cfg = RunConfig(subcommand="dt4-series", n_max=3, s=GENERIC_S,
-                    orientation="default", fmt="json", check_oracle=True,
-                    jobs=4, bound_override=9)
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
-    assert json.loads(json.dumps(cfg.to_dict())) == cfg.to_dict()
+def test_non_integer_bound_variable(capsys, monkeypatch):
+    monkeypatch.setenv("DT4_MAX_N", "abc")
+    code, out, _ = run(capsys, "partitions", "--d", "2")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "total: 30"
+    code, out, err = run(capsys, "dt4-series", "--n-max", "1")
+    assert code == EXIT_BOUND
+    assert out == ""
+    assert err == "error: DT4_MAX_N must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["goettsche", "--euler", "3", "--n-max", "-1"],
+    ["dt4-series", "--n-max", "-1"],
+    ["vdim", "--n-max", "-1"],
+    ["vertex", "--n-max", "-1"],
+    ["partitions", "--n-max", "-1"],
+    ["cyclic-check", "--n-max", "-1"],
+    ["dt4-series", "--jobs", "0"],
+    ["dt4-series", "--jobs", "-3"],
+    ["dt4-series", "--n-max", "1.5"],
+])
+def test_bad_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least" in captured.err or "invalid" in captured.err
+
+
+@pytest.mark.parametrize("signs", [
+    {"0,0,0,0": True},
+    {"0,0,0,0": 1.0},
+    {"0,0,0,0;1,0,0,0;0,1,0,0": -1},
+    {"1,0,0,0": -1},
+    {"0,0,0": -1},
+])
+def test_orientation_rejects_values_and_keys(signs, capsys, tmp_path):
+    path = tmp_path / "orient.json"
+    path.write_text(json.dumps(signs))
+    code, out, err = run(capsys, "dt4-series", "--s", GENERIC_S,
+                         "--orientation", str(path))
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: bad orientation file")
+    code, out, _ = run(capsys, "suite", "--only", "orientation",
+                       "--orientation", str(path))
+    assert code == EXIT_MISMATCH
+    assert out.startswith("FAIL 10 orientation-flip: orientation data rejected")
+
+
+def _subcommand_flags():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return {name: [opt for a in p._actions for opt in a.option_strings
+                   if opt not in ("-h", "--help")]
+            for name, p in sub.choices.items()}
+
+
+FLAGS = _subcommand_flags()
+# no count above 2, so every command line runs in well under a second
+TOKENS = ["-1", "0", "1", "2", "abc", "1.5", "1,2", "1,2,3,-6", ""]
+
+
+@st.composite
+def command_lines(draw):
+    name = draw(st.sampled_from(sorted(FLAGS) + ["frobnicate"]))
+    argv = [name]
+    for _ in range(draw(st.integers(0, 4))):
+        argv.append(draw(st.sampled_from(FLAGS.get(name, []) + ["--n-max", "--bogus"])))
+        if draw(st.booleans()):
+            argv.append(draw(st.sampled_from(TOKENS)))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=command_lines(), bound=st.sampled_from([None, "abc"]))
+def test_fuzzed_command_lines_exit_with_documented_codes(argv, bound):
+    env = {k: v for k, v in os.environ.items() if k != "DT4_MAX_N"}
+    if bound is not None:
+        env["DT4_MAX_N"] = bound
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env, clear=True), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in range(7), (argv, code)
+    assert "Traceback" not in err.getvalue()

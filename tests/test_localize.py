@@ -56,8 +56,11 @@ def test_torus_params_permuted():
 
 
 def test_orientation_data_validation_and_file(tmp_path):
-    with pytest.raises(ValueError):
-        OrientationData({"x": 2})
+    for bad in ({"x": 2}, {"0,0,0,0": True}, {"0,0,0,0": 1.0}, {"x": 1},
+                {"1,0,0,0": -1}, {"0,0,0,0;0,0,0,0": 1}, {"0,0,0,0;01,0,0,0": 1}):
+        with pytest.raises(ValueError):
+            OrientationData(bad)
+    assert OrientationData({"empty": -1, "0,0,0,0;1,0,0,0": 1}).sign("empty") == -1
     path = tmp_path / "orient.json"
     path.write_text(json.dumps({"0,0,0,0": -1}))
     data = OrientationData.from_file(str(path))

@@ -9,7 +9,7 @@ from dt4calc.exact import Laurent
 from dt4calc.partitions import (DEFAULT_BOUNDS, DPartition, ENV_BOUND_VAR,
                                 MonomialIdeal, count_partitions,
                                 enumerate_partitions, is_downward_closed,
-                                size_bound)
+                                is_partition_id, size_bound)
 
 
 def brute_force_sets(d, n):
@@ -66,8 +66,9 @@ def test_enumeration_is_sorted_and_valid():
 
 
 def test_identifier_round_trip():
-    for pi in enumerate_partitions(4, 3):
+    for pi in enumerate_partitions(4, 3) + enumerate_partitions(4, 0):
         token = pi.id()
+        assert is_partition_id(token, 4)
         if token == "empty":
             boxes = ()
         else:
