@@ -173,7 +173,7 @@ class FixedPointData:
         if self.tvir.coeff_sum() != 2 * n:
             raise InternalInconsistency(
                 f"virtual dimension shadow {self.tvir.coeff_sum()} != {2 * n}")
-        self.e1_char = ext_characters(self.ideal, "I,OZ").get(0, Laurent.zero())
+        self.e1_char = ext_characters(self.ideal, "I,OZ", degree=0).get(0, Laurent.zero())
         self.e1_weights = character_weights(self.e1_char, "tangent")
         e1cy = self.e1_char.cy_reduce()
         self.e2_char = e1cy + e1cy.bar() - self.tvir.cy_reduce()
@@ -225,7 +225,7 @@ def vertex_oracle_check(data: FixedPointData) -> tuple[bool, Laurent, Laurent]:
 
 def obstruction_crosscheck(data: FixedPointData) -> tuple[bool, Laurent, Laurent]:
     """Obstruction character versus Ext^1(I, O_Z) from the resolution route."""
-    rhs = ext_characters(data.ideal, "I,OZ").get(1, Laurent.zero()).cy_reduce()
+    rhs = ext_characters(data.ideal, "I,OZ", degree=1).get(1, Laurent.zero()).cy_reduce()
     return data.e2_char == rhs, data.e2_char, rhs
 
 
@@ -251,7 +251,7 @@ def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
         return data.contribution(params, orientation.sign(pi))
 
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=min(jobs, len(flat))) as pool:
             values = list(pool.map(work, flat))
     else:
         values = [work(pi) for pi in flat]

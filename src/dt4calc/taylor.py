@@ -5,8 +5,15 @@ free summand per subset S of the generators, placed in homological degree
 |S| and twisted by lcm(m_S).  It resolves R/I for every monomial ideal, and
 its truncation at degree >= 1 resolves I.  Applying Hom(-, R/I) gives a
 finite complex of finite dimensional multigraded vector spaces, and the Ext
-groups are read off one multidegree at a time by exact Gaussian elimination
-over the rationals.
+groups are read off one multidegree at a time from the ranks of its
+differentials, found by fraction-free elimination over the integers, which
+is exact over the rationals.
+
+The cochains of Ext^i sit on the subsets of size k = i (source O_Z) or
+k = i + 1 (source I), and Ext^i only needs the differentials into and out
+of that degree.  Asked for one degree, `ext_characters` builds only the
+subsets of size k - 1, k and k + 1, which is O(r^(k+1)) of them rather than
+2^r.  Without a degree it builds every subset and returns every degree.
 
 Characters are returned as Laurent polynomials in t1..t4; ideals in fewer
 variables are embedded with zero exponents in the unused slots.
@@ -15,6 +22,8 @@ variables are embedded with zero exponents in the unused slots.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from .errors import BoundExceeded, InternalInconsistency
 from .exact import Laurent
@@ -24,54 +33,39 @@ GENERATOR_CAP = 16
 
 
 def _rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix given as a list of rows."""
-    if not rows or not rows[0]:
-        return 0
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows, ncols = len(m), len(m[0])
+    """Rank over Q of an integer matrix given as a list of rows.
+
+    Fraction-free elimination below each pivot; each updated row is divided
+    by the gcd of its entries, so the entries stay small.
+    """
+    m = [row for row in rows if any(row)]
     rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row, nrows):
-            if m[i][col]:
-                pivot = i
-                break
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for i in range(nrows):
-            if i != row and m[i][col]:
-                c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[row])]
-        row += 1
+        m[rank], m[pivot] = m[pivot], m[rank]
+        p = m[rank]
+        a = p[col]
+        for i in range(rank + 1, len(m)):
+            c = m[i][col]
+            if c:
+                row = [a * x - c * y for x, y in zip(m[i], p)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         rank += 1
-        if row == nrows:
+        if rank == len(m):
             break
     return rank
 
 
-def _lcm_exps(gens):
-    """Componentwise max over every subset of generators, indexed by bitmask."""
-    r = len(gens)
-    nv = len(gens[0]) if gens else 0
-    lcms = [None] * (1 << r)
-    lcms[0] = (0,) * nv
-    for mask in range(1, 1 << r):
-        low = (mask & -mask).bit_length() - 1
-        prev = lcms[mask ^ (1 << low)]
-        g = gens[low]
-        lcms[mask] = tuple(max(a, b) for a, b in zip(prev, g))
-    return lcms
-
-
-def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ") -> dict[int, Laurent]:
+def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ",
+                   degree: int | None = None) -> dict[int, Laurent]:
     """Characters of Ext^i(F, O_Z) for F = O_Z (source "OZ,OZ") or F = I ("I,OZ").
 
     Returns a dict mapping cohomological degree to the exact torus character;
-    degrees with vanishing Ext are simply absent.
+    degrees with vanishing Ext are simply absent.  With `degree` set, only
+    that degree is computed, from the subsets of the generators it needs.
     """
     if source not in ("OZ,OZ", "I,OZ"):
         raise ValueError(f"unknown source {source!r}")
@@ -83,24 +77,35 @@ def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ") -> dict[int, Lau
         raise BoundExceeded(f"{r} generators exceeds the Taylor complex cap {GENERATOR_CAP}")
     if not boxes:
         return {}
-    lcms = _lcm_exps(gens)
-
-    # cochain basis: (mask, box) in degree popcount(mask), multidegree box - lcm
-    by_mdeg: dict[tuple[int, ...], dict[int, list[tuple[int, tuple[int, ...]]]]] = {}
-    for mask in range(1 << r):
-        k = mask.bit_count()
-        a = lcms[mask]
-        for b in boxes:
-            mu = tuple(x - y for x, y in zip(b, a))
-            by_mdeg.setdefault(mu, {}).setdefault(k, []).append((mask, b))
 
     # shift: Ext^i(I, O_Z) is cohomology of the same cochain complex with the
     # degree zero column dropped and indices moved down by one
     shift = 0 if source == "OZ,OZ" else 1
     top = nv if source == "OZ,OZ" else nv - 1
+    if degree is None:
+        sizes = range(shift, r + 1)
+        wanted = sizes
+    else:
+        k = degree + shift
+        sizes = range(max(k - 1, shift), min(k + 1, r) + 1)
+        wanted = (k,)
+
+    # cochain basis: (mask, box) in degree |S|, multidegree box - lcm(S)
+    zero = (0,) * nv
+    lcms: dict[int, tuple[int, ...]] = {}
+    by_mdeg: dict[tuple[int, ...], dict[int, list[tuple[int, tuple[int, ...]]]]] = {}
+    for k in sizes:
+        for subset in combinations(range(r), k):
+            mask = sum(1 << g for g in subset)
+            a = lcms[mask] = tuple(map(max, zip(zero, *(gens[g] for g in subset))))
+            for b in boxes:
+                mu = tuple(x - y for x, y in zip(b, a))
+                by_mdeg.setdefault(mu, {}).setdefault(k, []).append((mask, b))
 
     chars: dict[int, dict[tuple[int, ...], Fraction]] = {}
     for mu, levels in sorted(by_mdeg.items()):
+        if not any(k in levels for k in wanted):
+            continue
         for lst in levels.values():
             lst.sort()
         index = {k: {elem: i for i, elem in enumerate(lst)} for k, lst in levels.items()}
@@ -109,7 +114,6 @@ def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ") -> dict[int, Lau
             cols = levels[k]
             rows_index = index.get(k + 1)
             if not rows_index:
-                ranks[k] = 0
                 continue
             mat = [[0] * len(cols) for _ in rows_index]
             for j, (mask, b) in enumerate(cols):
@@ -127,13 +131,14 @@ def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ") -> dict[int, Lau
                     sign = 1 if below % 2 == 0 else -1
                     mat[row][j] = sign
             ranks[k] = _rank(mat)
-        for k, lst in levels.items():
-            i = k - shift
-            if i < 0:
+        for k in wanted:
+            if k not in levels:
                 continue
-            dim = len(lst) - ranks.get(k, 0) - (0 if k == shift else ranks.get(k - 1, 0))
+            i = k - shift
+            dim = len(levels[k]) - ranks.get(k, 0) - ranks.get(k - 1, 0)
             if dim < 0:
-                raise InternalInconsistency("negative cohomology dimension")
+                raise InternalInconsistency(
+                    f"negative cohomology dimension {dim} of Ext^{i} at multidegree {mu}")
             if dim:
                 if i > top:
                     raise InternalInconsistency(

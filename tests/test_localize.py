@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dt4calc import localize
 from dt4calc.errors import (InternalInconsistency, NonGenericParameters,
                             OddPairing)
 from dt4calc.exact import FactoredWeightProduct, Laurent, LinForm
@@ -207,6 +208,21 @@ def test_parallel_series_matches_serial():
     serial = dt4_degree0_series(3, GENERIC, jobs=1)
     parallel = dt4_degree0_series(3, GENERIC, jobs=4)
     assert serial == parallel
+
+
+def test_jobs_is_capped_at_the_number_of_tasks(monkeypatch):
+    # n_max = 1 has two fixed points, so a pool of 64 workers is never started
+    seen = []
+
+    class Recording(localize.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(localize, "ThreadPoolExecutor", Recording)
+    capped = dt4_degree0_series(1, GENERIC, jobs=64)
+    assert seen == [2]
+    assert capped == dt4_degree0_series(1, GENERIC, jobs=1)
 
 
 def test_orientation_flip_negates_one_summand():

@@ -3,11 +3,15 @@
 import itertools
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dt4calc.errors import BoundExceeded
+from dt4calc import taylor
+from dt4calc.errors import BoundExceeded, InternalInconsistency
 from dt4calc.exact import Laurent
 from dt4calc.partitions import DPartition, MonomialIdeal, enumerate_partitions
-from dt4calc.taylor import ext_characters, euler_character
+from dt4calc.taylor import _rank, ext_characters, euler_character
 
 
 def elementary_in_inverses(k, nv):
@@ -128,3 +132,53 @@ def test_unknown_source_rejected():
     ideal = DPartition(4, [(0, 0, 0, 0)]).to_ideal()
     with pytest.raises(ValueError):
         ext_characters(ideal, "OZ,I")
+
+
+@pytest.mark.parametrize("d", [4, 3])
+def test_degree_window_matches_the_full_complex(d):
+    for n in range(5):
+        for pi in enumerate_partitions(d, n):
+            ideal = pi.to_ideal()
+            for source in ("OZ,OZ", "I,OZ"):
+                full = ext_characters(ideal, source)
+                top = d if source == "OZ,OZ" else d - 1
+                for i in range(top + 1):
+                    window = ext_characters(ideal, source, degree=i)
+                    assert window == ({i: full[i]} if i in full else {}), (pi.id(), source, i)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Entries in [-2, 2], with some rows and columns zeroed out."""
+    nrows = draw(st.integers(0, 10))
+    ncols = draw(st.integers(0, 10))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0))))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)], nrows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_rank_matches_sympy(case):
+    rows, nrows, ncols = case
+    expected = sympy.Matrix(nrows, ncols, [x for row in rows for x in row]).rank()
+    assert _rank(rows) == expected
+
+
+def test_rank_is_over_the_rationals_not_mod_two():
+    assert _rank([[1, 1], [1, -1]]) == 2
+    assert _rank([[2, 4], [1, 2]]) == 1
+    assert _rank([]) == 0
+    assert _rank([[], []]) == 0
+
+
+def test_negative_dimension_names_degree_and_multidegree(monkeypatch):
+    # a rank larger than the cochain space forces the inconsistency
+    monkeypatch.setattr(taylor, "_rank", lambda rows: 99)
+    ideal = DPartition(4, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)]).to_ideal()
+    with pytest.raises(InternalInconsistency,
+                       match=r"of Ext\^1 at multidegree \(0, 0, -2, 0\)"):
+        ext_characters(ideal, "OZ,OZ", degree=1)
