@@ -248,7 +248,19 @@ def _form_str(triple) -> str:
 def series_payload(n_max: int, params: TorusParams, orientation: OrientationData,
                    jobs: int = 1, check_oracle: bool = False,
                    orientation_label: str = "default") -> dict:
-    """Canonical report for a series run; `dt4-series` renders exactly this."""
+    """Canonical report for a series run; `dt4-series` renders exactly this.
+
+    The oracle runs first, and each point it builds leaves its summand
+    record behind, so the series builds no point a second time.
+    """
+    if check_oracle:
+        points = [pi for n in range(1, n_max + 1) for pi in enumerate_partitions(4, n)]
+        failures = []
+        for pi in points:
+            data = FixedPointData(pi)
+            data.summand()
+            if not _oracle_ok(data):
+                failures.append(pi.id())
     coeffs, rows = dt4_degree0_series(n_max, params, orientation, jobs=jobs,
                                       want_details=True)
     payload = {
@@ -259,8 +271,6 @@ def series_payload(n_max: int, params: TorusParams, orientation: OrientationData
         "points": [{"n": n, "id": pid, "value": str(v)} for (n, pid, v) in rows],
     }
     if check_oracle:
-        points = [pi for n in range(1, n_max + 1) for pi in enumerate_partitions(4, n)]
-        failures = [pi.id() for pi in points if not _oracle_ok(FixedPointData(pi))]
         payload["oracle"] = _oracle_summary(len(points), failures)
     return payload
 

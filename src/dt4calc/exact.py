@@ -19,6 +19,7 @@ denominator, unbounded size).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import InternalInconsistency, NonGenericParameters
@@ -264,9 +265,14 @@ class LinForm:
     def is_zero(self) -> bool:
         return self.reduced == (0, 0, 0)
 
-    def evaluate(self, s) -> Fraction:
-        """Value at a parameter 4-vector; callers ensure sum(s) == 0."""
-        return sum((Fraction(ai) * si for ai, si in zip(self.a, s)), Fraction(0))
+    def evaluate(self, s):
+        """Value at a parameter 4-vector; callers ensure sum(s) == 0.
+
+        Exact for any exact entries: an int for integer s, a Fraction when
+        some entry is a Fraction.
+        """
+        a = self.a
+        return a[0] * s[0] + a[1] * s[1] + a[2] * s[2] + a[3] * s[3]
 
     def canonical(self) -> tuple["LinForm", int]:
         """Representative of {w, -w} with positive leading reduced coefficient.
@@ -301,6 +307,16 @@ class LinForm:
 
     def __repr__(self) -> str:
         return f"LinForm{self.a}"
+
+
+def integer_scaling(s) -> tuple[int, tuple[int, ...]]:
+    """(L, L*s) with L the lcm of the denominators of the rationals s.
+
+    A weight's value at s is its integer value at L*s divided by L, so a
+    product of weights can be taken over the integers and divided once.
+    """
+    scale = lcm(*(Fraction(x).denominator for x in s))
+    return scale, tuple(int(x * scale) for x in s)
 
 
 def weight_of(exp: Iterable[int]) -> LinForm:
@@ -394,13 +410,18 @@ class FactoredWeightProduct:
         """
         if self.zero:
             return Fraction(0)
-        value = Fraction(self.sign)
+        scale, ints = integer_scaling(s)
+        num, den = self.sign, 1
         for w, m in sorted(self.factors.items(), key=lambda kv: kv[0].reduced):
-            v = w.evaluate(s)
+            v = w.evaluate(ints)
             if v == 0:
                 raise NonGenericParameters(f"weight {w} vanishes at s = {tuple(s)}")
-            value *= v ** m
-        return value
+            if m > 0:
+                num *= v ** m
+            else:
+                den *= v ** -m
+        d = self.degree()
+        return Fraction(num * scale ** max(-d, 0), den * scale ** max(d, 0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FactoredWeightProduct):

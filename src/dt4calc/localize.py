@@ -11,16 +11,19 @@ kappa = 1 the obstruction weights pair off as (w, -w); the contribution of
 the fixed point is a sign choice times the product of one weight from each
 pair, divided by the product of the tangent weights.  All arithmetic is
 exact.
+
+Only that last evaluation depends on the parameters.  The rest of a summand
+is kept per process in a compact `Summand` record per partition, so a
+second series at new parameters builds no fixed point data.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import InternalInconsistency, NonGenericParameters, NotEffective, OddPairing
-from .exact import FactoredWeightProduct, Laurent, LinForm, weight_of
+from .exact import FactoredWeightProduct, Laurent, LinForm, integer_scaling, weight_of
 from .partitions import DPartition, MonomialIdeal, enumerate_partitions, is_partition_id
 from .taylor import ext_characters, euler_character
 
@@ -44,9 +47,13 @@ def vertex_character(q: Laurent) -> Laurent:
 
 
 class TorusParams:
-    """A rational parameter vector (s1, s2, s3, s4) with coordinate sum zero."""
+    """A rational parameter vector (s1, s2, s3, s4) with coordinate sum zero.
 
-    __slots__ = ("s",)
+    `scaled` is (L, L*s) with L the lcm of the denominators, for evaluating
+    weights over the integers.
+    """
+
+    __slots__ = ("s", "scaled")
 
     def __init__(self, s):
         s = tuple(Fraction(x) for x in s)
@@ -56,6 +63,7 @@ class TorusParams:
             shown = ",".join(str(x) for x in s)
             raise ValueError(f"parameter coordinates must sum to zero, got {shown}")
         self.s = s
+        self.scaled = integer_scaling(s)
 
     @classmethod
     def default(cls) -> "TorusParams":
@@ -110,6 +118,8 @@ class OrientationData:
         return cls(raw)
 
     def sign(self, partition_or_id) -> int:
+        if not self.signs:
+            return 1
         key = partition_or_id.id() if isinstance(partition_or_id, DPartition) else partition_or_id
         return self.signs.get(key, 1)
 
@@ -186,6 +196,13 @@ class FixedPointData:
     def half(self, orientation: int = 1) -> FactoredWeightProduct:
         return half_euler(self.e2_weights, orientation)
 
+    def summand(self) -> "Summand":
+        """The compact record of this point's summand, made once per process."""
+        record = _SUMMANDS.get(self.partition)
+        if record is None:
+            record = _SUMMANDS[self.partition] = Summand(self)
+        return record
+
     def contribution(self, params: TorusParams, orientation: int = 1) -> Fraction:
         """Signed half Euler value over the tangent weight product at s.
 
@@ -194,26 +211,74 @@ class FixedPointData:
         over all fixed points unchanged, so it evaluates to zero rather than
         raising.
         """
-        den = Fraction(1)
-        for w in self.e1_weights:
+        return self.summand().value(params, orientation)
+
+
+class Summand:
+    """The parameter-free part of one fixed point's summand.
+
+    `tangent` holds the tangent weights and `factors` the half Euler factors,
+    each as (form, multiplicity) pairs in sorted order; `sign` is the half
+    Euler sign at orientation +1, or 0 when an obstruction weight is the zero
+    form.  No characters are kept.  The checks that do not depend on the
+    parameters run here, once per point.
+    """
+
+    __slots__ = ("tangent", "sign", "factors", "tangent_count", "degree")
+
+    def __init__(self, data: FixedPointData):
+        tangent: dict[LinForm, int] = {}
+        for w in data.e1_weights:  # sorted, and the dict keeps first-seen order
             if w.is_zero():
                 raise InternalInconsistency("zero weight in the tangent character")
-            v = w.evaluate(params.s)
+            tangent[w] = tangent.get(w, 0) + 1
+        half = data.half(1)
+        factors = sorted(half.factors.items(), key=lambda kv: kv[0].reduced)
+        if any(m <= 0 for _, m in factors):
+            raise InternalInconsistency("denominator factor in a half Euler product")
+        self.tangent = tuple(tangent.items())
+        self.sign = 0 if half.zero else half.sign
+        self.factors = tuple(factors)
+        self.tangent_count = len(data.e1_weights)
+        self.degree = half.degree()
+
+    def value(self, params: TorusParams, orientation: int = 1) -> Fraction:
+        """The summand at s with the given orientation sign.
+
+        Weights are evaluated at L*s, so both products are integers and one
+        Fraction is built at the end.  The first tangent weight, in sorted
+        order, that vanishes raises NonGenericParameters; a vanishing
+        numerator factor makes the summand zero.
+        """
+        if orientation not in (1, -1):
+            raise ValueError("orientation must be +1 or -1")
+        scale, s = params.scaled
+        den = 1
+        for w, m in self.tangent:
+            v = w.evaluate(s)
             if v == 0:
                 raise NonGenericParameters(f"tangent weight {w} vanishes at s = {params}")
-            den *= v
-        half = self.half(orientation)
-        if half.zero:
+            den *= v ** m
+        num = orientation * self.sign
+        if not num:
             return Fraction(0)
-        num = Fraction(half.sign)
-        for w, m in sorted(half.factors.items(), key=lambda kv: kv[0].reduced):
-            if m <= 0:
-                raise InternalInconsistency("denominator factor in a half Euler product")
-            v = w.evaluate(params.s)
+        for w, m in self.factors:
+            v = w.evaluate(s)
             if v == 0:
                 return Fraction(0)
             num *= v ** m
-        return num / den
+        return Fraction(num * scale ** self.tangent_count, den * scale ** self.degree)
+
+
+# summand cache: partition -> Summand, filled as points are first built and
+# kept for the life of the process, like the partition levels it is keyed by
+_SUMMANDS: dict[DPartition, Summand] = {}
+
+
+def summand(pi: DPartition) -> Summand:
+    """The cached summand record of a fixed point, building the point on a miss."""
+    record = _SUMMANDS.get(pi)
+    return record if record is not None else FixedPointData(pi).summand()
 
 
 def vertex_oracle_check(data: FixedPointData) -> tuple[bool, Laurent, Laurent]:
@@ -235,37 +300,33 @@ def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
     """Degree zero invariants as exact series coefficients c_0..c_{n_max}.
 
     c_n is the sum of fixed point contributions over all solid partitions of
-    size n.  With jobs > 1 the per point work runs on a thread pool; the sum
-    is assembled in canonical partition order either way, so the result does
-    not depend on scheduling.
+    size n, in canonical partition order.  A point is built the first time
+    any call in the process needs it, and its `Summand` record is kept, so a
+    later call at new parameters or a new orientation only evaluates.  The
+    orientation sign is applied after the record, at evaluation.  `jobs` is
+    accepted and ignored: everything runs on the calling thread, because
+    threads only contend for the interpreter lock here.
     """
     if params is None:
         params = TorusParams.default()
     if orientation is None:
         orientation = OrientationData()
     levels = [enumerate_partitions(4, n) for n in range(n_max + 1)]
-    flat = [pi for level in levels for pi in level]
-
-    def work(pi: DPartition):
-        data = FixedPointData(pi)
-        return data.contribution(params, orientation.sign(pi))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(flat))) as pool:
-            values = list(pool.map(work, flat))
-    else:
-        values = [work(pi) for pi in flat]
 
     coeffs = []
     details = []
-    pos = 0
     for n, level in enumerate(levels):
         total = Fraction(0)
         for pi in level:
-            v = values[pos]
-            pos += 1
+            sign = orientation.sign(pi)
+            record = _SUMMANDS.get(pi)
+            if record is None:
+                v = FixedPointData(pi).contribution(params, sign)
+            else:
+                v = record.value(params, sign)
             total += v
-            details.append((n, pi.id(), v))
+            if want_details:
+                details.append((n, pi.id(), v))
         coeffs.append(total)
     if want_details:
         return coeffs, details
@@ -293,9 +354,8 @@ def transported_orientation(perm, n_max: int,
     signs: dict[str, int] = {}
     for n in range(n_max + 1):
         for pi in enumerate_partitions(4, n):
-            data = FixedPointData(pi)
             eps = 1
-            for w, m in data.half(1).factors.items():
+            for w, m in summand(pi).factors:
                 if not relabeled_form(w, perm).is_canonical() and m % 2 == 1:
                     eps = -eps
             sign = eps * base.sign(pi)

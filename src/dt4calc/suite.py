@@ -1,7 +1,9 @@
 """Acceptance checks, each one criterion with a stable name and a verdict.
 
-Every check recomputes its claim from scratch and compares against frozen
-expected values or an independent route; nothing here trusts cached state.
+Every check recomputes its claim and compares against frozen expected values
+or an independent route.  The only state carried between checks is what
+the library keeps per process (partition levels and summand records), which
+the same code builds on first use.
 Timing limits are part of the verdict where a criterion carries one, but
 measured times are never printed, so output stays byte stable run to run.
 """

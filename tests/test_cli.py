@@ -135,6 +135,15 @@ def test_series_byte_determinism_across_jobs(capsys):
     assert outs[0] == outs[1]
 
 
+def test_series_nongeneric_message_is_byte_identical(capsys):
+    # the second run evaluates from the summand records the first one left
+    for _ in range(2):
+        code, out, err = run(capsys, "dt4-series", "--s", "1,2,3,-6", "--n-max", "3")
+        assert code == EXIT_NONGENERIC
+        assert out == ""
+        assert err == "error: tangent weight -2*s1 + s2 vanishes at s = 1,2,3,-6\n"
+
+
 def test_series_repeat_run_is_byte_identical(capsys):
     _, first, _ = run(capsys, "dt4-series", "--n-max", "2", "--s", GENERIC_S)
     _, second, _ = run(capsys, "dt4-series", "--n-max", "2", "--s", GENERIC_S)

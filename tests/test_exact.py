@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dt4calc.errors import InternalInconsistency, NonGenericParameters
 from dt4calc.exact import (FactoredWeightProduct, Laurent, LinForm,
-                           exp_cy_reduce, weight_of)
+                           exp_cy_reduce, integer_scaling, weight_of)
 
 DEFAULT_S = (Fraction(1), Fraction(2), Fraction(3), Fraction(-6))
 
@@ -151,3 +151,48 @@ def test_weight_product_multiplicities_cancel():
     assert fwp.factors == {w: 1}
     assert fwp.times_weight(w, -1).factors == {}
     assert fwp.degree() == 1
+
+
+def test_linform_evaluate_is_exact_for_ints_and_fractions():
+    w = LinForm((2, -1, 0, 3))
+    assert w.evaluate((1, 7, 41, -49)) == 2 - 7 - 147
+    assert type(w.evaluate((1, 7, 41, -49))) is int
+    half = w.evaluate((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(-1)))
+    assert half == Fraction(-7, 3) and type(half) is Fraction
+
+
+def test_integer_scaling():
+    assert integer_scaling((1, 7, 41, -49)) == (1, (1, 7, 41, -49))
+    assert integer_scaling((Fraction(1, 4), Fraction(-1, 6), 0, Fraction(-1, 12))) == (
+        12, (3, -2, 0, -1))
+
+
+forms = st.tuples(*[st.integers(-3, 3)] * 4).map(LinForm).filter(lambda w: not w.is_zero())
+small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(forms, st.integers(-3, 3)), max_size=5),
+       st.tuples(small_rationals, small_rationals, small_rationals))
+def test_weight_product_matches_fraction_arithmetic(factors, head):
+    s = head + (-sum(head),)
+    fwp = FactoredWeightProduct()
+    for w, m in factors:
+        fwp = fwp.times_weight(w, m)
+    values = {w: sum((Fraction(a) * x for a, x in zip(w.a, s)), Fraction(0))
+              for w in fwp.factors}
+    if any(v == 0 for v in values.values()):
+        with pytest.raises(NonGenericParameters):
+            fwp.evaluate(s)
+        return
+    expected = Fraction(fwp.sign)
+    for w, m in fwp.factors.items():
+        expected *= values[w] ** m
+    assert fwp.evaluate(s) == expected
+
+
+def test_weight_product_stays_exact_at_integer_parameters():
+    # an integer weight value to a negative power would be a float
+    fwp = FactoredWeightProduct.identity().times_weight(LinForm((1, 0, 0, 0)), -2)
+    value = fwp.evaluate((3, 1, 1, -5))
+    assert value == Fraction(1, 9) and type(value) is Fraction

@@ -2,17 +2,21 @@
 
 import itertools
 import json
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dt4calc import localize
+from dt4calc.cli import series_payload
 from dt4calc.errors import (InternalInconsistency, NonGenericParameters,
                             OddPairing)
 from dt4calc.exact import FactoredWeightProduct, Laurent, LinForm
 from dt4calc.localize import (FixedPointData, OrientationData, TorusParams,
                               cyclic_completion_report, dt4_degree0_series,
-                              half_euler, obstruction_crosscheck,
+                              Summand, half_euler, obstruction_crosscheck,
                               one_box_symbolic_report, relabeled_form,
                               transported_orientation, vertex_character,
                               vertex_oracle_check)
@@ -210,19 +214,12 @@ def test_parallel_series_matches_serial():
     assert serial == parallel
 
 
-def test_jobs_is_capped_at_the_number_of_tasks(monkeypatch):
-    # n_max = 1 has two fixed points, so a pool of 64 workers is never started
-    seen = []
+def test_jobs_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dt4_degree0_series started a thread")
 
-    class Recording(localize.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(localize, "ThreadPoolExecutor", Recording)
-    capped = dt4_degree0_series(1, GENERIC, jobs=64)
-    assert seen == [2]
-    assert capped == dt4_degree0_series(1, GENERIC, jobs=1)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert dt4_degree0_series(3, GENERIC, jobs=4) == SERIES_GENERIC
 
 
 def test_orientation_flip_negates_one_summand():
@@ -285,3 +282,125 @@ def test_empty_partition_contributes_one():
     data = FixedPointData(DPartition(4, []))
     assert data.contribution(GENERIC, 1) == 1
     assert data.tvir.is_zero()
+
+
+# the summand cache: one build per point per process, integer evaluation
+
+POINTS_3 = [pi for n in range(4) for pi in enumerate_partitions(4, n)]
+DATA_3 = {pi: FixedPointData(pi) for pi in POINTS_3}
+
+
+def reference_summand(data: FixedPointData, params: TorusParams, sign: int) -> Fraction:
+    """The summand in Fraction arithmetic, one weight at a time, straight
+    from the weight lists of the fixed point."""
+    def value(w):
+        return sum((Fraction(a) * x for a, x in zip(w.a, params.s)), Fraction(0))
+
+    den = Fraction(1)
+    for w in data.e1_weights:
+        v = value(w)
+        if v == 0:
+            raise NonGenericParameters(f"tangent weight {w} vanishes at s = {params}")
+        den *= v
+    half = data.half(sign)
+    if half.zero:
+        return Fraction(0)
+    num = Fraction(half.sign)
+    for w, m in half.factors.items():
+        num *= value(w) ** m
+    return num / den
+
+
+rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(rationals, rationals, rationals),
+       st.lists(st.sampled_from((1, -1)), min_size=len(POINTS_3), max_size=len(POINTS_3)))
+def test_integer_summand_matches_a_fraction_reference(head, signs):
+    params = TorusParams(head + (-sum(head),))
+    orientation = OrientationData({pi.id(): e for pi, e in zip(POINTS_3, signs) if e != 1})
+    expected = []
+    message = None
+    for pi, e in zip(POINTS_3, signs):
+        try:
+            expected.append(reference_summand(DATA_3[pi], params, e))
+        except NonGenericParameters as err:
+            message = str(err)
+            break
+    if message is not None:
+        with pytest.raises(NonGenericParameters) as err:
+            dt4_degree0_series(3, params, orientation)
+        assert str(err.value) == message
+        return
+    _, rows = dt4_degree0_series(3, params, orientation, want_details=True)
+    assert [v for (_, _, v) in rows] == expected
+    for pi, e, v in zip(POINTS_3, signs, expected):
+        assert DATA_3[pi].contribution(params, e) == v
+
+
+def test_orientation_flip_after_a_cached_call_negates_one_summand(monkeypatch):
+    # the flipped call fills an empty cache; the record keeps the orientation
+    # +1 sign and each later call applies its own
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    target = enumerate_partitions(4, 3)[4]
+    flipped = OrientationData().flipped(target.id())
+    _, rows1 = dt4_degree0_series(3, GENERIC2, flipped, want_details=True)
+    _, rows0 = dt4_degree0_series(3, GENERIC2, OrientationData(), want_details=True)
+    _, again = dt4_degree0_series(3, GENERIC2, flipped, want_details=True)
+    assert again == rows1
+    moved = [pid for ((_, pid, v0), (_, _, v1)) in zip(rows0, rows1) if v0 != v1]
+    assert moved == [target.id()]
+    v0 = {pid: v for (_, pid, v) in rows0}
+    v1 = {pid: v for (_, pid, v) in rows1}
+    assert v1[target.id()] == -v0[target.id()] != 0
+
+
+def count_builds(monkeypatch) -> list:
+    """Empty the summand cache for this test and count FixedPointData builds."""
+    built = []
+    init = FixedPointData.__init__
+
+    def counting(self, partition):
+        built.append(partition)
+        init(self, partition)
+
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    monkeypatch.setattr(FixedPointData, "__init__", counting)
+    return built
+
+
+def test_second_series_at_new_parameters_builds_no_fixed_point(monkeypatch):
+    built = count_builds(monkeypatch)
+    assert dt4_degree0_series(3, GENERIC) == SERIES_GENERIC
+    assert built == POINTS_3
+    built.clear()
+    assert dt4_degree0_series(3, GENERIC2) == SERIES_GENERIC2
+    assert dt4_degree0_series(2, GENERIC, OrientationData().flipped(POINTS_3[3].id()))
+    assert built == []
+
+
+def test_summand_record_keeps_no_characters():
+    record = DATA_3[POINTS_3[5]].summand()
+    assert record is localize.summand(POINTS_3[5])
+    for name in Summand.__slots__:
+        value = getattr(record, name)
+        assert not isinstance(value, (Laurent, FixedPointData, FactoredWeightProduct))
+    assert all(isinstance(w, LinForm) and m > 0 for w, m in record.tangent + record.factors)
+    assert sum(m for _, m in record.tangent) == record.tangent_count == 8
+    assert sum(m for _, m in record.factors) == record.degree == 6
+
+
+def test_zero_tangent_weight_is_caught_when_the_record_is_built():
+    data = FixedPointData(POINTS_3[2])
+    data.e1_weights = [LinForm((1, 1, 1, 1))] + data.e1_weights
+    with pytest.raises(InternalInconsistency):
+        Summand(data)
+
+
+def test_series_with_oracle_builds_each_point_once(monkeypatch):
+    built = count_builds(monkeypatch)
+    payload = series_payload(3, GENERIC, OrientationData(), check_oracle=True)
+    assert payload["oracle"]["status"] == "PASS"
+    assert payload["coefficients"] == [str(c) for c in SERIES_GENERIC]
+    assert sorted(built, key=POINTS_3.index) == POINTS_3

@@ -147,6 +147,41 @@ def test_degree_window_matches_the_full_complex(d):
                     assert window == ({i: full[i]} if i in full else {}), (pi.id(), source, i)
 
 
+@pytest.mark.parametrize("d,n_max", [(4, 5), (3, 4)])
+def test_rank_free_euler_character_matches_the_full_complex(d, n_max):
+    # 250 cases in all: every solid partition with n <= 5 and every plane
+    # partition with n <= 4, each with both sources
+    cases = 0
+    for n in range(n_max + 1):
+        for pi in enumerate_partitions(d, n):
+            ideal = pi.to_ideal()
+            for source in ("OZ,OZ", "I,OZ"):
+                alternating = Laurent.zero()
+                for i, ch in ext_characters(ideal, source).items():
+                    alternating = alternating + (ch if i % 2 == 0 else -ch)
+                assert euler_character(ideal, source) == alternating, (pi.id(), source)
+                cases += 1
+    assert cases == {4: 202, 3: 48}[d]
+
+
+def test_euler_character_keeps_the_generator_cap():
+    big = MonomialIdeal(2, [(i, 17 - i) for i in range(18)])
+    for source in ("OZ,OZ", "I,OZ"):
+        with pytest.raises(BoundExceeded):
+            euler_character(big, source)
+    with pytest.raises(ValueError):
+        euler_character(big, "OZ,I")
+
+
+def test_euler_character_computes_no_rank(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("euler_character called _rank")
+
+    monkeypatch.setattr(taylor, "_rank", refuse)
+    ideal = enumerate_partitions(4, 4)[5].to_ideal()
+    assert not euler_character(ideal, "OZ,OZ").is_zero()
+
+
 @st.composite
 def integer_matrices(draw):
     """Entries in [-2, 2], with some rows and columns zeroed out."""
