@@ -3,17 +3,23 @@
 Everything downstream works over three representations:
 
   * ``Laurent``: a finitely supported map from integer exponent vectors
-    ``(e1, e2, e3, e4)`` to ``Fraction`` coefficients.  The monomial ``t^e``
-    stands for ``t1^e1 * t2^e2 * t3^e3 * t4^e4``.  Zero coefficients are
-    purged on every operation, so equality is plain dict equality.
+    ``(e1, e2, e3, e4)`` to rational coefficients.  The monomial ``t^e``
+    stands for ``t1^e1 * t2^e2 * t3^e3 * t4^e4``.  A coefficient is an
+    ``int`` whenever it is integral and a ``Fraction`` only when it is not,
+    so the torus characters, which are all integral, are computed in plain
+    integer arithmetic.  Zero coefficients are purged on every operation,
+    so equality is plain dict equality (``Fraction(1) == 1``, and the two
+    hash alike).
   * ``LinForm``: an integer linear form ``a1*s1 + ... + a4*s4`` in the torus
     parameters, compared modulo the relation ``s1 + s2 + s3 + s4 = 0``.
+    The vector is stored shifted so that its smallest entry is 0, one
+    representative per class, so hashing and equality compare it directly.
   * ``FactoredWeightProduct``: a signed product of ``LinForm`` factors kept
     in factored shape.  Products of weights are never expanded into
     polynomials; cancellation happens factor by factor.
 
-Rationals are ``fractions.Fraction`` throughout (lowest terms, positive
-denominator, unbounded size).
+Non-integral rationals are ``fractions.Fraction`` (lowest terms, positive
+denominator, unbounded size); integers are ``int``.
 """
 
 from __future__ import annotations
@@ -29,10 +35,6 @@ Exp = tuple[int, int, int, int]
 ZERO_EXP: Exp = (0, 0, 0, 0)
 
 
-def exp_add(e: Exp, f: Exp) -> Exp:
-    return (e[0] + f[0], e[1] + f[1], e[2] + f[2], e[3] + f[3])
-
-
 def exp_neg(e: Exp) -> Exp:
     return (-e[0], -e[1], -e[2], -e[3])
 
@@ -42,24 +44,34 @@ def exp_cy_reduce(e: Exp) -> Exp:
     return (e[0] - e[3], e[1] - e[3], e[2] - e[3], 0)
 
 
-def _as_fraction(c) -> Fraction:
+def _as_coeff(c):
+    """An int, or a Fraction that is not an integer."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"expected an integer or Fraction coefficient, got {type(c).__name__}")
 
 
+def _purged(terms: dict) -> dict:
+    """The terms without zero coefficients, integral Fractions made ints."""
+    return {e: c if c.__class__ is int or c.denominator != 1 else c.numerator
+            for e, c in terms.items() if c}
+
+
 class Laurent:
-    """Laurent polynomial in t1..t4 with exact rational coefficients."""
+    """Laurent polynomial in t1..t4 with exact rational coefficients.
+
+    Each coefficient is an int, or a Fraction that is not an integer.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Exp, Fraction] | None = None):
-        clean: dict[Exp, Fraction] = {}
+    def __init__(self, terms: Mapping[Exp, int | Fraction] | None = None):
+        clean: dict[Exp, int | Fraction] = {}
         if terms:
             for exp, c in terms.items():
-                c = _as_fraction(c)
+                c = _as_coeff(c)
                 if c != 0:
                     if len(exp) != 4:
                         raise ValueError(f"exponent vector must have length 4, got {exp!r}")
@@ -72,11 +84,11 @@ class Laurent:
 
     @staticmethod
     def one() -> "Laurent":
-        return Laurent({ZERO_EXP: Fraction(1)})
+        return Laurent({ZERO_EXP: 1})
 
     @staticmethod
     def monomial(exp: Iterable[int], coeff=1) -> "Laurent":
-        return Laurent({tuple(exp): _as_fraction(coeff)})
+        return Laurent({tuple(exp): _as_coeff(coeff)})
 
     @staticmethod
     def variable(i: int, power: int = 1) -> "Laurent":
@@ -87,8 +99,8 @@ class Laurent:
         exp[i - 1] = power
         return Laurent.monomial(exp)
 
-    def coeff(self, exp: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+    def coeff(self, exp: Iterable[int]) -> int | Fraction:
+        return self.terms.get(tuple(exp), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -108,14 +120,11 @@ class Laurent:
         if not isinstance(other, Laurent):
             return NotImplemented
         terms = dict(self.terms)
+        get = terms.get
         for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
-            if s:
-                terms[exp] = s
-            else:
-                terms.pop(exp, None)
+            terms[exp] = get(exp, 0) + c
         out = Laurent.__new__(Laurent)
-        out.terms = terms
+        out.terms = _purged(terms)
         return out
 
     def __neg__(self) -> "Laurent":
@@ -133,17 +142,15 @@ class Laurent:
             return self.scale(other)
         if not isinstance(other, Laurent):
             return NotImplemented
-        terms: dict[Exp, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = exp_add(ea, eb)
-                s = terms.get(exp, Fraction(0)) + ca * cb
-                if s:
-                    terms[exp] = s
-                else:
-                    terms.pop(exp, None)
+        terms: dict[Exp, int | Fraction] = {}
+        get = terms.get
+        right = list(other.terms.items())
+        for (a0, a1, a2, a3), ca in self.terms.items():
+            for (b0, b1, b2, b3), cb in right:
+                exp = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                terms[exp] = get(exp, 0) + ca * cb
         out = Laurent.__new__(Laurent)
-        out.terms = terms
+        out.terms = _purged(terms)
         return out
 
     def __rmul__(self, other):
@@ -152,11 +159,9 @@ class Laurent:
         return NotImplemented
 
     def scale(self, c) -> "Laurent":
-        c = _as_fraction(c)
-        if c == 0:
-            return Laurent.zero()
+        c = _as_coeff(c)
         out = Laurent.__new__(Laurent)
-        out.terms = {exp: c * v for exp, v in self.terms.items()}
+        out.terms = _purged({exp: c * v for exp, v in self.terms.items()})
         return out
 
     def bar(self) -> "Laurent":
@@ -167,21 +172,18 @@ class Laurent:
 
     def cy_reduce(self) -> "Laurent":
         """Restrict to the subtorus t1 t2 t3 t4 = 1, merging colliding terms."""
-        terms: dict[Exp, Fraction] = {}
+        terms: dict[Exp, int | Fraction] = {}
+        get = terms.get
         for exp, c in self.terms.items():
             r = exp_cy_reduce(exp)
-            s = terms.get(r, Fraction(0)) + c
-            if s:
-                terms[r] = s
-            else:
-                terms.pop(r, None)
+            terms[r] = get(r, 0) + c
         out = Laurent.__new__(Laurent)
-        out.terms = terms
+        out.terms = _purged(terms)
         return out
 
-    def coeff_sum(self) -> Fraction:
+    def coeff_sum(self) -> int | Fraction:
         """Value with every variable set to 1."""
-        return sum(self.terms.values(), Fraction(0))
+        return _as_coeff(sum(self.terms.values()))
 
     def items_sorted(self):
         """Terms in lexicographic exponent order, the canonical ordering."""
@@ -225,16 +227,21 @@ class LinForm:
 
     Two forms are equal when their reduced coefficient triples
     ``(a1 - a4, a2 - a4, a3 - a4)`` agree, which is exactly agreement of
-    values on every parameter vector with coordinate sum zero.
+    values on every parameter vector with coordinate sum zero.  The vector
+    ``a`` is stored less its smallest entry, which picks one representative
+    per class, so equality and hashing compare ``a`` itself; the shift
+    commutes with permuting the coordinates and leaves every value on the
+    subtorus unchanged.
     """
 
     __slots__ = ("a",)
 
     def __init__(self, a: Iterable[int]):
-        a = tuple(int(x) for x in a)
+        a = tuple(map(int, a))
         if len(a) != 4:
             raise ValueError(f"coefficient vector must have length 4, got {a!r}")
-        self.a = a
+        low = min(a)
+        self.a = (a[0] - low, a[1] - low, a[2] - low, a[3] - low) if low else a
 
     @property
     def reduced(self) -> tuple[int, int, int]:
@@ -244,10 +251,10 @@ class LinForm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinForm):
             return NotImplemented
-        return self.reduced == other.reduced
+        return self.a == other.a
 
     def __hash__(self):
-        return hash(self.reduced)
+        return hash(self.a)
 
     def __add__(self, other: "LinForm") -> "LinForm":
         if not isinstance(other, LinForm):
@@ -255,7 +262,11 @@ class LinForm:
         return LinForm(tuple(x + y for x, y in zip(self.a, other.a)))
 
     def __neg__(self) -> "LinForm":
-        return LinForm(tuple(-x for x in self.a))
+        a = self.a
+        top = max(a)
+        out = LinForm.__new__(LinForm)
+        out.a = (top - a[0], top - a[1], top - a[2], top - a[3])
+        return out
 
     def __sub__(self, other: "LinForm") -> "LinForm":
         if not isinstance(other, LinForm):
@@ -263,7 +274,7 @@ class LinForm:
         return self + (-other)
 
     def is_zero(self) -> bool:
-        return self.reduced == (0, 0, 0)
+        return not any(self.a)
 
     def evaluate(self, s):
         """Value at a parameter 4-vector; callers ensure sum(s) == 0.
@@ -280,15 +291,16 @@ class LinForm:
         Returns (representative, sign) with self == sign * representative.
         The zero form returns itself with sign +1.
         """
-        for x in self.reduced:
-            if x > 0:
+        a = self.a
+        for x in a[:3]:  # the reduced coefficient x - a[3]
+            if x > a[3]:
                 return self, 1
-            if x < 0:
+            if x < a[3]:
                 return -self, -1
         return self, 1
 
     def is_canonical(self) -> bool:
-        return self.canonical()[0].reduced == self.reduced
+        return self.canonical()[1] == 1
 
     def __str__(self) -> str:
         r = self.reduced

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import InternalInconsistency, NonGenericParameters, NotEffective, OddPairing
 from .exact import FactoredWeightProduct, Laurent, LinForm, integer_scaling, weight_of
-from .partitions import DPartition, MonomialIdeal, enumerate_partitions, is_partition_id
+from .partitions import DPartition, MonomialIdeal, enumerate_partitions, partition_from_id
 from .taylor import ext_characters, euler_character
 
 KAPPA_INV = Laurent.monomial((-1, -1, -1, -1))
@@ -89,22 +89,28 @@ class OrientationData:
     Missing entries default to +1, so the empty map is the reference
     orientation convention.  A key that names no solid partition would be
     silently ignored, so it is rejected, as is any sign that is not the
-    integer +1 or -1 (JSON `true` and `1.0` compare equal to 1).
+    integer +1 or -1 (JSON `true` and `1.0` compare equal to 1).  Each key
+    is resolved to its partition once, here, so looking up a partition's
+    sign builds no id.
     """
 
-    __slots__ = ("signs",)
+    __slots__ = ("signs", "by_partition")
 
     def __init__(self, signs: dict[str, int] | None = None):
         signs = dict(signs or {})
+        by_partition: dict[DPartition, int] = {}
         for key, val in signs.items():
             if not isinstance(key, str):
                 raise ValueError(f"orientation key {key!r} is not a string")
-            if not is_partition_id(key, 4):
+            pi = partition_from_id(key, 4)
+            if pi is None:
                 raise ValueError(f"orientation key {key!r} is not the canonical id "
                                  f"of a solid partition")
             if type(val) is not int or val not in (1, -1):
                 raise ValueError(f"orientation for {key!r} must be +1 or -1, got {val!r}")
+            by_partition[pi] = val
         self.signs = signs
+        self.by_partition = by_partition
 
     @classmethod
     def from_file(cls, path: str) -> "OrientationData":
@@ -118,10 +124,9 @@ class OrientationData:
         return cls(raw)
 
     def sign(self, partition_or_id) -> int:
-        if not self.signs:
-            return 1
-        key = partition_or_id.id() if isinstance(partition_or_id, DPartition) else partition_or_id
-        return self.signs.get(key, 1)
+        if isinstance(partition_or_id, DPartition):
+            return self.by_partition.get(partition_or_id, 1)
+        return self.signs.get(partition_or_id, 1)
 
     def flipped(self, key: str) -> "OrientationData":
         signs = dict(self.signs)
@@ -449,14 +454,10 @@ def _rp_elementary(k: int) -> RPoly:
     return total
 
 
-def fwp_reduced_polynomial(fwp: FactoredWeightProduct) -> RPoly:
-    """Expand a factored product with nonnegative exponents for symbolic checks."""
-    if fwp.zero:
-        return {}
-    out: RPoly = {(0, 0, 0): Fraction(fwp.sign)}
-    for w, m in sorted(fwp.factors.items(), key=lambda kv: kv[0].reduced):
-        if m < 0:
-            raise ValueError("cannot expand a denominator factor")
+def _rp_product(sign: int, pairs) -> RPoly:
+    """sign times the product of the forms to their multiplicities, expanded."""
+    out: RPoly = {(0, 0, 0): Fraction(sign)} if sign else {}
+    for w, m in pairs:
         p = _rp_of_form(w)
         for _ in range(m):
             out = _rp_mul(out, p)
@@ -468,10 +469,11 @@ def one_box_symbolic_report() -> dict:
 
     The numerator must be plus or minus the third elementary symmetric
     function of s1..s4 and the denominator product of tangent weights must
-    be the fourth, both modulo the coordinate sum relation.
+    be the fourth, both modulo the coordinate sum relation.  Both are read
+    from the point's `Summand` record, the factors the series evaluates.
     """
-    data = FixedPointData(DPartition(4, [(0, 0, 0, 0)]))
-    num = fwp_reduced_polynomial(data.half(1))
+    record = summand(DPartition(4, [(0, 0, 0, 0)]))
+    num = _rp_product(record.sign, record.factors)
     e3 = _rp_elementary(3)
     e4 = _rp_elementary(4)
     num_sign = 0
@@ -479,9 +481,6 @@ def one_box_symbolic_report() -> dict:
         num_sign = 1
     elif num == _rp_scale(e3, Fraction(-1)):
         num_sign = -1
-    den: RPoly = {(0, 0, 0): Fraction(1)}
-    for w in data.e1_weights:
-        den = _rp_mul(den, _rp_of_form(w))
-    den_matches = den == e4
+    den_matches = _rp_product(1, record.tangent) == e4
     return {"numerator_sign": num_sign, "denominator_matches": den_matches,
             "ok": num_sign != 0 and den_matches}

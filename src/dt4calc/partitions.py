@@ -10,7 +10,6 @@ partition obtained by deleting its lexicographically largest removable box.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 
 from .errors import BoundExceeded
 from .exact import Laurent
@@ -138,7 +137,7 @@ class DPartition:
     def character(self) -> Laurent:
         """Sum of t^box, boxes embedded into four variables with zero padding."""
         pad = (0,) * (4 - self.d)
-        return Laurent({b + pad: Fraction(1) for b in self.boxes})
+        return Laurent({b + pad: 1 for b in self.boxes})
 
     def to_ideal(self) -> "MonomialIdeal":
         """Monomial ideal whose staircase complement is this partition.
@@ -152,16 +151,21 @@ class DPartition:
         return f"DPartition(d={self.d}, {self.id()!r})"
 
 
-def is_partition_id(text: str, d: int) -> bool:
-    """Whether `text` is the canonical id of some partition in dimension d."""
+def partition_from_id(text: str, d: int) -> DPartition | None:
+    """The partition in dimension d whose canonical id is `text`, or None."""
     if text == "empty":
-        return True
+        return DPartition(d)
     try:
         boxes = [tuple(int(x) for x in box.split(",")) for box in text.split(";")]
         pi = DPartition(d, boxes, validate=True)
     except ValueError:
-        return False
-    return len(set(boxes)) == len(boxes) and pi.id() == text
+        return None
+    return pi if len(set(boxes)) == len(boxes) and pi.id() == text else None
+
+
+def is_partition_id(text: str, d: int) -> bool:
+    """Whether `text` is the canonical id of some partition in dimension d."""
+    return partition_from_id(text, d) is not None
 
 
 # level cache: (d, n) -> tuple of DPartition, filled one size at a time

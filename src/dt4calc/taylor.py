@@ -19,13 +19,14 @@ The Euler characteristic needs no ranks at all: each differential cancels
 equal dimensions in adjacent degrees, so `euler_character` sums the signed
 cochains directly.
 
-Characters are returned as Laurent polynomials in t1..t4; ideals in fewer
-variables are embedded with zero exponents in the unused slots.
+Characters are returned as Laurent polynomials in t1..t4 with int
+coefficients, since every dimension and signed cochain count is an integer;
+ideals in fewer variables are embedded with zero exponents in the unused
+slots.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -121,7 +122,7 @@ def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ",
             mu = tuple(x - y for x, y in zip(b, a))
             by_mdeg.setdefault(mu, {}).setdefault(k, []).append((mask, b))
 
-    chars: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    chars: dict[int, dict[tuple[int, ...], int]] = {}
     for mu, levels in sorted(by_mdeg.items()):
         if not any(k in levels for k in wanted):
             continue
@@ -163,7 +164,7 @@ def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ",
                     raise InternalInconsistency(
                         f"nonzero Ext^{i} beyond the global dimension at multidegree {mu}")
                 pad = mu + (0,) * (4 - nv)
-                chars.setdefault(i, {})[pad] = Fraction(dim)
+                chars.setdefault(i, {})[pad] = dim
 
     return {i: Laurent(terms) for i, terms in sorted(chars.items())}
 

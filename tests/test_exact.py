@@ -196,3 +196,96 @@ def test_weight_product_stays_exact_at_integer_parameters():
     fwp = FactoredWeightProduct.identity().times_weight(LinForm((1, 0, 0, 0)), -2)
     value = fwp.evaluate((3, 1, 1, -5))
     assert value == Fraction(1, 9) and type(value) is Fraction
+
+
+mixed_coeffs = st.one_of(st.integers(-8, 8),
+                         st.fractions(min_value=-8, max_value=8, max_denominator=6))
+
+
+def _ref_clean(terms):
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _ref_clean(out)
+
+
+def _ref_mul(p, q):
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return _ref_clean(out)
+
+
+def _ref_cy_reduce(p):
+    out = {}
+    for e, c in p.items():
+        r = exp_cy_reduce(e)
+        out[r] = out.get(r, Fraction(0)) + c
+    return _ref_clean(out)
+
+
+def _normal_coefficients(p: Laurent) -> bool:
+    """Every coefficient an int, or a Fraction that is not an integer."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in p.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(exps, mixed_coeffs, max_size=5),
+       st.dictionaries(exps, mixed_coeffs, max_size=5), mixed_coeffs)
+def test_laurent_matches_a_fraction_reference(a, b, c):
+    pa, pb = Laurent(a), Laurent(b)
+    fa, fb = _ref_clean(a), _ref_clean(b)
+    cases = [
+        (pa + pb, _ref_add(fa, fb)),
+        (pa - pb, _ref_add(fa, {e: -v for e, v in fb.items()})),
+        (pa * pb, _ref_mul(fa, fb)),
+        (pa.scale(c), _ref_clean({e: c * v for e, v in fa.items()})),
+        (pa.bar(), {tuple(-x for x in e): v for e, v in fa.items()}),
+        (pa.cy_reduce(), _ref_cy_reduce(fa)),
+    ]
+    for got, want in cases:
+        assert got.terms == want
+        assert _normal_coefficients(got)
+    total = pa.coeff_sum()
+    assert total == sum(fa.values(), Fraction(0))
+    assert type(total) is int or total.denominator != 1
+
+
+def test_integral_coefficients_are_ints():
+    e = (1, 0, 0, 0)
+    assert type(Laurent({e: Fraction(4, 2)}).coeff(e)) is int
+    assert type(Laurent.monomial(e, Fraction(-3)).coeff(e)) is int
+    assert type(Laurent.zero().coeff(e)) is int and type(Laurent.zero().coeff_sum()) is int
+    half = Laurent({e: Fraction(1, 2)})
+    assert half.coeff(e) == Fraction(1, 2)
+    assert type((half + half).coeff(e)) is int and (half + half).coeff(e) == 1
+    assert type((half * 2).coeff(e)) is int
+    assert type(Laurent.one().coeff_sum()) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(-5, 5)] * 4), st.integers(-5, 5),
+       st.tuples(small_rationals, small_rationals, small_rationals),
+       st.permutations(range(4)))
+def test_linform_stores_one_representative_per_class(a, shift, head, perm):
+    w = LinForm(a)
+    moved = LinForm(x + shift for x in a)
+    assert w == moved and hash(w) == hash(moved) and w.a == moved.a
+    assert min(w.a) == 0
+    assert w.reduced == (a[0] - a[3], a[1] - a[3], a[2] - a[3])
+    assert w.is_zero() == (len(set(a)) == 1)
+    s = head + (-sum(head),)
+    assert w.evaluate(s) == sum(Fraction(x) * y for x, y in zip(a, s))
+    assert (-w).reduced == tuple(-x for x in w.reduced) and -(-w) == w
+    assert LinForm(w.a[i] for i in perm) == LinForm(a[i] for i in perm)
+    rep, sign = w.canonical()
+    assert rep.reduced == tuple(sign * x for x in w.reduced)
+    assert next((x > 0 for x in rep.reduced if x), True)
+    assert w.is_canonical() == (sign == 1)

@@ -21,6 +21,8 @@ from dt4calc.localize import (FixedPointData, OrientationData, TorusParams,
                               transported_orientation, vertex_character,
                               vertex_oracle_check)
 from dt4calc.partitions import DPartition, enumerate_partitions
+from dt4calc.suite import run_suite
+from dt4calc.taylor import euler_character, ext_characters
 
 GENERIC = TorusParams((1, 7, 41, -49))
 GENERIC2 = TorusParams((2, 11, 59, -72))
@@ -404,3 +406,45 @@ def test_series_with_oracle_builds_each_point_once(monkeypatch):
     assert payload["oracle"]["status"] == "PASS"
     assert payload["coefficients"] == [str(c) for c in SERIES_GENERIC]
     assert sorted(built, key=POINTS_3.index) == POINTS_3
+
+
+def test_suite_builds_each_fixed_point_once(monkeypatch):
+    built = count_builds(monkeypatch)
+    results = run_suite()
+    assert all(result.ok for _, result in results)
+    assert len(built) == len(set(built)) == 42
+    assert sorted(p.size for p in built) == [0] + [1] + [2] * 4 + [3] * 10 + [4] * 26
+
+
+def test_cached_series_with_an_orientation_map_builds_no_id(monkeypatch):
+    orientation = OrientationData({"empty": -1, POINTS_3[4].id(): -1})
+    first = dt4_degree0_series(3, GENERIC, orientation)
+    assert first[0] == -1 and first != SERIES_GENERIC
+    calls = []
+    ident = DPartition.id
+
+    def counting(self):
+        calls.append(self)
+        return ident(self)
+
+    monkeypatch.setattr(DPartition, "id", counting)
+    assert dt4_degree0_series(3, GENERIC, orientation) == first
+    assert calls == []
+
+
+def _int_coefficients(ch: Laurent) -> bool:
+    return all(type(c) is int for c in ch.terms.values())
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_characters_have_int_coefficients(n):
+    for pi in enumerate_partitions(4, n):
+        data = FixedPointData(pi)
+        for ch in (data.q, data.tvir, data.e1_char, data.e2_char):
+            assert _int_coefficients(ch), pi.id()
+        assert type(data.tvir.coeff_sum()) is int
+        for source in ("OZ,OZ", "I,OZ"):
+            assert _int_coefficients(euler_character(data.ideal, source))
+            chars = (ext_characters(data.ideal, source) if n <= 3 else
+                     ext_characters(data.ideal, source, degree=1))
+            assert all(_int_coefficients(ch) for ch in chars.values())
