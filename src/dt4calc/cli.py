@@ -246,8 +246,7 @@ def _form_str(triple) -> str:
 
 
 def series_payload(n_max: int, params: TorusParams, orientation: OrientationData,
-                   jobs: int = 1, check_oracle: bool = False,
-                   orientation_label: str = "default") -> dict:
+                   check_oracle: bool = False, orientation_label: str = "default") -> dict:
     """Canonical report for a series run; `dt4-series` renders exactly this.
 
     The oracle runs first, and each point it builds leaves its summand
@@ -261,8 +260,7 @@ def series_payload(n_max: int, params: TorusParams, orientation: OrientationData
             data.summand()
             if not _oracle_ok(data):
                 failures.append(pi.id())
-    coeffs, rows = dt4_degree0_series(n_max, params, orientation, jobs=jobs,
-                                      want_details=True)
+    coeffs, rows = dt4_degree0_series(n_max, params, orientation, want_details=True)
     payload = {
         "n_max": n_max,
         "s": str(params),
@@ -278,7 +276,7 @@ def series_payload(n_max: int, params: TorusParams, orientation: OrientationData
 def cmd_dt4_series(args):
     params = _parse_params(args.s)
     orientation = _load_orientation(args.orientation)
-    payload = series_payload(args.n_max, params, orientation, jobs=args.jobs,
+    payload = series_payload(args.n_max, params, orientation,
                              check_oracle=args.check_oracle,
                              orientation_label=args.orientation)
     failed = args.check_oracle and payload["oracle"]["failures"]

@@ -193,9 +193,6 @@ class Laurent:
         """True when every coefficient is a positive integer."""
         return all(c.denominator == 1 and c > 0 for c in self.terms.values())
 
-    def has_integral_coeffs(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -368,48 +365,8 @@ class FactoredWeightProduct:
         self.factors = clean
 
     @staticmethod
-    def identity() -> "FactoredWeightProduct":
-        return FactoredWeightProduct()
-
-    @staticmethod
     def zero_product() -> "FactoredWeightProduct":
         return FactoredWeightProduct(zero=True)
-
-    def times_weight(self, w: LinForm, power: int = 1) -> "FactoredWeightProduct":
-        if self.zero:
-            return self
-        if w.is_zero():
-            if power <= 0:
-                raise InternalInconsistency("zero form in a denominator factor")
-            return FactoredWeightProduct.zero_product()
-        rep, s = w.canonical()
-        factors = dict(self.factors)
-        factors[rep] = factors.get(rep, 0) + power
-        if factors[rep] == 0:
-            del factors[rep]
-        sign = self.sign * (s if power % 2 == 1 else 1)
-        out = FactoredWeightProduct.__new__(FactoredWeightProduct)
-        out.sign, out.factors, out.zero = sign, factors, False
-        return out
-
-    def times(self, other: "FactoredWeightProduct") -> "FactoredWeightProduct":
-        if self.zero or other.zero:
-            return FactoredWeightProduct.zero_product()
-        factors = dict(self.factors)
-        for w, m in other.factors.items():
-            factors[w] = factors.get(w, 0) + m
-            if factors[w] == 0:
-                del factors[w]
-        out = FactoredWeightProduct.__new__(FactoredWeightProduct)
-        out.sign, out.factors, out.zero = self.sign * other.sign, factors, False
-        return out
-
-    def negated(self) -> "FactoredWeightProduct":
-        if self.zero:
-            return self
-        out = FactoredWeightProduct.__new__(FactoredWeightProduct)
-        out.sign, out.factors, out.zero = -self.sign, dict(self.factors), False
-        return out
 
     def degree(self) -> int:
         return 0 if self.zero else sum(self.factors.values())

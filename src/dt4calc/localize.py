@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations, product
+from math import prod
 
 from .errors import InternalInconsistency, NonGenericParameters, NotEffective, OddPairing
 from .exact import FactoredWeightProduct, Laurent, LinForm, integer_scaling, weight_of
-from .partitions import DPartition, MonomialIdeal, enumerate_partitions, partition_from_id
+from .partitions import DPartition, enumerate_partitions, partition_from_id
 from .taylor import ext_characters, euler_character
 
 KAPPA_INV = Laurent.monomial((-1, -1, -1, -1))
@@ -119,14 +121,14 @@ class OrientationData:
                 raw = json.load(fh)
             except json.JSONDecodeError as e:
                 raise ValueError(f"orientation file {path} is not valid JSON: {e}")
+            except RecursionError:
+                raise ValueError(f"orientation file {path} is nested too deeply to read")
         if not isinstance(raw, dict):
             raise ValueError(f"orientation file {path} must hold a JSON object")
         return cls(raw)
 
-    def sign(self, partition_or_id) -> int:
-        if isinstance(partition_or_id, DPartition):
-            return self.by_partition.get(partition_or_id, 1)
-        return self.signs.get(partition_or_id, 1)
+    def sign(self, partition: DPartition) -> int:
+        return self.by_partition.get(partition, 1)
 
     def flipped(self, key: str) -> "OrientationData":
         signs = dict(self.signs)
@@ -164,11 +166,8 @@ def half_euler(weights, orientation: int = 1) -> FactoredWeightProduct:
         if counter.get(-w, 0) != m:
             raise OddPairing(
                 f"weight {w} has multiplicity {m} but {-w} has {counter.get(-w, 0)}")
-    out = FactoredWeightProduct(sign=orientation)
-    for w, m in sorted(counter.items(), key=lambda kv: kv[0].reduced):
-        if w.is_canonical():
-            out = out.times_weight(w, m)
-    return out
+    return FactoredWeightProduct(orientation, {w: m for w, m in counter.items()
+                                               if w.is_canonical()})
 
 
 class FixedPointData:
@@ -301,16 +300,15 @@ def obstruction_crosscheck(data: FixedPointData) -> tuple[bool, Laurent, Laurent
 
 def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
                        orientation: OrientationData | None = None,
-                       jobs: int = 1, want_details: bool = False):
+                       want_details: bool = False):
     """Degree zero invariants as exact series coefficients c_0..c_{n_max}.
 
     c_n is the sum of fixed point contributions over all solid partitions of
     size n, in canonical partition order.  A point is built the first time
     any call in the process needs it, and its `Summand` record is kept, so a
     later call at new parameters or a new orientation only evaluates.  The
-    orientation sign is applied after the record, at evaluation.  `jobs` is
-    accepted and ignored: everything runs on the calling thread, because
-    threads only contend for the interpreter lock here.
+    orientation sign is applied after the record, at evaluation.  Everything
+    runs on the calling thread.
     """
     if params is None:
         params = TorusParams.default()
@@ -392,78 +390,6 @@ def cyclic_completion_report(pi3: DPartition) -> dict:
     return {"partition": pi3.id(), "ok": ok, "rows": rows}
 
 
-# reduced polynomials in s1, s2, s3 (s4 eliminated), for symbolic checks
-
-RPoly = dict[tuple[int, int, int], Fraction]
-
-
-def _rp_scale(p: RPoly, c: Fraction) -> RPoly:
-    return {e: c * v for e, v in p.items()} if c else {}
-
-
-def _rp_add(p: RPoly, q: RPoly) -> RPoly:
-    out = dict(p)
-    for e, v in q.items():
-        s = out.get(e, Fraction(0)) + v
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _rp_mul(p: RPoly, q: RPoly) -> RPoly:
-    out: RPoly = {}
-    for ea, va in p.items():
-        for eb, vb in q.items():
-            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-            s = out.get(e, Fraction(0)) + va * vb
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _rp_of_form(w: LinForm) -> RPoly:
-    r = w.reduced
-    out: RPoly = {}
-    for i, c in enumerate(r):
-        if c:
-            e = [0, 0, 0]
-            e[i] = 1
-            out[tuple(e)] = Fraction(c)
-    return out
-
-
-def _rp_elementary(k: int) -> RPoly:
-    """e_k(s1..s4) with s4 = -s1-s2-s3 substituted."""
-    from itertools import combinations
-    coords = [
-        {(1, 0, 0): Fraction(1)},
-        {(0, 1, 0): Fraction(1)},
-        {(0, 0, 1): Fraction(1)},
-        {(1, 0, 0): Fraction(-1), (0, 1, 0): Fraction(-1), (0, 0, 1): Fraction(-1)},
-    ]
-    total: RPoly = {}
-    for idx in combinations(range(4), k):
-        term: RPoly = {(0, 0, 0): Fraction(1)}
-        for i in idx:
-            term = _rp_mul(term, coords[i])
-        total = _rp_add(total, term)
-    return total
-
-
-def _rp_product(sign: int, pairs) -> RPoly:
-    """sign times the product of the forms to their multiplicities, expanded."""
-    out: RPoly = {(0, 0, 0): Fraction(sign)} if sign else {}
-    for w, m in pairs:
-        p = _rp_of_form(w)
-        for _ in range(m):
-            out = _rp_mul(out, p)
-    return out
-
-
 def one_box_symbolic_report() -> dict:
     """Symbolic shape of the one box contribution.
 
@@ -471,16 +397,24 @@ def one_box_symbolic_report() -> dict:
     function of s1..s4 and the denominator product of tangent weights must
     be the fourth, both modulo the coordinate sum relation.  Both are read
     from the point's `Summand` record, the factors the series evaluates.
+
+    Each side is compared by exact value on the grid {0..D}^3 of (s1, s2, s3),
+    s4 = -(s1 + s2 + s3), with D the largest total degree among the two
+    products (the record's `degree` and `tangent_count`), e3 and e4.  A
+    polynomial of degree at most D in each variable that vanishes on that
+    grid is zero, so agreement there is an identity.
     """
     record = summand(DPartition(4, [(0, 0, 0, 0)]))
-    num = _rp_product(record.sign, record.factors)
-    e3 = _rp_elementary(3)
-    e4 = _rp_elementary(4)
-    num_sign = 0
-    if num == e3:
-        num_sign = 1
-    elif num == _rp_scale(e3, Fraction(-1)):
-        num_sign = -1
-    den_matches = _rp_product(1, record.tangent) == e4
+
+    def value(pairs, s):
+        return prod(w.evaluate(s) ** m for w, m in pairs)
+
+    bound = max(record.degree, record.tangent_count, 4)
+    grid = [head + (-sum(head),) for head in product(range(bound + 1), repeat=3)]
+    num = [record.sign * value(record.factors, s) for s in grid]
+    e3 = [sum(prod(c) for c in combinations(s, 3)) for s in grid]
+    num_sign = next((sign for sign in (1, -1) if num == [sign * v for v in e3]), 0)
+    # e4 has the one term s1 s2 s3 s4
+    den_matches = all(value(record.tangent, s) == prod(s) for s in grid)
     return {"numerator_sign": num_sign, "denominator_matches": den_matches,
             "ok": num_sign != 0 and den_matches}

@@ -297,9 +297,6 @@ class MonomialIdeal:
                 frontier.append(c)
         return tuple(sorted(out))
 
-    def to_partition(self) -> DPartition:
-        return DPartition(self.nvars, self.staircase())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented

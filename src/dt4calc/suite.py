@@ -234,10 +234,16 @@ def check_orientation_flip(orientation: OrientationData | None = None,
 
 @_timed(None)
 def check_determinism(**_) -> CheckResult:
-    from .cli import series_payload  # the CLI imports this module
-    one = json.dumps(series_payload(3, SUITE_PARAMS, OrientationData(), jobs=1), indent=2)
-    many = json.dumps(series_payload(3, SUITE_PARAMS, OrientationData(), jobs=4), indent=2)
-    ok = one.encode() == many.encode()
+    from .cli import build_parser, cmd_dt4_series  # the CLI imports this module
+
+    parser = build_parser()
+
+    def report(jobs: str) -> bytes:
+        args = parser.parse_args(
+            ["dt4-series", "--n-max", "3", "--s", str(SUITE_PARAMS), "--jobs", jobs])
+        return json.dumps(cmd_dt4_series(args)[0], indent=2).encode()
+
+    ok = report("1") == report("4")
     return CheckResult("determinism", ok,
                        "series report bytes agree for 1 and 4 worker runs" if ok
                        else "thread count changed the bytes")

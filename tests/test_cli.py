@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -135,6 +137,19 @@ def test_series_byte_determinism_across_jobs(capsys):
     assert outs[0] == outs[1]
 
 
+def test_series_bytes_do_not_depend_on_the_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    argv = [sys.executable, "-m", "dt4calc.cli", "dt4-series", "--n-max", "4",
+            "--s", GENERIC_S, "--format", "json"]
+    outs = []
+    for seed in ("0", "12345"):
+        env = {k: v for k, v in os.environ.items() if k != "DT4_MAX_N"}
+        env.update(PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(argv, env=env, capture_output=True, check=True)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1] and outs[0].startswith(b"{")
+
+
 def test_series_nongeneric_message_is_byte_identical(capsys):
     # the second run evaluates from the summand records the first one left
     for _ in range(2):
@@ -179,6 +194,19 @@ def test_series_corrupt_orientation_usage_exit(capsys, tmp_path):
     code, _, err = run(capsys, "dt4-series", "--orientation", str(path))
     assert code == EXIT_USAGE
     assert "orientation" in err
+
+
+def test_deeply_nested_orientation_is_rejected(capsys, tmp_path):
+    # json.load runs out of recursion depth on this file
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run(capsys, "dt4-series", "--s", GENERIC_S, "--orientation", str(path))
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: bad orientation file")
+    assert err.count("\n") == 1 and "nested too deeply" in err
+    code, out, _ = run(capsys, "suite", "--only", "orientation", "--orientation", str(path))
+    assert code == EXIT_MISMATCH
+    assert out.startswith("FAIL 10 orientation-flip: orientation data rejected")
 
 
 def test_goettsche_json_integer_array(capsys):

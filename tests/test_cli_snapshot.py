@@ -9,7 +9,9 @@ point, with DT4_MAX_N unset.
 """
 
 import hashlib
+import importlib.util
 import json
+import os
 
 import pytest
 
@@ -236,3 +238,27 @@ def test_stdout_and_exit_code_match_pin(line, tmp_path, monkeypatch, capsys):
         code = e.code
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINS[line]
+
+
+def _benchmark_workloads():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(root, "benchmarks", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _benchmark_workloads()
+BENCHMARK_PINS = WORKLOADS.load_pins()["stdout_sha256"]
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_PINS))
+def test_benchmark_stdout_matches_its_pin(workload, tmp_path, monkeypatch, capsys):
+    # the benchmark counts an operation as failed when its stdout digest
+    # leaves benchmarks/pins.json, so the pins above cannot move alone
+    monkeypatch.delenv("DT4_MAX_N", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(list(WORKLOADS.CLI_ARGV[workload])) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_PINS[workload]

@@ -73,7 +73,6 @@ def test_effectivity_predicates():
     assert (Laurent.variable(1) + Laurent.variable(2)).is_effective_integral()
     assert not (Laurent.variable(1) - Laurent.variable(2)).is_effective_integral()
     assert not Laurent({(1, 0, 0, 0): Fraction(1, 2)}).is_effective_integral()
-    assert Laurent({(1, 0, 0, 0): Fraction(1, 2)}).has_integral_coeffs() is False
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,50 +105,49 @@ def test_linform_evaluate_and_str():
 
 
 def test_weight_product_single_pair_value():
-    fwp = FactoredWeightProduct.identity().times_weight(LinForm((1, 1, 0, 0)))
+    fwp = FactoredWeightProduct(1, {LinForm((1, 1, 0, 0)): 1})
     assert fwp.evaluate(DEFAULT_S) == 3
 
 
 def test_weight_product_all_four_coordinates():
-    fwp = FactoredWeightProduct.identity()
-    for i in range(4):
-        e = [0] * 4
-        e[i] = 1
-        w, sign = LinForm(e).canonical()
-        fwp = fwp.times_weight(w)
-        if sign < 0:
-            fwp = fwp.negated()
+    # s4 is not a canonical form: the constructor stores -s4 and flips the sign
+    fwp = FactoredWeightProduct(1, {LinForm(e): 1 for e in
+                                    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))})
+    assert fwp.sign == -1
+    assert all(w.is_canonical() for w in fwp.factors)
     assert fwp.evaluate(DEFAULT_S) == 1 * 2 * 3 * -6
 
 
 def test_weight_product_vanishing_factor_raises():
-    fwp = FactoredWeightProduct.identity().times_weight(
-        LinForm((1, 1, -1, 0)).canonical()[0])
+    fwp = FactoredWeightProduct(1, {LinForm((1, 1, -1, 0)): 1})
     with pytest.raises(NonGenericParameters):
         fwp.evaluate(DEFAULT_S)
 
 
 def test_weight_product_zero_flag():
-    fwp = FactoredWeightProduct.identity().times_weight(LinForm((1, 1, 1, 1)))
+    fwp = FactoredWeightProduct.zero_product()
     assert fwp.zero
     assert fwp.evaluate(DEFAULT_S) == 0
-    assert FactoredWeightProduct.zero_product().degree() == 0
+    assert fwp.degree() == 0
+    # a zero form is never stored as a factor, in the numerator or not
+    for m in (1, -1):
+        with pytest.raises(InternalInconsistency):
+            FactoredWeightProduct(1, {LinForm((1, 1, 1, 1)): m})
 
 
 def test_weight_product_denominator_factors():
     w = LinForm((1, 0, 0, 0))
-    fwp = FactoredWeightProduct.identity().times_weight(w, -1)
+    fwp = FactoredWeightProduct(1, {w: -1})
     assert fwp.evaluate(DEFAULT_S) == 1
     assert fwp.degree() == -1
-    with pytest.raises(InternalInconsistency):
-        FactoredWeightProduct.identity().times_weight(LinForm((1, 1, 1, 1)), -1)
 
 
 def test_weight_product_multiplicities_cancel():
     w = LinForm((1, 0, 0, 0))
-    fwp = FactoredWeightProduct.identity().times_weight(w, 2).times_weight(w, -1)
+    fwp = FactoredWeightProduct(1, {w: 2, -w: -1})
     assert fwp.factors == {w: 1}
-    assert fwp.times_weight(w, -1).factors == {}
+    assert fwp.sign == -1  # -w to an odd power carries a sign
+    assert FactoredWeightProduct(1, {w: 1, -w: -1}).factors == {}
     assert fwp.degree() == 1
 
 
@@ -176,9 +174,10 @@ small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
        st.tuples(small_rationals, small_rationals, small_rationals))
 def test_weight_product_matches_fraction_arithmetic(factors, head):
     s = head + (-sum(head),)
-    fwp = FactoredWeightProduct()
+    multiplicity = {}
     for w, m in factors:
-        fwp = fwp.times_weight(w, m)
+        multiplicity[w] = multiplicity.get(w, 0) + m
+    fwp = FactoredWeightProduct(1, multiplicity)
     values = {w: sum((Fraction(a) * x for a, x in zip(w.a, s)), Fraction(0))
               for w in fwp.factors}
     if any(v == 0 for v in values.values()):
@@ -193,7 +192,7 @@ def test_weight_product_matches_fraction_arithmetic(factors, head):
 
 def test_weight_product_stays_exact_at_integer_parameters():
     # an integer weight value to a negative power would be a float
-    fwp = FactoredWeightProduct.identity().times_weight(LinForm((1, 0, 0, 0)), -2)
+    fwp = FactoredWeightProduct(1, {LinForm((1, 0, 0, 0)): -2})
     value = fwp.evaluate((3, 1, 1, -5))
     assert value == Fraction(1, 9) and type(value) is Fraction
 

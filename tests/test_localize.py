@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import threading
 from fractions import Fraction
 
 import pytest
@@ -20,8 +19,8 @@ from dt4calc.localize import (FixedPointData, OrientationData, TorusParams,
                               one_box_symbolic_report, relabeled_form,
                               transported_orientation, vertex_character,
                               vertex_oracle_check)
-from dt4calc.partitions import DPartition, enumerate_partitions
-from dt4calc.suite import run_suite
+from dt4calc.partitions import DPartition, enumerate_partitions, partition_from_id
+from dt4calc.suite import SUITE_PARAMS, run_suite
 from dt4calc.taylor import euler_character, ext_characters
 
 GENERIC = TorusParams((1, 7, 41, -49))
@@ -67,14 +66,20 @@ def test_orientation_data_validation_and_file(tmp_path):
                 {"1,0,0,0": -1}, {"0,0,0,0;0,0,0,0": 1}, {"0,0,0,0;01,0,0,0": 1}):
         with pytest.raises(ValueError):
             OrientationData(bad)
-    assert OrientationData({"empty": -1, "0,0,0,0;1,0,0,0": 1}).sign("empty") == -1
+    empty = partition_from_id("empty", 4)
+    one_box = partition_from_id("0,0,0,0", 4)
+    assert OrientationData({"empty": -1, "0,0,0,0;1,0,0,0": 1}).sign(empty) == -1
     path = tmp_path / "orient.json"
     path.write_text(json.dumps({"0,0,0,0": -1}))
     data = OrientationData.from_file(str(path))
-    assert data.sign("0,0,0,0") == -1
-    assert data.sign("empty") == 1
+    assert data.sign(one_box) == -1
+    assert data.sign(empty) == 1
     path.write_text("[1, 2]")
     with pytest.raises(ValueError):
+        OrientationData.from_file(str(path))
+    # json.load runs out of recursion depth here, before any decode error
+    path.write_text("[" * 100000)
+    with pytest.raises(ValueError, match="nested too deeply"):
         OrientationData.from_file(str(path))
 
 
@@ -123,6 +128,38 @@ def test_one_box_symbolic_shape():
     assert rep["ok"]
     assert rep["numerator_sign"] == -1
     assert rep["denominator_matches"]
+
+
+ONE_BOX = DPartition(4, [(0, 0, 0, 0)])
+
+
+def _report_with(monkeypatch, **fields):
+    """The one box report on a copy of its record with some fields replaced."""
+    record = localize.summand(ONE_BOX)
+    fake = Summand.__new__(Summand)
+    for name in Summand.__slots__:
+        setattr(fake, name, fields.get(name, getattr(record, name)))
+    monkeypatch.setitem(localize._SUMMANDS, ONE_BOX, fake)
+    return one_box_symbolic_report()
+
+
+def test_one_box_symbolic_shape_catches_a_flipped_sign(monkeypatch):
+    rep = _report_with(monkeypatch, sign=-localize.summand(ONE_BOX).sign)
+    assert rep["numerator_sign"] == 1 and rep["ok"]
+
+
+def test_one_box_symbolic_shape_catches_a_wrong_factor(monkeypatch):
+    (_, m), *rest = localize.summand(ONE_BOX).factors
+    rep = _report_with(monkeypatch, factors=((LinForm((2, 1, 0, 0)), m), *rest))
+    assert rep["numerator_sign"] == 0 and not rep["ok"]
+    assert not run_suite(only="one-box")[0][1].ok
+
+
+def test_one_box_symbolic_shape_catches_a_negated_tangent_weight(monkeypatch):
+    (w, m), *rest = localize.summand(ONE_BOX).tangent
+    rep = _report_with(monkeypatch, tangent=((-w, m), *rest))
+    assert not rep["denominator_matches"] and not rep["ok"]
+    assert not run_suite(only="one-box")[0][1].ok
 
 
 def test_symbolic_identity_against_sympy():
@@ -208,20 +245,6 @@ def test_numerator_zero_summand_contributes_zero():
     _, rows = dt4_degree0_series(2, want_details=True)
     values = {pid: v for (_, pid, v) in rows}
     assert Fraction(0) in values.values()
-
-
-def test_parallel_series_matches_serial():
-    serial = dt4_degree0_series(3, GENERIC, jobs=1)
-    parallel = dt4_degree0_series(3, GENERIC, jobs=4)
-    assert serial == parallel
-
-
-def test_jobs_starts_no_thread(monkeypatch):
-    def refuse(self):
-        raise AssertionError("dt4_degree0_series started a thread")
-
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-    assert dt4_degree0_series(3, GENERIC, jobs=4) == SERIES_GENERIC
 
 
 def test_orientation_flip_negates_one_summand():
@@ -406,6 +429,18 @@ def test_series_with_oracle_builds_each_point_once(monkeypatch):
     assert payload["oracle"]["status"] == "PASS"
     assert payload["coefficients"] == [str(c) for c in SERIES_GENERIC]
     assert sorted(built, key=POINTS_3.index) == POINTS_3
+
+
+def test_series_report_bytes_cold_and_cached(monkeypatch):
+    # the cold run builds every point into an empty cache and the warm run
+    # only evaluates the records it left
+    built = count_builds(monkeypatch)
+    cold = json.dumps(series_payload(4, SUITE_PARAMS, OrientationData()), indent=2)
+    assert len(built) == sum(len(enumerate_partitions(4, n)) for n in range(5))
+    built.clear()
+    warm = json.dumps(series_payload(4, SUITE_PARAMS, OrientationData()), indent=2)
+    assert built == []
+    assert cold.encode() == warm.encode()
 
 
 def test_suite_builds_each_fixed_point_once(monkeypatch):

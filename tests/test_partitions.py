@@ -103,7 +103,7 @@ def test_relabeling_permutes_axes():
 
 def test_ideal_round_trip():
     for pi in enumerate_partitions(4, 4):
-        assert pi.to_ideal().to_partition().boxes == pi.boxes
+        assert DPartition(4, pi.to_ideal().staircase()).boxes == pi.boxes
 
 
 def test_monomial_ideal_validation():
