@@ -11,9 +11,9 @@ from .chow import (SheafClass, VarietyContext, cy_hypersurface_context,
                    liqin_case, projective_plane_context,
                    structure_sheaf_chi_check, surface_obstruction_identity,
                    vdim_ideal_cy4)
-from .errors import (BoundExceeded, CheckFailed, Dt4Error, InternalInconsistency,
+from .errors import (BoundExceeded, Dt4Error, InternalInconsistency,
                      NonGenericParameters, NotEffective, OddPairing, Unsupported)
-from .exact import FactoredWeightProduct, Laurent, LinForm, weight_of
+from .exact import Laurent, LinForm
 from .localize import (FixedPointData, OrientationData, TorusParams,
                        cyclic_completion_report, dt4_degree0_series,
                        half_euler, obstruction_crosscheck, vertex_character,
@@ -27,16 +27,16 @@ from .taylor import euler_character, ext_characters
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundExceeded", "CheckFailed", "CoefficientSeries", "DPartition",
-    "Dt4Error", "FactoredWeightProduct", "FixedPointData",
-    "InternalInconsistency", "Laurent", "LinForm", "MonomialIdeal",
-    "NonGenericParameters", "NotEffective", "OddPairing", "OrientationData",
-    "SheafClass", "TorusParams", "Unsupported", "VarietyContext",
-    "convolution_oracle", "count_partitions", "cy_hypersurface_context",
-    "cyclic_completion_report", "dt4_degree0_series", "enumerate_partitions",
-    "euler_character", "ext_characters", "goettsche_series", "half_euler",
-    "liqin_case", "obstruction_crosscheck", "partition_numbers",
-    "projective_plane_context", "reduced_dt4_tstar", "size_bound",
-    "structure_sheaf_chi_check", "surface_obstruction_identity",
-    "vdim_ideal_cy4", "vertex_character", "vertex_oracle_check", "weight_of",
+    "BoundExceeded", "CoefficientSeries", "DPartition", "Dt4Error",
+    "FixedPointData", "InternalInconsistency", "Laurent", "LinForm",
+    "MonomialIdeal", "NonGenericParameters", "NotEffective", "OddPairing",
+    "OrientationData", "SheafClass", "TorusParams", "Unsupported",
+    "VarietyContext", "convolution_oracle", "count_partitions",
+    "cy_hypersurface_context", "cyclic_completion_report",
+    "dt4_degree0_series", "enumerate_partitions", "euler_character",
+    "ext_characters", "goettsche_series", "half_euler", "liqin_case",
+    "obstruction_crosscheck", "partition_numbers", "projective_plane_context",
+    "reduced_dt4_tstar", "size_bound", "structure_sheaf_chi_check",
+    "surface_obstruction_identity", "vdim_ideal_cy4", "vertex_character",
+    "vertex_oracle_check",
 ]

@@ -340,15 +340,11 @@ class VarietyContext:
 
     def cotangent_sheaf_class(self) -> SheafClass:
         """Chern character of the cotangent bundle, from the tangent Chern data."""
-        rank = Fraction(self.dim)
-        cherns = [self.tangent_chern.component(k) for k in range(1, 5)]
-        ch = chern_to_ch(rank, cherns, self.ring)
         if self.divisor is not None:
             raise Unsupported("cotangent classes are only set up on product spaces")
-        total = CohClass.zero(self.ring)
-        for k, comp in enumerate(ch):
-            total = total + (comp if k % 2 == 0 else -comp)
-        return SheafClass(total)
+        cherns = [self.tangent_chern.component(k) for k in range(1, 5)]
+        ch = chern_to_ch(Fraction(self.dim), cherns, self.ring)
+        return SheafClass(sum(ch, CohClass.zero(self.ring))).dual()
 
 
 def chern_to_ch(rank, chern, ring) -> list[CohClass]:
@@ -382,18 +378,6 @@ def ch_to_chern(ch) -> tuple[Fraction, list[CohClass]]:
             acc = acc + (c[i] * p[k - i]).scale(Fraction((-1) ** i))
         c[k] = acc.scale(Fraction((-1) ** (k - 1), k))
     return rank, c[1:]
-
-
-def todd_from_chern(chern, ring) -> list[CohClass]:
-    """Universal Todd polynomials in c1..c4, degree by degree."""
-    c1, c2, c3, c4 = (list(chern) + [CohClass.zero(ring)] * 4)[:4]
-    td0 = CohClass.one(ring)
-    td1 = c1.scale(Fraction(1, 2))
-    td2 = (c1 * c1 + c2).scale(Fraction(1, 12))
-    td3 = (c1 * c2).scale(Fraction(1, 24))
-    td4 = ((c1 * c1 * c1 * c1).scale(-1) + (c1 * c1 * c2).scale(4)
-           + c1 * c3 + (c2 * c2).scale(3) - c4).scale(Fraction(1, 720))
-    return [td0, td1, td2, td3, td4]
 
 
 def generalized_binomial(top: int, k: int) -> Fraction:

@@ -26,10 +26,6 @@ class OddPairing(Dt4Error):
     """A weight multiset that must split into (w, -w) pairs does not."""
 
 
-class CheckFailed(Dt4Error):
-    """An independent cross-check disagreed with the primary computation."""
-
-
 class InternalInconsistency(Dt4Error):
     """An internal invariant was violated; indicates a bug, not bad input."""
 

@@ -1,6 +1,6 @@
-"""Exact arithmetic kernel: Laurent polynomials, weight forms, factored products.
+"""Exact arithmetic kernel: Laurent polynomials and weight forms.
 
-Everything downstream works over three representations:
+Everything downstream works over two representations:
 
   * ``Laurent``: a finitely supported map from integer exponent vectors
     ``(e1, e2, e3, e4)`` to rational coefficients.  The monomial ``t^e``
@@ -14,9 +14,6 @@ Everything downstream works over three representations:
     parameters, compared modulo the relation ``s1 + s2 + s3 + s4 = 0``.
     The vector is stored shifted so that its smallest entry is 0, one
     representative per class, so hashing and equality compare it directly.
-  * ``FactoredWeightProduct``: a signed product of ``LinForm`` factors kept
-    in factored shape.  Products of weights are never expanded into
-    polynomials; cancellation happens factor by factor.
 
 Non-integral rationals are ``fractions.Fraction`` (lowest terms, positive
 denominator, unbounded size); integers are ``int``.
@@ -27,8 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
-
-from .errors import InternalInconsistency, NonGenericParameters
 
 Exp = tuple[int, int, int, int]
 
@@ -326,86 +321,3 @@ def integer_scaling(s) -> tuple[int, tuple[int, ...]]:
     """
     scale = lcm(*(Fraction(x).denominator for x in s))
     return scale, tuple(int(x * scale) for x in s)
-
-
-def weight_of(exp: Iterable[int]) -> LinForm:
-    """Weight of the monomial t^exp on the subtorus, as a linear form in s."""
-    return LinForm(exp)
-
-
-class FactoredWeightProduct:
-    """Signed product of weight factors, kept factored.
-
-    ``sign`` is +1 or -1, ``factors`` maps canonical-representative forms to
-    integer multiplicities (negative multiplicity means a denominator factor),
-    and ``zero`` marks the product annihilated by a zero-form factor.
-    """
-
-    __slots__ = ("sign", "factors", "zero")
-
-    def __init__(self, sign: int = 1, factors: Mapping[LinForm, int] | None = None,
-                 zero: bool = False):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        self.sign = sign
-        self.zero = zero
-        clean: dict[LinForm, int] = {}
-        if factors and not zero:
-            for w, m in factors.items():
-                if m == 0:
-                    continue
-                rep, s = w.canonical()
-                if rep.is_zero():
-                    raise InternalInconsistency("zero form passed as an explicit factor")
-                if s < 0 and m % 2 == 1:
-                    self.sign = -self.sign
-                clean[rep] = clean.get(rep, 0) + m
-                if clean[rep] == 0:
-                    del clean[rep]
-        self.factors = clean
-
-    @staticmethod
-    def zero_product() -> "FactoredWeightProduct":
-        return FactoredWeightProduct(zero=True)
-
-    def degree(self) -> int:
-        return 0 if self.zero else sum(self.factors.values())
-
-    def evaluate(self, s) -> Fraction:
-        """Exact value at the parameter vector s.
-
-        Raises NonGenericParameters when a factor vanishes at s, because the
-        factored value (numerator or denominator alike) is then meaningless.
-        """
-        if self.zero:
-            return Fraction(0)
-        scale, ints = integer_scaling(s)
-        num, den = self.sign, 1
-        for w, m in sorted(self.factors.items(), key=lambda kv: kv[0].reduced):
-            v = w.evaluate(ints)
-            if v == 0:
-                raise NonGenericParameters(f"weight {w} vanishes at s = {tuple(s)}")
-            if m > 0:
-                num *= v ** m
-            else:
-                den *= v ** -m
-        d = self.degree()
-        return Fraction(num * scale ** max(-d, 0), den * scale ** max(d, 0))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FactoredWeightProduct):
-            return NotImplemented
-        if self.zero or other.zero:
-            return self.zero == other.zero
-        return self.sign == other.sign and self.factors == other.factors
-
-    def __str__(self) -> str:
-        if self.zero:
-            return "0"
-        pieces = [] if self.sign > 0 else ["-1"]
-        for w, m in sorted(self.factors.items(), key=lambda kv: kv[0].reduced):
-            pieces.append(f"({w})" if m == 1 else f"({w})^{m}")
-        return " * ".join(pieces) if pieces else "1"
-
-    def __repr__(self) -> str:
-        return f"FactoredWeightProduct({self})"

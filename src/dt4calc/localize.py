@@ -25,7 +25,7 @@ from itertools import combinations, product
 from math import prod
 
 from .errors import InternalInconsistency, NonGenericParameters, NotEffective, OddPairing
-from .exact import FactoredWeightProduct, Laurent, LinForm, integer_scaling, weight_of
+from .exact import Laurent, LinForm, integer_scaling
 from .partitions import DPartition, enumerate_partitions, partition_from_id
 from .taylor import ext_characters, euler_character
 
@@ -143,31 +143,30 @@ def character_weights(ch: Laurent, what: str) -> list[LinForm]:
         raise NotEffective(f"{what} character has non effective terms {bad}")
     out: list[LinForm] = []
     for exp, c in ch.items_sorted():
-        out.extend([weight_of(exp)] * int(c))
+        out.extend([LinForm(exp)] * int(c))
     out.sort(key=lambda w: w.reduced)
     return out
 
 
-def half_euler(weights, orientation: int = 1) -> FactoredWeightProduct:
-    """One weight from each (w, -w) pair, as a factored product times the sign.
+def half_euler(weights) -> tuple[int, tuple[tuple[LinForm, int], ...]]:
+    """One weight from each (w, -w) pair, as (sign, factors).
 
-    A zero weight makes the product zero.  If the multiset does not split
-    into opposite pairs the square root does not exist and OddPairing is
-    raised.
+    `factors` holds the canonical form of each pair with its multiplicity,
+    sorted by reduced coefficients, and the sign is 1.  A zero weight makes
+    the product zero, (0, ()).  If the multiset does not split into opposite
+    pairs the square root does not exist and OddPairing is raised.
     """
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
     counter: dict[LinForm, int] = {}
     for w in weights:
         if w.is_zero():
-            return FactoredWeightProduct.zero_product()
+            return 0, ()
         counter[w] = counter.get(w, 0) + 1
     for w, m in counter.items():
         if counter.get(-w, 0) != m:
             raise OddPairing(
                 f"weight {w} has multiplicity {m} but {-w} has {counter.get(-w, 0)}")
-    return FactoredWeightProduct(orientation, {w: m for w, m in counter.items()
-                                               if w.is_canonical()})
+    return 1, tuple(sorted(((w, m) for w, m in counter.items() if w.is_canonical()),
+                           key=lambda wm: wm[0].reduced))
 
 
 class FixedPointData:
@@ -197,9 +196,6 @@ class FixedPointData:
         if len(self.e2_weights) != 2 * len(self.e1_weights) - 2 * n:
             raise InternalInconsistency("weight count violates the dimension law")
 
-    def half(self, orientation: int = 1) -> FactoredWeightProduct:
-        return half_euler(self.e2_weights, orientation)
-
     def summand(self) -> "Summand":
         """The compact record of this point's summand, made once per process."""
         record = _SUMMANDS.get(self.partition)
@@ -222,10 +218,10 @@ class Summand:
     """The parameter-free part of one fixed point's summand.
 
     `tangent` holds the tangent weights and `factors` the half Euler factors,
-    each as (form, multiplicity) pairs in sorted order; `sign` is the half
-    Euler sign at orientation +1, or 0 when an obstruction weight is the zero
-    form.  No characters are kept.  The checks that do not depend on the
-    parameters run here, once per point.
+    each as (form, multiplicity) pairs in sorted order; `sign` is 1, or 0
+    when an obstruction weight is the zero form, and the orientation sign is
+    applied only in `value`.  No characters are kept.  The checks that do
+    not depend on the parameters run here, once per point.
     """
 
     __slots__ = ("tangent", "sign", "factors", "tangent_count", "degree")
@@ -236,15 +232,12 @@ class Summand:
             if w.is_zero():
                 raise InternalInconsistency("zero weight in the tangent character")
             tangent[w] = tangent.get(w, 0) + 1
-        half = data.half(1)
-        factors = sorted(half.factors.items(), key=lambda kv: kv[0].reduced)
-        if any(m <= 0 for _, m in factors):
+        self.sign, self.factors = half_euler(data.e2_weights)
+        if any(m <= 0 for _, m in self.factors):
             raise InternalInconsistency("denominator factor in a half Euler product")
         self.tangent = tuple(tangent.items())
-        self.sign = 0 if half.zero else half.sign
-        self.factors = tuple(factors)
         self.tangent_count = len(data.e1_weights)
-        self.degree = half.degree()
+        self.degree = sum(m for _, m in self.factors)
 
     def value(self, params: TorusParams, orientation: int = 1) -> Fraction:
         """The summand at s with the given orientation sign.

@@ -109,15 +109,6 @@ class DPartition:
         out.sort()
         return out
 
-    def removable_boxes(self) -> list[Box]:
-        """Boxes whose deletion keeps the set downward closed, lex-sorted."""
-        present = set(self.boxes)
-        out = []
-        for b in self.boxes:
-            if all(b[:i] + (b[i] + 1,) + b[i + 1:] not in present for i in range(self.d)):
-                out.append(b)
-        return out
-
     def with_box(self, c: Box) -> "DPartition":
         out = DPartition.__new__(DPartition)
         out.d = self.d
@@ -161,11 +152,6 @@ def partition_from_id(text: str, d: int) -> DPartition | None:
     except ValueError:
         return None
     return pi if len(set(boxes)) == len(boxes) and pi.id() == text else None
-
-
-def is_partition_id(text: str, d: int) -> bool:
-    """Whether `text` is the canonical id of some partition in dimension d."""
-    return partition_from_id(text, d) is not None
 
 
 # level cache: (d, n) -> tuple of DPartition, filled one size at a time

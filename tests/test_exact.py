@@ -1,13 +1,10 @@
-"""Laurent ring, linear forms, and factored weight products."""
+"""Laurent ring and linear forms."""
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from dt4calc.errors import InternalInconsistency, NonGenericParameters
-from dt4calc.exact import (FactoredWeightProduct, Laurent, LinForm,
-                           exp_cy_reduce, integer_scaling, weight_of)
+from dt4calc.exact import Laurent, LinForm, exp_cy_reduce, integer_scaling
 
 DEFAULT_S = (Fraction(1), Fraction(2), Fraction(3), Fraction(-6))
 
@@ -77,9 +74,9 @@ def test_effectivity_predicates():
 
 @settings(max_examples=60, deadline=None)
 @given(exps, exps)
-def test_weight_of_turns_products_into_sums(e, f):
+def test_linform_turns_products_into_sums(e, f):
     combined = tuple(x + y for x, y in zip(e, f))
-    assert weight_of(combined) == weight_of(e) + weight_of(f)
+    assert LinForm(combined) == LinForm(e) + LinForm(f)
 
 
 def test_linform_equality_lives_on_the_subtorus():
@@ -104,53 +101,6 @@ def test_linform_evaluate_and_str():
     assert str(LinForm((0, 0, 0, 1))) == "-s1 - s2 - s3"
 
 
-def test_weight_product_single_pair_value():
-    fwp = FactoredWeightProduct(1, {LinForm((1, 1, 0, 0)): 1})
-    assert fwp.evaluate(DEFAULT_S) == 3
-
-
-def test_weight_product_all_four_coordinates():
-    # s4 is not a canonical form: the constructor stores -s4 and flips the sign
-    fwp = FactoredWeightProduct(1, {LinForm(e): 1 for e in
-                                    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))})
-    assert fwp.sign == -1
-    assert all(w.is_canonical() for w in fwp.factors)
-    assert fwp.evaluate(DEFAULT_S) == 1 * 2 * 3 * -6
-
-
-def test_weight_product_vanishing_factor_raises():
-    fwp = FactoredWeightProduct(1, {LinForm((1, 1, -1, 0)): 1})
-    with pytest.raises(NonGenericParameters):
-        fwp.evaluate(DEFAULT_S)
-
-
-def test_weight_product_zero_flag():
-    fwp = FactoredWeightProduct.zero_product()
-    assert fwp.zero
-    assert fwp.evaluate(DEFAULT_S) == 0
-    assert fwp.degree() == 0
-    # a zero form is never stored as a factor, in the numerator or not
-    for m in (1, -1):
-        with pytest.raises(InternalInconsistency):
-            FactoredWeightProduct(1, {LinForm((1, 1, 1, 1)): m})
-
-
-def test_weight_product_denominator_factors():
-    w = LinForm((1, 0, 0, 0))
-    fwp = FactoredWeightProduct(1, {w: -1})
-    assert fwp.evaluate(DEFAULT_S) == 1
-    assert fwp.degree() == -1
-
-
-def test_weight_product_multiplicities_cancel():
-    w = LinForm((1, 0, 0, 0))
-    fwp = FactoredWeightProduct(1, {w: 2, -w: -1})
-    assert fwp.factors == {w: 1}
-    assert fwp.sign == -1  # -w to an odd power carries a sign
-    assert FactoredWeightProduct(1, {w: 1, -w: -1}).factors == {}
-    assert fwp.degree() == 1
-
-
 def test_linform_evaluate_is_exact_for_ints_and_fractions():
     w = LinForm((2, -1, 0, 3))
     assert w.evaluate((1, 7, 41, -49)) == 2 - 7 - 147
@@ -165,37 +115,7 @@ def test_integer_scaling():
         12, (3, -2, 0, -1))
 
 
-forms = st.tuples(*[st.integers(-3, 3)] * 4).map(LinForm).filter(lambda w: not w.is_zero())
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(forms, st.integers(-3, 3)), max_size=5),
-       st.tuples(small_rationals, small_rationals, small_rationals))
-def test_weight_product_matches_fraction_arithmetic(factors, head):
-    s = head + (-sum(head),)
-    multiplicity = {}
-    for w, m in factors:
-        multiplicity[w] = multiplicity.get(w, 0) + m
-    fwp = FactoredWeightProduct(1, multiplicity)
-    values = {w: sum((Fraction(a) * x for a, x in zip(w.a, s)), Fraction(0))
-              for w in fwp.factors}
-    if any(v == 0 for v in values.values()):
-        with pytest.raises(NonGenericParameters):
-            fwp.evaluate(s)
-        return
-    expected = Fraction(fwp.sign)
-    for w, m in fwp.factors.items():
-        expected *= values[w] ** m
-    assert fwp.evaluate(s) == expected
-
-
-def test_weight_product_stays_exact_at_integer_parameters():
-    # an integer weight value to a negative power would be a float
-    fwp = FactoredWeightProduct(1, {LinForm((1, 0, 0, 0)): -2})
-    value = fwp.evaluate((3, 1, 1, -5))
-    assert value == Fraction(1, 9) and type(value) is Fraction
-
 
 mixed_coeffs = st.one_of(st.integers(-8, 8),
                          st.fractions(min_value=-8, max_value=8, max_denominator=6))

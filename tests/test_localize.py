@@ -3,6 +3,7 @@
 import itertools
 import json
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from dt4calc import localize
 from dt4calc.cli import series_payload
 from dt4calc.errors import (InternalInconsistency, NonGenericParameters,
                             OddPairing)
-from dt4calc.exact import FactoredWeightProduct, Laurent, LinForm
+from dt4calc.exact import Laurent, LinForm
 from dt4calc.localize import (FixedPointData, OrientationData, TorusParams,
                               cyclic_completion_report, dt4_degree0_series,
                               Summand, half_euler, obstruction_crosscheck,
@@ -116,11 +117,11 @@ def test_one_box_contribution_value():
 
 
 def test_one_box_half_euler_value():
-    half = one_box_data().half(1)
-    assert half.degree() == 3
+    sign, factors = half_euler(one_box_data().e2_weights)
+    assert sign == 1 and sum(m for _, m in factors) == 3
     # canonical product (s2+s3)(s1+s3)(s1+s2) = 5*4*3; equals -e3 at this s,
     # where e3(1,2,3,-6) = 6 - 12 - 18 - 36 = -60
-    assert half.evaluate((1, 2, 3, -6)) == 60
+    assert prod(w.evaluate((1, 2, 3, -6)) ** m for w, m in factors) == 60
 
 
 def test_one_box_symbolic_shape():
@@ -173,9 +174,9 @@ def test_symbolic_identity_against_sympy():
     assert sympy.expand(product - e3) == 0
 
     data = one_box_data()
-    half = data.half(1)
-    num = sympy.Integer(half.sign)
-    for w, m in half.factors.items():
+    sign, factors = half_euler(data.e2_weights)
+    num = sympy.Integer(sign)
+    for w, m in factors:
         num *= sum(int(c) * v for c, v in zip(w.a, s)) ** m
     den = sympy.Integer(1)
     for w in data.e1_weights:
@@ -186,13 +187,14 @@ def test_symbolic_identity_against_sympy():
 
 def test_half_euler_pairing_rules():
     w = LinForm((1, 1, 0, 0))
-    half = half_euler([w, -w], 1)
-    assert half.factors == {w: 1}
-    assert half_euler([w, -w], -1).sign == -1
+    assert half_euler([w, -w]) == half_euler([-w, w]) == (1, ((w, 1),))
+    # a pair is stored by its canonical form, sorted by reduced coefficients
+    v = LinForm((0, 0, 0, 1))
+    assert half_euler([v, -w, v, -v, w, -v]) == (1, ((w, 1), (-v, 2)))
     with pytest.raises(OddPairing):
-        half_euler([w, w, -w], 1)
+        half_euler([w, w, -w])
     zero = LinForm((1, 1, 1, 1))
-    assert half_euler([w, -w, zero, zero], 1).zero
+    assert half_euler([w, -w, zero, zero]) == (0, ())
 
 
 def test_fixed_point_structure_small():
@@ -327,11 +329,11 @@ def reference_summand(data: FixedPointData, params: TorusParams, sign: int) -> F
         if v == 0:
             raise NonGenericParameters(f"tangent weight {w} vanishes at s = {params}")
         den *= v
-    half = data.half(sign)
-    if half.zero:
+    half_sign, factors = half_euler(data.e2_weights)
+    if not half_sign:
         return Fraction(0)
-    num = Fraction(half.sign)
-    for w, m in half.factors.items():
+    num = Fraction(sign * half_sign)
+    for w, m in factors:
         num *= value(w) ** m
     return num / den
 
@@ -360,8 +362,11 @@ def test_integer_summand_matches_a_fraction_reference(head, signs):
         return
     _, rows = dt4_degree0_series(3, params, orientation, want_details=True)
     assert [v for (_, _, v) in rows] == expected
+    # exact at every parameter vector: a negative power of an int would be a float
+    assert all(type(v) is Fraction for (_, _, v) in rows)
     for pi, e, v in zip(POINTS_3, signs, expected):
-        assert DATA_3[pi].contribution(params, e) == v
+        got = DATA_3[pi].contribution(params, e)
+        assert got == v and type(got) is Fraction
 
 
 def test_orientation_flip_after_a_cached_call_negates_one_summand(monkeypatch):
@@ -410,7 +415,7 @@ def test_summand_record_keeps_no_characters():
     assert record is localize.summand(POINTS_3[5])
     for name in Summand.__slots__:
         value = getattr(record, name)
-        assert not isinstance(value, (Laurent, FixedPointData, FactoredWeightProduct))
+        assert not isinstance(value, (Laurent, FixedPointData))
     assert all(isinstance(w, LinForm) and m > 0 for w, m in record.tangent + record.factors)
     assert sum(m for _, m in record.tangent) == record.tangent_count == 8
     assert sum(m for _, m in record.factors) == record.degree == 6
