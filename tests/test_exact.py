@@ -1,10 +1,14 @@
-"""Laurent ring and linear forms."""
+"""Laurent ring, linear forms, and the factored weight product of a summand."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from dt4calc.errors import InternalInconsistency, NonGenericParameters
 from dt4calc.exact import Laurent, LinForm, exp_cy_reduce, integer_scaling
+from dt4calc.localize import Summand, TorusParams, half_euler
 
 DEFAULT_S = (Fraction(1), Fraction(2), Fraction(3), Fraction(-6))
 
@@ -101,6 +105,77 @@ def test_linform_evaluate_and_str():
     assert str(LinForm((0, 0, 0, 1))) == "-s1 - s2 - s3"
 
 
+def weight_product(tangent=(), obstruction=()) -> Summand:
+    """The summand record of +-e(obstruction)^(1/2) / e(tangent), from bare weights."""
+    return Summand(SimpleNamespace(e1_weights=list(tangent), e2_weights=list(obstruction)))
+
+
+def pairs(*forms):
+    return [x for w in forms for x in (w, -w)]
+
+
+def test_weight_product_single_pair_value():
+    w = LinForm((1, 1, 0, 0))
+    record = weight_product(obstruction=pairs(w))
+    assert (record.sign, record.factors, record.degree) == (1, ((w, 1),), 1)
+    assert record.value(TorusParams(DEFAULT_S)) == 3
+    assert record.value(TorusParams(DEFAULT_S), -1) == -3
+
+
+def test_weight_product_all_four_coordinates():
+    # s4 is not a canonical form: the pair (s4, -s4) is stored as -s4
+    coords = [LinForm(e) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    sign, factors = half_euler(pairs(*coords))
+    assert sign == 1
+    assert all(w.is_canonical() and m == 1 for w, m in factors)
+    assert {w for w, _ in factors} == set(coords[:3]) | {-coords[3]}
+    assert weight_product(obstruction=pairs(*coords)).value(TorusParams(DEFAULT_S)) == 1 * 2 * 3 * 6
+
+
+def test_weight_product_vanishing_factor_raises():
+    w = LinForm((1, 1, -1, 0))  # s1 + s2 - s3 vanishes at (1, 2, 3, -6)
+    with pytest.raises(NonGenericParameters):
+        weight_product(tangent=[w]).value(TorusParams(DEFAULT_S))
+    # a vanishing numerator factor only makes the summand zero
+    assert weight_product(tangent=[LinForm((1, 0, 0, 0))],
+                          obstruction=pairs(w)).value(TorusParams(DEFAULT_S)) == 0
+
+
+def test_weight_product_zero_flag():
+    w, zero = LinForm((1, 1, 0, 0)), LinForm((1, 1, 1, 1))
+    assert half_euler(pairs(w) + [zero, zero]) == (0, ())
+    record = weight_product(tangent=[LinForm((1, 0, 0, 0))], obstruction=pairs(w) + [zero, zero])
+    assert (record.sign, record.factors, record.degree) == (0, (), 0)
+    assert record.value(TorusParams(DEFAULT_S)) == 0
+    # a zero form is never a tangent factor
+    with pytest.raises(InternalInconsistency):
+        weight_product(tangent=[zero])
+
+
+def test_weight_product_denominator_factors():
+    s1, s2 = LinForm((1, 0, 0, 0)), LinForm((0, 1, 0, 0))
+    record = weight_product(tangent=[s1, s2, s2])
+    assert record.tangent == ((s1, 1), (s2, 2))
+    assert (record.tangent_count, record.degree) == (3, 0)
+    assert record.value(TorusParams(DEFAULT_S)) == Fraction(1, 4)
+
+
+def test_weight_product_multiplicities_cancel():
+    s1, s4 = LinForm((1, 0, 0, 0)), LinForm((0, 0, 0, 1))
+    # repeated pairs add up to one factor
+    assert half_euler(pairs(s1, s1) + [s4, -s4]) == (1, ((s1, 2), (-s4, 1)))
+    # a factor over the same tangent weight cancels to 1, or to -1 when the
+    # stored canonical form is the opposite of the tangent weight
+    assert weight_product(tangent=[s1], obstruction=pairs(s1)).value(TorusParams(DEFAULT_S)) == 1
+    assert weight_product(tangent=[s4], obstruction=pairs(s4)).value(TorusParams(DEFAULT_S)) == -1
+
+
+def test_weight_product_stays_exact_at_integer_parameters():
+    # an integer weight value to a negative power would be a float
+    value = weight_product(tangent=[LinForm((1, 0, 0, 0))] * 2).value(TorusParams((3, 1, 1, -5)))
+    assert value == Fraction(1, 9) and type(value) is Fraction
+
+
 def test_linform_evaluate_is_exact_for_ints_and_fractions():
     w = LinForm((2, -1, 0, 3))
     assert w.evaluate((1, 7, 41, -49)) == 2 - 7 - 147
@@ -115,7 +190,32 @@ def test_integer_scaling():
         12, (3, -2, 0, -1))
 
 
+forms = st.tuples(*[st.integers(-3, 3)] * 4).map(LinForm).filter(lambda w: not w.is_zero())
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(forms, max_size=4), st.lists(st.tuples(forms, st.integers(1, 3)), max_size=4),
+       st.tuples(small_rationals, small_rationals, small_rationals), st.sampled_from((1, -1)))
+def test_weight_product_matches_fraction_arithmetic(tangent, halves, head, orientation):
+    s = head + (-sum(head),)
+    record = weight_product(tangent, [x for w, m in halves for x in pairs(w) * m])
+    assert record.degree == sum(m for _, m in halves)
+    assert record.tangent_count == len(tangent)
+
+    def value(w):
+        return sum((Fraction(a) * x for a, x in zip(w.a, s)), Fraction(0))
+
+    if any(value(w) == 0 for w in tangent):
+        with pytest.raises(NonGenericParameters):
+            record.value(TorusParams(s), orientation)
+        return
+    expected = Fraction(orientation)
+    for w, m in halves:
+        expected *= value(w.canonical()[0]) ** m
+    for w in tangent:
+        expected /= value(w)
+    assert record.value(TorusParams(s), orientation) == expected
 
 mixed_coeffs = st.one_of(st.integers(-8, 8),
                          st.fractions(min_value=-8, max_value=8, max_denominator=6))
