@@ -16,12 +16,12 @@ from .errors import (BoundExceeded, Dt4Error, InternalInconsistency,
 from .exact import Laurent, LinForm
 from .localize import (FixedPointData, OrientationData, TorusParams,
                        cyclic_completion_report, dt4_degree0_series,
-                       half_euler, obstruction_crosscheck, vertex_character,
-                       vertex_oracle_check)
-from .partitions import (DPartition, MonomialIdeal, count_partitions,
-                         enumerate_partitions, size_bound)
+                       half_euler, obstruction_crosscheck, tangent_character,
+                       vertex_character, vertex_oracle_check)
+from .partitions import (DPartition, MonomialIdeal, enumerate_partitions,
+                         partition_counts, partition_numbers, size_bound)
 from .series import (CoefficientSeries, convolution_oracle, goettsche_series,
-                     partition_numbers, reduced_dt4_tstar)
+                     reduced_dt4_tstar)
 from .taylor import euler_character, ext_characters
 
 __version__ = "0.1.0"
@@ -31,12 +31,12 @@ __all__ = [
     "FixedPointData", "InternalInconsistency", "Laurent", "LinForm",
     "MonomialIdeal", "NonGenericParameters", "NotEffective", "OddPairing",
     "OrientationData", "SheafClass", "TorusParams", "Unsupported",
-    "VarietyContext", "convolution_oracle", "count_partitions",
-    "cy_hypersurface_context", "cyclic_completion_report",
-    "dt4_degree0_series", "enumerate_partitions", "euler_character",
-    "ext_characters", "goettsche_series", "half_euler", "liqin_case",
-    "obstruction_crosscheck", "partition_numbers", "projective_plane_context",
-    "reduced_dt4_tstar", "size_bound", "structure_sheaf_chi_check",
-    "surface_obstruction_identity", "vdim_ideal_cy4", "vertex_character",
+    "VarietyContext", "convolution_oracle", "cy_hypersurface_context",
+    "cyclic_completion_report", "dt4_degree0_series", "enumerate_partitions",
+    "euler_character", "ext_characters", "goettsche_series", "half_euler",
+    "liqin_case", "obstruction_crosscheck", "partition_counts",
+    "partition_numbers", "projective_plane_context", "reduced_dt4_tstar",
+    "size_bound", "structure_sheaf_chi_check", "surface_obstruction_identity",
+    "tangent_character", "vdim_ideal_cy4", "vertex_character",
     "vertex_oracle_check",
 ]

@@ -30,7 +30,7 @@ from .errors import BoundExceeded, Dt4Error, NonGenericParameters, Unsupported
 from .localize import (FixedPointData, OrientationData, TorusParams,
                        cyclic_completion_report, dt4_degree0_series,
                        obstruction_crosscheck, vertex_oracle_check)
-from .partitions import count_partitions, enumerate_partitions
+from .partitions import partition_counts, partition_levels
 from .series import goettsche_series, convolution_oracle, reduced_dt4_tstar
 from .suite import LIQIN_EXPECTED, run_suite
 
@@ -170,11 +170,11 @@ def csv_vdim(p):
 
 
 def cmd_partitions(args):
-    counts = [count_partitions(args.d, n) for n in range(args.n_max + 1)]
+    counts = partition_counts(args.d, args.n_max)
     payload = {"d": args.d, "n_max": args.n_max, "counts": counts, "total": sum(counts)}
     if args.list:
-        payload["ids"] = {str(n): [pi.id() for pi in enumerate_partitions(args.d, n)]
-                          for n in range(args.n_max + 1)}
+        payload["ids"] = {str(n): [pi.id() for pi in level]
+                          for n, level in enumerate(partition_levels(args.d, args.n_max))}
     return payload, EXIT_OK
 
 
@@ -188,10 +188,11 @@ def text_partitions(p):
 
 def cmd_vertex(args):
     params = _parse_params(args.s)
+    levels = partition_levels(4, args.n_max)
     points = []
     failures = []
     for n in range(1, args.n_max + 1):
-        for pi in enumerate_partitions(4, n):
+        for pi in levels[n]:
             data = FixedPointData(pi)
             entry = {
                 "n": n,
@@ -253,7 +254,7 @@ def series_payload(n_max: int, params: TorusParams, orientation: OrientationData
     record behind, so the series builds no point a second time.
     """
     if check_oracle:
-        points = [pi for n in range(1, n_max + 1) for pi in enumerate_partitions(4, n)]
+        points = [pi for level in partition_levels(4, n_max)[1:] for pi in level]
         failures = []
         for pi in points:
             data = FixedPointData(pi)
@@ -338,8 +339,8 @@ def text_tstar(p):
 
 def cmd_cyclic_check(args):
     reports = []
-    for n in range(args.n_max + 1):
-        for pi3 in enumerate_partitions(3, n):
+    for n, level in enumerate(partition_levels(3, args.n_max)):
+        for pi3 in level:
             rep = cyclic_completion_report(pi3)
             reports.append({
                 "id": rep["partition"],

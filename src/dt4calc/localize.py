@@ -12,6 +12,13 @@ the fixed point is a sign choice times the product of one weight from each
 pair, divided by the product of the tangent weights.  All arithmetic is
 exact.
 
+The tangent character E1 = Hom(I, O_Z) is counted from graph components at
+each multidegree (`tangent_character`), with no Taylor complex, no ideal
+and no rank.  The Taylor complex of `taylor` serves only the checks, the
+resolution oracle and the Ext^0/Ext^1 cross-check, and the cyclic
+completion report, so E1 comes from a different route than every Taylor
+oracle that checks it.
+
 Only that last evaluation depends on the parameters.  The rest of a summand
 is kept per process in a compact `Summand` record per partition, so a
 second series at new parameters builds no fixed point data.
@@ -20,13 +27,15 @@ second series at new parameters builds no fixed point data.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
 from .errors import InternalInconsistency, NonGenericParameters, NotEffective, OddPairing
 from .exact import Laurent, LinForm, integer_scaling
-from .partitions import DPartition, enumerate_partitions, partition_from_id
+from .partitions import (DPartition, enumerate_partitions, partition_from_id,
+                         partition_levels)
 from .taylor import ext_characters, euler_character
 
 KAPPA_INV = Laurent.monomial((-1, -1, -1, -1))
@@ -169,24 +178,83 @@ def half_euler(weights) -> tuple[int, tuple[tuple[LinForm, int], ...]]:
                            key=lambda wm: wm[0].reduced))
 
 
+def tangent_character(partition: DPartition) -> Laurent:
+    """Character of E1 = Hom(I, O_Z) at a fixed point, with no matrix and no rank.
+
+    At a multidegree mu, Hom_mu is the kernel of the first Taylor
+    differential on the generators h with mu + h a box, the live ones.  A
+    pair {g, h} with mu + lcm(g, h) a box gives one row of it: c_h - c_g
+    when both ends are live, which joins them, and c_g alone when only g is
+    live, which grounds g.  So dim Hom_mu is the number of connected
+    components of live generators that hold no grounded vertex.
+
+    Generators are the addable boxes.  Vectors are packed into ints as
+    digits in base 2n + 1.  Every vector compared here has coordinates in
+    [-n, 2n - 1] and every box in [0, n - 1], so two of them differ by less
+    than the base in each coordinate, and their codes are equal only when
+    the vectors are.
+    """
+    boxes = partition.boxes
+    if not boxes:
+        return Laurent.zero()
+    gens = partition.addable_boxes()
+    powers = [(2 * len(boxes) + 1) ** i for i in range(partition.d)]
+
+    def pack(v) -> int:
+        return sum(map(operator.mul, v, powers))
+
+    box_codes = set(map(pack, boxes))
+    gen_codes = [pack(g) for g in gens]
+    # for each generator, (other generator, code of their lcm)
+    pairs = [[(j, pack(map(max, g, h))) for j, h in enumerate(gens) if h != g]
+             for g in gens]
+    pad = (0,) * (4 - partition.d)
+    terms: dict[tuple[int, ...], int] = {}
+    seen: set[int] = set()
+    for b in boxes:
+        pb = pack(b)
+        for g, pg in zip(gens, gen_codes):
+            mu = pb - pg
+            if mu in seen:
+                continue
+            seen.add(mu)
+            live = {i for i, code in enumerate(gen_codes) if mu + code in box_codes}
+            todo = set(live)
+            dim = 0
+            while todo:
+                stack = [todo.pop()]
+                grounded = False
+                while stack:
+                    for j, code in pairs[stack.pop()]:
+                        if mu + code in box_codes:
+                            if j not in live:
+                                grounded = True
+                            elif j in todo:
+                                todo.remove(j)
+                                stack.append(j)
+                dim += not grounded
+            if dim:
+                terms[tuple(map(operator.sub, b, g)) + pad] = dim
+    return Laurent(terms)
+
+
 class FixedPointData:
     """Everything the localization formula needs at one fixed point."""
 
-    __slots__ = ("partition", "ideal", "q", "tvir", "e1_char", "e1_weights",
-                 "e2_char", "e2_weights")
+    __slots__ = ("partition", "q", "tvir", "e1_char", "e1_weights", "e2_char",
+                 "e2_weights")
 
     def __init__(self, partition: DPartition):
         if partition.d != 4:
             raise ValueError("fixed points live in dimension 4")
         self.partition = partition
-        self.ideal = partition.to_ideal()
         self.q = partition.character()
         self.tvir = vertex_character(self.q)
         n = partition.size
         if self.tvir.coeff_sum() != 2 * n:
             raise InternalInconsistency(
                 f"virtual dimension shadow {self.tvir.coeff_sum()} != {2 * n}")
-        self.e1_char = ext_characters(self.ideal, "I,OZ", degree=0).get(0, Laurent.zero())
+        self.e1_char = tangent_character(partition)
         self.e1_weights = character_weights(self.e1_char, "tangent")
         e1cy = self.e1_char.cy_reduce()
         self.e2_char = e1cy + e1cy.bar() - self.tvir.cy_reduce()
@@ -281,14 +349,22 @@ def summand(pi: DPartition) -> Summand:
 def vertex_oracle_check(data: FixedPointData) -> tuple[bool, Laurent, Laurent]:
     """Closed form versus the resolution route, on the full torus."""
     q = data.q
-    rhs = q + q.bar() * KAPPA_INV - euler_character(data.ideal, "OZ,OZ")
+    rhs = q + q.bar() * KAPPA_INV - euler_character(data.partition.to_ideal(), "OZ,OZ")
     return data.tvir == rhs, data.tvir, rhs
 
 
-def obstruction_crosscheck(data: FixedPointData) -> tuple[bool, Laurent, Laurent]:
-    """Obstruction character versus Ext^1(I, O_Z) from the resolution route."""
-    rhs = ext_characters(data.ideal, "I,OZ", degree=1).get(1, Laurent.zero()).cy_reduce()
-    return data.e2_char == rhs, data.e2_char, rhs
+def obstruction_crosscheck(data: FixedPointData) -> tuple[bool, tuple, tuple]:
+    """E1 and the obstruction character versus Ext^0 and Ext^1(I, O_Z) from
+    the resolution route.
+
+    One Taylor call gives both degrees: Ext^0 needs only the subsets of size
+    one and two and the rank of d1, which Ext^1 builds anyway.  Returns
+    whether both agree, (E1, E2) and (Ext^0, Ext^1 on the subtorus).
+    """
+    ext = ext_characters(data.partition.to_ideal(), "I,OZ", degree=(0, 1))
+    lhs = (data.e1_char, data.e2_char)
+    rhs = (ext.get(0, Laurent.zero()), ext.get(1, Laurent.zero()).cy_reduce())
+    return lhs == rhs, lhs, rhs
 
 
 def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
@@ -307,7 +383,7 @@ def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
         params = TorusParams.default()
     if orientation is None:
         orientation = OrientationData()
-    levels = [enumerate_partitions(4, n) for n in range(n_max + 1)]
+    levels = partition_levels(4, n_max)
 
     coeffs = []
     details = []

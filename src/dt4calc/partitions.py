@@ -158,6 +158,13 @@ def partition_from_id(text: str, d: int) -> DPartition | None:
 _levels: dict[tuple[int, int], tuple[DPartition, ...]] = {}
 
 
+def _over_bound(d: int, n: int, bound: int) -> BoundExceeded:
+    msg = f"size {n} exceeds the d={d} bound {bound}"
+    if d == 4:
+        msg += f" (set {ENV_BOUND_VAR} to raise the cap)"
+    return BoundExceeded(msg)
+
+
 def enumerate_partitions(d: int, n: int) -> tuple[DPartition, ...]:
     """All partitions of size n in dimension d, in lex order on box lists."""
     _check_dim(d)
@@ -165,10 +172,7 @@ def enumerate_partitions(d: int, n: int) -> tuple[DPartition, ...]:
         raise ValueError("size must be nonnegative")
     bound = size_bound(d)
     if n > bound:
-        msg = f"size {n} exceeds the d={d} bound {bound}"
-        if d == 4:
-            msg += f" (set {ENV_BOUND_VAR} to raise the cap)"
-        raise BoundExceeded(msg)
+        raise _over_bound(d, n, bound)
     for k in range(n + 1):
         if (d, k) in _levels:
             continue
@@ -197,33 +201,62 @@ def enumerate_partitions(d: int, n: int) -> tuple[DPartition, ...]:
     return _levels[(d, n)]
 
 
-def _p2_table(n: int) -> list[list[int]]:
-    # P[m][k] = partitions of m with parts <= k
-    P = [[0] * (n + 1) for _ in range(n + 1)]
-    for k in range(n + 1):
-        P[0][k] = 1
-    for m in range(1, n + 1):
-        for k in range(1, n + 1):
-            P[m][k] = P[m][k - 1] + (P[m - k][k] if m >= k else 0)
-    return P
+def partition_levels(d: int, n_max: int) -> list[tuple[DPartition, ...]]:
+    """The levels of sizes 0..n_max in dimension d.
 
-
-def count_partitions(d: int, n: int) -> int:
-    """Number of partitions of size n in dimension d.
-
-    For d = 2 this uses the bounded-largest-part recurrence, which stays fast
-    far beyond the range where listing every partition is reasonable; the
-    agreement with enumerate_partitions is covered by tests on the shared
-    range.  For d = 3 and 4 the count is the length of the enumerated level.
+    The bound is checked before any level is built: past it, the error
+    names the first size over the bound, as a loop over the levels would.
     """
     _check_dim(d)
-    if n < 0:
+    bound = size_bound(d)
+    if n_max > bound:
+        raise _over_bound(d, bound + 1, bound)
+    return [enumerate_partitions(d, n) for n in range(n_max + 1)]
+
+
+COUNT_BOUND_2 = 10000
+
+
+def partition_numbers(n_max: int) -> list[int]:
+    """p(0)..p(n_max) by the Euler pentagonal number recurrence."""
+    p = [0] * (n_max + 1)
+    p[0] = 1
+    for n in range(1, n_max + 1):
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            g2 = k * (3 * k + 1) // 2
+            if g1 > n and g2 > n:
+                break
+            sign = 1 if k % 2 == 1 else -1
+            if g1 <= n:
+                total += sign * p[n - g1]
+            if g2 <= n:
+                total += sign * p[n - g2]
+            k += 1
+        p[n] = total
+    return p
+
+
+def partition_counts(d: int, n_max: int) -> list[int]:
+    """Number of partitions of each size 0..n_max in dimension d.
+
+    For d = 2 these are the partition numbers, from one pentagonal
+    recurrence over the whole range, which stays fast far beyond the range
+    where listing every partition is reasonable (up to n = 10000); the
+    agreement with enumerate_partitions is covered by tests on the shared
+    range.  For d = 3 and 4 they are the lengths of the enumerated levels.
+    Either bound is checked before any count is made.
+    """
+    _check_dim(d)
+    if n_max < 0:
         raise ValueError("size must be nonnegative")
-    if d == 2:
-        if n > size_bound(2) and n > 10000:
-            raise BoundExceeded(f"size {n} is out of range for counting")
-        return _p2_table(n)[n][n]
-    return len(enumerate_partitions(d, n))
+    if d != 2:
+        return [len(level) for level in partition_levels(d, n_max)]
+    if n_max > COUNT_BOUND_2:
+        raise BoundExceeded(f"size {COUNT_BOUND_2 + 1} is out of range for counting")
+    return partition_numbers(n_max)
 
 
 class MonomialIdeal:

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .chow import generalized_binomial
 from .errors import Unsupported
+from .partitions import partition_numbers
 
 
 class CoefficientSeries:
@@ -88,28 +89,6 @@ class CoefficientSeries:
 
     def __repr__(self):
         return f"CoefficientSeries({[str(c) for c in self.coeffs]})"
-
-
-def partition_numbers(n_max: int) -> list[int]:
-    """p(0)..p(n_max) by the Euler pentagonal number recurrence."""
-    p = [0] * (n_max + 1)
-    p[0] = 1
-    for n in range(1, n_max + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > n and g2 > n:
-                break
-            sign = 1 if k % 2 == 1 else -1
-            if g1 <= n:
-                total += sign * p[n - g1]
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
-        p[n] = total
-    return p
 
 
 def goettsche_series(e: int, n_max: int) -> CoefficientSeries:

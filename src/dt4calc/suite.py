@@ -23,8 +23,8 @@ from .errors import Dt4Error
 from .localize import (FixedPointData, OrientationData, TorusParams,
                        cyclic_completion_report, dt4_degree0_series,
                        one_box_symbolic_report, summand, vertex_oracle_check)
-from .partitions import enumerate_partitions
-from .series import convolution_oracle, goettsche_series, partition_numbers
+from .partitions import enumerate_partitions, partition_numbers
+from .series import convolution_oracle, goettsche_series
 
 # verified in the test suite: no tangent or obstruction weight of any
 # partition with n <= 4 vanishes here, unlike at the documentation default

@@ -13,11 +13,18 @@ The cochains of Ext^i sit on the subsets of size k = i (source O_Z) or
 k = i + 1 (source I), and Ext^i only needs the differentials into and out
 of that degree.  Asked for one degree, `ext_characters` builds only the
 subsets of size k - 1, k and k + 1, which is O(r^(k+1)) of them rather than
-2^r.  Without a degree it builds every subset and returns every degree.
+2^r; asked for several, the sizes from the lowest k - 1 to the highest
+k + 1.  Without a degree it builds every subset and returns every degree.
 
 The Euler characteristic needs no ranks at all: each differential cancels
 equal dimensions in adjacent degrees, so `euler_character` sums the signed
 cochains directly.
+
+The fixed points of the localization do not come through here: their
+tangent character is counted from graph components in `localize`.  These
+routes serve the checks, `vertex_oracle_check` (through `euler_character`),
+`obstruction_crosscheck` (Ext^0 and Ext^1 of I in one call) and the cyclic
+completion report behind `cyclic-check`.
 
 Characters are returned as Laurent polynomials in t1..t4 with int
 coefficients, since every dimension and signed cochain count is an integer;
@@ -89,12 +96,13 @@ def _subsets(gens, nv: int, sizes):
 
 
 def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ",
-                   degree: int | None = None) -> dict[int, Laurent]:
+                   degree: int | tuple[int, ...] | None = None) -> dict[int, Laurent]:
     """Characters of Ext^i(F, O_Z) for F = O_Z (source "OZ,OZ") or F = I ("I,OZ").
 
     Returns a dict mapping cohomological degree to the exact torus character;
-    degrees with vanishing Ext are simply absent.  With `degree` set, only
-    that degree is computed, from the subsets of the generators it needs.
+    degrees with vanishing Ext are simply absent.  With `degree` set to one
+    degree or a tuple of them, only those are computed, from the subsets of
+    the generators they need.
     """
     shift = _source_shift(ideal, source)
     boxes = ideal.staircase()
@@ -109,9 +117,8 @@ def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ",
         sizes = range(shift, r + 1)
         wanted = sizes
     else:
-        k = degree + shift
-        sizes = range(max(k - 1, shift), min(k + 1, r) + 1)
-        wanted = (k,)
+        wanted = tuple(i + shift for i in ((degree,) if isinstance(degree, int) else degree))
+        sizes = range(max(min(wanted) - 1, shift), min(max(wanted) + 1, r) + 1)
 
     # cochain basis: (mask, box) in degree |S|, multidegree box - lcm(S)
     lcms: dict[int, tuple[int, ...]] = {}

@@ -82,6 +82,46 @@ def test_partitions_bound_exit(capsys):
     assert "bound" in err
 
 
+@pytest.mark.parametrize("argv,module,name,message", [
+    (["partitions", "--d", "2", "--n-max", "10001"], "dt4calc.partitions",
+     "partition_numbers", "size 10001 is out of range for counting"),
+    (["cyclic-check", "--n-max", "13"], "dt4calc.cli", "cyclic_completion_report",
+     "size 13 exceeds the d=3 bound 12"),
+    (["vertex", "--n-max", "9"], "dt4calc.cli", "FixedPointData",
+     "size 9 exceeds the d=4 bound 8 (set DT4_MAX_N to raise the cap)"),
+])
+def test_size_bound_is_checked_before_any_work(capsys, monkeypatch, argv, module,
+                                               name, message):
+    # the work the levels below the bound would do fails the test if it runs
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the bound was checked")
+
+    monkeypatch.delenv("DT4_MAX_N", raising=False)
+    monkeypatch.setattr(f"{module}.{name}", fail)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BOUND
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_check_oracle_catches_an_e1_error(capsys, monkeypatch):
+    # an antisymmetric error in E1 leaves E2 unchanged, so only the direct
+    # comparison with Taylor Ext^0 sees it
+    from dt4calc import localize
+    from dt4calc.exact import Laurent
+
+    tangent = localize.tangent_character
+    error = Laurent.monomial((1, 0, 0, 0)) - Laurent.monomial((-1, 0, 0, 0))
+    monkeypatch.setattr(localize, "tangent_character",
+                        lambda pi: tangent(pi) + error if pi.size else tangent(pi))
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    for command in ("vertex", "dt4-series"):
+        code, out, _ = run(capsys, command, "--n-max", "2", "--s", GENERIC_S,
+                           "--check-oracle")
+        assert code == EXIT_MISMATCH, command
+        assert "oracle: FAIL (5 partitions checked)" in out
+
+
 def test_partitions_env_override(capsys, monkeypatch):
     monkeypatch.setenv("DT4_MAX_N", "9")
     code, out, _ = run(capsys, "partitions", "--d", "4", "--n-max", "9",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dt4calc import localize
+from dt4calc import localize, taylor
 from dt4calc.cli import series_payload
 from dt4calc.errors import (InternalInconsistency, NonGenericParameters,
                             OddPairing)
@@ -18,8 +18,8 @@ from dt4calc.localize import (FixedPointData, OrientationData, TorusParams,
                               cyclic_completion_report, dt4_degree0_series,
                               Summand, half_euler, obstruction_crosscheck,
                               one_box_symbolic_report, relabeled_form,
-                              transported_orientation, vertex_character,
-                              vertex_oracle_check)
+                              tangent_character, transported_orientation,
+                              vertex_character, vertex_oracle_check)
 from dt4calc.partitions import DPartition, enumerate_partitions, partition_from_id
 from dt4calc.suite import SUITE_PARAMS, run_suite
 from dt4calc.taylor import euler_character, ext_characters
@@ -34,6 +34,13 @@ SERIES_GENERIC = [
     Fraction(-2304, 2009),
     Fraction(-545224824, 504510125),
     Fraction(-576945963093774592, 598743836360294625),
+]
+# c_4 and c_5 at GENERIC, computed when E1 still came from the Taylor complex
+SERIES_GENERIC_4_5 = [
+    Fraction(-35490597968710892926909828042828802492,
+             43683174979237280927469051492078984375),
+    Fraction(-10681471901731269329109488398444817403952709711640181596609636608,
+             15062921342055043322635976135710279603166887334219980929643359375),
 ]
 SERIES_GENERIC2 = [
     Fraction(1),
@@ -214,6 +221,51 @@ def test_vertex_oracle_and_crosscheck(n):
         assert ok, f"{pi.id()}: {lhs} != {rhs}"
         ok2, lhs2, rhs2 = obstruction_crosscheck(data)
         assert ok2, f"{pi.id()}: {lhs2} != {rhs2}"
+
+
+def taylor_hom(pi: DPartition) -> Laurent:
+    """Hom(I, O_Z) from the Taylor complex, the route E1 no longer takes."""
+    return ext_characters(pi.to_ideal(), "I,OZ", degree=0).get(0, Laurent.zero())
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_tangent_character_matches_taylor_degree_zero(n):
+    for pi in enumerate_partitions(4, n):
+        assert tangent_character(pi) == taylor_hom(pi), pi.id()
+
+
+@pytest.mark.parametrize("axis", range(4))
+def test_tangent_character_on_single_axis_columns(axis):
+    # a column has the largest generator coordinate, n, and the widest
+    # coordinate differences the packing has to separate
+    for h in range(1, 9):
+        column = DPartition(4, [tuple(k if i == axis else 0 for i in range(4))
+                                for k in range(h)])
+        assert tangent_character(column) == taylor_hom(column), column.id()
+
+
+def test_crosscheck_catches_an_e1_error_the_obstruction_hides():
+    data = FixedPointData(POINTS_3[5])
+    # t1 - t1^-1 is antisymmetric, so it cancels in E2 = E1 + bar(E1) - T
+    data.e1_char = (data.e1_char + Laurent.monomial((1, 0, 0, 0))
+                    - Laurent.monomial((-1, 0, 0, 0)))
+    e1cy = data.e1_char.cy_reduce()
+    assert e1cy + e1cy.bar() - data.tvir.cy_reduce() == data.e2_char
+    ok, lhs, rhs = obstruction_crosscheck(data)
+    assert not ok
+    assert lhs[0] != rhs[0] and lhs[1] == rhs[1]
+
+
+def test_series_builds_no_taylor_complex(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the series path reached the Taylor complex")
+
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    for module in (taylor, localize):
+        monkeypatch.setattr(module, "ext_characters", fail)
+        monkeypatch.setattr(module, "euler_character", fail)
+    monkeypatch.setattr(DPartition, "to_ideal", fail)
+    assert dt4_degree0_series(5, GENERIC) == SERIES_GENERIC + SERIES_GENERIC_4_5
 
 
 def test_series_at_default_parameters_small():
@@ -483,8 +535,9 @@ def test_characters_have_int_coefficients(n):
         for ch in (data.q, data.tvir, data.e1_char, data.e2_char):
             assert _int_coefficients(ch), pi.id()
         assert type(data.tvir.coeff_sum()) is int
+        ideal = pi.to_ideal()
         for source in ("OZ,OZ", "I,OZ"):
-            assert _int_coefficients(euler_character(data.ideal, source))
-            chars = (ext_characters(data.ideal, source) if n <= 3 else
-                     ext_characters(data.ideal, source, degree=1))
+            assert _int_coefficients(euler_character(ideal, source))
+            chars = (ext_characters(ideal, source) if n <= 3 else
+                     ext_characters(ideal, source, degree=1))
             assert all(_int_coefficients(ch) for ch in chars.values())

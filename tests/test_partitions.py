@@ -7,8 +7,8 @@ import pytest
 from dt4calc.errors import BoundExceeded
 from dt4calc.exact import Laurent
 from dt4calc.partitions import (DEFAULT_BOUNDS, DPartition, ENV_BOUND_VAR,
-                                MonomialIdeal, count_partitions,
-                                enumerate_partitions, is_downward_closed,
+                                MonomialIdeal, enumerate_partitions,
+                                is_downward_closed, partition_counts,
                                 partition_from_id, size_bound)
 
 
@@ -37,21 +37,21 @@ def test_enumeration_matches_brute_force(d, n):
 
 
 def test_counts_frozen_small_tables():
-    assert [count_partitions(2, n) for n in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
-    assert [count_partitions(3, n) for n in range(6)] == [1, 1, 3, 6, 13, 24]
-    assert [count_partitions(4, n) for n in range(5)] == [1, 1, 4, 10, 26]
+    assert partition_counts(2, 7) == [1, 1, 2, 3, 5, 7, 11, 15]
+    assert partition_counts(3, 5) == [1, 1, 3, 6, 13, 24]
+    assert partition_counts(4, 4) == [1, 1, 4, 10, 26]
 
 
 def test_two_row_counts_match_the_recurrence_far_past_enumeration():
-    # d = 2 counts come from a parts recurrence; spot check deep values
-    assert count_partitions(2, 50) == 204226
-    assert count_partitions(2, 60) == 966467
+    # d = 2 counts come from the pentagonal recurrence; spot check deep values
+    assert partition_counts(2, 50)[50] == 204226
+    assert partition_counts(2, 60)[60] == 966467
 
 
 def test_count_agrees_with_enumeration_length():
     for d in (3, 4):
         for n in range(6 if d == 3 else 5):
-            assert count_partitions(d, n) == len(enumerate_partitions(d, n))
+            assert partition_counts(d, n)[n] == len(enumerate_partitions(d, n))
 
 
 def test_enumeration_is_sorted_and_valid():
@@ -127,8 +127,8 @@ def test_size_bound_and_env_override(monkeypatch):
     with pytest.raises(BoundExceeded):
         enumerate_partitions(4, DEFAULT_BOUNDS[4] + 1)
     with pytest.raises(BoundExceeded):
-        count_partitions(3, DEFAULT_BOUNDS[3] + 1)
+        partition_counts(3, DEFAULT_BOUNDS[3] + 1)
     monkeypatch.setenv(ENV_BOUND_VAR, "9")
     assert size_bound(4) == 9
     assert size_bound(3) == DEFAULT_BOUNDS[3]  # override is d = 4 only
-    assert count_partitions(4, 9) == 1464
+    assert partition_counts(4, 9)[9] == 1464

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from dt4calc.errors import Unsupported
+from dt4calc.partitions import partition_numbers
 from dt4calc.series import (CoefficientSeries, convolution_oracle,
-                            goettsche_series, partition_numbers,
-                            reduced_dt4_tstar)
+                            goettsche_series, reduced_dt4_tstar)
 
 PARTITION_HEAD = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135,
                   176, 231, 297, 385, 490, 627]
