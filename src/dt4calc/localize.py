@@ -179,7 +179,7 @@ def half_euler(weights) -> tuple[int, tuple[tuple[LinForm, int], ...]]:
 
 
 def tangent_character(partition: DPartition) -> Laurent:
-    """Character of E1 = Hom(I, O_Z) at a fixed point, with no matrix and no rank.
+    """Character of E1 = Hom(I, O_Z) at a solid partition, with no matrix and no rank.
 
     At a multidegree mu, Hom_mu is the kernel of the first Taylor
     differential on the generators h with mu + h a box, the live ones.  A
@@ -208,7 +208,6 @@ def tangent_character(partition: DPartition) -> Laurent:
     # for each generator, (other generator, code of their lcm)
     pairs = [[(j, pack(map(max, g, h))) for j, h in enumerate(gens) if h != g]
              for g in gens]
-    pad = (0,) * (4 - partition.d)
     terms: dict[tuple[int, ...], int] = {}
     seen: set[int] = set()
     for b in boxes:
@@ -234,7 +233,7 @@ def tangent_character(partition: DPartition) -> Laurent:
                                 stack.append(j)
                 dim += not grounded
             if dim:
-                terms[tuple(map(operator.sub, b, g)) + pad] = dim
+                terms[tuple(map(operator.sub, b, g))] = dim
     return Laurent(terms)
 
 
