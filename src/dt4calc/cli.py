@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -432,7 +433,10 @@ def _at_least(low: int):
     return count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared
+    by `main` and the determinism criterion; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dt4calc",
         description="Exact localization and intersection-theory calculator "

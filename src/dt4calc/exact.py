@@ -248,6 +248,10 @@ class LinForm:
     def __hash__(self):
         return hash(self.a)
 
+    def __lt__(self, other: "LinForm") -> bool:
+        """Order by reduced coefficients, so w is canonical exactly when -w < w."""
+        return self.reduced < other.reduced
+
     def __add__(self, other: "LinForm") -> "LinForm":
         if not isinstance(other, LinForm):
             return NotImplemented

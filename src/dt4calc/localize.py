@@ -12,6 +12,17 @@ the fixed point is a sign choice times the product of one weight from each
 pair, divided by the product of the tangent weights.  All arithmetic is
 exact.
 
+The summand needs the characters only on that subtorus.  There
+(1 - t1^{-1})...(1 - t4^{-1}) = P123 + bar(P123) with
+P123 = (1 - t1^{-1})(1 - t2^{-1})(1 - t3^{-1}), so T = V + bar(V) with
+V = Q - Q bar(Q) P123, eight shifts of the box differences
+(`vertex_codes`).  Each exponent vector, reduced to the subtorus, is packed
+into one int (`subtorus_code`), so a fixed point is built with int keys and
+int multiplicities and no Laurent product; a `LinForm` is decoded once per
+distinct weight.  The Laurent closed form (`vertex_character`) is kept for
+the `vertex` report and the oracles, which compare both with the
+resolution.
+
 The tangent character E1 = Hom(I, O_Z) is counted from graph components at
 each multidegree (`tangent_character`), with no Taylor complex, no ideal
 and no rank.  The Taylor complex of `taylor` serves only the checks, the
@@ -28,7 +39,9 @@ from __future__ import annotations
 
 import json
 import operator
+from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import prod
 
@@ -145,37 +158,66 @@ class OrientationData:
         return OrientationData(signs)
 
 
-def character_weights(ch: Laurent, what: str) -> list[LinForm]:
-    """Expand an effective integral character into a sorted weight list."""
-    bad = [(e, c) for e, c in ch.terms.items() if c.denominator != 1 or c < 0]
-    if bad:
-        raise NotEffective(f"{what} character has non effective terms {bad}")
-    out: list[LinForm] = []
-    for exp, c in ch.items_sorted():
-        out.extend([LinForm(exp)] * int(c))
-    out.sort(key=lambda w: w.reduced)
-    return out
-
-
-def half_euler(weights) -> tuple[int, tuple[tuple[LinForm, int], ...]]:
+def half_euler(weights) -> tuple[int, tuple]:
     """One weight from each (w, -w) pair, as (sign, factors).
 
-    `factors` holds the canonical form of each pair with its multiplicity,
-    sorted by reduced coefficients, and the sign is 1.  A zero weight makes
-    the product zero, (0, ()).  If the multiset does not split into opposite
-    pairs the square root does not exist and OddPairing is raised.
+    The weights are subtorus codes or `LinForm`s, as a list or as a dict of
+    multiplicities.  `factors` holds the canonical weight of each pair, the
+    larger of w and -w, with its multiplicity, sorted, and the sign is 1.  A
+    zero weight makes the product zero, (0, ()).  If the multiset does not
+    split into opposite pairs the square root does not exist and OddPairing
+    is raised.
     """
-    counter: dict[LinForm, int] = {}
-    for w in weights:
-        if w.is_zero():
-            return 0, ()
-        counter[w] = counter.get(w, 0) + 1
-    for w, m in counter.items():
-        if counter.get(-w, 0) != m:
-            raise OddPairing(
-                f"weight {w} has multiplicity {m} but {-w} has {counter.get(-w, 0)}")
-    return 1, tuple(sorted(((w, m) for w, m in counter.items() if w.is_canonical()),
-                           key=lambda wm: wm[0].reduced))
+    counts = weights if isinstance(weights, dict) else Counter(weights)
+    if any(w == -w for w in counts):
+        return 0, ()
+    for w, m in counts.items():
+        if counts.get(-w, 0) != m:
+            raise OddPairing(f"weight {w} has multiplicity {m} but {-w} has {counts.get(-w, 0)}")
+    return 1, tuple(sorted((w, m) for w, m in counts.items() if -w < w))
+
+
+def subtorus_code(e, base: int) -> int:
+    """The exponent or coefficient vector e on the subtorus, (e1-e4, e2-e4,
+    e3-e4), as one int: signed digits in `base`, the first most significant."""
+    return ((e[0] - e[3]) * base + e[1] - e[3]) * base + e[2] - e[3]
+
+
+def subtorus_form(code: int, base: int) -> LinForm:
+    """The weight whose reduced coefficients are the digits of the code."""
+    half = base // 2
+    r3 = (code + half) % base - half
+    code = (code - r3) // base
+    r2 = (code + half) % base - half
+    return LinForm(((code - r2) // base, r2, r3, 0))
+
+
+def subtorus_codes(ch: Laurent, base: int) -> dict[int, int]:
+    """A character restricted to the subtorus, as code -> multiplicity."""
+    out: dict[int, int] = {}
+    for e, c in ch.terms.items():
+        k = subtorus_code(e, base)
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def vertex_codes(partition: DPartition, base: int) -> dict[int, int]:
+    """The virtual tangent character on the subtorus, code -> multiplicity.
+
+    There P1234 = (1 - t1^-1)...(1 - t4^-1) equals P123 + bar(P123), and the
+    box differences D = Q bar(Q) are self dual, so T = V + bar(V) with
+    V = Q - D P123: eight shifts of the box differences.
+    """
+    boxes = [subtorus_code(b, base) for b in partition.boxes]
+    diffs = Counter(a - b for a in boxes for b in boxes)
+    half = Counter(boxes)
+    for e in product((0, -1), repeat=3):
+        shift, sign = subtorus_code(e + (0,), base), (-1) ** -sum(e)
+        for d, m in diffs.items():
+            half[d + shift] -= sign * m
+    tcy = Counter(half)
+    tcy.update({-k: m for k, m in half.items()})
+    return {k: m for k, m in tcy.items() if m}
 
 
 def tangent_character(partition: DPartition) -> Laurent:
@@ -238,30 +280,73 @@ def tangent_character(partition: DPartition) -> Laurent:
 
 
 class FixedPointData:
-    """Everything the localization formula needs at one fixed point."""
+    """Everything the localization formula needs at one fixed point.
 
-    __slots__ = ("partition", "q", "tvir", "e1_char", "e1_weights", "e2_char",
-                 "e2_weights")
+    The characters the summand needs are restricted to the subtorus and kept
+    as dicts from `subtorus_code` to multiplicity, in base 4n + 1: `tcy` is
+    the virtual tangent character, `e1` the tangent and `e2` the obstruction
+    character.  Every reduced coefficient they hold lies in [-2n + 1,
+    2n - 1], inside the digit range, so adding codes adds vectors, negating
+    is `bar`, codes sort as `LinForm.reduced` does, and a code is positive
+    exactly when its form is canonical.  `e1_char` is E1 on the full torus,
+    as `tangent_character` gives it.  The characters and weight lists the
+    oracles and the `vertex` report read are views, built on first access.
+    """
 
     def __init__(self, partition: DPartition):
         if partition.d != 4:
             raise ValueError("fixed points live in dimension 4")
         self.partition = partition
-        self.q = partition.character()
-        self.tvir = vertex_character(self.q)
         n = partition.size
-        if self.tvir.coeff_sum() != 2 * n:
+        self.base = base = 4 * n + 1
+        self.tcy = tcy = vertex_codes(partition, base)
+        if sum(tcy.values()) != 2 * n:
             raise InternalInconsistency(
-                f"virtual dimension shadow {self.tvir.coeff_sum()} != {2 * n}")
+                f"virtual dimension shadow {sum(tcy.values())} != {2 * n}")
         self.e1_char = tangent_character(partition)
-        self.e1_weights = character_weights(self.e1_char, "tangent")
-        e1cy = self.e1_char.cy_reduce()
-        self.e2_char = e1cy + e1cy.bar() - self.tvir.cy_reduce()
-        self.e2_weights = character_weights(self.e2_char, "obstruction")
-        if self.e2_char != self.e2_char.bar():
+        self.e1 = e1 = subtorus_codes(self.e1_char, base)
+        self._effective(e1, "tangent")
+        e2 = Counter(e1)
+        e2.update({-k: m for k, m in e1.items()})
+        e2.subtract(tcy)
+        self.e2 = e2 = {k: m for k, m in e2.items() if m}
+        self._effective(e2, "obstruction")
+        if any(e2.get(-k) != m for k, m in e2.items()):
             raise InternalInconsistency("obstruction character is not self dual")
-        if len(self.e2_weights) != 2 * len(self.e1_weights) - 2 * n:
+        if sum(e2.values()) != 2 * sum(e1.values()) - 2 * n:
             raise InternalInconsistency("weight count violates the dimension law")
+
+    def _effective(self, codes: dict[int, int], what: str) -> None:
+        bad = [(subtorus_form(k, self.base), m) for k, m in codes.items() if m < 0]
+        if bad:
+            raise NotEffective(f"{what} character has non effective terms {bad}")
+
+    def _char(self, codes: dict[int, int]) -> Laurent:
+        return Laurent({subtorus_form(k, self.base).reduced + (0,): m
+                        for k, m in codes.items()})
+
+    def _weights(self, codes: dict[int, int]) -> list[LinForm]:
+        return [w for k in sorted(codes) for w in [subtorus_form(k, self.base)] * codes[k]]
+
+    @cached_property
+    def q(self) -> Laurent:
+        return self.partition.character()
+
+    @cached_property
+    def tvir(self) -> Laurent:
+        return vertex_character(self.q)
+
+    @cached_property
+    def e2_char(self) -> Laurent:
+        return self._char(self.e2)
+
+    @cached_property
+    def e1_weights(self) -> list[LinForm]:
+        return self._weights(self.e1)
+
+    @cached_property
+    def e2_weights(self) -> list[LinForm]:
+        return self._weights(self.e2)
 
     def summand(self) -> "Summand":
         """The compact record of this point's summand, made once per process."""
@@ -287,24 +372,24 @@ class Summand:
     `tangent` holds the tangent weights and `factors` the half Euler factors,
     each as (form, multiplicity) pairs in sorted order; `sign` is 1, or 0
     when an obstruction weight is the zero form, and the orientation sign is
-    applied only in `value`.  No characters are kept.  The checks that do
-    not depend on the parameters run here, once per point.
+    applied only in `value`.  No characters are kept.  They are read from
+    the point's `e1` and `e2` codes, one `LinForm` per distinct code, and the
+    checks that do not depend on the parameters run here, once per point.
     """
 
     __slots__ = ("tangent", "sign", "factors", "tangent_count", "degree")
 
     def __init__(self, data: FixedPointData):
-        tangent: dict[LinForm, int] = {}
-        for w in data.e1_weights:  # sorted, and the dict keeps first-seen order
-            if w.is_zero():
-                raise InternalInconsistency("zero weight in the tangent character")
-            tangent[w] = tangent.get(w, 0) + 1
-        self.sign, self.factors = half_euler(data.e2_weights)
-        if any(m <= 0 for _, m in self.factors):
+        if 0 in data.e1:
+            raise InternalInconsistency("zero weight in the tangent character")
+        self.sign, factors = half_euler(data.e2)
+        if any(m <= 0 for _, m in factors):
             raise InternalInconsistency("denominator factor in a half Euler product")
-        self.tangent = tuple(tangent.items())
-        self.tangent_count = len(data.e1_weights)
-        self.degree = sum(m for _, m in self.factors)
+        base = data.base
+        self.tangent = tuple((subtorus_form(k, base), m) for k, m in sorted(data.e1.items()))
+        self.factors = tuple((subtorus_form(k, base), m) for k, m in factors)
+        self.tangent_count = sum(data.e1.values())
+        self.degree = sum(m for _, m in factors)
 
     def value(self, params: TorusParams, orientation: int = 1) -> Fraction:
         """The summand at s with the given orientation sign.
@@ -346,10 +431,12 @@ def summand(pi: DPartition) -> Summand:
 
 
 def vertex_oracle_check(data: FixedPointData) -> tuple[bool, Laurent, Laurent]:
-    """Closed form versus the resolution route, on the full torus."""
+    """Closed form versus the resolution route, on the full torus, and the
+    point's packed `tcy` versus the resolution route on the subtorus."""
     q = data.q
     rhs = q + q.bar() * KAPPA_INV - euler_character(data.partition.to_ideal(), "OZ,OZ")
-    return data.tvir == rhs, data.tvir, rhs
+    ok = data.tvir == rhs and data.tcy == subtorus_codes(rhs, data.base)
+    return ok, data.tvir, rhs
 
 
 def obstruction_crosscheck(data: FixedPointData) -> tuple[bool, tuple, tuple]:
@@ -357,13 +444,16 @@ def obstruction_crosscheck(data: FixedPointData) -> tuple[bool, tuple, tuple]:
     the resolution route.
 
     One Taylor call gives both degrees: Ext^0 needs only the subsets of size
-    one and two and the rank of d1, which Ext^1 builds anyway.  Returns
-    whether both agree, (E1, E2) and (Ext^0, Ext^1 on the subtorus).
+    one and two and the rank of d1, which Ext^1 builds anyway.  E1 is
+    compared on the full torus and as the point's packed `e1`, E2 as the
+    packed `e2` the summand is read from.  Returns whether both agree,
+    (E1, packed E2) and (Ext^0, packed Ext^1).
     """
     ext = ext_characters(data.partition.to_ideal(), "I,OZ", degree=(0, 1))
-    lhs = (data.e1_char, data.e2_char)
-    rhs = (ext.get(0, Laurent.zero()), ext.get(1, Laurent.zero()).cy_reduce())
-    return lhs == rhs, lhs, rhs
+    lhs = (data.e1_char, data.e2)
+    rhs = (ext.get(0, Laurent.zero()), subtorus_codes(ext.get(1, Laurent.zero()), data.base))
+    ok = lhs == rhs and data.e1 == subtorus_codes(rhs[0], data.base)
+    return ok, lhs, rhs
 
 
 def dt4_degree0_series(n_max: int, params: TorusParams | None = None,

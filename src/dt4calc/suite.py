@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chow import (liqin_case, structure_sheaf_chi_check, surface_obstruction_identity,
                    vdim_ideal_cy4)
@@ -38,8 +38,7 @@ LIQIN_EXPECTED = [
 ]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

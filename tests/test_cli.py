@@ -122,6 +122,52 @@ def test_check_oracle_catches_an_e1_error(capsys, monkeypatch):
         assert "oracle: FAIL (5 partitions checked)" in out
 
 
+def test_check_oracle_catches_a_tampered_packed_vertex_character(capsys, monkeypatch):
+    # swap one obstruction pair of each point for another pair: the rank, the
+    # effectiveness and self duality of E2 and the dimension law all still
+    # hold, so only the comparison of the packed T with the resolution sees it
+    from collections import Counter
+
+    from dt4calc import localize
+    from dt4calc.localize import FixedPointData
+    from dt4calc.partitions import partition_levels
+
+    e2 = {pi: FixedPointData(pi).e2 for level in partition_levels(4, 2) for pi in level}
+    vertex_codes = localize.vertex_codes
+
+    def tampered(pi, base):
+        tcy = Counter(vertex_codes(pi, base))
+        if pi.size:
+            v = max(e2[pi])
+            tcy.update((v, -v))
+            tcy.subtract((v + 1, -v - 1))
+        return {k: m for k, m in tcy.items() if m}
+
+    monkeypatch.setattr(localize, "vertex_codes", tampered)
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    for command in ("vertex", "dt4-series"):
+        code, out, _ = run(capsys, command, "--n-max", "2", "--s", GENERIC_S,
+                           "--check-oracle")
+        assert code == EXIT_MISMATCH, command
+        assert "oracle: FAIL (5 partitions checked)" in out
+    # the obstruction cross-check sees the changed E2 as well, so the
+    # resolution oracle's own comparison is checked on its own
+    for pi in e2:
+        assert localize.vertex_oracle_check(FixedPointData(pi))[0] == (pi.size == 0)
+
+
+def test_main_calls_share_one_parser(capsys):
+    parser = build_parser()
+    first = run(capsys, "dt4-series", "--n-max", "2", "--s", GENERIC_S, "--check-oracle")
+    assert first[0] == EXIT_OK and "oracle: PASS" in first[1]
+    other = run(capsys, "vertex", "--n-max", "1", "--format", "json")
+    assert other[0] == EXIT_OK and json.loads(other[1])["n_max"] == 1
+    # no flag of an earlier call carries over to the next one
+    again = run(capsys, "dt4-series", "--n-max", "2", "--s", GENERIC_S)
+    assert again[0] == EXIT_OK and again[1] == first[1].replace("oracle: PASS (5 partitions checked)\n", "")
+    assert build_parser() is parser
+
+
 def test_partitions_env_override(capsys, monkeypatch):
     monkeypatch.setenv("DT4_MAX_N", "9")
     code, out, _ = run(capsys, "partitions", "--d", "4", "--n-max", "9",

@@ -1,5 +1,6 @@
 """Laurent ring, linear forms, and the factored weight product of a summand."""
 
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dt4calc.errors import InternalInconsistency, NonGenericParameters
 from dt4calc.exact import Laurent, LinForm, exp_cy_reduce, integer_scaling
-from dt4calc.localize import Summand, TorusParams, half_euler
+from dt4calc.localize import Summand, TorusParams, half_euler, subtorus_code
 
 DEFAULT_S = (Fraction(1), Fraction(2), Fraction(3), Fraction(-6))
 
@@ -106,8 +107,14 @@ def test_linform_evaluate_and_str():
 
 
 def weight_product(tangent=(), obstruction=()) -> Summand:
-    """The summand record of +-e(obstruction)^(1/2) / e(tangent), from bare weights."""
-    return Summand(SimpleNamespace(e1_weights=list(tangent), e2_weights=list(obstruction)))
+    """The summand record of +-e(obstruction)^(1/2) / e(tangent), from bare
+    weights, packed as a fixed point packs its characters."""
+    base = 41  # digits up to 20, above every coefficient these tests use
+
+    def codes(weights):
+        return Counter(subtorus_code(w.a, base) for w in weights)
+
+    return Summand(SimpleNamespace(base=base, e1=codes(tangent), e2=codes(obstruction)))
 
 
 def pairs(*forms):
@@ -155,7 +162,8 @@ def test_weight_product_zero_flag():
 def test_weight_product_denominator_factors():
     s1, s2 = LinForm((1, 0, 0, 0)), LinForm((0, 1, 0, 0))
     record = weight_product(tangent=[s1, s2, s2])
-    assert record.tangent == ((s1, 1), (s2, 2))
+    # grouped, and sorted by reduced coefficients as in every record
+    assert record.tangent == ((s2, 2), (s1, 1))
     assert (record.tangent_count, record.degree) == (3, 0)
     assert record.value(TorusParams(DEFAULT_S)) == Fraction(1, 4)
 

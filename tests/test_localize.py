@@ -256,6 +256,70 @@ def test_crosscheck_catches_an_e1_error_the_obstruction_hides():
     assert lhs[0] != rhs[0] and lhs[1] == rhs[1]
 
 
+def test_crosscheck_compares_the_packed_e1():
+    data = FixedPointData(POINTS_3[5])
+    k = max(data.e1)
+    data.e1 = {**data.e1, k: data.e1[k] - 1, -k: data.e1.get(-k, 0) + 1}
+    ok, lhs, rhs = obstruction_crosscheck(data)
+    assert not ok and lhs == rhs
+
+
+def old_weights(ch: Laurent) -> list[LinForm]:
+    """The sorted weight list of an effective character, one entry per unit
+    of multiplicity, as fixed points expanded characters before packing."""
+    assert all(type(c) is int and c > 0 for c in ch.terms.values())
+    return sorted((LinForm(e) for e, c in ch.items_sorted() for _ in range(c)),
+                  key=lambda w: w.reduced)
+
+
+def old_route(pi: DPartition) -> tuple[dict, tuple]:
+    """The views and the summand record by Laurent products, with no codes."""
+    q = pi.character()
+    tvir = vertex_character(q)
+    e1 = tangent_character(pi)
+    e1cy = e1.cy_reduce()
+    e2 = e1cy + e1cy.bar() - tvir.cy_reduce()
+    e1_weights, e2_weights = old_weights(e1), old_weights(e2)
+    tangent: dict[LinForm, int] = {}
+    for w in e1_weights:
+        tangent[w] = tangent.get(w, 0) + 1
+    # the pairing as `half_euler` did it on weight lists, canonical forms by
+    # `LinForm.is_canonical` and sorted by reduced coefficients
+    obstruction: dict[LinForm, int] = {}
+    for w in e2_weights:
+        obstruction[w] = obstruction.get(w, 0) + 1
+    assert all(obstruction.get(-w) == m for w, m in obstruction.items())
+    sign = 0 if any(w.is_zero() for w in obstruction) else 1
+    factors = tuple(sorted(((w, m) for w, m in obstruction.items() if w.is_canonical()),
+                           key=lambda wm: wm[0].reduced)) if sign else ()
+    views = {"q": q, "tvir": tvir, "e1_char": e1, "e2_char": e2,
+             "e1_weights": e1_weights, "e2_weights": e2_weights}
+    record = (tuple(tangent.items()), sign, factors, len(e1_weights),
+              sum(m for _, m in factors))
+    return views, record
+
+
+# every n <= 6, and the single-axis columns of height 1..8, whose characters
+# hold the largest reduced coefficients, +-n, of any point of size n
+KERNEL_CASES = {f"n={n}": enumerate_partitions(4, n) for n in range(7)}
+KERNEL_CASES["columns"] = [
+    DPartition(4, [tuple(k if i == axis else 0 for i in range(4)) for k in range(h)])
+    for axis in range(4) for h in range(1, 9)]
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_packed_kernel_matches_the_laurent_route(case):
+    for pi in KERNEL_CASES[case]:
+        data = FixedPointData(pi)
+        views, record = old_route(pi)
+        for name, value in views.items():
+            assert getattr(data, name) == value, (pi.id(), name)
+        assert data.tcy == localize.subtorus_codes(views["tvir"], data.base), pi.id()
+        got = Summand(data)
+        assert (got.tangent, got.sign, got.factors, got.tangent_count,
+                got.degree) == record, pi.id()
+
+
 def test_series_builds_no_taylor_complex(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the series path reached the Taylor complex")
@@ -475,7 +539,7 @@ def test_summand_record_keeps_no_characters():
 
 def test_zero_tangent_weight_is_caught_when_the_record_is_built():
     data = FixedPointData(POINTS_3[2])
-    data.e1_weights = [LinForm((1, 1, 1, 1))] + data.e1_weights
+    data.e1 = {0: 1, **data.e1}  # the code of the zero form
     with pytest.raises(InternalInconsistency):
         Summand(data)
 
