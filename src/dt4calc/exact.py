@@ -3,20 +3,18 @@
 Everything downstream works over two representations:
 
   * ``Laurent``: a finitely supported map from integer exponent vectors
-    ``(e1, e2, e3, e4)`` to rational coefficients.  The monomial ``t^e``
-    stands for ``t1^e1 * t2^e2 * t3^e3 * t4^e4``.  A coefficient is an
-    ``int`` whenever it is integral and a ``Fraction`` only when it is not,
-    so the torus characters, which are all integral, are computed in plain
-    integer arithmetic.  Zero coefficients are purged on every operation,
-    so equality is plain dict equality (``Fraction(1) == 1``, and the two
-    hash alike).
+    ``(e1, e2, e3, e4)`` to ``int`` coefficients.  The monomial ``t^e``
+    stands for ``t1^e1 * t2^e2 * t3^e3 * t4^e4``.  Every torus character is
+    integral, so characters are computed in plain integer arithmetic.  Zero
+    coefficients are purged on every operation, so equality is plain dict
+    equality.
   * ``LinForm``: an integer linear form ``a1*s1 + ... + a4*s4`` in the torus
     parameters, compared modulo the relation ``s1 + s2 + s3 + s4 = 0``.
     The vector is stored shifted so that its smallest entry is 0, one
     representative per class, so hashing and equality compare it directly.
 
-Non-integral rationals are ``fractions.Fraction`` (lowest terms, positive
-denominator, unbounded size); integers are ``int``.
+Parameter values and summands are rationals, ``fractions.Fraction``
+(lowest terms, positive denominator, unbounded size); integers are ``int``.
 """
 
 from __future__ import annotations
@@ -39,34 +37,22 @@ def exp_cy_reduce(e: Exp) -> Exp:
     return (e[0] - e[3], e[1] - e[3], e[2] - e[3], 0)
 
 
-def _as_coeff(c):
-    """An int, or a Fraction that is not an integer."""
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
-        return int(c)
-    raise TypeError(f"expected an integer or Fraction coefficient, got {type(c).__name__}")
-
-
 def _purged(terms: dict) -> dict:
-    """The terms without zero coefficients, integral Fractions made ints."""
-    return {e: c if c.__class__ is int or c.denominator != 1 else c.numerator
-            for e, c in terms.items() if c}
+    """The terms without zero coefficients."""
+    return {e: c for e, c in terms.items() if c}
 
 
 class Laurent:
-    """Laurent polynomial in t1..t4 with exact rational coefficients.
-
-    Each coefficient is an int, or a Fraction that is not an integer.
-    """
+    """Laurent polynomial in t1..t4 with int coefficients."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Exp, int | Fraction] | None = None):
-        clean: dict[Exp, int | Fraction] = {}
+    def __init__(self, terms: Mapping[Exp, int] | None = None):
+        clean: dict[Exp, int] = {}
         if terms:
             for exp, c in terms.items():
-                c = _as_coeff(c)
+                if not isinstance(c, int):
+                    raise TypeError(f"expected an int coefficient, got {type(c).__name__}")
                 if c != 0:
                     if len(exp) != 4:
                         raise ValueError(f"exponent vector must have length 4, got {exp!r}")
@@ -82,8 +68,8 @@ class Laurent:
         return Laurent({ZERO_EXP: 1})
 
     @staticmethod
-    def monomial(exp: Iterable[int], coeff=1) -> "Laurent":
-        return Laurent({tuple(exp): _as_coeff(coeff)})
+    def monomial(exp: Iterable[int]) -> "Laurent":
+        return Laurent({tuple(exp): 1})
 
     @staticmethod
     def variable(i: int, power: int = 1) -> "Laurent":
@@ -94,7 +80,7 @@ class Laurent:
         exp[i - 1] = power
         return Laurent.monomial(exp)
 
-    def coeff(self, exp: Iterable[int]) -> int | Fraction:
+    def coeff(self, exp: Iterable[int]) -> int:
         return self.terms.get(tuple(exp), 0)
 
     def is_zero(self) -> bool:
@@ -132,12 +118,10 @@ class Laurent:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "Laurent") -> "Laurent":
         if not isinstance(other, Laurent):
             return NotImplemented
-        terms: dict[Exp, int | Fraction] = {}
+        terms: dict[Exp, int] = {}
         get = terms.get
         right = list(other.terms.items())
         for (a0, a1, a2, a3), ca in self.terms.items():
@@ -148,17 +132,6 @@ class Laurent:
         out.terms = _purged(terms)
         return out
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "Laurent":
-        c = _as_coeff(c)
-        out = Laurent.__new__(Laurent)
-        out.terms = _purged({exp: c * v for exp, v in self.terms.items()})
-        return out
-
     def bar(self) -> "Laurent":
         """Negate every exponent (the duality involution t -> t^-1)."""
         out = Laurent.__new__(Laurent)
@@ -167,7 +140,7 @@ class Laurent:
 
     def cy_reduce(self) -> "Laurent":
         """Restrict to the subtorus t1 t2 t3 t4 = 1, merging colliding terms."""
-        terms: dict[Exp, int | Fraction] = {}
+        terms: dict[Exp, int] = {}
         get = terms.get
         for exp, c in self.terms.items():
             r = exp_cy_reduce(exp)
@@ -176,17 +149,13 @@ class Laurent:
         out.terms = _purged(terms)
         return out
 
-    def coeff_sum(self) -> int | Fraction:
+    def coeff_sum(self) -> int:
         """Value with every variable set to 1."""
-        return _as_coeff(sum(self.terms.values()))
+        return sum(self.terms.values())
 
     def items_sorted(self):
         """Terms in lexicographic exponent order, the canonical ordering."""
         return sorted(self.terms.items())
-
-    def is_effective_integral(self) -> bool:
-        """True when every coefficient is a positive integer."""
-        return all(c.denominator == 1 and c > 0 for c in self.terms.values())
 
     def __str__(self) -> str:
         if not self.terms:
@@ -247,10 +216,6 @@ class LinForm:
 
     def __hash__(self):
         return hash(self.a)
-
-    def __lt__(self, other: "LinForm") -> bool:
-        """Order by reduced coefficients, so w is canonical exactly when -w < w."""
-        return self.reduced < other.reduced
 
     def __add__(self, other: "LinForm") -> "LinForm":
         if not isinstance(other, LinForm):

@@ -158,23 +158,21 @@ class OrientationData:
         return OrientationData(signs)
 
 
-def half_euler(weights) -> tuple[int, tuple]:
+def half_euler(codes: dict[int, int]) -> tuple[int, tuple]:
     """One weight from each (w, -w) pair, as (sign, factors).
 
-    The weights are subtorus codes or `LinForm`s, as a list or as a dict of
-    multiplicities.  `factors` holds the canonical weight of each pair, the
-    larger of w and -w, with its multiplicity, sorted, and the sign is 1.  A
-    zero weight makes the product zero, (0, ()).  If the multiset does not
-    split into opposite pairs the square root does not exist and OddPairing
-    is raised.
+    The weights are `subtorus_code`s with their multiplicities.  `factors`
+    holds the canonical weight of each pair, the positive one of w and -w,
+    with its multiplicity, sorted, and the sign is 1.  The zero weight makes
+    the product zero, (0, ()).  If the multiset does not split into opposite
+    pairs the square root does not exist and OddPairing is raised.
     """
-    counts = weights if isinstance(weights, dict) else Counter(weights)
-    if any(w == -w for w in counts):
+    if 0 in codes:
         return 0, ()
-    for w, m in counts.items():
-        if counts.get(-w, 0) != m:
-            raise OddPairing(f"weight {w} has multiplicity {m} but {-w} has {counts.get(-w, 0)}")
-    return 1, tuple(sorted((w, m) for w, m in counts.items() if -w < w))
+    for w, m in codes.items():
+        if codes.get(-w, 0) != m:
+            raise OddPairing(f"weight {w} has multiplicity {m} but {-w} has {codes.get(-w, 0)}")
+    return 1, tuple(sorted((w, m) for w, m in codes.items() if w > 0))
 
 
 def subtorus_code(e, base: int) -> int:
@@ -321,10 +319,6 @@ class FixedPointData:
         if bad:
             raise NotEffective(f"{what} character has non effective terms {bad}")
 
-    def _char(self, codes: dict[int, int]) -> Laurent:
-        return Laurent({subtorus_form(k, self.base).reduced + (0,): m
-                        for k, m in codes.items()})
-
     def _weights(self, codes: dict[int, int]) -> list[LinForm]:
         return [w for k in sorted(codes) for w in [subtorus_form(k, self.base)] * codes[k]]
 
@@ -335,10 +329,6 @@ class FixedPointData:
     @cached_property
     def tvir(self) -> Laurent:
         return vertex_character(self.q)
-
-    @cached_property
-    def e2_char(self) -> Laurent:
-        return self._char(self.e2)
 
     @cached_property
     def e1_weights(self) -> list[LinForm]:
@@ -419,15 +409,16 @@ class Summand:
         return Fraction(num * scale ** self.tangent_count, den * scale ** self.degree)
 
 
-# summand cache: partition -> Summand, filled as points are first built and
+# summand cache: partition -> Summand, filled by `FixedPointData.summand` and
 # kept for the life of the process, like the partition levels it is keyed by
 _SUMMANDS: dict[DPartition, Summand] = {}
 
 
 def summand(pi: DPartition) -> Summand:
-    """The cached summand record of a fixed point, building the point on a miss."""
+    """The cached summand record of a fixed point or, on a miss, a record
+    built from the point and not kept; `FixedPointData.summand` keeps it."""
     record = _SUMMANDS.get(pi)
-    return record if record is not None else FixedPointData(pi).summand()
+    return record if record is not None else Summand(FixedPointData(pi))
 
 
 def vertex_oracle_check(data: FixedPointData) -> tuple[bool, Laurent, Laurent]:

@@ -3,9 +3,7 @@
 Every check recomputes its claim and compares against frozen expected values
 or an independent route.  The state carried between checks is what the
 library keeps per process (partition levels and summand records), which the
-same code builds on first use, and, within one `run_suite`, the vertex
-oracle's fixed points, which the weight-structure check reuses.  So each
-point is built once.
+same code builds on first use, so each point is built once.
 Timing limits are part of the verdict where a criterion carries one, but
 measured times are never printed, so output stays byte stable run to run.
 """
@@ -51,7 +49,7 @@ def _timed(budget):
             t0 = time.perf_counter()
             result = fn(*args, **kwargs)
             elapsed = time.perf_counter() - t0
-            if budget is not None and elapsed > budget:
+            if elapsed > budget:
                 return CheckResult(result.name, False,
                                    f"{result.detail}; exceeded the {budget} s budget")
             return result
@@ -76,7 +74,6 @@ def check_chi_structure_sheaf(**_) -> CheckResult:
                        f"integral {rep['direct']}, ambient oracle {rep['oracle']}")
 
 
-@_timed(None)
 def check_vdim_law(**_) -> CheckResult:
     for n in range(11):
         for h02 in (0, 1):
@@ -87,13 +84,11 @@ def check_vdim_law(**_) -> CheckResult:
 
 
 @_timed(60.0)
-def check_vertex_oracle(points: dict | None = None, **_) -> CheckResult:
+def check_vertex_oracle(**_) -> CheckResult:
     checked = 0
     for n in range(1, 4):
         for pi in enumerate_partitions(4, n):
             data = FixedPointData(pi)
-            if points is not None:
-                points[pi] = data
             ok, lhs, rhs = vertex_oracle_check(data)
             if not ok:
                 return CheckResult("vertex-oracle", False,
@@ -104,43 +99,37 @@ def check_vertex_oracle(points: dict | None = None, **_) -> CheckResult:
                        f"{checked} solid partitions, exact Laurent equality")
 
 
-@_timed(None)
-def check_weight_structure(points: dict | None = None, **_) -> CheckResult:
+def check_weight_structure(**_) -> CheckResult:
     """Structure of the tangent and obstruction weights for every n <= 4.
 
-    The zero-weight clause is checked at the level of forms on the subtorus
-    (no trivial sub-representation), which is the property that survives any
+    Building a point already checks that both characters are effective, that
+    the obstruction character is self dual and that the weights obey the
+    dimension law, so this reads each point's `Summand` record.  The
+    zero-weight clause is checked at the level of forms on the subtorus (no
+    trivial sub-representation), which is the property that survives any
     generic parameter choice.  The documentation default (1,2,3,-6) is NOT
     generic past n = 1: some nonzero forms evaluate to zero there, starting
     with an obstruction weight at n = 2 and a tangent weight at n = 3.  The
-    detail line counts those vanishing values rather than hiding them.
-
-    A point the vertex oracle left in `points` is taken from there.
+    detail line counts those vanishing values rather than hiding them, each
+    obstruction pair as its two weights.
     """
     checked = 0
-    pinned = TorusParams.default().s
+    pinned = TorusParams.default().scaled[1]
     vanishing = 0
     first_vanish = None
     for n in range(1, 5):
         for pi in enumerate_partitions(4, n):
-            data = (points or {}).pop(pi, None) or FixedPointData(pi)
-            e2 = data.e2_weights
-            if not data.e2_char.is_effective_integral():
-                return CheckResult("weight-structure", False, f"{pi.id()}: not effective")
-            if data.e2_char != data.e2_char.bar():
-                return CheckResult("weight-structure", False, f"{pi.id()}: not self dual")
-            if len(e2) % 2 != 0:
-                return CheckResult("weight-structure", False, f"{pi.id()}: odd cardinality")
-            if 2 * len(data.e1_weights) - len(e2) != 2 * n:
-                return CheckResult("weight-structure", False, f"{pi.id()}: dimension law")
-            if any(w.is_zero() for w in data.e1_weights + e2):
+            record = summand(pi)
+            if record.sign == 0:
                 return CheckResult("weight-structure", False,
                                    f"{pi.id()}: trivial sub-representation")
-            for w in data.e1_weights + e2:
-                if w.evaluate(pinned) == 0:
-                    vanishing += 1
-                    if first_vanish is None:
-                        first_vanish = n
+            if record.tangent_count - record.degree != n:
+                return CheckResult("weight-structure", False, f"{pi.id()}: dimension law")
+            count = (sum(m for w, m in record.tangent if w.evaluate(pinned) == 0)
+                     + sum(2 * m for w, m in record.factors if w.evaluate(pinned) == 0))
+            if count and first_vanish is None:
+                first_vanish = n
+            vanishing += count
             checked += 1
     note = "all values nonzero at 1,2,3,-6"
     if vanishing:
@@ -152,7 +141,6 @@ def check_weight_structure(points: dict | None = None, **_) -> CheckResult:
                        f"sub-representations; {note}")
 
 
-@_timed(None)
 def check_one_box_contribution(**_) -> CheckResult:
     rep = one_box_symbolic_report()
     if not rep["ok"]:
@@ -193,7 +181,6 @@ def check_goettsche_series(**_) -> CheckResult:
                        "e = 3 vs convolution to q^20, e = 1 vs pentagonal to q^50")
 
 
-@_timed(None)
 def check_surface_identity(**_) -> CheckResult:
     for n in range(6):
         rep = surface_obstruction_identity((1, 0, -n))
@@ -206,7 +193,6 @@ def check_surface_identity(**_) -> CheckResult:
                        "(1,0,-n) gives 4n+1 for n <= 5; (2,0,0) gives 4")
 
 
-@_timed(None)
 def check_orientation_flip(orientation: OrientationData | None = None,
                            orientation_error: str | None = None, **_) -> CheckResult:
     if orientation_error is not None:
@@ -231,7 +217,6 @@ def check_orientation_flip(orientation: OrientationData | None = None,
                        f"flipping {target.id()} negates exactly its summand")
 
 
-@_timed(None)
 def check_determinism(**_) -> CheckResult:
     from .cli import build_parser, cmd_dt4_series  # the CLI imports this module
 
@@ -272,12 +257,10 @@ def run_suite(only: str | None = None, orientation_path: str | None = None):
             orientation = OrientationData.from_file(orientation_path)
         except (OSError, ValueError, Dt4Error) as e:
             orientation_error = str(e)
-    points = {}  # fixed points the vertex oracle builds for the weight structure
     results = []
     for number, name, fn in CRITERIA:
         if only and only not in name:
             continue
-        result = fn(orientation=orientation, orientation_error=orientation_error,
-                    points=points)
+        result = fn(orientation=orientation, orientation_error=orientation_error)
         results.append((number, result))
     return results

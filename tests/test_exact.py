@@ -14,7 +14,7 @@ from dt4calc.localize import Summand, TorusParams, half_euler, subtorus_code
 DEFAULT_S = (Fraction(1), Fraction(2), Fraction(3), Fraction(-6))
 
 exps = st.tuples(*[st.integers(-3, 3)] * 4)
-coeffs = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+coeffs = st.integers(-8, 8)
 
 
 @st.composite
@@ -64,17 +64,11 @@ def test_cy_reduce_kills_the_determinant_character():
 def test_monomial_arithmetic_and_string():
     t1 = Laurent.variable(1)
     t2 = Laurent.variable(2)
-    p = t1 * t2 + 2 * t2
+    p = t1 * t2 + t2 + t2
     assert p.coeff((1, 1, 0, 0)) == 1
     assert p.coeff((0, 1, 0, 0)) == 2
-    assert str(Laurent.variable(1, -1) + 2 * t2) == "t1^-1 + 2*t2"
+    assert str(Laurent.variable(1, -1) + t2 + t2) == "t1^-1 + 2*t2"
     assert str(Laurent.zero()) == "0"
-
-
-def test_effectivity_predicates():
-    assert (Laurent.variable(1) + Laurent.variable(2)).is_effective_integral()
-    assert not (Laurent.variable(1) - Laurent.variable(2)).is_effective_integral()
-    assert not Laurent({(1, 0, 0, 0): Fraction(1, 2)}).is_effective_integral()
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,15 +100,18 @@ def test_linform_evaluate_and_str():
     assert str(LinForm((0, 0, 0, 1))) == "-s1 - s2 - s3"
 
 
+BASE = 41  # digits up to 20, above every coefficient these tests use
+
+
+def codes(weights) -> Counter:
+    """Bare weights packed as a fixed point packs its characters."""
+    return Counter(subtorus_code(w.a, BASE) for w in weights)
+
+
 def weight_product(tangent=(), obstruction=()) -> Summand:
     """The summand record of +-e(obstruction)^(1/2) / e(tangent), from bare
-    weights, packed as a fixed point packs its characters."""
-    base = 41  # digits up to 20, above every coefficient these tests use
-
-    def codes(weights):
-        return Counter(subtorus_code(w.a, base) for w in weights)
-
-    return Summand(SimpleNamespace(base=base, e1=codes(tangent), e2=codes(obstruction)))
+    weights."""
+    return Summand(SimpleNamespace(base=BASE, e1=codes(tangent), e2=codes(obstruction)))
 
 
 def pairs(*forms):
@@ -132,11 +129,14 @@ def test_weight_product_single_pair_value():
 def test_weight_product_all_four_coordinates():
     # s4 is not a canonical form: the pair (s4, -s4) is stored as -s4
     coords = [LinForm(e) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
-    sign, factors = half_euler(pairs(*coords))
+    sign, factors = half_euler(codes(pairs(*coords)))
     assert sign == 1
-    assert all(w.is_canonical() and m == 1 for w, m in factors)
-    assert {w for w, _ in factors} == set(coords[:3]) | {-coords[3]}
-    assert weight_product(obstruction=pairs(*coords)).value(TorusParams(DEFAULT_S)) == 1 * 2 * 3 * 6
+    assert dict(factors) == codes(coords[:3] + [-coords[3]])
+    assert all(k > 0 and m == 1 for k, m in factors)
+    record = weight_product(obstruction=pairs(*coords))
+    assert all(w.is_canonical() and m == 1 for w, m in record.factors)
+    assert {w for w, _ in record.factors} == set(coords[:3]) | {-coords[3]}
+    assert record.value(TorusParams(DEFAULT_S)) == 1 * 2 * 3 * 6
 
 
 def test_weight_product_vanishing_factor_raises():
@@ -150,7 +150,7 @@ def test_weight_product_vanishing_factor_raises():
 
 def test_weight_product_zero_flag():
     w, zero = LinForm((1, 1, 0, 0)), LinForm((1, 1, 1, 1))
-    assert half_euler(pairs(w) + [zero, zero]) == (0, ())
+    assert half_euler(codes(pairs(w) + [zero, zero])) == (0, ())
     record = weight_product(tangent=[LinForm((1, 0, 0, 0))], obstruction=pairs(w) + [zero, zero])
     assert (record.sign, record.factors, record.degree) == (0, (), 0)
     assert record.value(TorusParams(DEFAULT_S)) == 0
@@ -171,7 +171,8 @@ def test_weight_product_denominator_factors():
 def test_weight_product_multiplicities_cancel():
     s1, s4 = LinForm((1, 0, 0, 0)), LinForm((0, 0, 0, 1))
     # repeated pairs add up to one factor
-    assert half_euler(pairs(s1, s1) + [s4, -s4]) == (1, ((s1, 2), (-s4, 1)))
+    (k1, _), (k4, _) = codes([s1, -s4]).items()
+    assert half_euler(codes(pairs(s1, s1) + [s4, -s4])) == (1, ((k1, 2), (k4, 1)))
     # a factor over the same tangent weight cancels to 1, or to -1 when the
     # stored canonical form is the opposite of the tangent weight
     assert weight_product(tangent=[s1], obstruction=pairs(s1)).value(TorusParams(DEFAULT_S)) == 1
@@ -225,18 +226,14 @@ def test_weight_product_matches_fraction_arithmetic(tangent, halves, head, orien
         expected /= value(w)
     assert record.value(TorusParams(s), orientation) == expected
 
-mixed_coeffs = st.one_of(st.integers(-8, 8),
-                         st.fractions(min_value=-8, max_value=8, max_denominator=6))
-
-
 def _ref_clean(terms):
-    return {e: Fraction(c) for e, c in terms.items() if c}
+    return {e: c for e, c in terms.items() if c}
 
 
 def _ref_add(p, q):
     out = dict(p)
     for e, c in q.items():
-        out[e] = out.get(e, Fraction(0)) + c
+        out[e] = out.get(e, 0) + c
     return _ref_clean(out)
 
 
@@ -245,7 +242,7 @@ def _ref_mul(p, q):
     for ea, ca in p.items():
         for eb, cb in q.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, Fraction(0)) + ca * cb
+            out[e] = out.get(e, 0) + ca * cb
     return _ref_clean(out)
 
 
@@ -253,48 +250,35 @@ def _ref_cy_reduce(p):
     out = {}
     for e, c in p.items():
         r = exp_cy_reduce(e)
-        out[r] = out.get(r, Fraction(0)) + c
+        out[r] = out.get(r, 0) + c
     return _ref_clean(out)
 
 
-def _normal_coefficients(p: Laurent) -> bool:
-    """Every coefficient an int, or a Fraction that is not an integer."""
-    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
-               for c in p.terms.values())
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.dictionaries(exps, mixed_coeffs, max_size=5),
-       st.dictionaries(exps, mixed_coeffs, max_size=5), mixed_coeffs)
-def test_laurent_matches_a_fraction_reference(a, b, c):
+@given(st.dictionaries(exps, coeffs, max_size=5), st.dictionaries(exps, coeffs, max_size=5))
+def test_laurent_matches_a_dict_reference(a, b):
     pa, pb = Laurent(a), Laurent(b)
     fa, fb = _ref_clean(a), _ref_clean(b)
     cases = [
         (pa + pb, _ref_add(fa, fb)),
         (pa - pb, _ref_add(fa, {e: -v for e, v in fb.items()})),
         (pa * pb, _ref_mul(fa, fb)),
-        (pa.scale(c), _ref_clean({e: c * v for e, v in fa.items()})),
         (pa.bar(), {tuple(-x for x in e): v for e, v in fa.items()}),
         (pa.cy_reduce(), _ref_cy_reduce(fa)),
     ]
     for got, want in cases:
         assert got.terms == want
-        assert _normal_coefficients(got)
+        assert all(type(c) is int for c in got.terms.values())
     total = pa.coeff_sum()
-    assert total == sum(fa.values(), Fraction(0))
-    assert type(total) is int or total.denominator != 1
+    assert total == sum(fa.values()) and type(total) is int
 
 
-def test_integral_coefficients_are_ints():
+def test_laurent_takes_only_int_coefficients():
     e = (1, 0, 0, 0)
-    assert type(Laurent({e: Fraction(4, 2)}).coeff(e)) is int
-    assert type(Laurent.monomial(e, Fraction(-3)).coeff(e)) is int
+    for c in (Fraction(1, 2), Fraction(4, 2)):
+        with pytest.raises(TypeError):
+            Laurent({e: c})
     assert type(Laurent.zero().coeff(e)) is int and type(Laurent.zero().coeff_sum()) is int
-    half = Laurent({e: Fraction(1, 2)})
-    assert half.coeff(e) == Fraction(1, 2)
-    assert type((half + half).coeff(e)) is int and (half + half).coeff(e) == 1
-    assert type((half * 2).coeff(e)) is int
-    assert type(Laurent.one().coeff_sum()) is int
 
 
 @settings(max_examples=200, deadline=None)

@@ -18,6 +18,7 @@ from dt4calc.localize import (FixedPointData, OrientationData, TorusParams,
                               cyclic_completion_report, dt4_degree0_series,
                               Summand, half_euler, obstruction_crosscheck,
                               one_box_symbolic_report, relabeled_form,
+                              subtorus_code, subtorus_codes, subtorus_form,
                               tangent_character, transported_orientation,
                               vertex_character, vertex_oracle_check)
 from dt4calc.partitions import DPartition, enumerate_partitions, partition_from_id
@@ -124,11 +125,13 @@ def test_one_box_contribution_value():
 
 
 def test_one_box_half_euler_value():
-    sign, factors = half_euler(one_box_data().e2_weights)
+    data = one_box_data()
+    sign, factors = half_euler(data.e2)
     assert sign == 1 and sum(m for _, m in factors) == 3
     # canonical product (s2+s3)(s1+s3)(s1+s2) = 5*4*3; equals -e3 at this s,
     # where e3(1,2,3,-6) = 6 - 12 - 18 - 36 = -60
-    assert prod(w.evaluate((1, 2, 3, -6)) ** m for w, m in factors) == 60
+    assert prod(subtorus_form(k, data.base).evaluate((1, 2, 3, -6)) ** m
+                for k, m in factors) == 60
 
 
 def test_one_box_symbolic_shape():
@@ -141,13 +144,18 @@ def test_one_box_symbolic_shape():
 ONE_BOX = DPartition(4, [(0, 0, 0, 0)])
 
 
-def _report_with(monkeypatch, **fields):
-    """The one box report on a copy of its record with some fields replaced."""
-    record = localize.summand(ONE_BOX)
+def _replace_record(monkeypatch, pi: DPartition, **fields):
+    """Cache a copy of a point's record with some fields replaced."""
+    record = localize.summand(pi)
     fake = Summand.__new__(Summand)
     for name in Summand.__slots__:
         setattr(fake, name, fields.get(name, getattr(record, name)))
-    monkeypatch.setitem(localize._SUMMANDS, ONE_BOX, fake)
+    monkeypatch.setitem(localize._SUMMANDS, pi, fake)
+
+
+def _report_with(monkeypatch, **fields):
+    """The one box report on a copy of its record with some fields replaced."""
+    _replace_record(monkeypatch, ONE_BOX, **fields)
     return one_box_symbolic_report()
 
 
@@ -170,6 +178,30 @@ def test_one_box_symbolic_shape_catches_a_negated_tangent_weight(monkeypatch):
     assert not run_suite(only="one-box")[0][1].ok
 
 
+FOUR_BOXES = enumerate_partitions(4, 4)[-1]
+
+
+def test_weight_structure_catches_a_zero_obstruction_form(monkeypatch):
+    _replace_record(monkeypatch, FOUR_BOXES, sign=0)
+    [(_, result)] = run_suite(only="weight")
+    assert not result.ok
+    assert result.detail == f"{FOUR_BOXES.id()}: trivial sub-representation"
+
+
+def test_weight_structure_catches_a_dimension_law_failure(monkeypatch):
+    count = localize.summand(FOUR_BOXES).tangent_count
+    _replace_record(monkeypatch, FOUR_BOXES, tangent_count=count + 1)
+    [(_, result)] = run_suite(only="weight")
+    assert not result.ok
+    assert result.detail == f"{FOUR_BOXES.id()}: dimension law"
+
+
+def test_weight_structure_leaves_the_cache_as_it_is(monkeypatch):
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    [(_, result)] = run_suite(only="weight")
+    assert result.ok and localize._SUMMANDS == {}
+
+
 def test_symbolic_identity_against_sympy():
     import sympy
 
@@ -181,10 +213,10 @@ def test_symbolic_identity_against_sympy():
     assert sympy.expand(product - e3) == 0
 
     data = one_box_data()
-    sign, factors = half_euler(data.e2_weights)
+    sign, factors = half_euler(data.e2)
     num = sympy.Integer(sign)
-    for w, m in factors:
-        num *= sum(int(c) * v for c, v in zip(w.a, s)) ** m
+    for k, m in factors:
+        num *= sum(int(c) * v for c, v in zip(subtorus_form(k, data.base).a, s)) ** m
     den = sympy.Integer(1)
     for w in data.e1_weights:
         den *= sum(int(c) * v for c, v in zip(w.a, s))
@@ -193,15 +225,15 @@ def test_symbolic_identity_against_sympy():
 
 
 def test_half_euler_pairing_rules():
-    w = LinForm((1, 1, 0, 0))
-    assert half_euler([w, -w]) == half_euler([-w, w]) == (1, ((w, 1),))
-    # a pair is stored by its canonical form, sorted by reduced coefficients
-    v = LinForm((0, 0, 0, 1))
-    assert half_euler([v, -w, v, -v, w, -v]) == (1, ((w, 1), (-v, 2)))
+    w = subtorus_code((1, 1, 0, 0), 9)  # reduced (1, 1, 0)
+    v = subtorus_code((0, 0, 0, 1), 9)  # reduced (-1, -1, -1)
+    assert half_euler({w: 1, -w: 1}) == half_euler({-w: 1, w: 1}) == (1, ((w, 1),))
+    # a pair is stored by its canonical, positive code, sorted as the forms'
+    # reduced coefficients
+    assert half_euler({v: 2, -w: 1, -v: 2, w: 1}) == (1, ((w, 1), (-v, 2)))
     with pytest.raises(OddPairing):
-        half_euler([w, w, -w])
-    zero = LinForm((1, 1, 1, 1))
-    assert half_euler([w, -w, zero, zero]) == (0, ())
+        half_euler({w: 2, -w: 1})
+    assert half_euler({w: 1, -w: 1, 0: 2}) == (0, ())
 
 
 def test_fixed_point_structure_small():
@@ -210,7 +242,7 @@ def test_fixed_point_structure_small():
             data = FixedPointData(pi)
             assert data.tvir.coeff_sum() == 2 * n
             assert len(data.e2_weights) == 2 * len(data.e1_weights) - 2 * n
-            assert data.e2_char == data.e2_char.bar()
+            assert data.e2 == {-k: m for k, m in data.e2.items()}
 
 
 @pytest.mark.parametrize("n", range(3))
@@ -250,7 +282,7 @@ def test_crosscheck_catches_an_e1_error_the_obstruction_hides():
     data.e1_char = (data.e1_char + Laurent.monomial((1, 0, 0, 0))
                     - Laurent.monomial((-1, 0, 0, 0)))
     e1cy = data.e1_char.cy_reduce()
-    assert e1cy + e1cy.bar() - data.tvir.cy_reduce() == data.e2_char
+    assert subtorus_codes(e1cy + e1cy.bar() - data.tvir.cy_reduce(), data.base) == data.e2
     ok, lhs, rhs = obstruction_crosscheck(data)
     assert not ok
     assert lhs[0] != rhs[0] and lhs[1] == rhs[1]
@@ -272,8 +304,9 @@ def old_weights(ch: Laurent) -> list[LinForm]:
                   key=lambda w: w.reduced)
 
 
-def old_route(pi: DPartition) -> tuple[dict, tuple]:
-    """The views and the summand record by Laurent products, with no codes."""
+def old_route(pi: DPartition) -> tuple[dict, Laurent, tuple]:
+    """The views, E2 on the subtorus and the summand record by Laurent
+    products, with no codes."""
     q = pi.character()
     tvir = vertex_character(q)
     e1 = tangent_character(pi)
@@ -292,11 +325,11 @@ def old_route(pi: DPartition) -> tuple[dict, tuple]:
     sign = 0 if any(w.is_zero() for w in obstruction) else 1
     factors = tuple(sorted(((w, m) for w, m in obstruction.items() if w.is_canonical()),
                            key=lambda wm: wm[0].reduced)) if sign else ()
-    views = {"q": q, "tvir": tvir, "e1_char": e1, "e2_char": e2,
+    views = {"q": q, "tvir": tvir, "e1_char": e1,
              "e1_weights": e1_weights, "e2_weights": e2_weights}
     record = (tuple(tangent.items()), sign, factors, len(e1_weights),
               sum(m for _, m in factors))
-    return views, record
+    return views, e2, record
 
 
 # every n <= 6, and the single-axis columns of height 1..8, whose characters
@@ -311,10 +344,11 @@ KERNEL_CASES["columns"] = [
 def test_packed_kernel_matches_the_laurent_route(case):
     for pi in KERNEL_CASES[case]:
         data = FixedPointData(pi)
-        views, record = old_route(pi)
+        views, e2, record = old_route(pi)
         for name, value in views.items():
             assert getattr(data, name) == value, (pi.id(), name)
-        assert data.tcy == localize.subtorus_codes(views["tvir"], data.base), pi.id()
+        assert data.tcy == subtorus_codes(views["tvir"], data.base), pi.id()
+        assert data.e2 == subtorus_codes(e2, data.base), pi.id()
         got = Summand(data)
         assert (got.tangent, got.sign, got.factors, got.tangent_count,
                 got.degree) == record, pi.id()
@@ -445,12 +479,13 @@ def reference_summand(data: FixedPointData, params: TorusParams, sign: int) -> F
         if v == 0:
             raise NonGenericParameters(f"tangent weight {w} vanishes at s = {params}")
         den *= v
-    half_sign, factors = half_euler(data.e2_weights)
-    if not half_sign:
+    if any(w.is_zero() for w in data.e2_weights):
         return Fraction(0)
-    num = Fraction(sign * half_sign)
-    for w, m in factors:
-        num *= value(w) ** m
+    # one weight from each (w, -w) pair: the canonical one
+    num = Fraction(sign)
+    for w in data.e2_weights:
+        if w.is_canonical():
+            num *= value(w)
     return num / den
 
 
@@ -596,8 +631,11 @@ def _int_coefficients(ch: Laurent) -> bool:
 def test_characters_have_int_coefficients(n):
     for pi in enumerate_partitions(4, n):
         data = FixedPointData(pi)
-        for ch in (data.q, data.tvir, data.e1_char, data.e2_char):
+        e1cy = data.e1_char.cy_reduce()
+        e2 = e1cy + e1cy.bar() - data.tvir.cy_reduce()
+        for ch in (data.q, data.tvir, data.e1_char, e2):
             assert _int_coefficients(ch), pi.id()
+        assert subtorus_codes(e2, data.base) == data.e2, pi.id()
         assert type(data.tvir.coeff_sum()) is int
         ideal = pi.to_ideal()
         for source in ("OZ,OZ", "I,OZ"):

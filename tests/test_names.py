@@ -1,6 +1,7 @@
 """Names that code outside the package looks up: the spans the benchmark
-tracer wraps, and the package exports.  A deleted or renamed name fails here
-instead of leaving a benchmark metric silently at zero."""
+tracer wraps, the attributes its notes read, and the package exports.  A
+deleted or renamed name fails here instead of leaving a benchmark metric
+silently at zero."""
 
 import importlib
 import importlib.util
@@ -8,6 +9,8 @@ import os
 
 import dt4calc
 from dt4calc import suite
+from dt4calc.localize import FixedPointData
+from dt4calc.partitions import enumerate_partitions
 
 
 def _benchmark_spans():
@@ -36,3 +39,14 @@ def test_traced_names_and_exports_resolve():
     missing += [f"suite criterion {crit}" for crit in SPANS.CRITERIA if crit not in names]
     missing += [f"dt4calc.{name}" for name in dt4calc.__all__ if not hasattr(dt4calc, name)]
     assert missing == []
+
+
+def test_attributes_the_tracer_notes_read_resolve():
+    # the notes on localize.FixedPointData and taylor.ext_characters
+    pi = enumerate_partitions(4, 2)[1]
+    data = FixedPointData(pi)
+    assert data.partition == pi
+    assert len(data.e1_weights) == sum(data.e1.values())
+    assert len(data.e2_weights) == sum(data.e2.values())
+    ideal = pi.to_ideal()
+    assert len(ideal.gens) > 0 and len(ideal.staircase()) == pi.size

@@ -81,7 +81,7 @@ def test_character_counts_boxes():
     for pi in enumerate_partitions(3, 4):
         ch = pi.character()
         assert ch.coeff_sum() == 4
-        assert ch.is_effective_integral()
+        assert all(c > 0 for c in ch.terms.values())
         for box, _ in ch.items_sorted():
             assert len(box) == 4 and box[3] == 0
 
