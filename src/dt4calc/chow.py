@@ -6,10 +6,17 @@ divisor X in |O(d_1..d_m)| is handled without ever presenting its own ring:
 classes restricted from the ambient space are multiplied upstairs, the Todd
 class of X is the ambient expression td(T_W) td_line(D)^{-1}, and the push
 forward of integration is multiplication by D.  Everything stays exact.
+
+The two fixed varieties, `cy_hypersurface_context()` and
+`projective_plane_context()`, are built once per process and shared by
+every caller, as the partition levels are.  That is safe because nothing
+here changes a `VarietyContext` or a `CohClass` in place: every operation
+returns a new class.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import factorial
 
@@ -401,8 +408,10 @@ QUINTIC_CONTEXT_DIMS = (1, 4)
 QUINTIC_CONTEXT_DEGREE = (2, 5)
 
 
+@functools.cache
 def cy_hypersurface_context() -> VarietyContext:
-    """The smooth (2,5) divisor in P^1 x P^4, a Calabi Yau fourfold."""
+    """The smooth (2,5) divisor in P^1 x P^4, a Calabi Yau fourfold, built
+    once per process."""
     return VarietyContext.hypersurface_in_product(QUINTIC_CONTEXT_DIMS,
                                                   QUINTIC_CONTEXT_DEGREE)
 
@@ -457,7 +466,9 @@ def vdim_ideal_cy4(n: int, h02: int) -> dict:
     return {"n": n, "h02": h02, "chi": chi, "vdim": vd}
 
 
+@functools.cache
 def projective_plane_context() -> VarietyContext:
+    """The projective plane, built once per process."""
     return VarietyContext.product_space((2,))
 
 

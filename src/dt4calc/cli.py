@@ -298,7 +298,7 @@ def cmd_goettsche(args):
         raise UsageError("goettsche needs --euler")
     series = goettsche_series(args.euler, args.n_max)
     payload = {"euler": args.euler, "n_max": args.n_max,
-               "coefficients": series.as_ints()}
+               "coefficients": series.coeffs}
     if not args.check_oracle:
         return payload, EXIT_OK
     match = series == convolution_oracle(args.euler, args.n_max)

@@ -181,8 +181,22 @@ def subtorus_code(e, base: int) -> int:
     return ((e[0] - e[3]) * base + e[1] - e[3]) * base + e[2] - e[3]
 
 
+_FORMS: dict[tuple[int, int], LinForm] = {}
+
+
 def subtorus_form(code: int, base: int) -> LinForm:
-    """The weight whose reduced coefficients are the digits of the code."""
+    """The weight whose reduced coefficients are the digits of the code.
+
+    Decoded once per (base, code) per process, so every record that holds
+    a weight shares one `LinForm` for it.
+    """
+    form = _FORMS.get((base, code))
+    if form is None:
+        form = _FORMS[(base, code)] = _decode(code, base)
+    return form
+
+
+def _decode(code: int, base: int) -> LinForm:
     half = base // 2
     r3 = (code + half) % base - half
     code = (code - r3) // base

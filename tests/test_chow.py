@@ -13,6 +13,7 @@ from dt4calc.chow import (CohClass, RingPresentation, SheafClass, VarietyContext
                           structure_sheaf_chi_check, surface_obstruction_identity,
                           vdim_ideal_cy4)
 from dt4calc.errors import Unsupported
+from dt4calc.suite import run_suite
 
 
 def test_euler_pairing_table_all_four_cases():
@@ -181,3 +182,48 @@ def test_sheaf_class_dual_and_tensor():
     assert e.dual().ch_component(1) == e.ch_component(1).scale(-1)
     assert e.tensor(f).ch_component(1) == e.ch_component(1) + f.ch_component(1)
     assert e.tensor(e.dual()).ch_component(1) == CohClass.zero(ctx.ring)
+
+
+def test_suite_builds_each_context_once(monkeypatch):
+    built = []
+    hypersurface = VarietyContext.hypersurface_in_product
+    product_space = VarietyContext.product_space
+
+    def count_hypersurface(*args):
+        built.append(("hypersurface",) + args)
+        return hypersurface(*args)
+
+    def count_product(*args):
+        built.append(("product",) + args)
+        return product_space(*args)
+
+    monkeypatch.setattr(VarietyContext, "hypersurface_in_product",
+                        staticmethod(count_hypersurface))
+    monkeypatch.setattr(VarietyContext, "product_space", staticmethod(count_product))
+    cy_hypersurface_context.cache_clear()
+    projective_plane_context.cache_clear()
+    assert all(result.ok for _, result in run_suite())
+    assert [b for b in built if b[0] == "hypersurface"] == [("hypersurface", (1, 4), (2, 5))]
+    assert [b for b in built if b[0] == "product"] == [("product", (1, 4)),
+                                                       ("product", (2,))]
+
+
+def test_cached_contexts_match_fresh_ones_after_the_suite():
+    run_suite()
+    cached = cy_hypersurface_context()
+    fresh = VarietyContext.hypersurface_in_product((1, 4), (2, 5))
+    assert cached is cy_hypersurface_context()
+    assert cached.ring == fresh.ring
+    assert cached.todd == fresh.todd
+    assert cached.tangent_chern == fresh.tangent_chern
+    assert cached.divisor == fresh.divisor
+    plane = projective_plane_context()
+    fresh_plane = VarietyContext.product_space((2,))
+    assert plane is projective_plane_context()
+    assert plane.todd == fresh_plane.todd
+    assert plane.tangent_chern == fresh_plane.tangent_chern
+    assert plane.divisor is None
+
+
+def test_suite_twice_in_one_process_agrees():
+    assert run_suite() == run_suite()

@@ -21,7 +21,8 @@ from dt4calc.localize import (FixedPointData, OrientationData, TorusParams,
                               subtorus_code, subtorus_codes, subtorus_form,
                               tangent_character, transported_orientation,
                               vertex_character, vertex_oracle_check)
-from dt4calc.partitions import DPartition, enumerate_partitions, partition_from_id
+from dt4calc.partitions import (DPartition, enumerate_partitions, partition_from_id,
+                                partition_levels)
 from dt4calc.suite import SUITE_PARAMS, run_suite
 from dt4calc.taylor import euler_character, ext_characters
 
@@ -643,3 +644,29 @@ def test_characters_have_int_coefficients(n):
             chars = (ext_characters(ideal, source) if n <= 3 else
                      ext_characters(ideal, source, degree=1))
             assert all(_int_coefficients(ch) for ch in chars.values())
+
+
+def test_subtorus_forms_are_decoded_once_and_shared():
+    for n, level in enumerate(partition_levels(4, 5)):
+        held = []
+        for pi in level:
+            data = FixedPointData(pi)
+            base = data.base
+            for k in set(data.e1) | set(data.e2):
+                form = subtorus_form(k, base)
+                assert form is localize._FORMS[(base, k)]
+                assert form == localize._decode(k, base)
+                assert form is not localize._decode(k, base)
+            record = data.summand()
+            factors = [k for k, _ in half_euler(data.e2)[1]]
+            assert [w for w, _ in record.tangent] == [subtorus_form(k, base)
+                                                      for k in sorted(data.e1)]
+            assert all(w is subtorus_form(k, base)
+                       for (w, _), k in zip(record.tangent, sorted(data.e1)))
+            assert all(w is subtorus_form(k, base)
+                       for (w, _), k in zip(record.factors, factors))
+            held.extend(w for w, _ in record.tangent + record.factors)
+        # one object per distinct weight across the level's records, and
+        # from n = 2 on the records repeat weights
+        assert len({id(w) for w in held}) == len(set(held))
+        assert n < 2 or len(set(held)) < len(held)

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from dt4calc.chow import generalized_binomial
 from dt4calc.errors import Unsupported
 from dt4calc.partitions import partition_numbers
 from dt4calc.series import (CoefficientSeries, convolution_oracle,
                             goettsche_series, reduced_dt4_tstar)
+from dt4calc.suite import check_goettsche_series
 
 PARTITION_HEAD = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135,
                   176, 231, 297, 385, 490, 627]
@@ -30,21 +32,60 @@ def test_series_arithmetic_roundtrip():
 
 def test_power_handles_negative_exponents():
     s = CoefficientSeries([1, 1], 5)
-    assert s.power(2).coeffs[:3] == [Fraction(1), Fraction(2), Fraction(1)]
+    assert s.power(2).coeffs[:3] == [1, 2, 1]
     assert (s.power(-1) * s).coeffs == CoefficientSeries.one(5).coeffs
     assert s.power(0).coeffs == CoefficientSeries.one(5).coeffs
 
 
 def test_euler_series_small_cases():
-    assert goettsche_series(0, 10).as_ints() == [1] + [0] * 10
-    assert goettsche_series(1, 50).as_ints() == partition_numbers(50)
-    head = goettsche_series(3, 7).as_ints()
+    assert goettsche_series(0, 10).coeffs == [1] + [0] * 10
+    assert goettsche_series(1, 50).coeffs == partition_numbers(50)
+    head = goettsche_series(3, 7).coeffs
     assert head == [1, 3, 9, 22, 51, 108, 221, 429]
 
 
-@pytest.mark.parametrize("e", range(-3, 6))
+@pytest.mark.parametrize("e", [*range(-3, 6), 10 ** 6, -10 ** 6])
 def test_product_route_matches_convolution_route(e):
     assert goettsche_series(e, 20) == convolution_oracle(e, 20)
+
+
+def dense_fraction_product(e, n_max):
+    """The product over k of (1 - q^k)^(-e) as dense truncated products of
+    Fractions, each factor's coefficients from the generalized binomial."""
+    out = [Fraction(1)] + [Fraction(0)] * n_max
+    for k in range(1, n_max + 1):
+        factor = [Fraction(0)] * (n_max + 1)
+        for m in range(n_max // k + 1):
+            factor[k * m] = generalized_binomial(e + m - 1, m)
+        out = [sum((out[i] * factor[n - i] for i in range(n + 1)), Fraction(0))
+               for n in range(n_max + 1)]
+    return out
+
+
+@pytest.mark.parametrize("e", range(-6, 7))
+def test_integer_product_matches_the_dense_fraction_product(e):
+    got = goettsche_series(e, 30).coeffs
+    assert all(type(c) is int for c in got)
+    assert got == dense_fraction_product(e, 30)
+
+
+def test_series_takes_only_int_coefficients():
+    with pytest.raises(TypeError):
+        CoefficientSeries([Fraction(1, 2)])
+    with pytest.raises(TypeError):
+        CoefficientSeries([1, Fraction(2)])
+    with pytest.raises(TypeError):
+        CoefficientSeries([1.0])
+
+
+def test_goettsche_criterion_builds_no_fraction(monkeypatch):
+    def boom(*args):
+        raise AssertionError("Fraction arithmetic on the series path")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, boom)
+    result = check_goettsche_series()
+    assert result.ok, result.detail
 
 
 def test_euler_series_multiplicativity():
@@ -56,7 +97,7 @@ def test_euler_series_multiplicativity():
 
 def test_euler_series_positivity_and_leading_terms():
     for e in range(1, 6):
-        ints = goettsche_series(e, 12).as_ints()
+        ints = goettsche_series(e, 12).coeffs
         assert ints[0] == 1
         assert ints[1] == e
         assert all(c >= 0 for c in ints)
