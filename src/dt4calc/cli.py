@@ -10,7 +10,7 @@ Exit codes:
   0  success
   1  a checked value disagreed with its expected or oracle value
   2  usage error (bad flags or counts, bad orientation file, bad parameters)
-  3  enumeration bound exceeded, or DT4_MAX_N is not an integer
+  3  enumeration bound or --n-max cap exceeded, or DT4_MAX_N is not an integer
   4  torus parameters hit a vanishing denominator weight
   5  requested case is outside the computed range
   6  internal consistency check failed
@@ -46,6 +46,18 @@ EXIT_INTERNAL = 6
 
 class UsageError(Exception):
     pass
+
+
+# --n-max caps of the commands no enumeration bound covers, checked before
+# any work: vdim at the cap prints 200002 rows in about a second, goettsche
+# at the cap takes under a second for small --euler
+VDIM_N_CAP = 100_000
+GOETTSCHE_N_CAP = 500
+
+
+def _check_cap(n_max: int, cap: int, command: str) -> None:
+    if n_max > cap:
+        raise BoundExceeded(f"--n-max {n_max} exceeds the {command} cap {cap}")
 
 
 # the first matching class gives the exit code; any other package error
@@ -157,6 +169,7 @@ def text_chi(p):
 
 
 def cmd_vdim(args):
+    _check_cap(args.n_max, VDIM_N_CAP, "vdim")
     rows = []
     for n in range(args.n_max + 1):
         for h02 in (0, 1):
@@ -296,6 +309,7 @@ def text_series(p):
 def cmd_goettsche(args):
     if args.euler is None:
         raise UsageError("goettsche needs --euler")
+    _check_cap(args.n_max, GOETTSCHE_N_CAP, "goettsche")
     series = goettsche_series(args.euler, args.n_max)
     payload = {"euler": args.euler, "n_max": args.n_max,
                "coefficients": series.coeffs}

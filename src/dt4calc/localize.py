@@ -47,8 +47,8 @@ from math import prod
 
 from .errors import InternalInconsistency, NonGenericParameters, NotEffective, OddPairing
 from .exact import Laurent, LinForm, integer_scaling
-from .partitions import (DPartition, enumerate_partitions, partition_from_id,
-                         partition_levels)
+from .partitions import (DPartition, MonomialIdeal, enumerate_partitions,
+                         partition_from_id, partition_levels)
 from .taylor import ext_characters, euler_character
 
 KAPPA_INV = Laurent.monomial((-1, -1, -1, -1))
@@ -301,8 +301,9 @@ class FixedPointData:
     2n - 1], inside the digit range, so adding codes adds vectors, negating
     is `bar`, codes sort as `LinForm.reduced` does, and a code is positive
     exactly when its form is canonical.  `e1_char` is E1 on the full torus,
-    as `tangent_character` gives it.  The characters and weight lists the
-    oracles and the `vertex` report read are views, built on first access.
+    as `tangent_character` gives it.  The characters, weight lists and
+    monomial ideal the oracles and the `vertex` report read are views, built
+    on first access; both Taylor checks read the one `ideal`.
     """
 
     def __init__(self, partition: DPartition):
@@ -343,6 +344,11 @@ class FixedPointData:
     @cached_property
     def tvir(self) -> Laurent:
         return vertex_character(self.q)
+
+    @cached_property
+    def ideal(self) -> MonomialIdeal:
+        """The point's monomial ideal, shared by both Taylor checks."""
+        return self.partition.to_ideal()
 
     @cached_property
     def e1_weights(self) -> list[LinForm]:
@@ -439,7 +445,7 @@ def vertex_oracle_check(data: FixedPointData) -> tuple[bool, Laurent, Laurent]:
     """Closed form versus the resolution route, on the full torus, and the
     point's packed `tcy` versus the resolution route on the subtorus."""
     q = data.q
-    rhs = q + q.bar() * KAPPA_INV - euler_character(data.partition.to_ideal(), "OZ,OZ")
+    rhs = q + q.bar() * KAPPA_INV - euler_character(data.ideal, "OZ,OZ")
     ok = data.tvir == rhs and data.tcy == subtorus_codes(rhs, data.base)
     return ok, data.tvir, rhs
 
@@ -454,7 +460,7 @@ def obstruction_crosscheck(data: FixedPointData) -> tuple[bool, tuple, tuple]:
     packed `e2` the summand is read from.  Returns whether both agree,
     (E1, packed E2) and (Ext^0, packed Ext^1).
     """
-    ext = ext_characters(data.partition.to_ideal(), "I,OZ", degree=(0, 1))
+    ext = ext_characters(data.ideal, "I,OZ", degree=(0, 1))
     lhs = (data.e1_char, data.e2)
     rhs = (ext.get(0, Laurent.zero()), subtorus_codes(ext.get(1, Laurent.zero()), data.base))
     ok = lhs == rhs and data.e1 == subtorus_codes(rhs[0], data.base)

@@ -262,7 +262,7 @@ def partition_counts(d: int, n_max: int) -> list[int]:
 class MonomialIdeal:
     """Monomial ideal given by minimal generators in nvars variables."""
 
-    __slots__ = ("nvars", "gens")
+    __slots__ = ("nvars", "gens", "_staircase")
 
     def __init__(self, nvars: int, gens):
         gens = tuple(sorted(tuple(int(x) for x in g) for g in gens))
@@ -275,6 +275,7 @@ class MonomialIdeal:
                     raise ValueError(f"generators not minimal: {g} divides {h}")
         self.nvars = nvars
         self.gens = gens
+        self._staircase = None
 
     def embed_in_four(self) -> "MonomialIdeal":
         """Push forward along the coordinate embedding, adding the missing
@@ -292,7 +293,16 @@ class MonomialIdeal:
         return MonomialIdeal(4, gens)
 
     def staircase(self) -> tuple[Box, ...]:
-        """Boxes outside the ideal; requires the quotient to be finite."""
+        """Boxes outside the ideal; requires the quotient to be finite.
+
+        Computed on first call and kept, so the routes that read one ideal
+        share it.
+        """
+        if self._staircase is None:
+            self._staircase = self._boxes()
+        return self._staircase
+
+    def _boxes(self) -> tuple[Box, ...]:
         gens = self.gens
         if any(all(x == 0 for x in g) for g in gens):
             return ()

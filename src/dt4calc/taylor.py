@@ -11,14 +11,23 @@ is exact over the rationals.
 
 The cochains of Ext^i sit on the subsets of size k = i (source O_Z) or
 k = i + 1 (source I), and Ext^i only needs the differentials into and out
-of that degree.  Asked for one degree, `ext_characters` builds only the
-subsets of size k - 1, k and k + 1, which is O(r^(k+1)) of them rather than
-2^r; asked for several, the sizes from the lowest k - 1 to the highest
-k + 1.  Without a degree it builds every subset and returns every degree.
+of that degree.  Asked for one degree, `ext_characters` lists only the
+subsets of size k - 1 and k, which is O(r^k) of them rather than 2^r;
+asked for several, the sizes from the lowest k - 1 to the highest k.  The
+rows of the differential out of the top size are found lazily: at
+multidegree mu the row of a subset U exists exactly when mu + lcm(U) is a
+box, so each column tries its one-generator extensions, and rows that no
+column hits, which cannot change the rank, are never built.  A rank is
+skipped where the next size has no cochain at mu.  Without a degree it
+lists every subset and returns every degree.  Multidegrees are packed into
+ints; `ext_characters` gives the digit-range argument.
 
 The Euler characteristic needs no ranks at all: each differential cancels
-equal dimensions in adjacent degrees, so `euler_character` sums the signed
-cochains directly.
+equal dimensions in adjacent degrees, so it is the signed sum of the
+cochains, Q bar(K) with Q the box character and K = sum over subsets S of
+(-1)^|S| t^lcm(S).  `euler_character` collapses K by the lcm recurrence,
+one generator at a time, and takes one Laurent product; no subset is
+listed.
 
 The fixed points of the localization do not come through here: their
 tangent character is counted from graph components in `localize`.  These
@@ -34,6 +43,7 @@ slots.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 from math import gcd
 
@@ -48,11 +58,16 @@ def _rank(rows: list[list[int]]) -> int:
     """Rank over Q of an integer matrix given as a list of rows.
 
     Fraction-free elimination below each pivot; each updated row is divided
-    by the gcd of its entries, so the entries stay small.
+    by the gcd of its entries, so the entries stay small.  A matrix of one
+    nonzero row or one column has rank 1 with no elimination.
     """
     m = [row for row in rows if any(row)]
+    if not m:
+        return 0
+    if len(m) == 1 or len(m[0]) == 1:
+        return 1
     rank = 0
-    for col in range(len(m[0]) if m else 0):
+    for col in range(len(m[0])):
         pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
@@ -103,93 +118,150 @@ def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ",
     degrees with vanishing Ext are simply absent.  With `degree` set to one
     degree or a tuple of them, only those are computed, from the subsets of
     the generators they need.
+
+    Multidegrees are packed into ints, as signed digits in base 2a + 1 with
+    the first coordinate most significant, where a is the largest exponent
+    of a generator.  The quotient is finite, so every variable has a pure
+    power among the generators and every other generator has a smaller
+    exponent in that variable: lcms have coordinates in [0, a], boxes in
+    [0, a - 1], multidegrees b - lcm(S) in [-a, a - 1] and row targets
+    mu + lcm(U) in [-a, 2a - 1].  Any two vectors compared here differ by at
+    most 2a - 1 in each coordinate, so their codes are equal only when they
+    are, and multidegree codes sort and decode as the vectors do.
     """
     shift = _source_shift(ideal, source)
     boxes = ideal.staircase()
+    if not boxes:
+        return {}
     nv = ideal.nvars
     gens = ideal.gens
     r = len(gens)
-    if not boxes:
-        return {}
-
     top = nv - shift
     if degree is None:
-        sizes = range(shift, r + 1)
-        wanted = sizes
+        wanted = range(shift, r + 1)
     else:
         wanted = tuple(i + shift for i in ((degree,) if isinstance(degree, int) else degree))
-        sizes = range(max(min(wanted) - 1, shift), min(max(wanted) + 1, r) + 1)
+    lo = max(min(wanted) - 1, shift)
+    hi = min(max(wanted), r)
 
-    # cochain basis: (mask, box) in degree |S|, multidegree box - lcm(S)
+    base = 2 * max(map(max, gens)) + 1
+    powers = [base ** i for i in reversed(range(nv))]
+
+    def pack(v) -> int:
+        return sum(map(operator.mul, v, powers))
+
+    def unpack(code: int) -> tuple[int, ...]:
+        digits = []
+        for _ in range(nv):
+            d = (code + base // 2) % base - base // 2
+            digits.append(d)
+            code = (code - d) // base
+        return tuple(reversed(digits))
+
+    box_codes = [pack(b) for b in boxes]
+    box_set = set(box_codes)
+    # cochains of size k at multidegree mu: the subsets S with mu + lcm(S) a
+    # box, as bit masks; sizes lo..hi only, the rows of d_hi are found lazily
+    cochains: dict[int, dict[int, list[int]]] = {k: {} for k in range(lo, hi + 1)}
     lcms: dict[int, tuple[int, ...]] = {}
-    by_mdeg: dict[tuple[int, ...], dict[int, list[tuple[int, tuple[int, ...]]]]] = {}
-    for k, mask, a in _subsets(gens, nv, sizes):
+    lcm_codes: dict[int, int] = {}
+    for k, mask, a in _subsets(gens, nv, range(lo, hi + 1)):
         lcms[mask] = a
-        for b in boxes:
-            mu = tuple(x - y for x, y in zip(b, a))
-            by_mdeg.setdefault(mu, {}).setdefault(k, []).append((mask, b))
+        code = lcm_codes[mask] = pack(a)
+        at = cochains[k]
+        for b in box_codes:
+            masks = at.get(b - code)
+            if masks is None:
+                at[b - code] = [mask]
+            else:
+                masks.append(mask)
 
-    chars: dict[int, dict[tuple[int, ...], int]] = {}
-    for mu, levels in sorted(by_mdeg.items()):
-        if not any(k in levels for k in wanted):
-            continue
-        for lst in levels.values():
-            lst.sort()
-        index = {k: {elem: i for i, elem in enumerate(lst)} for k, lst in levels.items()}
-        ranks: dict[int, int] = {}
-        for k in sorted(levels):
-            cols = levels[k]
-            rows_index = index.get(k + 1)
-            if not rows_index:
-                continue
-            mat = [[0] * len(cols) for _ in rows_index]
-            for j, (mask, b) in enumerate(cols):
-                for g in range(r):
-                    bit = 1 << g
-                    if mask & bit:
-                        continue
-                    umask = mask | bit
-                    # image box: b + lcm(U) - lcm(S), equivalently mu + lcm(U)
-                    cbox = tuple(x + y for x, y in zip(mu, lcms[umask]))
-                    row = rows_index.get((umask, cbox))
+    def rank(k: int, mu: int) -> int:
+        """Rank of the differential from size k to size k + 1 at mu.
+
+        The row of U exists iff mu + lcm(U) is a box; rows that no column
+        hits are zero and are never built.
+        """
+        at = cochains.get(k)
+        cols = at.get(mu) if at is not None else None
+        if not cols or (k < hi and mu not in cochains[k + 1]):
+            return 0
+        rows: dict[int, list[int]] = {}
+        for j, mask in enumerate(cols):
+            for g in range(r):
+                bit = 1 << g
+                if mask & bit:
+                    continue
+                umask = mask | bit
+                code = lcm_codes.get(umask)
+                if code is None:
+                    code = lcm_codes[umask] = pack(map(max, lcms[mask], gens[g]))
+                if mu + code in box_set:
+                    row = rows.get(umask)
                     if row is None:
-                        continue
-                    below = (umask & (bit - 1)).bit_count()
-                    sign = 1 if below % 2 == 0 else -1
-                    mat[row][j] = sign
-            ranks[k] = _rank(mat)
+                        row = rows[umask] = [0] * len(cols)
+                    row[j] = -1 if (umask & (bit - 1)).bit_count() % 2 else 1
+        return _rank(list(rows.values())) if rows else 0
+
+    pad = (0,) * (4 - nv)
+    chars: dict[int, dict[tuple[int, ...], int]] = {}
+    mdegs = set().union(*(cochains[k] for k in wanted if k in cochains))
+    for mu in sorted(mdegs):
+        ranks: dict[int, int] = {}
         for k in wanted:
-            if k not in levels:
+            cols = cochains[k].get(mu) if k in cochains else None
+            if not cols:
                 continue
+            for j in (k - 1, k):
+                if j not in ranks:
+                    ranks[j] = rank(j, mu)
             i = k - shift
-            dim = len(levels[k]) - ranks.get(k, 0) - ranks.get(k - 1, 0)
+            dim = len(cols) - ranks[k] - ranks[k - 1]
             if dim < 0:
                 raise InternalInconsistency(
-                    f"negative cohomology dimension {dim} of Ext^{i} at multidegree {mu}")
+                    f"negative cohomology dimension {dim} of Ext^{i} at multidegree {unpack(mu)}")
             if dim:
                 if i > top:
                     raise InternalInconsistency(
-                        f"nonzero Ext^{i} beyond the global dimension at multidegree {mu}")
-                pad = mu + (0,) * (4 - nv)
-                chars.setdefault(i, {})[pad] = dim
+                        f"nonzero Ext^{i} beyond the global dimension at multidegree {unpack(mu)}")
+                chars.setdefault(i, {})[unpack(mu) + pad] = dim
 
     return {i: Laurent(terms) for i, terms in sorted(chars.items())}
+
+
+def _lcm_sum(ideal: MonomialIdeal) -> dict[tuple[int, ...], int]:
+    """K = sum over all subsets S of the generators of (-1)^|S| t^lcm(S).
+
+    Collapsed one generator g at a time, K <- K - sum over the terms c t^m
+    of K of c t^lcm(m, g): the subsets that hold g against those that do
+    not.  Equal lcms cancel as they appear and no subset is listed.
+    """
+    zero = (0,) * ideal.nvars
+    k_poly = {zero: 1}
+    for g in ideal.gens:
+        for m, c in list(k_poly.items()):
+            lcm = tuple(map(max, m, g))
+            k_poly[lcm] = k_poly.get(lcm, 0) - c
+        k_poly = {m: c for m, c in k_poly.items() if c}
+    return k_poly
 
 
 def euler_character(ideal: MonomialIdeal, source: str = "OZ,OZ") -> Laurent:
     """Alternating sum of the Ext characters, read off the cochains alone.
 
     The cochain of a subset S and a box b sits in Ext degree |S| - shift at
-    multidegree b - lcm(S); summing (-1)^degree t^multidegree over all of
-    them gives the Euler characteristic with no differential and no rank.
+    multidegree b - lcm(S), so the sum of (-1)^degree t^multidegree over all
+    of them is Q bar(K), one Laurent product, with Q the box character and
+    K the signed lcm sum of `_lcm_sum`.  For source "I,OZ" the empty subset
+    is dropped and the sign flips.
     """
     shift = _source_shift(ideal, source)
     boxes = ideal.staircase()
+    k_poly = _lcm_sum(ideal)
+    if shift:
+        zero = (0,) * ideal.nvars
+        k_poly = {m: -c for m, c in k_poly.items()}
+        k_poly[zero] = k_poly.get(zero, 0) + 1
     pad = (0,) * (4 - ideal.nvars)
-    terms: dict[tuple[int, ...], int] = {}
-    for k, _, a in _subsets(ideal.gens, ideal.nvars, range(shift, len(ideal.gens) + 1)):
-        sign = -1 if (k - shift) % 2 else 1
-        for b in boxes:
-            mu = tuple(x - y for x, y in zip(b, a)) + pad
-            terms[mu] = terms.get(mu, 0) + sign
-    return Laurent(terms)
+    q = Laurent({b + pad: 1 for b in boxes})
+    return q * Laurent({tuple(-x for x in m) + pad: c for m, c in k_poly.items()})

@@ -122,6 +122,31 @@ def test_check_oracle_catches_an_e1_error(capsys, monkeypatch):
         assert "oracle: FAIL (5 partitions checked)" in out
 
 
+def test_check_oracle_catches_an_extra_lcm_term(capsys, monkeypatch):
+    from dt4calc import taylor
+
+    real = taylor._lcm_sum
+    monkeypatch.setattr(taylor, "_lcm_sum",
+                        lambda ideal: {**real(ideal), (9,) * ideal.nvars: 1})
+    code, out, _ = run(capsys, "dt4-series", "--n-max", "2", "--s", GENERIC_S,
+                       "--check-oracle")
+    assert code == EXIT_MISMATCH
+    assert out.splitlines()[-1] == "oracle: FAIL (5 partitions checked)"
+
+
+@pytest.mark.parametrize("command", ["dt4-series", "vertex"])
+def test_check_oracle_builds_one_ideal_per_point(command, capsys, monkeypatch):
+    from dt4calc.partitions import DPartition
+
+    built = []
+    to_ideal = DPartition.to_ideal
+    monkeypatch.setattr(DPartition, "to_ideal", lambda pi: built.append(pi) or to_ideal(pi))
+    code, out, _ = run(capsys, command, "--n-max", "3", "--s", GENERIC_S, "--check-oracle")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "oracle: PASS (15 partitions checked)"
+    assert len(built) == len(set(built)) == 15
+
+
 def test_check_oracle_catches_a_tampered_packed_vertex_character(capsys, monkeypatch):
     # swap one obstruction pair of each point for another pair: the rank, the
     # effectiveness and self duality of E2 and the dimension law all still
@@ -374,6 +399,24 @@ def test_non_integer_bound_variable(capsys, monkeypatch):
     assert code == EXIT_BOUND
     assert out == ""
     assert err == "error: DT4_MAX_N must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("argv,cap,work", [
+    (["vdim", "--n-max", "100001"], "vdim cap 100000", "vdim_ideal_cy4"),
+    (["goettsche", "--euler", "2", "--n-max", "501", "--check-oracle"],
+     "goettsche cap 500", "goettsche_series"),
+])
+def test_n_max_caps_exit_3_before_any_work(argv, cap, work, capsys, monkeypatch):
+    from dt4calc import cli
+
+    def refuse(*args):
+        raise AssertionError(f"{work} ran past the cap")
+
+    monkeypatch.setattr(cli, work, refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BOUND
+    assert out == ""
+    assert err == f"error: --n-max {argv[argv.index('--n-max') + 1]} exceeds the {cap}\n"
 
 
 @pytest.mark.parametrize("argv", [

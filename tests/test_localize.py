@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 from fractions import Fraction
 from math import prod
 
@@ -287,6 +288,52 @@ def test_crosscheck_catches_an_e1_error_the_obstruction_hides():
     ok, lhs, rhs = obstruction_crosscheck(data)
     assert not ok
     assert lhs[0] != rhs[0] and lhs[1] == rhs[1]
+
+
+def test_resolution_oracle_catches_an_extra_lcm_term(monkeypatch):
+    real = taylor._lcm_sum
+    monkeypatch.setattr(taylor, "_lcm_sum",
+                        lambda ideal: {**real(ideal), (9,) * ideal.nvars: 1})
+    for pi in POINTS_3[1:]:
+        ok, lhs, rhs = vertex_oracle_check(FixedPointData(pi))
+        assert not ok and lhs != rhs, pi.id()
+
+
+def test_crosscheck_catches_a_dropped_top_differential_row(monkeypatch):
+    # Ext^1(I, O_Z) is read with the rows of its outgoing differential found
+    # lazily; losing one of them must show as a wrong obstruction character
+    real = taylor._rank
+    dropped = []
+
+    def drop_a_top_row(rows):
+        caller = sys._getframe(1).f_locals
+        if caller["k"] == caller["hi"]:
+            dropped.append(len(rows))
+            rows = rows[1:]
+        return real(rows)
+
+    monkeypatch.setattr(taylor, "_rank", drop_a_top_row)
+    caught = 0
+    for pi in (pi for n in range(1, 5) for pi in enumerate_partitions(4, n)):
+        dropped.clear()
+        ok, lhs, rhs = obstruction_crosscheck(FixedPointData(pi))
+        assert lhs[0] == rhs[0], pi.id()
+        if dropped:
+            assert not ok and lhs[1] != rhs[1], pi.id()
+            caught += 1
+    # below n = 3 no column of the top differential hits a row
+    assert caught == 6 + 16
+
+
+def test_both_checks_share_one_ideal_and_one_staircase(monkeypatch):
+    built = []
+    to_ideal = DPartition.to_ideal
+    monkeypatch.setattr(DPartition, "to_ideal", lambda pi: built.append(pi) or to_ideal(pi))
+    data = FixedPointData(POINTS_3[-1])
+    staircase = data.ideal.staircase()
+    assert vertex_oracle_check(data)[0] and obstruction_crosscheck(data)[0]
+    assert built == [data.partition]
+    assert data.ideal.staircase() is staircase
 
 
 def test_crosscheck_compares_the_packed_e1():

@@ -5,7 +5,10 @@ silently at zero."""
 
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import dt4calc
 from dt4calc import suite
@@ -13,16 +16,18 @@ from dt4calc.localize import FixedPointData
 from dt4calc.partitions import enumerate_partitions
 
 
-def _benchmark_spans():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _benchmark_module(name):
     spec = importlib.util.spec_from_file_location(
-        "spans", os.path.join(root, "benchmarks", "spans.py"))
+        name, os.path.join(ROOT, "benchmarks", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-SPANS = _benchmark_spans()
+SPANS = _benchmark_module("spans")
 
 
 def test_traced_names_and_exports_resolve():
@@ -50,3 +55,23 @@ def test_attributes_the_tracer_notes_read_resolve():
     assert len(data.e2_weights) == sum(data.e2.values())
     ideal = pi.to_ideal()
     assert len(ideal.gens) > 0 and len(ideal.staircase()) == pi.size
+
+
+def test_oracle_workload_fires_every_span_the_runner_names(monkeypatch):
+    # one traced sample of oracle-n4, as `benchmarks/run.py --self-test` runs it
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "benchmarks"))
+    fires = _benchmark_module("run").FIRES["oracle-n4"]
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("DT4_MAX_N", None)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "benchmarks", "sample.py"),
+         "--workload", "oracle-n4", "--trace"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert [o["exit"] for o in result["outcomes"]] == [0]
+    layers = result["layers"]
+    assert [span for span in fires if layers[f"{span}.calls"] <= 0] == []
+    # both checks read one ideal per point
+    checked = layers["localize.obstruction_crosscheck.calls"]
+    assert layers["partitions.DPartition.to_ideal.calls"] == checked == 41

@@ -11,7 +11,7 @@ from dt4calc import taylor
 from dt4calc.errors import BoundExceeded, InternalInconsistency
 from dt4calc.exact import Laurent
 from dt4calc.partitions import DPartition, MonomialIdeal, enumerate_partitions
-from dt4calc.taylor import _rank, ext_characters, euler_character
+from dt4calc.taylor import _rank, _source_shift, ext_characters, euler_character
 
 
 def elementary_in_inverses(k, nv):
@@ -40,6 +40,93 @@ def conj_product(nv) -> Laurent:
         e[i] = -1
         out = out * (Laurent.one() - Laurent.monomial(e))
     return out
+
+
+# The subset-by-subset routes that `ext_characters` and `euler_character`
+# replaced, kept as references: every cochain of sizes lo - 1..hi + 1 as a
+# (mask, box) pair with a tuple multidegree, every row of every differential
+# built, and the Euler character summed over all 2^r subsets and all boxes.
+
+def reference_subsets(gens, nv, sizes):
+    zero = (0,) * nv
+    for k in sizes:
+        for subset in itertools.combinations(range(len(gens)), k):
+            lcm = tuple(map(max, zip(zero, *(gens[g] for g in subset))))
+            yield k, sum(1 << g for g in subset), lcm
+
+
+def reference_ext_characters(ideal, source="OZ,OZ", degree=None):
+    shift = _source_shift(ideal, source)
+    boxes = ideal.staircase()
+    nv = ideal.nvars
+    gens = ideal.gens
+    r = len(gens)
+    if not boxes:
+        return {}
+    top = nv - shift
+    if degree is None:
+        sizes = range(shift, r + 1)
+        wanted = sizes
+    else:
+        wanted = tuple(i + shift for i in ((degree,) if isinstance(degree, int) else degree))
+        sizes = range(max(min(wanted) - 1, shift), min(max(wanted) + 1, r) + 1)
+    lcms = {}
+    by_mdeg = {}
+    for k, mask, a in reference_subsets(gens, nv, sizes):
+        lcms[mask] = a
+        for b in boxes:
+            mu = tuple(x - y for x, y in zip(b, a))
+            by_mdeg.setdefault(mu, {}).setdefault(k, []).append((mask, b))
+    chars = {}
+    for mu, levels in sorted(by_mdeg.items()):
+        if not any(k in levels for k in wanted):
+            continue
+        for lst in levels.values():
+            lst.sort()
+        index = {k: {elem: i for i, elem in enumerate(lst)} for k, lst in levels.items()}
+        ranks = {}
+        for k in sorted(levels):
+            cols = levels[k]
+            rows_index = index.get(k + 1)
+            if not rows_index:
+                continue
+            mat = [[0] * len(cols) for _ in rows_index]
+            for j, (mask, b) in enumerate(cols):
+                for g in range(r):
+                    bit = 1 << g
+                    if mask & bit:
+                        continue
+                    umask = mask | bit
+                    cbox = tuple(x + y for x, y in zip(mu, lcms[umask]))
+                    row = rows_index.get((umask, cbox))
+                    if row is None:
+                        continue
+                    below = (umask & (bit - 1)).bit_count()
+                    mat[row][j] = 1 if below % 2 == 0 else -1
+            ranks[k] = _rank(mat)
+        for k in wanted:
+            if k not in levels:
+                continue
+            i = k - shift
+            dim = len(levels[k]) - ranks.get(k, 0) - ranks.get(k - 1, 0)
+            assert dim >= 0 and (not dim or i <= top), (mu, i, dim)
+            if dim:
+                chars.setdefault(i, {})[mu + (0,) * (4 - nv)] = dim
+    return {i: Laurent(terms) for i, terms in sorted(chars.items())}
+
+
+def reference_euler_character(ideal, source="OZ,OZ"):
+    shift = _source_shift(ideal, source)
+    boxes = ideal.staircase()
+    pad = (0,) * (4 - ideal.nvars)
+    terms = {}
+    for k, _, a in reference_subsets(ideal.gens, ideal.nvars,
+                                     range(shift, len(ideal.gens) + 1)):
+        sign = -1 if (k - shift) % 2 else 1
+        for b in boxes:
+            mu = tuple(x - y for x, y in zip(b, a)) + pad
+            terms[mu] = terms.get(mu, 0) + sign
+    return Laurent(terms)
 
 
 def test_one_point_self_ext_is_the_exterior_algebra():
@@ -217,3 +304,60 @@ def test_negative_dimension_names_degree_and_multidegree(monkeypatch):
     with pytest.raises(InternalInconsistency,
                        match=r"of Ext\^1 at multidegree \(0, 0, -2, 0\)"):
         ext_characters(ideal, "OZ,OZ", degree=1)
+
+
+def _windows(ideal, source):
+    """Every degree argument the comparison covers: None, each single
+    degree up to the global dimension, and (0, 1)."""
+    top = ideal.nvars - (source == "I,OZ")
+    return [None, *range(top + 1), (0, 1)]
+
+
+def _assert_routes_match_the_reference(ideal, source):
+    full = reference_ext_characters(ideal, source)
+    for degree in _windows(ideal, source):
+        wanted = full if degree is None else {
+            i: ch for i, ch in full.items()
+            if i in ((degree,) if isinstance(degree, int) else degree)}
+        assert ext_characters(ideal, source, degree=degree) == wanted, (ideal, source, degree)
+    assert euler_character(ideal, source) == reference_euler_character(ideal, source), (
+        ideal, source)
+
+
+@pytest.mark.parametrize("source", ["OZ,OZ", "I,OZ"])
+@pytest.mark.parametrize("n", range(7))
+def test_routes_match_the_subset_reference_on_solid_partitions(n, source):
+    for pi in enumerate_partitions(4, n):
+        _assert_routes_match_the_reference(pi.to_ideal(), source)
+
+
+@pytest.mark.parametrize("source", ["OZ,OZ", "I,OZ"])
+@pytest.mark.parametrize("n", range(7))
+def test_routes_match_the_subset_reference_on_plane_partitions(n, source):
+    for pi in enumerate_partitions(3, n):
+        ideal = pi.to_ideal()
+        _assert_routes_match_the_reference(ideal, source)
+        _assert_routes_match_the_reference(ideal.embed_in_four(), source)
+
+
+@pytest.mark.parametrize("d,n_max", [(4, 5), (3, 5)])
+def test_lcm_sum_matches_the_sum_over_every_subset(d, n_max):
+    for n in range(n_max + 1):
+        for pi in enumerate_partitions(d, n):
+            ideal = pi.to_ideal()
+            brute = {}
+            for size, _, lcm in reference_subsets(ideal.gens, d, range(len(ideal.gens) + 1)):
+                brute[lcm] = brute.get(lcm, 0) + (-1) ** size
+            assert taylor._lcm_sum(ideal) == {m: c for m, c in brute.items() if c}, pi.id()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_packing_on_single_axis_columns(d):
+    # a column of height h has the largest generator exponent, h, so its
+    # multidegrees reach -h and its row targets 2h - 1: the extreme digits
+    for axis in range(d):
+        for h in range(1, 9):
+            column = DPartition(d, [tuple(k if i == axis else 0 for i in range(d))
+                                    for k in range(h)])
+            for source in ("OZ,OZ", "I,OZ"):
+                _assert_routes_match_the_reference(column.to_ideal(), source)
