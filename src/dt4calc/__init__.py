@@ -7,10 +7,9 @@ them, and the punctual Euler-characteristic generating series.
 Everything is computed over the rationals with no floating point anywhere.
 """
 
-from .chow import (SheafClass, VarietyContext, cy_hypersurface_context,
-                   liqin_case, projective_plane_context,
-                   structure_sheaf_chi_check, surface_obstruction_identity,
-                   vdim_ideal_cy4)
+from .chow import (VarietyContext, cy_hypersurface_context, liqin_case,
+                   projective_plane_context, structure_sheaf_chi_check,
+                   surface_obstruction_identity, vdim_ideal_cy4)
 from .errors import (BoundExceeded, Dt4Error, InternalInconsistency,
                      NonGenericParameters, NotEffective, OddPairing, Unsupported)
 from .exact import Laurent, LinForm
@@ -30,7 +29,7 @@ __all__ = [
     "BoundExceeded", "CoefficientSeries", "DPartition", "Dt4Error",
     "FixedPointData", "InternalInconsistency", "Laurent", "LinForm",
     "MonomialIdeal", "NonGenericParameters", "NotEffective", "OddPairing",
-    "OrientationData", "SheafClass", "TorusParams", "Unsupported",
+    "OrientationData", "TorusParams", "Unsupported",
     "VarietyContext", "convolution_oracle", "cy_hypersurface_context",
     "cyclic_completion_report", "dt4_degree0_series", "enumerate_partitions",
     "euler_character", "ext_characters", "goettsche_series", "half_euler",

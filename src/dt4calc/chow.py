@@ -1,11 +1,15 @@
 """Intersection theory on products of projective spaces and hypersurfaces.
 
 The ambient ring for P^{n_1} x ... x P^{n_m} is Q[h_1..h_m] modulo
-h_i^{n_i + 1}; a class is a map from exponent tuples to Fraction.  A smooth
-divisor X in |O(d_1..d_m)| is handled without ever presenting its own ring:
-classes restricted from the ambient space are multiplied upstairs, the Todd
-class of X is the ambient expression td(T_W) td_line(D)^{-1}, and the push
-forward of integration is multiplication by D.  Everything stays exact.
+h_i^{n_i + 1}, and a ring is just the tuple (n_1, ..., n_m), which is also
+the exponent of its top monomial.  A class is a map from exponent tuples to
+Fraction.  A K-theory class is its Chern character, a class like any other:
+the dual negates the odd degrees and the tensor product is the product.
+
+A smooth divisor X in |O(d_1..d_m)| is handled without ever presenting its
+own ring: classes restricted from the ambient space are multiplied upstairs,
+the Todd class of X is the ambient expression td(T_W) td(O(D))^{-1}, and the
+push forward of integration is multiplication by D.  Everything stays exact.
 
 The two fixed varieties, `cy_hypersurface_context()` and
 `projective_plane_context()`, are built once per process and shared by
@@ -22,41 +26,15 @@ from math import factorial
 
 from .errors import Unsupported
 
-# x/(1 - e^-x) and its inverse, coefficients by degree
+# coefficients by degree, through degree 8, of the series f(x) of a line
+# bundle with first Chern class x: exp(x) for its Chern character,
+# x/(1 - e^-x) for its Todd class and the inverse of that, and 1/(1 + x)
+_EXP = [Fraction(1, factorial(k)) for k in range(9)]
 _TD_LINE = [Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0),
-            Fraction(-1, 720), Fraction(0), Fraction(1, 30240)]
-_TD_LINE_INV = [Fraction((-1) ** k, factorial(k + 1)) for k in range(7)]
-
-
-class RingPresentation:
-    """Chow ring of a product of projective spaces, one generator per factor."""
-
-    __slots__ = ("dims",)
-
-    def __init__(self, dims):
-        dims = tuple(int(n) for n in dims)
-        if not dims or any(n < 1 for n in dims):
-            raise ValueError(f"need positive factor dimensions, got {dims!r}")
-        self.dims = dims
-
-    @property
-    def dim(self) -> int:
-        return sum(self.dims)
-
-    @property
-    def top_monomial(self):
-        return self.dims
-
-    def __eq__(self, other):
-        if not isinstance(other, RingPresentation):
-            return NotImplemented
-        return self.dims == other.dims
-
-    def __hash__(self):
-        return hash(self.dims)
-
-    def __repr__(self):
-        return f"RingPresentation{self.dims}"
+            Fraction(-1, 720), Fraction(0), Fraction(1, 30240), Fraction(0),
+            Fraction(-1, 1209600)]
+_TD_LINE_INV = [Fraction((-1) ** k, factorial(k + 1)) for k in range(9)]
+_ONE_PLUS_INV = [Fraction((-1) ** k) for k in range(9)]
 
 
 class CohClass:
@@ -64,18 +42,25 @@ class CohClass:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: RingPresentation, terms=None):
+    def __init__(self, ring: tuple[int, ...], terms=None):
         self.ring = ring
         clean = {}
         if terms:
             for mono, c in terms.items():
                 c = c if isinstance(c, Fraction) else Fraction(c)
                 mono = tuple(mono)
-                if len(mono) != len(ring.dims):
-                    raise ValueError(f"monomial {mono!r} does not fit {ring!r}")
-                if c and all(e <= n for e, n in zip(mono, ring.dims)):
+                if len(mono) != len(ring):
+                    raise ValueError(f"monomial {mono!r} does not fit the ring {ring!r}")
+                if c and all(e <= n for e, n in zip(mono, ring)):
                     clean[mono] = c
         self.terms = clean
+
+    @staticmethod
+    def _of(ring, terms) -> "CohClass":
+        """A class from terms that are already nonzero and inside the ring."""
+        out = CohClass.__new__(CohClass)
+        out.ring, out.terms = ring, terms
+        return out
 
     @staticmethod
     def zero(ring) -> "CohClass":
@@ -83,11 +68,11 @@ class CohClass:
 
     @staticmethod
     def one(ring) -> "CohClass":
-        return CohClass(ring, {(0,) * len(ring.dims): Fraction(1)})
+        return CohClass(ring, {(0,) * len(ring): Fraction(1)})
 
     @staticmethod
     def generator(ring, i: int) -> "CohClass":
-        mono = [0] * len(ring.dims)
+        mono = [0] * len(ring)
         mono[i] = 1
         return CohClass(ring, {tuple(mono): Fraction(1)})
 
@@ -106,15 +91,10 @@ class CohClass:
                 terms[m] = s
             else:
                 terms.pop(m, None)
-        out = CohClass.__new__(CohClass)
-        out.ring, out.terms = self.ring, terms
-        return out
+        return CohClass._of(self.ring, terms)
 
     def __neg__(self):
-        out = CohClass.__new__(CohClass)
-        out.ring = self.ring
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return CohClass._of(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, CohClass):
@@ -122,38 +102,27 @@ class CohClass:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check(other)
-        dims = self.ring.dims
+        ring = self.ring
         terms = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 mono = tuple(a + b for a, b in zip(ma, mb))
-                if any(e > n for e, n in zip(mono, dims)):
+                if any(e > n for e, n in zip(mono, ring)):
                     continue
                 s = terms.get(mono, Fraction(0)) + ca * cb
                 if s:
                     terms[mono] = s
                 else:
                     terms.pop(mono, None)
-        out = CohClass.__new__(CohClass)
-        out.ring, out.terms = self.ring, terms
-        return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return CohClass._of(ring, terms)
 
     def scale(self, c) -> "CohClass":
         c = c if isinstance(c, Fraction) else Fraction(c)
-        out = CohClass.__new__(CohClass)
-        out.ring = self.ring
-        out.terms = {m: c * v for m, v in self.terms.items()} if c else {}
-        return out
+        return CohClass._of(self.ring,
+                            {m: c * v for m, v in self.terms.items()} if c else {})
 
     def power(self, k: int) -> "CohClass":
         out = CohClass.one(self.ring)
@@ -161,14 +130,17 @@ class CohClass:
             out = out * self
         return out
 
+    def dual(self) -> "CohClass":
+        """The Chern character of the dual class: odd degrees change sign."""
+        return CohClass._of(self.ring, {m: -c if sum(m) % 2 else c
+                                        for m, c in self.terms.items()})
+
     def component(self, degree: int) -> "CohClass":
-        out = CohClass.__new__(CohClass)
-        out.ring = self.ring
-        out.terms = {m: c for m, c in self.terms.items() if sum(m) == degree}
-        return out
+        return CohClass._of(self.ring, {m: c for m, c in self.terms.items()
+                                        if sum(m) == degree})
 
     def degree_zero_value(self) -> Fraction:
-        return self.terms.get((0,) * len(self.ring.dims), Fraction(0))
+        return self.terms.get((0,) * len(self.ring), Fraction(0))
 
     def coefficient(self, mono) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
@@ -199,83 +171,26 @@ class CohClass:
         return f"CohClass({self})"
 
 
-def exp_class(x: CohClass) -> CohClass:
-    """exp of a class with no degree zero part, truncated by the ring."""
-    if x.component(0).terms:
-        raise ValueError("exponential needs a class with zero constant term")
-    out = CohClass.one(x.ring)
-    term = CohClass.one(x.ring)
-    for k in range(1, x.ring.dim + 1):
+def _line_series(x: CohClass, table) -> CohClass:
+    """sum over k of table[k] x^k, for a class x with no degree zero part,
+    truncated by the ring."""
+    if x.degree_zero_value():
+        raise ValueError("line series need a class with zero constant term")
+    out, term = CohClass.zero(x.ring), CohClass.one(x.ring)
+    for c in table:
+        out = out + term.scale(c)
         term = term * x
-        out = out + term.scale(Fraction(1, factorial(k)))
         if not term.terms:
             break
     return out
 
 
-def _line_series(x: CohClass, coeffs) -> CohClass:
-    out = CohClass.zero(x.ring)
-    term = CohClass.one(x.ring)
-    for k in range(x.ring.dim + 1):
-        if k:
-            term = term * x
-        out = out + term.scale(coeffs[k])
-        if not term.terms:
-            break
-    return out
-
-
-def td_line(x: CohClass) -> CohClass:
-    """Todd series of a line bundle with first Chern class x."""
-    return _line_series(x, _TD_LINE)
-
-
-def td_line_inv(x: CohClass) -> CohClass:
-    return _line_series(x, _TD_LINE_INV)
-
-
-class SheafClass:
-    """K theory class recorded by its Chern character."""
-
-    __slots__ = ("ch",)
-
-    def __init__(self, ch: CohClass):
-        self.ch = ch
-
-    @property
-    def rank(self) -> Fraction:
-        return self.ch.degree_zero_value()
-
-    def __add__(self, other):
-        if not isinstance(other, SheafClass):
-            return NotImplemented
-        return SheafClass(self.ch + other.ch)
-
-    def __sub__(self, other):
-        if not isinstance(other, SheafClass):
-            return NotImplemented
-        return SheafClass(self.ch - other.ch)
-
-    def dual(self) -> "SheafClass":
-        out = CohClass.zero(self.ch.ring)
-        for k in range(self.ch.ring.dim + 1):
-            comp = self.ch.component(k)
-            out = out + (comp if k % 2 == 0 else -comp)
-        return SheafClass(out)
-
-    def tensor(self, other: "SheafClass") -> "SheafClass":
-        return SheafClass(self.ch * other.ch)
-
-    def ch_component(self, k: int) -> CohClass:
-        return self.ch.component(k)
-
-    def __eq__(self, other):
-        if not isinstance(other, SheafClass):
-            return NotImplemented
-        return self.ch == other.ch
-
-    def __repr__(self):
-        return f"SheafClass({self.ch})"
+def _divisor_class(ring, degrees) -> CohClass:
+    """sum_i k_i h_i, the first Chern class of O(k_1..k_m)."""
+    if len(degrees) != len(ring):
+        raise ValueError("multidegree length does not match the ring")
+    return CohClass(ring, {tuple(int(j == i) for j in range(len(ring))): k
+                           for i, k in enumerate(degrees)})
 
 
 class VarietyContext:
@@ -295,68 +210,60 @@ class VarietyContext:
 
     @classmethod
     def product_space(cls, dims) -> "VarietyContext":
-        ring = RingPresentation(dims)
+        ring = tuple(int(n) for n in dims)
+        top = len(_EXP) - 1
+        if not ring or min(ring) < 1 or sum(ring) > top:
+            raise ValueError(f"need positive factor dimensions summing to at most "
+                             f"{top}, got {ring!r}")
         todd = CohClass.one(ring)
         chern = CohClass.one(ring)
-        for i, n in enumerate(ring.dims):
+        for i, n in enumerate(ring):
             h = CohClass.generator(ring, i)
-            for _ in range(n + 1):
-                todd = todd * td_line(h)
+            todd = todd * _line_series(h, _TD_LINE).power(n + 1)
             chern = chern * (CohClass.one(ring) + h).power(n + 1)
         return cls(ring, None, todd, chern)
 
     @classmethod
     def hypersurface_in_product(cls, dims, multidegree) -> "VarietyContext":
         ambient = cls.product_space(dims)
-        ring = ambient.ring
-        if len(multidegree) != len(ring.dims):
-            raise ValueError("multidegree length does not match the ring")
-        d = CohClass.zero(ring)
-        for i, k in enumerate(multidegree):
-            d = d + CohClass.generator(ring, i).scale(k)
-        todd = ambient.todd * td_line_inv(d)
-        chern = ambient.tangent_chern * _line_series(
-            d, [Fraction(1), Fraction(-1)] + [Fraction((-1) ** k) for k in range(2, 7)])
-        return cls(ring, d, todd, chern)
+        d = _divisor_class(ambient.ring, multidegree)
+        todd = ambient.todd * _line_series(d, _TD_LINE_INV)
+        chern = ambient.tangent_chern * _line_series(d, _ONE_PLUS_INV)
+        return cls(ambient.ring, d, todd, chern)
 
     @property
     def dim(self) -> int:
-        return self.ring.dim - (1 if self.divisor is not None else 0)
+        return sum(self.ring) - (1 if self.divisor is not None else 0)
 
     def integrate(self, cls_: CohClass) -> Fraction:
         if self.divisor is not None:
             cls_ = cls_ * self.divisor
-        return cls_.coefficient(self.ring.top_monomial)
-
-    def euler_characteristic_of_structure_sheaf(self) -> Fraction:
-        return self.integrate(self.todd)
+        return cls_.coefficient(self.ring)
 
     def euler_number(self) -> Fraction:
         """Integral of the top Chern class of the tangent bundle."""
         return self.integrate(self.tangent_chern.component(self.dim))
 
-    def chi(self, e: SheafClass, f: SheafClass) -> Fraction:
-        """Euler pairing by the Riemann Roch integral."""
-        return self.integrate(e.dual().ch * f.ch * self.todd)
+    def chi(self, e: CohClass, f: CohClass) -> Fraction:
+        """Euler pairing of two Chern characters by the Riemann Roch integral."""
+        return self.integrate(e.dual() * f * self.todd)
 
-    def line_bundle(self, degrees) -> SheafClass:
-        c1 = CohClass.zero(self.ring)
-        for i, k in enumerate(degrees):
-            c1 = c1 + CohClass.generator(self.ring, i).scale(k)
-        return SheafClass(exp_class(c1))
+    def line_bundle(self, degrees) -> CohClass:
+        """The Chern character exp(c1) of O(k_1..k_m)."""
+        return _line_series(_divisor_class(self.ring, degrees), _EXP)
 
-    def cotangent_sheaf_class(self) -> SheafClass:
+    def cotangent_sheaf_class(self) -> CohClass:
         """Chern character of the cotangent bundle, from the tangent Chern data."""
         if self.divisor is not None:
             raise Unsupported("cotangent classes are only set up on product spaces")
         cherns = [self.tangent_chern.component(k) for k in range(1, 5)]
         ch = chern_to_ch(Fraction(self.dim), cherns, self.ring)
-        return SheafClass(sum(ch, CohClass.zero(self.ring))).dual()
+        return sum(ch, CohClass.zero(self.ring)).dual()
 
 
 def chern_to_ch(rank, chern, ring) -> list[CohClass]:
     """Chern classes c1..c4 to Chern character components ch0..ch4."""
-    c = [CohClass.one(ring).scale(0)] + list(chern)
+    c = [CohClass.zero(ring)] + list(chern)
     while len(c) < 5:
         c.append(CohClass.zero(ring))
     p = [CohClass.zero(ring)] * 5
@@ -485,9 +392,8 @@ def surface_obstruction_identity(c) -> dict:
     h = CohClass.generator(ring, 0)
     ch = (CohClass.one(ring).scale(Fraction(r)) + h.scale(Fraction(a))
           + (h * h).scale(Fraction(b)))
-    f = SheafClass(ch)
     omega = ctx.cotangent_sheaf_class()
     e_s = ctx.euler_number()
-    lhs = -ctx.chi(f, f.tensor(omega))
-    rhs = -2 * ctx.chi(f, f) + Fraction(r) ** 2 * e_s
+    lhs = -ctx.chi(ch, ch * omega)
+    rhs = -2 * ctx.chi(ch, ch) + Fraction(r) ** 2 * e_s
     return {"c": tuple(c), "lhs": lhs, "rhs": rhs, "euler": e_s, "ok": lhs == rhs}

@@ -16,7 +16,7 @@ from .exact import Laurent
 
 Box = tuple[int, ...]
 
-DEFAULT_BOUNDS = {2: 60, 3: 12, 4: 8}
+DEFAULT_BOUNDS = {2: 25, 3: 12, 4: 8}
 
 ENV_BOUND_VAR = "DT4_MAX_N"
 

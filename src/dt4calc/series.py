@@ -1,20 +1,20 @@
 """Truncated q-series with integer coefficients, and the reduced invariants
 they package.
 
-Every series here lives in Z[[q]]: the punctual generating function and the
-partition numbers have integer coefficients, and so do products, integer
-powers and inverses of series with constant term 1, all truncated at a
-fixed order.  The punctual generating function is computed two independent
-ways: directly as the product over k of (1 - q^k)^(-e), one sparse factor
-at a time, and as the e-th power of the partition number series built from
-the pentagonal recurrence.
+Every series here lives in Z[[q]], truncated at a fixed order: the punctual
+generating function and the partition numbers have integer coefficients,
+and so does every integer power of a series with constant term 1.  The
+punctual generating function is computed two independent ways: directly as
+the product over k of (1 - q^k)^(-e), one sparse factor at a time, and as
+the e-th power of the partition number series built from the pentagonal
+recurrence, by the power recurrence for its coefficients.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from .errors import Unsupported
+from .errors import InternalInconsistency, Unsupported
 from .partitions import partition_numbers
 
 
@@ -41,10 +41,6 @@ class CoefficientSeries:
         self.order = order
         self.coeffs = coeffs
 
-    @staticmethod
-    def one(order: int) -> "CoefficientSeries":
-        return CoefficientSeries([1], order)
-
     def coefficient(self, n: int) -> int:
         if n > self.order:
             raise ValueError(f"coefficient {n} is beyond the truncation {self.order}")
@@ -54,44 +50,6 @@ class CoefficientSeries:
         if not isinstance(other, CoefficientSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __mul__(self, other: "CoefficientSeries") -> "CoefficientSeries":
-        if not isinstance(other, CoefficientSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        out = [0] * (order + 1)
-        for i, a in enumerate(self.coeffs[:order + 1]):
-            if not a:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return CoefficientSeries(out, order)
-
-    def inverse(self) -> "CoefficientSeries":
-        if self.coeffs[0] != 1:
-            raise ValueError("only series with constant term 1 are inverted here")
-        out = [1] + [0] * self.order
-        for n in range(1, self.order + 1):
-            acc = 0
-            for k in range(1, n + 1):
-                acc += self.coeffs[k] * out[n - k]
-            out[n] = -acc
-        return CoefficientSeries(out, self.order)
-
-    def power(self, e: int) -> "CoefficientSeries":
-        """The e-th power by repeated squaring; a negative e inverts first."""
-        base = self if e >= 0 else self.inverse()
-        out = CoefficientSeries.one(self.order)
-        e = abs(e)
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
 
     def __repr__(self):
         return f"CoefficientSeries({self.coeffs})"
@@ -117,9 +75,23 @@ def goettsche_series(e: int, n_max: int) -> CoefficientSeries:
 
 
 def convolution_oracle(e: int, n_max: int) -> CoefficientSeries:
-    """The same series as the e-th power of the pentagonal partition series."""
+    """The same series as the e-th power of the pentagonal partition series.
+
+    P = sum p(n) q^n has constant term 1, so g = P^e is fixed by g_0 = 1 and
+    P g' = e P' g, which on the coefficient of q^(n-1) reads
+    n g_n = sum over k = 1..n of ((e + 1) k - n) p_k g_(n-k): about
+    n_max^2 / 2 integer products, whatever e is.  The g_n are integers, so
+    every division must be exact; a remainder raises InternalInconsistency.
+    """
     p = partition_numbers(n_max)
-    return CoefficientSeries(p, n_max).power(e)
+    g = [1]
+    for n in range(1, n_max + 1):
+        acc = sum(((e + 1) * k - n) * p[k] * g[n - k] for k in range(1, n + 1))
+        g_n, rem = divmod(acc, n)
+        if rem:
+            raise InternalInconsistency(f"q^{n} coefficient of P^{e} is {acc}/{n}")
+        g.append(g_n)
+    return CoefficientSeries(g, n_max)
 
 
 def reduced_dt4_tstar(c, euler: int) -> dict:

@@ -85,6 +85,8 @@ def test_partitions_bound_exit(capsys):
 @pytest.mark.parametrize("argv,module,name,message", [
     (["partitions", "--d", "2", "--n-max", "10001"], "dt4calc.partitions",
      "partition_numbers", "size 10001 is out of range for counting"),
+    (["partitions", "--d", "2", "--n-max", "26", "--list"], "dt4calc.partitions",
+     "enumerate_partitions", "size 26 exceeds the d=2 bound 25"),
     (["cyclic-check", "--n-max", "13"], "dt4calc.cli", "cyclic_completion_report",
      "size 13 exceeds the d=3 bound 12"),
     (["vertex", "--n-max", "9"], "dt4calc.cli", "FixedPointData",

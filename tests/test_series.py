@@ -22,19 +22,8 @@ def test_partition_numbers_frozen_head():
 
 def test_series_arithmetic_roundtrip():
     s = CoefficientSeries([1, 2, 3, 4, 5, 6, 7])
-    inv = s.inverse()
-    assert (s * inv).coeffs == CoefficientSeries.one(6).coeffs
-    with pytest.raises(ValueError):
-        CoefficientSeries([0, 1]).inverse()
     with pytest.raises(ValueError):
         s.coefficient(7)
-
-
-def test_power_handles_negative_exponents():
-    s = CoefficientSeries([1, 1], 5)
-    assert s.power(2).coeffs[:3] == [1, 2, 1]
-    assert (s.power(-1) * s).coeffs == CoefficientSeries.one(5).coeffs
-    assert s.power(0).coeffs == CoefficientSeries.one(5).coeffs
 
 
 def test_euler_series_small_cases():
@@ -90,9 +79,16 @@ def test_goettsche_criterion_builds_no_fraction(monkeypatch):
 
 def test_euler_series_multiplicativity():
     for e1, e2 in ((1, 2), (3, -1), (2, 2)):
-        lhs = goettsche_series(e1 + e2, 15)
-        rhs = goettsche_series(e1, 15) * goettsche_series(e2, 15)
-        assert lhs.coeffs == rhs.coeffs
+        lhs = goettsche_series(e1 + e2, 15).coeffs
+        a, b = goettsche_series(e1, 15).coeffs, goettsche_series(e2, 15).coeffs
+        assert lhs == [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(16)]
+
+
+@pytest.mark.parametrize("e", [-24, -7, 10 ** 6, -10 ** 6])
+def test_convolution_oracle_matches_the_product_route_deep(e):
+    # three times deeper than the shared test, where each exact division in
+    # the power recurrence is by n up to 60
+    assert goettsche_series(e, 60) == convolution_oracle(e, 60)
 
 
 def test_euler_series_positivity_and_leading_terms():
