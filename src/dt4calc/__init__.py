@@ -19,14 +19,13 @@ from .localize import (FixedPointData, OrientationData, TorusParams,
                        vertex_character, vertex_oracle_check)
 from .partitions import (DPartition, MonomialIdeal, enumerate_partitions,
                          partition_counts, partition_numbers, size_bound)
-from .series import (CoefficientSeries, convolution_oracle, goettsche_series,
-                     reduced_dt4_tstar)
+from .series import convolution_oracle, goettsche_series, reduced_dt4_tstar
 from .taylor import euler_character, ext_characters
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundExceeded", "CoefficientSeries", "DPartition", "Dt4Error",
+    "BoundExceeded", "DPartition", "Dt4Error",
     "FixedPointData", "InternalInconsistency", "Laurent", "LinForm",
     "MonomialIdeal", "NonGenericParameters", "NotEffective", "OddPairing",
     "OrientationData", "TorusParams", "Unsupported",

@@ -28,6 +28,7 @@ import sys
 from .chow import (cy_hypersurface_context, liqin_case, structure_sheaf_chi_check,
                    vdim_ideal_cy4)
 from .errors import BoundExceeded, Dt4Error, NonGenericParameters, Unsupported
+from .exact import form_str
 from .localize import (FixedPointData, OrientationData, TorusParams,
                        cyclic_completion_report, dt4_degree0_series,
                        obstruction_crosscheck, vertex_oracle_check)
@@ -237,27 +238,12 @@ def text_vertex(p):
     for pt in p["points"]:
         lines.append(f"# {pt['id']} (n={pt['n']})")
         lines.append(f"tvir: {pt['tvir']}")
-        lines.append("e1: " + "; ".join(_form_str(w) for w in pt["e1"]))
-        lines.append("e2: " + "; ".join(_form_str(w) for w in pt["e2"]))
+        lines.append("e1: " + "; ".join(form_str(w, sep="") for w in pt["e1"]))
+        lines.append("e2: " + "; ".join(form_str(w, sep="") for w in pt["e2"]))
         lines.append(f"contribution: {pt['contribution']}")
         if "oracle" in pt:
             lines.append(f"oracle: {pt['oracle']}")
     return lines + _oracle_line(p)
-
-
-def _form_str(triple) -> str:
-    parts = []
-    for coeff, name in zip(triple, ("s1", "s2", "s3")):
-        if coeff == 0:
-            continue
-        sign = "+" if coeff > 0 else "-"
-        mag = abs(coeff)
-        term = name if mag == 1 else f"{mag}*{name}"
-        parts.append((sign, term))
-    if not parts:
-        return "0"
-    head = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    return head + "".join(f"{s}{t}" for s, t in parts[1:])
 
 
 def series_payload(n_max: int, params: TorusParams, orientation: OrientationData,
@@ -311,8 +297,7 @@ def cmd_goettsche(args):
         raise UsageError("goettsche needs --euler")
     _check_cap(args.n_max, GOETTSCHE_N_CAP, "goettsche")
     series = goettsche_series(args.euler, args.n_max)
-    payload = {"euler": args.euler, "n_max": args.n_max,
-               "coefficients": series.coeffs}
+    payload = {"euler": args.euler, "n_max": args.n_max, "coefficients": series}
     if not args.check_oracle:
         return payload, EXIT_OK
     match = series == convolution_oracle(args.euler, args.n_max)

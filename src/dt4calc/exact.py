@@ -9,9 +9,10 @@ Everything downstream works over two representations:
     coefficients are purged on every operation, so equality is plain dict
     equality.
   * ``LinForm``: an integer linear form ``a1*s1 + ... + a4*s4`` in the torus
-    parameters, compared modulo the relation ``s1 + s2 + s3 + s4 = 0``.
-    The vector is stored shifted so that its smallest entry is 0, one
-    representative per class, so hashing and equality compare it directly.
+    parameters, taken modulo the relation ``s1 + s2 + s3 + s4 = 0``.  It is
+    stored as its reduced triple ``(a1 - a4, a2 - a4, a3 - a4)``, the digits
+    of its `subtorus_code`; sums, negation and the choice of sign in a
+    ``(w, -w)`` pair are done on those codes, not on forms.
 
 Parameter values and summands are rationals, ``fractions.Fraction``
 (lowest terms, positive denominator, unbounded size); integers are ``int``.
@@ -24,17 +25,6 @@ from math import lcm
 from typing import Iterable, Mapping
 
 Exp = tuple[int, int, int, int]
-
-ZERO_EXP: Exp = (0, 0, 0, 0)
-
-
-def exp_neg(e: Exp) -> Exp:
-    return (-e[0], -e[1], -e[2], -e[3])
-
-
-def exp_cy_reduce(e: Exp) -> Exp:
-    """Eliminate the fourth variable using t4 = (t1 t2 t3)^-1."""
-    return (e[0] - e[3], e[1] - e[3], e[2] - e[3], 0)
 
 
 def _purged(terms: dict) -> dict:
@@ -65,7 +55,7 @@ class Laurent:
 
     @staticmethod
     def one() -> "Laurent":
-        return Laurent({ZERO_EXP: 1})
+        return Laurent({(0, 0, 0, 0): 1})
 
     @staticmethod
     def monomial(exp: Iterable[int]) -> "Laurent":
@@ -135,16 +125,19 @@ class Laurent:
     def bar(self) -> "Laurent":
         """Negate every exponent (the duality involution t -> t^-1)."""
         out = Laurent.__new__(Laurent)
-        out.terms = {exp_neg(exp): c for exp, c in self.terms.items()}
+        out.terms = {(-a, -b, -c, -d): k for (a, b, c, d), k in self.terms.items()}
         return out
 
     def cy_reduce(self) -> "Laurent":
-        """Restrict to the subtorus t1 t2 t3 t4 = 1, merging colliding terms."""
+        """Restrict to the subtorus t1 t2 t3 t4 = 1, merging colliding terms.
+
+        Each exponent loses its fourth entry by t4 = (t1 t2 t3)^-1.
+        """
         terms: dict[Exp, int] = {}
         get = terms.get
-        for exp, c in self.terms.items():
-            r = exp_cy_reduce(exp)
-            terms[r] = get(r, 0) + c
+        for (a, b, c, d), k in self.terms.items():
+            r = (a - d, b - d, c - d, 0)
+            terms[r] = get(r, 0) + k
         out = Laurent.__new__(Laurent)
         out.terms = _purged(terms)
         return out
@@ -186,56 +179,29 @@ class Laurent:
 class LinForm:
     """Integer linear form in s1..s4, taken modulo s1 + s2 + s3 + s4 = 0.
 
-    Two forms are equal when their reduced coefficient triples
-    ``(a1 - a4, a2 - a4, a3 - a4)`` agree, which is exactly agreement of
-    values on every parameter vector with coordinate sum zero.  The vector
-    ``a`` is stored less its smallest entry, which picks one representative
-    per class, so equality and hashing compare ``a`` itself; the shift
-    commutes with permuting the coordinates and leaves every value on the
-    subtorus unchanged.
+    Built from a coefficient 4-vector ``a`` and stored as its reduced triple
+    ``(a1 - a4, a2 - a4, a3 - a4)``, which is one triple per class: two forms
+    agree on every parameter vector with coordinate sum zero exactly when
+    their triples agree.  The triple is the digit vector of the form's
+    `subtorus_code`, so a form is the positive one of its pair ``(w, -w)``
+    exactly when its triple is above ``(0, 0, 0)``.
     """
 
-    __slots__ = ("a",)
+    __slots__ = ("reduced",)
 
     def __init__(self, a: Iterable[int]):
         a = tuple(map(int, a))
         if len(a) != 4:
             raise ValueError(f"coefficient vector must have length 4, got {a!r}")
-        low = min(a)
-        self.a = (a[0] - low, a[1] - low, a[2] - low, a[3] - low) if low else a
-
-    @property
-    def reduced(self) -> tuple[int, int, int]:
-        a = self.a
-        return (a[0] - a[3], a[1] - a[3], a[2] - a[3])
+        self.reduced = (a[0] - a[3], a[1] - a[3], a[2] - a[3])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinForm):
             return NotImplemented
-        return self.a == other.a
+        return self.reduced == other.reduced
 
     def __hash__(self):
-        return hash(self.a)
-
-    def __add__(self, other: "LinForm") -> "LinForm":
-        if not isinstance(other, LinForm):
-            return NotImplemented
-        return LinForm(tuple(x + y for x, y in zip(self.a, other.a)))
-
-    def __neg__(self) -> "LinForm":
-        a = self.a
-        top = max(a)
-        out = LinForm.__new__(LinForm)
-        out.a = (top - a[0], top - a[1], top - a[2], top - a[3])
-        return out
-
-    def __sub__(self, other: "LinForm") -> "LinForm":
-        if not isinstance(other, LinForm):
-            return NotImplemented
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        return not any(self.a)
+        return hash(self.reduced)
 
     def evaluate(self, s):
         """Value at a parameter 4-vector; callers ensure sum(s) == 0.
@@ -243,43 +209,28 @@ class LinForm:
         Exact for any exact entries: an int for integer s, a Fraction when
         some entry is a Fraction.
         """
-        a = self.a
-        return a[0] * s[0] + a[1] * s[1] + a[2] * s[2] + a[3] * s[3]
-
-    def canonical(self) -> tuple["LinForm", int]:
-        """Representative of {w, -w} with positive leading reduced coefficient.
-
-        Returns (representative, sign) with self == sign * representative.
-        The zero form returns itself with sign +1.
-        """
-        a = self.a
-        for x in a[:3]:  # the reduced coefficient x - a[3]
-            if x > a[3]:
-                return self, 1
-            if x < a[3]:
-                return -self, -1
-        return self, 1
-
-    def is_canonical(self) -> bool:
-        return self.canonical()[1] == 1
+        r = self.reduced
+        return r[0] * s[0] + r[1] * s[1] + r[2] * s[2]
 
     def __str__(self) -> str:
-        r = self.reduced
-        if r == (0, 0, 0):
-            return "0"
-        pieces = []
-        for i, c in enumerate(r):
-            if c == 0:
-                continue
-            body = f"s{i + 1}" if abs(c) == 1 else f"{abs(c)}*s{i + 1}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return form_str(self.reduced)
 
     def __repr__(self) -> str:
-        return f"LinForm{self.a}"
+        return f"LinForm{self.reduced + (0,)}"
+
+
+def form_str(r, sep: str = " ") -> str:
+    """The reduced triple r as a signed sum such as ``-s1 + 2*s3``, with
+    `sep` on each side of the signs between terms; "0" for the zero form."""
+    out = ""
+    for i, c in enumerate(r):
+        if c:
+            body = f"s{i + 1}" if abs(c) == 1 else f"{abs(c)}*s{i + 1}"
+            if out:
+                out += f"{sep}{'+' if c > 0 else '-'}{sep}{body}"
+            else:
+                out = body if c > 0 else f"-{body}"
+    return out or "0"
 
 
 def integer_scaling(s) -> tuple[int, tuple[int, ...]]:

@@ -300,10 +300,10 @@ class FixedPointData:
     character.  Every reduced coefficient they hold lies in [-2n + 1,
     2n - 1], inside the digit range, so adding codes adds vectors, negating
     is `bar`, codes sort as `LinForm.reduced` does, and a code is positive
-    exactly when its form is canonical.  `e1_char` is E1 on the full torus,
-    as `tangent_character` gives it.  The characters, weight lists and
-    monomial ideal the oracles and the `vertex` report read are views, built
-    on first access; both Taylor checks read the one `ideal`.
+    exactly when its triple is, `reduced > (0, 0, 0)`.  `e1_char` is E1 on
+    the full torus, as `tangent_character` gives it.  The characters, weight
+    lists and monomial ideal the oracles and the `vertex` report read are
+    views, built on first access; both Taylor checks read the one `ideal`.
     """
 
     def __init__(self, partition: DPartition):
@@ -505,11 +505,6 @@ def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
     return coeffs
 
 
-def relabeled_form(w: LinForm, perm) -> LinForm:
-    """Coefficient vector permuted the same way box coordinates are."""
-    return LinForm(tuple(w.a[perm[i]] for i in range(4)))
-
-
 def transported_orientation(perm, n_max: int,
                             base: OrientationData | None = None) -> OrientationData:
     """Orientation data for relabeled partitions that matches a base choice.
@@ -528,7 +523,9 @@ def transported_orientation(perm, n_max: int,
         for pi in enumerate_partitions(4, n):
             eps = 1
             for w, m in summand(pi).factors:
-                if not relabeled_form(w, perm).is_canonical() and m % 2 == 1:
+                # the weight with its coefficients permuted as box coordinates are
+                v = w.reduced + (0,)
+                if m % 2 == 1 and LinForm(v[p] for p in perm).reduced < (0, 0, 0):
                     eps = -eps
             sign = eps * base.sign(pi)
             if sign != 1:

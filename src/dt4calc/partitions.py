@@ -50,17 +50,21 @@ def is_downward_closed(boxes, d: int) -> bool:
 
 
 class DPartition:
-    """A finite downward-closed box set, stored as a lex-sorted tuple."""
+    """A finite downward-closed box set, stored as a lex-sorted tuple.
+
+    The constructor checks closure and raises ValueError without it;
+    `with_box` and `relabeled`, which keep it by construction, skip the check.
+    """
 
     __slots__ = ("d", "boxes")
 
-    def __init__(self, d: int, boxes=(), validate: bool = False):
+    def __init__(self, d: int, boxes=()):
         _check_dim(d)
         boxes = tuple(sorted(tuple(int(x) for x in b) for b in boxes))
         for b in boxes:
             if len(b) != d or any(x < 0 for x in b):
                 raise ValueError(f"box {b!r} is not a point of N^{d}")
-        if validate and not is_downward_closed(boxes, d):
+        if not is_downward_closed(boxes, d):
             raise ValueError("box set is not downward closed")
         self.d = d
         self.boxes = boxes
@@ -148,7 +152,7 @@ def partition_from_id(text: str, d: int) -> DPartition | None:
         return DPartition(d)
     try:
         boxes = [tuple(int(x) for x in box.split(",")) for box in text.split(";")]
-        pi = DPartition(d, boxes, validate=True)
+        pi = DPartition(d, boxes)
     except ValueError:
         return None
     return pi if len(set(boxes)) == len(boxes) and pi.id() == text else None

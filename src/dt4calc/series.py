@@ -1,7 +1,8 @@
 """Truncated q-series with integer coefficients, and the reduced invariants
 they package.
 
-Every series here lives in Z[[q]], truncated at a fixed order: the punctual
+Every series here lives in Z[[q]], truncated at a fixed order, and is a
+plain list of ints whose entry n is the coefficient of q^n: the punctual
 generating function and the partition numbers have integer coefficients,
 and so does every integer power of a series with constant term 1.  The
 punctual generating function is computed two independent ways: directly as
@@ -18,44 +19,7 @@ from .errors import InternalInconsistency, Unsupported
 from .partitions import partition_numbers
 
 
-class CoefficientSeries:
-    """Power series in q over the integers, truncated past degree `order`.
-
-    The constructor takes int coefficients only and raises TypeError on
-    anything else, Fraction included.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order: int | None = None):
-        coeffs = list(coeffs)
-        for c in coeffs:
-            if not isinstance(c, int):
-                raise TypeError(f"expected an int coefficient, got {type(c).__name__}")
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        del coeffs[order + 1:]
-        coeffs += [0] * (order + 1 - len(coeffs))
-        self.order = order
-        self.coeffs = coeffs
-
-    def coefficient(self, n: int) -> int:
-        if n > self.order:
-            raise ValueError(f"coefficient {n} is beyond the truncation {self.order}")
-        return self.coeffs[n]
-
-    def __eq__(self, other):
-        if not isinstance(other, CoefficientSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"CoefficientSeries({self.coeffs})"
-
-
-def goettsche_series(e: int, n_max: int) -> CoefficientSeries:
+def goettsche_series(e: int, n_max: int) -> list[int]:
     """Product over k >= 1 of (1 - q^k)^(-e), truncated at q^n_max.
 
     (1 - q^k)^(-e) is the sum over m of b_m q^(km) with b_m = C(e + m - 1, m),
@@ -71,10 +35,10 @@ def goettsche_series(e: int, n_max: int) -> CoefficientSeries:
     for k in range(1, n_max + 1):
         for n in range(n_max, k - 1, -1):
             c[n] += sum(map(mul, b[1:n // k + 1], c[n - k::-k]))
-    return CoefficientSeries(c, n_max)
+    return c
 
 
-def convolution_oracle(e: int, n_max: int) -> CoefficientSeries:
+def convolution_oracle(e: int, n_max: int) -> list[int]:
     """The same series as the e-th power of the pentagonal partition series.
 
     P = sum p(n) q^n has constant term 1, so g = P^e is fixed by g_0 = 1 and
@@ -91,7 +55,7 @@ def convolution_oracle(e: int, n_max: int) -> CoefficientSeries:
         if rem:
             raise InternalInconsistency(f"q^{n} coefficient of P^{e} is {acc}/{n}")
         g.append(g_n)
-    return CoefficientSeries(g, n_max)
+    return g
 
 
 def reduced_dt4_tstar(c, euler: int) -> dict:
@@ -115,5 +79,5 @@ def reduced_dt4_tstar(c, euler: int) -> dict:
     if pts > 0:
         raise Unsupported(f"positive point slot is not a sheaf class here: {c}")
     n = -pts
-    value = goettsche_series(euler, n).coefficient(n)
+    value = goettsche_series(euler, n)[n]
     return {"c": tuple(c), "case": "points", "n": n, "value": value}

@@ -2,16 +2,19 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dt4calc.errors import InternalInconsistency, NonGenericParameters
-from dt4calc.exact import Laurent, LinForm, exp_cy_reduce, integer_scaling
-from dt4calc.localize import Summand, TorusParams, half_euler, subtorus_code
+from dt4calc.exact import Laurent, LinForm, form_str, integer_scaling
+from dt4calc.localize import (Summand, TorusParams, half_euler, subtorus_code,
+                              subtorus_form)
 
 DEFAULT_S = (Fraction(1), Fraction(2), Fraction(3), Fraction(-6))
+BASE = 41  # digits up to 20, above every coefficient these tests use
 
 exps = st.tuples(*[st.integers(-3, 3)] * 4)
 coeffs = st.integers(-8, 8)
@@ -58,7 +61,7 @@ def test_cy_reduce_is_an_idempotent_homomorphism(a, b):
 def test_cy_reduce_kills_the_determinant_character():
     kappa = Laurent.monomial((1, 1, 1, 1))
     assert kappa.cy_reduce() == Laurent.one()
-    assert exp_cy_reduce((2, 0, 1, 1)) == (1, -1, 0, 0)
+    assert Laurent.monomial((2, 0, 1, 1)).cy_reduce() == Laurent.monomial((1, -1, 0, 0))
 
 
 def test_monomial_arithmetic_and_string():
@@ -75,22 +78,26 @@ def test_monomial_arithmetic_and_string():
 @given(exps, exps)
 def test_linform_turns_products_into_sums(e, f):
     combined = tuple(x + y for x, y in zip(e, f))
-    assert LinForm(combined) == LinForm(e) + LinForm(f)
+    assert subtorus_code(combined, BASE) == subtorus_code(e, BASE) + subtorus_code(f, BASE)
+    assert LinForm(combined).reduced == tuple(
+        x + y for x, y in zip(LinForm(e).reduced, LinForm(f).reduced))
 
 
 def test_linform_equality_lives_on_the_subtorus():
     # adding a multiple of s1+s2+s3+s4 does not change the form
     assert LinForm((1, 0, 0, 0)) == LinForm((2, 1, 1, 1))
-    assert LinForm((1, 1, 1, 1)).is_zero()
+    assert LinForm((1, 1, 1, 1)).reduced == (0, 0, 0)
     assert hash(LinForm((1, 0, 0, 0))) == hash(LinForm((2, 1, 1, 1)))
 
 
 def test_linform_canonical_representative():
-    w = LinForm((0, 0, 0, 1))  # reduced (-1, -1, -1)
-    rep, sign = w.canonical()
-    assert sign == -1 and rep == -w and rep.is_canonical()
-    zero = LinForm((1, 1, 1, 1))
-    assert zero.canonical() == (zero, 1)
+    # the positive one of (w, -w) is the one with a positive code, which is
+    # the one whose triple is above (0, 0, 0)
+    for r in product(range(-3, 4), repeat=3):
+        w = LinForm(r + (0,))
+        code = subtorus_code(w.reduced + (0,), BASE)
+        assert (code > 0) == (w.reduced > (0, 0, 0))
+        assert subtorus_form(code, BASE) == w
 
 
 def test_linform_evaluate_and_str():
@@ -98,14 +105,14 @@ def test_linform_evaluate_and_str():
     assert w.evaluate(DEFAULT_S) == 3
     assert str(w) == "s1 + s2"
     assert str(LinForm((0, 0, 0, 1))) == "-s1 - s2 - s3"
-
-
-BASE = 41  # digits up to 20, above every coefficient these tests use
+    assert str(LinForm((3, 3, 3, 3))) == "0"
+    assert form_str((-1, 0, 2), sep="") == "-s1+2*s3"
+    assert repr(LinForm((2, 1, 1, 1))) == "LinForm(1, 0, 0, 0)"
 
 
 def codes(weights) -> Counter:
     """Bare weights packed as a fixed point packs its characters."""
-    return Counter(subtorus_code(w.a, BASE) for w in weights)
+    return Counter(subtorus_code(w.reduced + (0,), BASE) for w in weights)
 
 
 def weight_product(tangent=(), obstruction=()) -> Summand:
@@ -114,8 +121,12 @@ def weight_product(tangent=(), obstruction=()) -> Summand:
     return Summand(SimpleNamespace(base=BASE, e1=codes(tangent), e2=codes(obstruction)))
 
 
+def neg(w: LinForm) -> LinForm:
+    return LinForm(-x for x in w.reduced + (0,))
+
+
 def pairs(*forms):
-    return [x for w in forms for x in (w, -w)]
+    return [x for w in forms for x in (w, neg(w))]
 
 
 def test_weight_product_single_pair_value():
@@ -131,11 +142,11 @@ def test_weight_product_all_four_coordinates():
     coords = [LinForm(e) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
     sign, factors = half_euler(codes(pairs(*coords)))
     assert sign == 1
-    assert dict(factors) == codes(coords[:3] + [-coords[3]])
+    assert dict(factors) == codes(coords[:3] + [neg(coords[3])])
     assert all(k > 0 and m == 1 for k, m in factors)
     record = weight_product(obstruction=pairs(*coords))
-    assert all(w.is_canonical() and m == 1 for w, m in record.factors)
-    assert {w for w, _ in record.factors} == set(coords[:3]) | {-coords[3]}
+    assert all(w.reduced > (0, 0, 0) and m == 1 for w, m in record.factors)
+    assert {w for w, _ in record.factors} == set(coords[:3]) | {neg(coords[3])}
     assert record.value(TorusParams(DEFAULT_S)) == 1 * 2 * 3 * 6
 
 
@@ -171,8 +182,8 @@ def test_weight_product_denominator_factors():
 def test_weight_product_multiplicities_cancel():
     s1, s4 = LinForm((1, 0, 0, 0)), LinForm((0, 0, 0, 1))
     # repeated pairs add up to one factor
-    (k1, _), (k4, _) = codes([s1, -s4]).items()
-    assert half_euler(codes(pairs(s1, s1) + [s4, -s4])) == (1, ((k1, 2), (k4, 1)))
+    (k1, _), (k4, _) = codes([s1, neg(s4)]).items()
+    assert half_euler(codes(pairs(s1, s1) + [s4, neg(s4)])) == (1, ((k1, 2), (k4, 1)))
     # a factor over the same tangent weight cancels to 1, or to -1 when the
     # stored canonical form is the opposite of the tangent weight
     assert weight_product(tangent=[s1], obstruction=pairs(s1)).value(TorusParams(DEFAULT_S)) == 1
@@ -199,7 +210,7 @@ def test_integer_scaling():
         12, (3, -2, 0, -1))
 
 
-forms = st.tuples(*[st.integers(-3, 3)] * 4).map(LinForm).filter(lambda w: not w.is_zero())
+forms = st.tuples(*[st.integers(-3, 3)] * 4).map(LinForm).filter(lambda w: w.reduced != (0, 0, 0))
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 
 
@@ -213,7 +224,7 @@ def test_weight_product_matches_fraction_arithmetic(tangent, halves, head, orien
     assert record.tangent_count == len(tangent)
 
     def value(w):
-        return sum((Fraction(a) * x for a, x in zip(w.a, s)), Fraction(0))
+        return sum((Fraction(a) * x for a, x in zip(w.reduced + (0,), s)), Fraction(0))
 
     if any(value(w) == 0 for w in tangent):
         with pytest.raises(NonGenericParameters):
@@ -221,7 +232,7 @@ def test_weight_product_matches_fraction_arithmetic(tangent, halves, head, orien
         return
     expected = Fraction(orientation)
     for w, m in halves:
-        expected *= value(w.canonical()[0]) ** m
+        expected *= (value(w) if w.reduced > (0, 0, 0) else -value(w)) ** m
     for w in tangent:
         expected /= value(w)
     assert record.value(TorusParams(s), orientation) == expected
@@ -249,7 +260,7 @@ def _ref_mul(p, q):
 def _ref_cy_reduce(p):
     out = {}
     for e, c in p.items():
-        r = exp_cy_reduce(e)
+        r = (e[0] - e[3], e[1] - e[3], e[2] - e[3], 0)
         out[r] = out.get(r, 0) + c
     return _ref_clean(out)
 
@@ -288,15 +299,10 @@ def test_laurent_takes_only_int_coefficients():
 def test_linform_stores_one_representative_per_class(a, shift, head, perm):
     w = LinForm(a)
     moved = LinForm(x + shift for x in a)
-    assert w == moved and hash(w) == hash(moved) and w.a == moved.a
-    assert min(w.a) == 0
+    assert w == moved and hash(w) == hash(moved) and w.reduced == moved.reduced
     assert w.reduced == (a[0] - a[3], a[1] - a[3], a[2] - a[3])
-    assert w.is_zero() == (len(set(a)) == 1)
+    assert (w.reduced == (0, 0, 0)) == (len(set(a)) == 1)
     s = head + (-sum(head),)
     assert w.evaluate(s) == sum(Fraction(x) * y for x, y in zip(a, s))
-    assert (-w).reduced == tuple(-x for x in w.reduced) and -(-w) == w
-    assert LinForm(w.a[i] for i in perm) == LinForm(a[i] for i in perm)
-    rep, sign = w.canonical()
-    assert rep.reduced == tuple(sign * x for x in w.reduced)
-    assert next((x > 0 for x in rep.reduced if x), True)
-    assert w.is_canonical() == (sign == 1)
+    v = w.reduced + (0,)
+    assert LinForm(v[i] for i in perm) == LinForm(a[i] for i in perm)

@@ -1,5 +1,6 @@
 """Fixed point data, half Euler classes, and the degree-0 series."""
 
+import hashlib
 import itertools
 import json
 import sys
@@ -11,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dt4calc import localize, taylor
-from dt4calc.cli import series_payload
+from dt4calc.cli import main, series_payload
 from dt4calc.errors import (InternalInconsistency, NonGenericParameters,
                             OddPairing)
 from dt4calc.exact import Laurent, LinForm
 from dt4calc.localize import (FixedPointData, OrientationData, TorusParams,
                               cyclic_completion_report, dt4_degree0_series,
                               Summand, half_euler, obstruction_crosscheck,
-                              one_box_symbolic_report, relabeled_form,
+                              one_box_symbolic_report,
                               subtorus_code, subtorus_codes, subtorus_form,
                               tangent_character, transported_orientation,
                               vertex_character, vertex_oracle_check)
@@ -116,7 +117,7 @@ def test_one_box_obstruction_weights():
     data = one_box_data()
     got = sorted(w.reduced for w in data.e2_weights)
     pairs = [LinForm((1, 1, 0, 0)), LinForm((1, 0, 1, 0)), LinForm((0, 1, 1, 0))]
-    expected = sorted([w.reduced for w in pairs] + [(-w).reduced for w in pairs])
+    expected = sorted([w.reduced for w in pairs] + [tuple(-x for x in w.reduced) for w in pairs])
     assert got == expected
 
 
@@ -175,7 +176,7 @@ def test_one_box_symbolic_shape_catches_a_wrong_factor(monkeypatch):
 
 def test_one_box_symbolic_shape_catches_a_negated_tangent_weight(monkeypatch):
     (w, m), *rest = localize.summand(ONE_BOX).tangent
-    rep = _report_with(monkeypatch, tangent=((-w, m), *rest))
+    rep = _report_with(monkeypatch, tangent=((LinForm(-x for x in w.reduced + (0,)), m), *rest))
     assert not rep["denominator_matches"] and not rep["ok"]
     assert not run_suite(only="one-box")[0][1].ok
 
@@ -218,10 +219,10 @@ def test_symbolic_identity_against_sympy():
     sign, factors = half_euler(data.e2)
     num = sympy.Integer(sign)
     for k, m in factors:
-        num *= sum(int(c) * v for c, v in zip(subtorus_form(k, data.base).a, s)) ** m
+        num *= sum(int(c) * v for c, v in zip(subtorus_form(k, data.base).reduced, s)) ** m
     den = sympy.Integer(1)
     for w in data.e1_weights:
-        den *= sum(int(c) * v for c, v in zip(w.a, s))
+        den *= sum(int(c) * v for c, v in zip(w.reduced, s))
     e4 = s1 * s2 * s3 * s4
     assert sympy.simplify(num / den + e3 / e4) == 0
 
@@ -365,13 +366,14 @@ def old_route(pi: DPartition) -> tuple[dict, Laurent, tuple]:
     for w in e1_weights:
         tangent[w] = tangent.get(w, 0) + 1
     # the pairing as `half_euler` did it on weight lists, canonical forms by
-    # `LinForm.is_canonical` and sorted by reduced coefficients
+    # a positive reduced triple and sorted by reduced coefficients
     obstruction: dict[LinForm, int] = {}
     for w in e2_weights:
         obstruction[w] = obstruction.get(w, 0) + 1
-    assert all(obstruction.get(-w) == m for w, m in obstruction.items())
-    sign = 0 if any(w.is_zero() for w in obstruction) else 1
-    factors = tuple(sorted(((w, m) for w, m in obstruction.items() if w.is_canonical()),
+    assert all(obstruction.get(LinForm(-x for x in w.reduced + (0,))) == m
+               for w, m in obstruction.items())
+    sign = 0 if any(w.reduced == (0, 0, 0) for w in obstruction) else 1
+    factors = tuple(sorted(((w, m) for w, m in obstruction.items() if w.reduced > (0, 0, 0)),
                            key=lambda wm: wm[0].reduced)) if sign else ()
     views = {"q": q, "tvir": tvir, "e1_char": e1,
              "e1_weights": e1_weights, "e2_weights": e2_weights}
@@ -462,10 +464,26 @@ def test_orientation_flip_negates_one_summand():
 
 
 def test_relabeled_form_matches_box_relabeling():
-    w = LinForm((1, -1, 0, 2))
-    perm = (2, 0, 3, 1)
-    moved = relabeled_form(w, perm)
-    assert moved.a == (w.a[perm[0]], w.a[perm[1]], w.a[perm[2]], w.a[perm[3]])
+    # permuting a weight's coefficients as box coordinates are permuted, the
+    # inline transport in `transported_orientation`, takes the weights of a
+    # partition to those of its relabeling: the tangent weights exactly, the
+    # half Euler factors up to the sign of each pair
+    def moved(w, perm):
+        v = w.reduced + (0,)
+        return LinForm(v[p] for p in perm)
+
+    def unsigned(w):
+        return max(w.reduced, tuple(-x for x in w.reduced))
+
+    assert moved(LinForm((1, -1, 0, 2)), (2, 0, 3, 1)) == LinForm((0, 1, 2, -1))
+    for perm in ((1, 0, 2, 3), (2, 0, 3, 1), (3, 2, 1, 0)):
+        for n in range(4):
+            for pi in enumerate_partitions(4, n):
+                record, image = localize.summand(pi), localize.summand(pi.relabeled(perm))
+                assert sorted((moved(w, perm).reduced, m) for w, m in record.tangent) == \
+                    sorted((w.reduced, m) for w, m in image.tangent)
+                assert sorted((unsigned(moved(w, perm)), m) for w, m in record.factors) == \
+                    sorted((unsigned(w), m) for w, m in image.factors)
 
 
 @pytest.mark.parametrize("perm", list(itertools.permutations(range(4))))
@@ -519,7 +537,7 @@ def reference_summand(data: FixedPointData, params: TorusParams, sign: int) -> F
     """The summand in Fraction arithmetic, one weight at a time, straight
     from the weight lists of the fixed point."""
     def value(w):
-        return sum((Fraction(a) * x for a, x in zip(w.a, params.s)), Fraction(0))
+        return sum((Fraction(a) * x for a, x in zip(w.reduced, params.s)), Fraction(0))
 
     den = Fraction(1)
     for w in data.e1_weights:
@@ -527,12 +545,12 @@ def reference_summand(data: FixedPointData, params: TorusParams, sign: int) -> F
         if v == 0:
             raise NonGenericParameters(f"tangent weight {w} vanishes at s = {params}")
         den *= v
-    if any(w.is_zero() for w in data.e2_weights):
+    if any(w.reduced == (0, 0, 0) for w in data.e2_weights):
         return Fraction(0)
     # one weight from each (w, -w) pair: the canonical one
     num = Fraction(sign)
     for w in data.e2_weights:
-        if w.is_canonical():
+        if w.reduced > (0, 0, 0):
             num *= value(w)
     return num / den
 
@@ -717,3 +735,23 @@ def test_subtorus_forms_are_decoded_once_and_shared():
         # from n = 2 on the records repeat weights
         assert len({id(w) for w in held}) == len(set(held))
         assert n < 2 or len(set(held)) < len(held)
+
+
+# sha256 over every point's weights for n <= 7 and of the vertex report at
+# n <= 5, recorded before a weight became only its reduced triple
+WEIGHTS_PIN = "06705026947970f19967e08fe4e8c45878bd84fdbe69b9a92972be6de1c665ac"
+VERTEX_PIN = "d32e0cfd5278c1709000b75af9e49024555fae2d64d886040f3f46762dcd3c0a"
+
+
+def test_weights_and_vertex_report_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for level in partition_levels(4, 7):
+        for pi in level:
+            record = localize.summand(pi)
+            digest.update(pi.id().encode())
+            for w, m in record.tangent + record.factors:
+                digest.update(repr((str(w), w.reduced, m)).encode())
+    assert digest.hexdigest() == WEIGHTS_PIN
+    assert main(["vertex", "--n-max", "5", "--s", "1,7,41,-49"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == VERTEX_PIN

@@ -93,6 +93,14 @@ def test_addable_boxes_and_with_box():
     assert grown.size == 2
 
 
+def test_constructor_rejects_a_set_that_is_not_downward_closed():
+    with pytest.raises(ValueError, match="not downward closed"):
+        DPartition(4, [(1, 0, 0, 0)])
+    with pytest.raises(ValueError, match="not downward closed"):
+        DPartition(3, [(0, 0, 0), (1, 1, 0)])
+    assert DPartition(4, [(0, 0, 0, 0), (1, 0, 0, 0)]).size == 2
+
+
 def test_relabeling_permutes_axes():
     pi = DPartition(4, [(0, 0, 0, 0), (1, 0, 0, 0)])
     swapped = pi.relabeled((1, 0, 2, 3))
