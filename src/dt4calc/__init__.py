@@ -7,6 +7,7 @@ them, and the punctual Euler-characteristic generating series.
 Everything is computed over the rationals with no floating point anywhere.
 """
 
+from .characters import tangent_character
 from .chow import (VarietyContext, cy_hypersurface_context, liqin_case,
                    projective_plane_context, structure_sheaf_chi_check,
                    surface_obstruction_identity, vdim_ideal_cy4)
@@ -15,8 +16,8 @@ from .errors import (BoundExceeded, Dt4Error, InternalInconsistency,
 from .exact import Laurent, LinForm
 from .localize import (FixedPointData, OrientationData, TorusParams,
                        cyclic_completion_report, dt4_degree0_series,
-                       half_euler, obstruction_crosscheck, tangent_character,
-                       vertex_character, vertex_oracle_check)
+                       half_euler, obstruction_crosscheck, vertex_character,
+                       vertex_oracle_check)
 from .partitions import (DPartition, MonomialIdeal, enumerate_partitions,
                          partition_counts, partition_numbers, size_bound)
 from .series import convolution_oracle, goettsche_series, reduced_dt4_tstar

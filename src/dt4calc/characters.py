@@ -1,0 +1,184 @@
+"""A fixed point's characters as flat int dicts, with no Laurent polynomial.
+
+Each exponent vector, reduced to the subtorus t1 t2 t3 t4 = 1, is packed
+into one int (`subtorus_code`), so sums of vectors are sums of ints.
+
+There (1 - t1^-1)...(1 - t4^-1) = P123 + bar(P123) with
+P123 = (1 - t1^-1)(1 - t2^-1)(1 - t3^-1), so the virtual tangent character
+is T = V + bar(V) with V = Q - Q bar(Q) P123, eight shifts of the box
+differences (`vertex_codes`).
+
+The tangent character E1 = Hom(I, O_Z) is counted from graph components at
+each multidegree (`tangent_codes`), with no Taylor complex, no ideal and no
+rank, and written straight to subtorus codes.  Its full torus terms are
+kept packed; `tangent_character` reads them as a Laurent polynomial, for
+the Ext^0 cross-check and the tests.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+from .exact import Laurent
+from .partitions import DPartition
+
+
+def subtorus_code(e, base: int) -> int:
+    """The exponent or coefficient vector e on the subtorus, (e1-e4, e2-e4,
+    e3-e4), as one int: signed digits in `base`, the first most significant."""
+    return ((e[0] - e[3]) * base + e[1] - e[3]) * base + e[2] - e[3]
+
+
+# per base, the (code, sign) of each term (-1)^|e| t^e of
+# P123 = (1 - t1^-1)(1 - t2^-1)(1 - t3^-1)
+_SHIFTS: dict[int, tuple[tuple[int, int], ...]] = {}
+
+
+def _p123(base: int) -> tuple[tuple[int, int], ...]:
+    shifts = _SHIFTS.get(base)
+    if shifts is None:
+        shifts = _SHIFTS[base] = tuple(
+            (subtorus_code(e + (0,), base), (-1) ** -sum(e))
+            for e in product((0, -1), repeat=3))
+    return shifts
+
+
+def vertex_codes(partition: DPartition, base: int) -> dict[int, int]:
+    """The virtual tangent character on the subtorus, code -> multiplicity.
+
+    There P1234 = (1 - t1^-1)...(1 - t4^-1) equals P123 + bar(P123), and the
+    box differences D = Q bar(Q) are self dual, so T = V + bar(V) with
+    V = Q - D P123: eight shifts of the box differences.
+    """
+    boxes = [subtorus_code(b, base) for b in partition.boxes]
+    diffs: dict[int, int] = {}
+    get = diffs.get
+    for a in boxes:
+        for b in boxes:
+            d = a - b
+            diffs[d] = get(d, 0) + 1
+    # V = Q - sum of sign * D t^shift: the terms of -sign * D, by sign
+    signed = {1: [(d, -m) for d, m in diffs.items()], -1: list(diffs.items())}
+    half = dict.fromkeys(boxes, 1)
+    get = half.get
+    for shift, sign in _p123(base):
+        for d, m in signed[sign]:
+            k = d + shift
+            half[k] = get(k, 0) + m
+    tcy: dict[int, int] = {}
+    for k, m in half.items():
+        m += get(-k, 0)
+        if m:
+            tcy[k] = tcy[-k] = m
+    return tcy
+
+
+def tangent_codes(partition: DPartition, base: int) -> tuple[dict[int, int], dict[int, int]]:
+    """E1 = Hom(I, O_Z) at a solid partition, with no matrix and no rank, as
+    (codes, terms): code -> multiplicity on the subtorus in `base`, and the
+    full torus terms, packed exponent -> multiplicity (`unpack_terms`).
+
+    At a multidegree mu, Hom_mu is the kernel of the first Taylor
+    differential on the generators h with mu + h a box, the live ones.  A
+    pair {g, h} with mu + lcm(g, h) a box gives one row of it: c_h - c_g
+    when both ends are live, which joins them, and c_g alone when only g is
+    live, which grounds g.  So dim Hom_mu is the number of connected
+    components of live generators that hold no grounded vertex.
+
+    Generators are the addable boxes.  One pass over the (box, generator)
+    pairs groups them by mu = box - generator, which gives each mu its live
+    generators as a bitmask, and its subtorus code as code(box) -
+    code(generator).  Full torus vectors are packed into ints as digits in
+    base 2n + 1, the first least significant.  Every vector compared here
+    has coordinates in [-n, 2n - 1] and every box in [0, n - 1], so two of
+    them differ by less than the base in each coordinate, and their codes
+    are equal only when the vectors are.
+    """
+    boxes = partition.boxes
+    if not boxes:
+        return {}, {}
+    gens = partition.addable_boxes()
+    p = 2 * len(boxes) + 1
+    p2 = p * p
+    p3 = p2 * p
+
+    def pack(v) -> int:
+        return v[0] + v[1] * p + v[2] * p2 + v[3] * p3
+
+    box_codes = set(map(pack, boxes))
+    gen_codes = list(map(pack, gens))
+    gen_info = [(1 << i, pg, subtorus_code(g, base))
+                for i, (g, pg) in enumerate(zip(gens, gen_codes))]
+    # for each generator g, the (bit, packed lcm(g, h) - g) of the other
+    # generators h whose lcm(g, h) - g is a box: when g is live, mu + g is a
+    # box, so mu + lcm(g, h) is one only if lcm(g, h) - g, below it, is one
+    pairs = []
+    for i, (g0, g1, g2, g3) in enumerate(gens):
+        row = []
+        for j, (h0, h1, h2, h3) in enumerate(gens):
+            d = ((h0 - g0 if h0 > g0 else 0) + (h1 - g1 if h1 > g1 else 0) * p
+                 + (h2 - g2 if h2 > g2 else 0) * p2 + (h3 - g3 if h3 > g3 else 0) * p3)
+            if j != i and d in box_codes:
+                row.append((1 << j, d))
+        pairs.append(row)
+    live: dict[int, int] = {}
+    sub: dict[int, int] = {}
+    for b in boxes:
+        pb, sb = pack(b), subtorus_code(b, base)
+        for bit, pg, sg in gen_info:
+            mu = pb - pg
+            mask = live.get(mu)
+            if mask is None:
+                live[mu] = bit
+                sub[mu] = sb - sg
+            else:
+                live[mu] = mask | bit
+    codes: dict[int, int] = {}
+    terms: dict[int, int] = {}
+    for mu, mask in live.items():
+        todo = mask
+        dim = 0
+        while todo:
+            stack = todo & -todo
+            todo ^= stack
+            grounded = False
+            while stack:
+                low = stack & -stack
+                stack ^= low
+                i = low.bit_length() - 1
+                at = mu + gen_codes[i]
+                for bit, d in pairs[i]:
+                    if at + d in box_codes:
+                        if bit & todo:
+                            todo ^= bit
+                            stack |= bit
+                        elif not bit & mask:
+                            grounded = True
+            dim += not grounded
+        if dim:
+            terms[mu] = dim
+            k = sub[mu]
+            codes[k] = codes.get(k, 0) + dim
+    return codes, terms
+
+
+def unpack_terms(terms: dict[int, int], n: int) -> Laurent:
+    """The packed full torus terms of `tangent_codes` at a partition of size
+    n as a Laurent polynomial: each key is four signed digits in base 2n + 1."""
+    p = 2 * n + 1
+    out = {}
+    for code, m in terms.items():
+        exp = []
+        for _ in range(4):
+            digit = (code + n) % p - n
+            exp.append(digit)
+            code = (code - digit) // p
+        out[tuple(exp)] = m
+    return Laurent(out)
+
+
+def tangent_character(partition: DPartition) -> Laurent:
+    """Character of E1 = Hom(I, O_Z) at a solid partition on the full torus,
+    a view of the terms `tangent_codes` counts."""
+    n = partition.size
+    return unpack_terms(tangent_codes(partition, 4 * n + 1)[1], n)

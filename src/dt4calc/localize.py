@@ -12,23 +12,16 @@ the fixed point is a sign choice times the product of one weight from each
 pair, divided by the product of the tangent weights.  All arithmetic is
 exact.
 
-The summand needs the characters only on that subtorus.  There
-(1 - t1^{-1})...(1 - t4^{-1}) = P123 + bar(P123) with
-P123 = (1 - t1^{-1})(1 - t2^{-1})(1 - t3^{-1}), so T = V + bar(V) with
-V = Q - Q bar(Q) P123, eight shifts of the box differences
-(`vertex_codes`).  Each exponent vector, reduced to the subtorus, is packed
-into one int (`subtorus_code`), so a fixed point is built with int keys and
-int multiplicities and no Laurent product; a `LinForm` is decoded once per
-distinct weight.  The Laurent closed form (`vertex_character`) is kept for
-the `vertex` report and the oracles, which compare both with the
-resolution.
-
-The tangent character E1 = Hom(I, O_Z) is counted from graph components at
-each multidegree (`tangent_character`), with no Taylor complex, no ideal
-and no rank.  The Taylor complex of `taylor` serves only the checks, the
-resolution oracle and the Ext^0/Ext^1 cross-check, and the cyclic
-completion report, so E1 comes from a different route than every Taylor
-oracle that checks it.
+The summand needs the characters only on that subtorus, where
+T = V + bar(V) with V = Q - Q bar(Q) (1 - t1^{-1})(1 - t2^{-1})(1 - t3^{-1}).
+A fixed point is built from T and E1 = Hom(I, O_Z) as flat int dicts keyed
+by packed subtorus codes, with no Laurent polynomial (`characters`); a
+`LinForm` is decoded once per distinct weight.  The Laurent closed form
+(`vertex_character`) is kept for the `vertex` report and the oracles,
+which compare both with the resolution.  The Taylor complex of `taylor`
+serves only the checks, the resolution oracle and the Ext^0/Ext^1
+cross-check, and the cyclic completion report, so E1 comes from a
+different route than every Taylor oracle that checks it.
 
 Only that last evaluation depends on the parameters.  The rest of a summand
 is kept per process in a compact `Summand` record per partition, so a
@@ -38,13 +31,12 @@ second series at new parameters builds no fixed point data.
 from __future__ import annotations
 
 import json
-import operator
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from math import prod
 
+from .characters import subtorus_code, tangent_codes, unpack_terms, vertex_codes
 from .errors import InternalInconsistency, NonGenericParameters, NotEffective, OddPairing
 from .exact import Laurent, LinForm, integer_scaling
 from .partitions import (DPartition, MonomialIdeal, enumerate_partitions,
@@ -175,12 +167,6 @@ def half_euler(codes: dict[int, int]) -> tuple[int, tuple]:
     return 1, tuple(sorted((w, m) for w, m in codes.items() if w > 0))
 
 
-def subtorus_code(e, base: int) -> int:
-    """The exponent or coefficient vector e on the subtorus, (e1-e4, e2-e4,
-    e3-e4), as one int: signed digits in `base`, the first most significant."""
-    return ((e[0] - e[3]) * base + e[1] - e[3]) * base + e[2] - e[3]
-
-
 _FORMS: dict[tuple[int, int], LinForm] = {}
 
 
@@ -213,84 +199,6 @@ def subtorus_codes(ch: Laurent, base: int) -> dict[int, int]:
     return {k: c for k, c in out.items() if c}
 
 
-def vertex_codes(partition: DPartition, base: int) -> dict[int, int]:
-    """The virtual tangent character on the subtorus, code -> multiplicity.
-
-    There P1234 = (1 - t1^-1)...(1 - t4^-1) equals P123 + bar(P123), and the
-    box differences D = Q bar(Q) are self dual, so T = V + bar(V) with
-    V = Q - D P123: eight shifts of the box differences.
-    """
-    boxes = [subtorus_code(b, base) for b in partition.boxes]
-    diffs = Counter(a - b for a in boxes for b in boxes)
-    half = Counter(boxes)
-    for e in product((0, -1), repeat=3):
-        shift, sign = subtorus_code(e + (0,), base), (-1) ** -sum(e)
-        for d, m in diffs.items():
-            half[d + shift] -= sign * m
-    tcy = Counter(half)
-    tcy.update({-k: m for k, m in half.items()})
-    return {k: m for k, m in tcy.items() if m}
-
-
-def tangent_character(partition: DPartition) -> Laurent:
-    """Character of E1 = Hom(I, O_Z) at a solid partition, with no matrix and no rank.
-
-    At a multidegree mu, Hom_mu is the kernel of the first Taylor
-    differential on the generators h with mu + h a box, the live ones.  A
-    pair {g, h} with mu + lcm(g, h) a box gives one row of it: c_h - c_g
-    when both ends are live, which joins them, and c_g alone when only g is
-    live, which grounds g.  So dim Hom_mu is the number of connected
-    components of live generators that hold no grounded vertex.
-
-    Generators are the addable boxes.  Vectors are packed into ints as
-    digits in base 2n + 1.  Every vector compared here has coordinates in
-    [-n, 2n - 1] and every box in [0, n - 1], so two of them differ by less
-    than the base in each coordinate, and their codes are equal only when
-    the vectors are.
-    """
-    boxes = partition.boxes
-    if not boxes:
-        return Laurent.zero()
-    gens = partition.addable_boxes()
-    powers = [(2 * len(boxes) + 1) ** i for i in range(partition.d)]
-
-    def pack(v) -> int:
-        return sum(map(operator.mul, v, powers))
-
-    box_codes = set(map(pack, boxes))
-    gen_codes = [pack(g) for g in gens]
-    # for each generator, (other generator, code of their lcm)
-    pairs = [[(j, pack(map(max, g, h))) for j, h in enumerate(gens) if h != g]
-             for g in gens]
-    terms: dict[tuple[int, ...], int] = {}
-    seen: set[int] = set()
-    for b in boxes:
-        pb = pack(b)
-        for g, pg in zip(gens, gen_codes):
-            mu = pb - pg
-            if mu in seen:
-                continue
-            seen.add(mu)
-            live = {i for i, code in enumerate(gen_codes) if mu + code in box_codes}
-            todo = set(live)
-            dim = 0
-            while todo:
-                stack = [todo.pop()]
-                grounded = False
-                while stack:
-                    for j, code in pairs[stack.pop()]:
-                        if mu + code in box_codes:
-                            if j not in live:
-                                grounded = True
-                            elif j in todo:
-                                todo.remove(j)
-                                stack.append(j)
-                dim += not grounded
-            if dim:
-                terms[tuple(map(operator.sub, b, g))] = dim
-    return Laurent(terms)
-
-
 class FixedPointData:
     """Everything the localization formula needs at one fixed point.
 
@@ -300,10 +208,12 @@ class FixedPointData:
     character.  Every reduced coefficient they hold lies in [-2n + 1,
     2n - 1], inside the digit range, so adding codes adds vectors, negating
     is `bar`, codes sort as `LinForm.reduced` does, and a code is positive
-    exactly when its triple is, `reduced > (0, 0, 0)`.  `e1_char` is E1 on
-    the full torus, as `tangent_character` gives it.  The characters, weight
-    lists and monomial ideal the oracles and the `vertex` report read are
-    views, built on first access; both Taylor checks read the one `ideal`.
+    exactly when its triple is, `reduced > (0, 0, 0)`.  `e1_terms` holds E1
+    on the full torus, packed as `tangent_codes` counts it.  The characters,
+    among them `e1_char`, that terms dict as a Laurent polynomial, the
+    weight lists and the monomial ideal the oracles and the `vertex` report
+    read are views, built on first access; both Taylor checks read the one
+    `ideal`.
     """
 
     def __init__(self, partition: DPartition):
@@ -316,15 +226,18 @@ class FixedPointData:
         if sum(tcy.values()) != 2 * n:
             raise InternalInconsistency(
                 f"virtual dimension shadow {sum(tcy.values())} != {2 * n}")
-        self.e1_char = tangent_character(partition)
-        self.e1 = e1 = subtorus_codes(self.e1_char, base)
+        e1, self.e1_terms = tangent_codes(partition, base)
+        self.e1 = e1
         self._effective(e1, "tangent")
-        e2 = Counter(e1)
-        e2.update({-k: m for k, m in e1.items()})
-        e2.subtract(tcy)
+        e2 = dict(e1)
+        get = e2.get
+        for k, m in e1.items():
+            e2[-k] = get(-k, 0) + m
+        for k, m in tcy.items():
+            e2[k] = get(k, 0) - m
         self.e2 = e2 = {k: m for k, m in e2.items() if m}
         self._effective(e2, "obstruction")
-        if any(e2.get(-k) != m for k, m in e2.items()):
+        if e2 != {-k: m for k, m in e2.items()}:
             raise InternalInconsistency("obstruction character is not self dual")
         if sum(e2.values()) != 2 * sum(e1.values()) - 2 * n:
             raise InternalInconsistency("weight count violates the dimension law")
@@ -336,6 +249,10 @@ class FixedPointData:
 
     def _weights(self, codes: dict[int, int]) -> list[LinForm]:
         return [w for k in sorted(codes) for w in [subtorus_form(k, self.base)] * codes[k]]
+
+    @cached_property
+    def e1_char(self) -> Laurent:
+        return unpack_terms(self.e1_terms, self.partition.size)
 
     @cached_property
     def q(self) -> Laurent:

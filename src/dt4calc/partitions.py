@@ -52,8 +52,9 @@ def is_downward_closed(boxes, d: int) -> bool:
 class DPartition:
     """A finite downward-closed box set, stored as a lex-sorted tuple.
 
-    The constructor checks closure and raises ValueError without it;
-    `with_box` and `relabeled`, which keep it by construction, skip the check.
+    The constructor checks that no box repeats and that the set is closed,
+    and raises ValueError otherwise; `with_box` and `relabeled`, which keep
+    both by construction, skip the checks.
     """
 
     __slots__ = ("d", "boxes")
@@ -61,9 +62,11 @@ class DPartition:
     def __init__(self, d: int, boxes=()):
         _check_dim(d)
         boxes = tuple(sorted(tuple(int(x) for x in b) for b in boxes))
-        for b in boxes:
+        for i, b in enumerate(boxes):
             if len(b) != d or any(x < 0 for x in b):
                 raise ValueError(f"box {b!r} is not a point of N^{d}")
+            if i and b == boxes[i - 1]:
+                raise ValueError(f"box {b!r} is repeated")
         if not is_downward_closed(boxes, d):
             raise ValueError("box set is not downward closed")
         self.d = d
@@ -91,27 +94,23 @@ class DPartition:
         return ";".join(",".join(str(x) for x in b) for b in self.boxes)
 
     def addable_boxes(self) -> list[Box]:
-        """Boxes whose addition keeps the set downward closed, lex-sorted."""
+        """Boxes whose addition keeps the set downward closed, lex-sorted.
+
+        A box c outside the set is addable when c - e_j is in it for every
+        j with c_j > 0, that is when it is one step above as many boxes as
+        c has nonzero coordinates.
+        """
+        d = self.d
+        if not self.boxes:
+            return [(0,) * d]
+        above: dict[Box, int] = {}
+        get = above.get
+        for b in self.boxes:
+            for i in range(d):
+                c = b[:i] + (b[i] + 1,) + b[i + 1:]
+                above[c] = get(c, 0) + 1
         present = set(self.boxes)
-        if not present:
-            return [(0,) * self.d]
-        cands = set()
-        for b in present:
-            for i in range(self.d):
-                cands.add(b[:i] + (b[i] + 1,) + b[i + 1:])
-        out = []
-        for c in cands:
-            if c in present:
-                continue
-            ok = True
-            for i in range(self.d):
-                if c[i] > 0 and c[:i] + (c[i] - 1,) + c[i + 1:] not in present:
-                    ok = False
-                    break
-            if ok:
-                out.append(c)
-        out.sort()
-        return out
+        return sorted(c for c, k in above.items() if k == d - c.count(0) and c not in present)
 
     def with_box(self, c: Box) -> "DPartition":
         out = DPartition.__new__(DPartition)
@@ -155,7 +154,7 @@ def partition_from_id(text: str, d: int) -> DPartition | None:
         pi = DPartition(d, boxes)
     except ValueError:
         return None
-    return pi if len(set(boxes)) == len(boxes) and pi.id() == text else None
+    return pi if pi.id() == text else None
 
 
 # level cache: (d, n) -> tuple of DPartition, filled one size at a time

@@ -110,12 +110,23 @@ def test_check_oracle_catches_an_e1_error(capsys, monkeypatch):
     # an antisymmetric error in E1 leaves E2 unchanged, so only the direct
     # comparison with Taylor Ext^0 sees it
     from dt4calc import localize
-    from dt4calc.exact import Laurent
 
-    tangent = localize.tangent_character
-    error = Laurent.monomial((1, 0, 0, 0)) - Laurent.monomial((-1, 0, 0, 0))
-    monkeypatch.setattr(localize, "tangent_character",
-                        lambda pi: tangent(pi) + error if pi.size else tangent(pi))
+    def plus_error(chars, k):
+        # add t1 - t1^-1, whose key is k, to a character dict
+        out = {**chars, k: chars.get(k, 0) + 1, -k: chars.get(-k, 0) - 1}
+        return {key: m for key, m in out.items() if m}
+
+    kernel = localize.tangent_codes
+
+    def tampered(pi, base):
+        codes, terms = kernel(pi, base)
+        if not pi.size:
+            return codes, terms
+        # t1 packs to 1 on the full torus, where the first exponent is the lowest digit
+        return (plus_error(codes, localize.subtorus_code((1, 0, 0, 0), base)),
+                plus_error(terms, 1))
+
+    monkeypatch.setattr(localize, "tangent_codes", tampered)
     monkeypatch.setattr(localize, "_SUMMANDS", {})
     for command in ("vertex", "dt4-series"):
         code, out, _ = run(capsys, command, "--n-max", "2", "--s", GENERIC_S,
@@ -445,6 +456,7 @@ def test_bad_counts_are_usage_errors(argv, capsys):
     {"0,0,0,0": True},
     {"0,0,0,0": 1.0},
     {"0,0,0,0;1,0,0,0;0,1,0,0": -1},
+    {"0,0,0,0;0,0,0,0": -1},
     {"1,0,0,0": -1},
     {"0,0,0": -1},
 ])

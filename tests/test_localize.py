@@ -3,7 +3,9 @@
 import hashlib
 import itertools
 import json
+import operator
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dt4calc import localize, taylor
+from dt4calc.characters import tangent_character
 from dt4calc.cli import main, series_payload
 from dt4calc.errors import (InternalInconsistency, NonGenericParameters,
                             OddPairing)
@@ -21,7 +24,7 @@ from dt4calc.localize import (FixedPointData, OrientationData, TorusParams,
                               Summand, half_euler, obstruction_crosscheck,
                               one_box_symbolic_report,
                               subtorus_code, subtorus_codes, subtorus_form,
-                              tangent_character, transported_orientation,
+                              transported_orientation,
                               vertex_character, vertex_oracle_check)
 from dt4calc.partitions import (DPartition, enumerate_partitions, partition_from_id,
                                 partition_levels)
@@ -277,6 +280,96 @@ def test_tangent_character_on_single_axis_columns(axis):
         column = DPartition(4, [tuple(k if i == axis else 0 for i in range(4))
                                 for k in range(h)])
         assert tangent_character(column) == taylor_hom(column), column.id()
+
+
+def reference_vertex_codes(partition: DPartition, base: int) -> dict[int, int]:
+    """T = V + bar(V) with V = Q - D P123 by `Counter` passes, as fixed points
+    were built before the shifts went into one dict."""
+    boxes = [subtorus_code(b, base) for b in partition.boxes]
+    diffs = Counter(a - b for a in boxes for b in boxes)
+    half = Counter(boxes)
+    for e in itertools.product((0, -1), repeat=3):
+        shift, sign = subtorus_code(e + (0,), base), (-1) ** -sum(e)
+        for d, m in diffs.items():
+            half[d + shift] -= sign * m
+    tcy = Counter(half)
+    tcy.update({-k: m for k, m in half.items()})
+    return {k: m for k, m in tcy.items() if m}
+
+
+def reference_tangent_character(partition: DPartition) -> Laurent:
+    """E1 from graph components with the live generators rescanned at each
+    multidegree and the terms kept as a Laurent, as fixed points were built
+    before E1 went straight to codes."""
+    boxes = partition.boxes
+    if not boxes:
+        return Laurent.zero()
+    gens = partition.addable_boxes()
+    powers = [(2 * len(boxes) + 1) ** i for i in range(partition.d)]
+
+    def pack(v) -> int:
+        return sum(map(operator.mul, v, powers))
+
+    box_codes = set(map(pack, boxes))
+    gen_codes = [pack(g) for g in gens]
+    pairs = [[(j, pack(map(max, g, h))) for j, h in enumerate(gens) if h != g]
+             for g in gens]
+    terms: dict[tuple[int, ...], int] = {}
+    seen: set[int] = set()
+    for b in boxes:
+        pb = pack(b)
+        for g, pg in zip(gens, gen_codes):
+            mu = pb - pg
+            if mu in seen:
+                continue
+            seen.add(mu)
+            live = {i for i, code in enumerate(gen_codes) if mu + code in box_codes}
+            todo = set(live)
+            dim = 0
+            while todo:
+                stack = [todo.pop()]
+                grounded = False
+                while stack:
+                    for j, code in pairs[stack.pop()]:
+                        if mu + code in box_codes:
+                            if j not in live:
+                                grounded = True
+                            elif j in todo:
+                                todo.remove(j)
+                                stack.append(j)
+                dim += not grounded
+            if dim:
+                terms[tuple(map(operator.sub, b, g))] = dim
+    return Laurent(terms)
+
+
+# every n <= 7, and the single-axis columns of height 1..8
+REFERENCE_CASES = {f"n={n}": enumerate_partitions(4, n) for n in range(8)}
+REFERENCE_CASES["columns"] = [
+    DPartition(4, [tuple(k if i == axis else 0 for i in range(4)) for k in range(h)])
+    for axis in range(4) for h in range(1, 9)]
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_fixed_point_kernels_match_the_reference(case):
+    for pi in REFERENCE_CASES[case]:
+        data = FixedPointData(pi)
+        base = data.base
+        assert data.tcy == reference_vertex_codes(pi, base), pi.id()
+        e1 = reference_tangent_character(pi)
+        assert data.e1 == subtorus_codes(e1, base), pi.id()
+        assert data.e1_char == e1 == tangent_character(pi), pi.id()
+        assert localize.tangent_codes(pi, base) == (data.e1, data.e1_terms), pi.id()
+
+
+def test_series_builds_no_laurent(monkeypatch):
+    # E1 on the full torus is a view that only the oracles and `vertex` read
+    def fail(*args, **kwargs):
+        raise AssertionError("the series path built a Laurent polynomial")
+
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    monkeypatch.setattr(Laurent, "__init__", fail)
+    assert dt4_degree0_series(5, GENERIC) == SERIES_GENERIC + SERIES_GENERIC_4_5
 
 
 def test_crosscheck_catches_an_e1_error_the_obstruction_hides():

@@ -101,6 +101,14 @@ def test_constructor_rejects_a_set_that_is_not_downward_closed():
     assert DPartition(4, [(0, 0, 0, 0), (1, 0, 0, 0)]).size == 2
 
 
+def test_constructor_rejects_a_repeated_box():
+    with pytest.raises(ValueError, match=r"box \(0, 0, 0, 0\) is repeated"):
+        DPartition(4, [(0, 0, 0, 0), (0, 0, 0, 0)])
+    with pytest.raises(ValueError, match=r"box \(1, 0, 0\) is repeated"):
+        DPartition(3, [(1, 0, 0), (0, 0, 0), (1, 0, 0)])
+    assert partition_from_id("0,0,0,0;0,0,0,0", 4) is None
+
+
 def test_relabeling_permutes_axes():
     pi = DPartition(4, [(0, 0, 0, 0), (1, 0, 0, 0)])
     swapped = pi.relabeled((1, 0, 2, 3))
