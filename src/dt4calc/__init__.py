@@ -7,7 +7,6 @@ them, and the punctual Euler-characteristic generating series.
 Everything is computed over the rationals with no floating point anywhere.
 """
 
-from .characters import tangent_character
 from .chow import (VarietyContext, cy_hypersurface_context, liqin_case,
                    projective_plane_context, structure_sheaf_chi_check,
                    surface_obstruction_identity, vdim_ideal_cy4)
@@ -36,6 +35,5 @@ __all__ = [
     "liqin_case", "obstruction_crosscheck", "partition_counts",
     "partition_numbers", "projective_plane_context", "reduced_dt4_tstar",
     "size_bound", "structure_sheaf_chi_check", "surface_obstruction_identity",
-    "tangent_character", "vdim_ideal_cy4", "vertex_character",
-    "vertex_oracle_check",
+    "vdim_ideal_cy4", "vertex_character", "vertex_oracle_check",
 ]

@@ -11,15 +11,15 @@ differences (`vertex_codes`).
 The tangent character E1 = Hom(I, O_Z) is counted from graph components at
 each multidegree (`tangent_codes`), with no Taylor complex, no ideal and no
 rank, and written straight to subtorus codes.  Its full torus terms are
-kept packed; `tangent_character` reads them as a Laurent polynomial, for
-the Ext^0 cross-check and the tests.
+kept packed; `unpack_terms` reads them as a Laurent polynomial, for the
+Ext^0 cross-check and the `vertex` report.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .exact import Laurent
+from .exact import Laurent, unpack
 from .partitions import DPartition
 
 
@@ -89,21 +89,19 @@ def tangent_codes(partition: DPartition, base: int) -> tuple[dict[int, int], dic
     pairs groups them by mu = box - generator, which gives each mu its live
     generators as a bitmask, and its subtorus code as code(box) -
     code(generator).  Full torus vectors are packed into ints as digits in
-    base 2n + 1, the first least significant.  Every vector compared here
-    has coordinates in [-n, 2n - 1] and every box in [0, n - 1], so two of
-    them differ by less than the base in each coordinate, and their codes
-    are equal only when the vectors are.
+    base 2n + 1, the first most significant, as `exact.unpack` reads them.
+    Every vector compared here has coordinates in [-n, 2n - 1] and every box
+    in [0, n - 1], so two of them differ by less than the base in each
+    coordinate, and their codes are equal only when the vectors are.
     """
     boxes = partition.boxes
     if not boxes:
         return {}, {}
     gens = partition.addable_boxes()
     p = 2 * len(boxes) + 1
-    p2 = p * p
-    p3 = p2 * p
 
     def pack(v) -> int:
-        return v[0] + v[1] * p + v[2] * p2 + v[3] * p3
+        return ((v[0] * p + v[1]) * p + v[2]) * p + v[3]
 
     box_codes = set(map(pack, boxes))
     gen_codes = list(map(pack, gens))
@@ -116,8 +114,8 @@ def tangent_codes(partition: DPartition, base: int) -> tuple[dict[int, int], dic
     for i, (g0, g1, g2, g3) in enumerate(gens):
         row = []
         for j, (h0, h1, h2, h3) in enumerate(gens):
-            d = ((h0 - g0 if h0 > g0 else 0) + (h1 - g1 if h1 > g1 else 0) * p
-                 + (h2 - g2 if h2 > g2 else 0) * p2 + (h3 - g3 if h3 > g3 else 0) * p3)
+            d = ((((h0 - g0 if h0 > g0 else 0) * p + (h1 - g1 if h1 > g1 else 0)) * p
+                  + (h2 - g2 if h2 > g2 else 0)) * p + (h3 - g3 if h3 > g3 else 0))
             if j != i and d in box_codes:
                 row.append((1 << j, d))
         pairs.append(row)
@@ -166,19 +164,4 @@ def unpack_terms(terms: dict[int, int], n: int) -> Laurent:
     """The packed full torus terms of `tangent_codes` at a partition of size
     n as a Laurent polynomial: each key is four signed digits in base 2n + 1."""
     p = 2 * n + 1
-    out = {}
-    for code, m in terms.items():
-        exp = []
-        for _ in range(4):
-            digit = (code + n) % p - n
-            exp.append(digit)
-            code = (code - digit) // p
-        out[tuple(exp)] = m
-    return Laurent(out)
-
-
-def tangent_character(partition: DPartition) -> Laurent:
-    """Character of E1 = Hom(I, O_Z) at a solid partition on the full torus,
-    a view of the terms `tangent_codes` counts."""
-    n = partition.size
-    return unpack_terms(tangent_codes(partition, 4 * n + 1)[1], n)
+    return Laurent({unpack(code, 4, p): m for code, m in terms.items()})

@@ -6,6 +6,12 @@ the exponent of its top monomial.  A class is a map from exponent tuples to
 Fraction.  A K-theory class is its Chern character, a class like any other:
 the dual negates the odd degrees and the tensor product is the product.
 
+The cotangent class of a product space is the dual of the tangent class
+from the Euler sequence of each factor, a sum of exponentials of the
+generators, so it is exact in every dimension the ring allows.  Chern
+classes of the tangent bundle are kept only for the Euler number, on a
+product space and on a hypersurface, where they are divided by 1 + D.
+
 A smooth divisor X in |O(d_1..d_m)| is handled without ever presenting its
 own ring: classes restricted from the ambient space are multiplied upstairs,
 the Todd class of X is the ambient expression td(T_W) td(O(D))^{-1}, and the
@@ -253,45 +259,17 @@ class VarietyContext:
         return _line_series(_divisor_class(self.ring, degrees), _EXP)
 
     def cotangent_sheaf_class(self) -> CohClass:
-        """Chern character of the cotangent bundle, from the tangent Chern data."""
+        """Chern character of the cotangent bundle: the dual of the tangent
+        class sum_i ((n_i + 1) e^(h_i) - 1), from the Euler sequence
+        0 -> O -> O(1)^(n_i + 1) -> T -> 0 of each factor."""
         if self.divisor is not None:
             raise Unsupported("cotangent classes are only set up on product spaces")
-        cherns = [self.tangent_chern.component(k) for k in range(1, 5)]
-        ch = chern_to_ch(Fraction(self.dim), cherns, self.ring)
-        return sum(ch, CohClass.zero(self.ring)).dual()
-
-
-def chern_to_ch(rank, chern, ring) -> list[CohClass]:
-    """Chern classes c1..c4 to Chern character components ch0..ch4."""
-    c = [CohClass.zero(ring)] + list(chern)
-    while len(c) < 5:
-        c.append(CohClass.zero(ring))
-    p = [CohClass.zero(ring)] * 5
-    for k in range(1, 5):
-        acc = c[k].scale(Fraction((-1) ** (k - 1) * k))
-        for i in range(1, k):
-            acc = acc + (c[i] * p[k - i]).scale(Fraction((-1) ** (i - 1)))
-        p[k] = acc
-    out = [CohClass.one(ring).scale(Fraction(rank))]
-    for k in range(1, 5):
-        out.append(p[k].scale(Fraction(1, factorial(k))))
-    return out
-
-
-def ch_to_chern(ch) -> tuple[Fraction, list[CohClass]]:
-    """Chern character components ch0..ch4 back to (rank, c1..c4)."""
-    ring = ch[0].ring
-    rank = ch[0].degree_zero_value()
-    p = [CohClass.zero(ring)] * 5
-    for k in range(1, min(5, len(ch))):
-        p[k] = ch[k].scale(Fraction(factorial(k)))
-    c = [CohClass.zero(ring)] * 5
-    for k in range(1, 5):
-        acc = p[k]
-        for i in range(1, k):
-            acc = acc + (c[i] * p[k - i]).scale(Fraction((-1) ** i))
-        c[k] = acc.scale(Fraction((-1) ** (k - 1), k))
-    return rank, c[1:]
+        one = CohClass.one(self.ring)
+        tangent = CohClass.zero(self.ring)
+        for i, n in enumerate(self.ring):
+            e_h = _line_series(CohClass.generator(self.ring, i), _EXP)
+            tangent = tangent + e_h.scale(n + 1) - one
+        return tangent.dual()
 
 
 def generalized_binomial(top: int, k: int) -> Fraction:

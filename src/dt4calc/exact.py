@@ -61,15 +61,6 @@ class Laurent:
     def monomial(exp: Iterable[int]) -> "Laurent":
         return Laurent({tuple(exp): 1})
 
-    @staticmethod
-    def variable(i: int, power: int = 1) -> "Laurent":
-        """The monomial t_i^power for i in 1..4."""
-        if not 1 <= i <= 4:
-            raise ValueError("variable index must be 1..4")
-        exp = [0, 0, 0, 0]
-        exp[i - 1] = power
-        return Laurent.monomial(exp)
-
     def coeff(self, exp: Iterable[int]) -> int:
         return self.terms.get(tuple(exp), 0)
 
@@ -231,6 +222,19 @@ def form_str(r, sep: str = " ") -> str:
             else:
                 out = body if c > 0 else f"-{body}"
     return out or "0"
+
+
+def unpack(code: int, k: int, base: int) -> tuple[int, ...]:
+    """The k signed digits of a code in an odd base, the first most
+    significant: the vector with entries in [-(base // 2), base // 2] that
+    packs to it."""
+    half = base // 2
+    digits = [0] * k
+    for i in reversed(range(k)):
+        digit = (code + half) % base - half
+        digits[i] = digit
+        code = (code - digit) // base
+    return tuple(digits)
 
 
 def integer_scaling(s) -> tuple[int, tuple[int, ...]]:

@@ -38,22 +38,15 @@ from math import prod
 
 from .characters import subtorus_code, tangent_codes, unpack_terms, vertex_codes
 from .errors import InternalInconsistency, NonGenericParameters, NotEffective, OddPairing
-from .exact import Laurent, LinForm, integer_scaling
+from .exact import Laurent, LinForm, integer_scaling, unpack
 from .partitions import (DPartition, MonomialIdeal, enumerate_partitions,
                          partition_from_id, partition_levels)
 from .taylor import ext_characters, euler_character
 
 KAPPA_INV = Laurent.monomial((-1, -1, -1, -1))
 
-
-def _conjugation_factor() -> Laurent:
-    p = Laurent.one()
-    for i in range(1, 5):
-        p = p * (Laurent.one() - Laurent.variable(i, -1))
-    return p
-
-
-_CONJ = _conjugation_factor()
+# (1 - t1^-1)(1 - t2^-1)(1 - t3^-1)(1 - t4^-1): the terms (-1)^|e| t^e
+_CONJ = Laurent({e: (-1) ** -sum(e) for e in product((0, -1), repeat=4)})
 
 
 def vertex_character(q: Laurent) -> Laurent:
@@ -178,16 +171,8 @@ def subtorus_form(code: int, base: int) -> LinForm:
     """
     form = _FORMS.get((base, code))
     if form is None:
-        form = _FORMS[(base, code)] = _decode(code, base)
+        form = _FORMS[(base, code)] = LinForm(unpack(code, 3, base) + (0,))
     return form
-
-
-def _decode(code: int, base: int) -> LinForm:
-    half = base // 2
-    r3 = (code + half) % base - half
-    code = (code - r3) // base
-    r2 = (code + half) % base - half
-    return LinForm(((code - r2) // base, r2, r3, 0))
 
 
 def subtorus_codes(ch: Laurent, base: int) -> dict[int, int]:
@@ -209,11 +194,12 @@ class FixedPointData:
     2n - 1], inside the digit range, so adding codes adds vectors, negating
     is `bar`, codes sort as `LinForm.reduced` does, and a code is positive
     exactly when its triple is, `reduced > (0, 0, 0)`.  `e1_terms` holds E1
-    on the full torus, packed as `tangent_codes` counts it.  The characters,
-    among them `e1_char`, that terms dict as a Laurent polynomial, the
-    weight lists and the monomial ideal the oracles and the `vertex` report
-    read are views, built on first access; both Taylor checks read the one
-    `ideal`.
+    on the full torus, packed as `tangent_codes` counts it.
+
+    What the oracles and the `vertex` report read are views, each built on
+    first access: the Laurent characters `q`, `tvir` and `e1_char`, which is
+    `e1_terms` unpacked; the weight lists; and the monomial `ideal`, which
+    both Taylor checks share.
     """
 
     def __init__(self, partition: DPartition):
@@ -453,11 +439,12 @@ def transported_orientation(perm, n_max: int,
 def cyclic_completion_report(pi3: DPartition) -> dict:
     """Compare Ext on C^4 for a plane partition pushed into the hyperplane
     against the two sided completion of its Ext on C^3, after reduction to
-    the subtorus."""
+    the subtorus.  The pushed partition is the same boxes with a zero fourth
+    coordinate."""
     if pi3.d != 3:
         raise ValueError("cyclic completion compares dimension 3 against 4")
     ideal3 = pi3.to_ideal()
-    ideal4 = ideal3.embed_in_four()
+    ideal4 = DPartition(4, [b + (0,) for b in pi3.boxes]).to_ideal()
     ext3 = ext_characters(ideal3, "OZ,OZ")
     ext4 = ext_characters(ideal4, "OZ,OZ")
     rows = []

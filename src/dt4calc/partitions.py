@@ -280,21 +280,6 @@ class MonomialIdeal:
         self.gens = gens
         self._staircase = None
 
-    def embed_in_four(self) -> "MonomialIdeal":
-        """Push forward along the coordinate embedding, adding the missing
-        coordinate functions as generators; the quotient keeps the same boxes."""
-        if self.nvars == 4:
-            return self
-        pad = 4 - self.nvars
-        gens = [g + (0,) * pad for g in self.gens]
-        if any(all(x == 0 for x in g) for g in gens):
-            return MonomialIdeal(4, [(0, 0, 0, 0)])
-        for j in range(pad):
-            e = [0] * 4
-            e[self.nvars + j] = 1
-            gens.append(tuple(e))
-        return MonomialIdeal(4, gens)
-
     def staircase(self) -> tuple[Box, ...]:
         """Boxes outside the ideal; requires the quotient to be finite.
 

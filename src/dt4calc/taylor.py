@@ -30,7 +30,7 @@ one generator at a time, and takes one Laurent product; no subset is
 listed.
 
 The fixed points of the localization do not come through here: their
-tangent character is counted from graph components in `localize`.  These
+tangent character is counted from graph components in `characters`.  These
 routes serve the checks, `vertex_oracle_check` (through `euler_character`),
 `obstruction_crosscheck` (Ext^0 and Ext^1 of I in one call) and the cyclic
 completion report behind `cyclic-check`.
@@ -48,7 +48,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import BoundExceeded, InternalInconsistency
-from .exact import Laurent
+from .exact import Laurent, unpack
 from .partitions import MonomialIdeal
 
 GENERATOR_CAP = 16
@@ -150,14 +150,6 @@ def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ",
     def pack(v) -> int:
         return sum(map(operator.mul, v, powers))
 
-    def unpack(code: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(nv):
-            d = (code + base // 2) % base - base // 2
-            digits.append(d)
-            code = (code - d) // base
-        return tuple(reversed(digits))
-
     box_codes = [pack(b) for b in boxes]
     box_set = set(box_codes)
     # cochains of size k at multidegree mu: the subsets S with mu + lcm(S) a
@@ -219,12 +211,14 @@ def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ",
             dim = len(cols) - ranks[k] - ranks[k - 1]
             if dim < 0:
                 raise InternalInconsistency(
-                    f"negative cohomology dimension {dim} of Ext^{i} at multidegree {unpack(mu)}")
+                    f"negative cohomology dimension {dim} of Ext^{i} at multidegree "
+                    f"{unpack(mu, nv, base)}")
             if dim:
                 if i > top:
                     raise InternalInconsistency(
-                        f"nonzero Ext^{i} beyond the global dimension at multidegree {unpack(mu)}")
-                chars.setdefault(i, {})[unpack(mu) + pad] = dim
+                        f"nonzero Ext^{i} beyond the global dimension at multidegree "
+                        f"{unpack(mu, nv, base)}")
+                chars.setdefault(i, {})[unpack(mu, nv, base) + pad] = dim
 
     return {i: Laurent(terms) for i, terms in sorted(chars.items())}
 

@@ -122,9 +122,10 @@ def test_check_oracle_catches_an_e1_error(capsys, monkeypatch):
         codes, terms = kernel(pi, base)
         if not pi.size:
             return codes, terms
-        # t1 packs to 1 on the full torus, where the first exponent is the lowest digit
+        # t1 packs to (2n + 1)^3 on the full torus, where the first exponent
+        # is the highest of four digits in base 2n + 1
         return (plus_error(codes, localize.subtorus_code((1, 0, 0, 0), base)),
-                plus_error(terms, 1))
+                plus_error(terms, (2 * pi.size + 1) ** 3))
 
     monkeypatch.setattr(localize, "tangent_codes", tampered)
     monkeypatch.setattr(localize, "_SUMMANDS", {})
@@ -261,10 +262,14 @@ def test_series_byte_determinism_across_jobs(capsys):
     assert outs[0] == outs[1]
 
 
-def test_series_bytes_do_not_depend_on_the_hash_seed():
+@pytest.mark.parametrize("args", [
+    ("dt4-series", "--n-max", "4", "--s", GENERIC_S, "--format", "json"),
+    ("suite", "--format", "json"),
+    ("cyclic-check", "--n-max", "4", "--format", "json"),
+])
+def test_series_bytes_do_not_depend_on_the_hash_seed(args):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    argv = [sys.executable, "-m", "dt4calc.cli", "dt4-series", "--n-max", "4",
-            "--s", GENERIC_S, "--format", "json"]
+    argv = [sys.executable, "-m", "dt4calc.cli", *args]
     outs = []
     for seed in ("0", "12345"):
         env = {k: v for k, v in os.environ.items() if k != "DT4_MAX_N"}

@@ -104,6 +104,8 @@ PINS = {
         (0, "6ef9e10cd1ed29e54a27c8ff6a440d30981df5785e2ec24f6b4ba38ca69840b4"),
     "vertex --n-max 2 --s 1,7,41,-49 --check-oracle --format csv":
         (0, "758a8568321876b8ec651b3f1223d2fd6e03ff74b9e119ef6b480637e250d052"),
+    "vertex --n-max 5 --s 1,7,41,-49 --check-oracle --format json":
+        (0, "81e9378df70dd9512b83d59e8566d8d71e46e0b248967682008817eccddfdb49"),
     "dt4-series --format text":
         (0, "9ac0e5c85616fa1919664c1b5ed9ddfc55466b6de7eb588d4c34a6dc935ecb98"),
     "dt4-series --format json":
@@ -176,6 +178,8 @@ PINS = {
         (0, "1827f4adaec0da4242ca0d48ff59d82031223e4d2fddd2c3ae8ce931dd3626e3"),
     "cyclic-check --format csv":
         (0, "3ba838b27528260830992db3366677fcd4667f98e8dacd4a515bd26fdb6cbe19"),
+    "cyclic-check --n-max 6 --format json":
+        (0, "ffcadeb4d0b7a9818f7f176107120eb006d20aed7dd41cb66464043b6dcafef8"),
     "suite --format text":
         (0, "df8a2d80a63ceeabc8d21872591a019e8f2e8ec1cef859ac425f3c988ba65742"),
     "suite --format json":

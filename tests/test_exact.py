@@ -65,12 +65,12 @@ def test_cy_reduce_kills_the_determinant_character():
 
 
 def test_monomial_arithmetic_and_string():
-    t1 = Laurent.variable(1)
-    t2 = Laurent.variable(2)
+    t1 = Laurent.monomial((1, 0, 0, 0))
+    t2 = Laurent.monomial((0, 1, 0, 0))
     p = t1 * t2 + t2 + t2
     assert p.coeff((1, 1, 0, 0)) == 1
     assert p.coeff((0, 1, 0, 0)) == 2
-    assert str(Laurent.variable(1, -1) + t2 + t2) == "t1^-1 + 2*t2"
+    assert str(Laurent.monomial((-1, 0, 0, 0)) + t2 + t2) == "t1^-1 + 2*t2"
     assert str(Laurent.zero()) == "0"
 
 

@@ -14,11 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dt4calc import localize, taylor
-from dt4calc.characters import tangent_character
 from dt4calc.cli import main, series_payload
 from dt4calc.errors import (InternalInconsistency, NonGenericParameters,
                             OddPairing)
-from dt4calc.exact import Laurent, LinForm
+from dt4calc.exact import Laurent, LinForm, unpack
 from dt4calc.localize import (FixedPointData, OrientationData, TorusParams,
                               cyclic_completion_report, dt4_degree0_series,
                               Summand, half_euler, obstruction_crosscheck,
@@ -269,7 +268,7 @@ def taylor_hom(pi: DPartition) -> Laurent:
 @pytest.mark.parametrize("n", range(7))
 def test_tangent_character_matches_taylor_degree_zero(n):
     for pi in enumerate_partitions(4, n):
-        assert tangent_character(pi) == taylor_hom(pi), pi.id()
+        assert FixedPointData(pi).e1_char == taylor_hom(pi), pi.id()
 
 
 @pytest.mark.parametrize("axis", range(4))
@@ -279,7 +278,7 @@ def test_tangent_character_on_single_axis_columns(axis):
     for h in range(1, 9):
         column = DPartition(4, [tuple(k if i == axis else 0 for i in range(4))
                                 for k in range(h)])
-        assert tangent_character(column) == taylor_hom(column), column.id()
+        assert FixedPointData(column).e1_char == taylor_hom(column), column.id()
 
 
 def reference_vertex_codes(partition: DPartition, base: int) -> dict[int, int]:
@@ -358,7 +357,7 @@ def test_fixed_point_kernels_match_the_reference(case):
         assert data.tcy == reference_vertex_codes(pi, base), pi.id()
         e1 = reference_tangent_character(pi)
         assert data.e1 == subtorus_codes(e1, base), pi.id()
-        assert data.e1_char == e1 == tangent_character(pi), pi.id()
+        assert data.e1_char == e1, pi.id()
         assert localize.tangent_codes(pi, base) == (data.e1, data.e1_terms), pi.id()
 
 
@@ -451,7 +450,7 @@ def old_route(pi: DPartition) -> tuple[dict, Laurent, tuple]:
     products, with no codes."""
     q = pi.character()
     tvir = vertex_character(q)
-    e1 = tangent_character(pi)
+    e1 = FixedPointData(pi).e1_char
     e1cy = e1.cy_reduce()
     e2 = e1cy + e1cy.bar() - tvir.cy_reduce()
     e1_weights, e2_weights = old_weights(e1), old_weights(e2)
@@ -813,8 +812,8 @@ def test_subtorus_forms_are_decoded_once_and_shared():
             for k in set(data.e1) | set(data.e2):
                 form = subtorus_form(k, base)
                 assert form is localize._FORMS[(base, k)]
-                assert form == localize._decode(k, base)
-                assert form is not localize._decode(k, base)
+                assert form == LinForm(unpack(k, 3, base) + (0,))
+                assert form is not LinForm(unpack(k, 3, base) + (0,))
             record = data.summand()
             factors = [k for k, _ in half_euler(data.e2)[1]]
             assert [w for w, _ in record.tangent] == [subtorus_form(k, base)

@@ -129,12 +129,21 @@ def test_monomial_ideal_validation():
         MonomialIdeal(2, [(1, 0)]).staircase()  # infinite in the y direction
 
 
+def padded(pi: DPartition) -> DPartition:
+    """A plane partition pushed into C^4: its boxes with a zero fourth coordinate."""
+    return DPartition(4, [b + (0,) for b in pi.boxes])
+
+
 def test_embedding_into_four_variables():
-    ideal = DPartition(3, [(0, 0, 0)]).to_ideal().embed_in_four()
+    ideal = padded(DPartition(3, [(0, 0, 0)])).to_ideal()
     assert ideal.nvars == 4
     assert DPartition(4, ideal.staircase()).size == 1
-    unit = MonomialIdeal(3, [(0, 0, 0)]).embed_in_four()
-    assert unit.staircase() == ()
+    assert padded(DPartition(3)).to_ideal().staircase() == ()
+    # the padded ideal is the plane partition's ideal padded, with t4 added
+    for n in range(1, 7):
+        for pi in enumerate_partitions(3, n):
+            gens = [g + (0,) for g in pi.to_ideal().gens] + [(0, 0, 0, 1)]
+            assert padded(pi).to_ideal().gens == tuple(sorted(gens)), pi.id()
 
 
 def test_size_bound_and_env_override(monkeypatch):

@@ -337,7 +337,8 @@ def test_routes_match_the_subset_reference_on_plane_partitions(n, source):
     for pi in enumerate_partitions(3, n):
         ideal = pi.to_ideal()
         _assert_routes_match_the_reference(ideal, source)
-        _assert_routes_match_the_reference(ideal.embed_in_four(), source)
+        padded = DPartition(4, [b + (0,) for b in pi.boxes]).to_ideal()
+        _assert_routes_match_the_reference(padded, source)
 
 
 @pytest.mark.parametrize("d,n_max", [(4, 5), (3, 5)])
