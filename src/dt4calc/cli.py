@@ -31,7 +31,8 @@ from .errors import BoundExceeded, Dt4Error, NonGenericParameters, Unsupported
 from .exact import form_str
 from .localize import (FixedPointData, OrientationData, TorusParams,
                        cyclic_completion_report, dt4_degree0_series,
-                       obstruction_crosscheck, vertex_oracle_check)
+                       obstruction_crosscheck, transport_oracle_check,
+                       vertex_oracle_check)
 from .partitions import partition_counts, partition_levels
 from .series import goettsche_series, convolution_oracle, reduced_dt4_tstar
 from .suite import LIQIN_EXPECTED, run_suite
@@ -250,17 +251,22 @@ def series_payload(n_max: int, params: TorusParams, orientation: OrientationData
                    check_oracle: bool = False, orientation_label: str = "default") -> dict:
     """Canonical report for a series run; `dt4-series` renders exactly this.
 
-    The oracle runs first, and each point it builds leaves its summand
-    record behind, so the series builds no point a second time.
+    The series builds the first point of each S4 orbit and transports its
+    record to the others.  The oracle runs first: it builds every point,
+    checks it against the resolution route and its record against the one
+    transported from the first point of its orbit, and leaves the record
+    behind, so the series builds no point a second time.
     """
     if check_oracle:
-        points = [pi for level in partition_levels(4, n_max)[1:] for pi in level]
+        checked = 0
         failures = []
-        for pi in points:
-            data = FixedPointData(pi)
-            data.summand()
-            if not _oracle_ok(data):
-                failures.append(pi.id())
+        for level in partition_levels(4, n_max)[1:]:
+            orbit = {}
+            for pi in level:
+                data = FixedPointData(pi)
+                if not (transport_oracle_check(data, orbit) and _oracle_ok(data)):
+                    failures.append(pi.id())
+                checked += 1
     coeffs, rows = dt4_degree0_series(n_max, params, orientation, want_details=True)
     payload = {
         "n_max": n_max,
@@ -270,7 +276,7 @@ def series_payload(n_max: int, params: TorusParams, orientation: OrientationData
         "points": [{"n": n, "id": pid, "value": str(v)} for (n, pid, v) in rows],
     }
     if check_oracle:
-        payload["oracle"] = _oracle_summary(len(points), failures)
+        payload["oracle"] = _oracle_summary(checked, failures)
     return payload
 
 

@@ -25,7 +25,10 @@ different route than every Taylor oracle that checks it.
 
 Only that last evaluation depends on the parameters.  The rest of a summand
 is kept per process in a compact `Summand` record per partition, so a
-second series at new parameters builds no fixed point data.
+second series at new parameters builds no fixed point data.  Relabeling
+the four axes permutes the fixed points and carries their weights along,
+so a series builds one point per S4 orbit and transports its record to
+the others (`Summand.relabeled`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import prod
 
 from .characters import subtorus_code, tangent_codes, unpack_terms, vertex_codes
@@ -331,8 +334,72 @@ class Summand:
             num *= v ** m
         return Fraction(num * scale ** self.tangent_count, den * scale ** self.degree)
 
+    def relabeled(self, perm, base: int) -> "Summand":
+        """The record of the relabeled point `pi.relabeled(perm)`, from this one.
 
-# summand cache: partition -> Summand, filled by `FixedPointData.summand` and
+        Each weight moves to its permuted triple (`moved_codes`), each factor
+        to the positive code of its pair, and both are sorted by code again,
+        so the result equals the direct build field by field.  `base` is
+        the point's code base, 4n + 1.
+        """
+        tangent = sorted(moved_codes(self.tangent, perm, base))
+        factors = sorted((abs(k), m) for k, m in moved_codes(self.factors, perm, base))
+        out = Summand.__new__(Summand)
+        out.tangent = tuple((subtorus_form(k, base), m) for k, m in tangent)
+        out.factors = tuple((subtorus_form(k, base), m) for k, m in factors)
+        out.sign = self.sign
+        out.tangent_count = self.tangent_count
+        out.degree = self.degree
+        return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Summand):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in Summand.__slots__)
+
+
+def moved_codes(pairs, perm, base: int) -> list[tuple[int, int]]:
+    """(code, multiplicity) per (weight, multiplicity) pair, with each weight's
+    coefficients permuted as `DPartition.relabeled(perm)` permutes box
+    coordinates: with v = w.reduced + (0,), the triple (v[p0] - v[p3],
+    v[p1] - v[p3], v[p2] - v[p3]).  The move and the packing are linear in
+    the triple, so the code is read off the codes of the three unit triples.
+    """
+    k0, k1, k2 = (subtorus_code([u[p] for p in perm], base)
+                  for u in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
+    out = []
+    for w, m in pairs:
+        a, b, c = w.reduced
+        out.append((a * k0 + b * k1 + c * k2, m))
+    return out
+
+
+# the 23 relabelings other than the identity
+_PERMS = tuple(permutations(range(4)))[1:]
+
+
+def orbit_key(pi: DPartition, perm=(0, 1, 2, 3)) -> int:
+    """`pi.relabeled(perm)` as one int: its boxes packed in base n + 1, which
+    exceeds every coordinate, sorted, and packed again.  Two partitions of
+    one size have equal keys exactly when they are equal."""
+    base = pi.size + 1
+    p0, p1, p2, p3 = perm
+    key = 0
+    for c in sorted(((b[p0] * base + b[p1]) * base + b[p2]) * base + b[p3] for b in pi.boxes):
+        key = key * base ** 4 + c
+    return key
+
+
+def relabelings(pi: DPartition, record: Summand) -> dict[int, tuple[Summand, tuple]]:
+    """The other points of pi's S4 orbit, by `orbit_key`, each mapped to
+    (record, perm) with `pi.relabeled(perm)` the point, for
+    `Summand.relabeled`."""
+    own = orbit_key(pi)
+    return {k: (record, perm) for perm in _PERMS if (k := orbit_key(pi, perm)) != own}
+
+
+# summand cache: partition -> Summand, filled by `FixedPointData.summand`, by
+# the series with transported records and by `transport_oracle_check`, and
 # kept for the life of the process, like the partition levels it is keyed by
 _SUMMANDS: dict[DPartition, Summand] = {}
 
@@ -370,17 +437,39 @@ def obstruction_crosscheck(data: FixedPointData) -> tuple[bool, tuple, tuple]:
     return ok, lhs, rhs
 
 
+def transport_oracle_check(data: FixedPointData, orbit: dict) -> bool:
+    """The point's direct record versus the one transported to it from the
+    first point of its S4 orbit in level order, the route the series takes.
+
+    `orbit` is the level's map from `relabelings`, filled here in level
+    order: the first point of an orbit has no entry, registers its
+    relabelings and passes.  The direct record is kept in the summand cache
+    when the point has none, so a series after the check builds nothing.
+    """
+    pi = data.partition
+    record = Summand(data)
+    _SUMMANDS.setdefault(pi, record)
+    hit = orbit.pop(orbit_key(pi), None)
+    if hit is None:
+        orbit.update(relabelings(pi, record))
+        return True
+    rep, perm = hit
+    return rep.relabeled(perm, data.base) == record
+
+
 def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
                        orientation: OrientationData | None = None,
                        want_details: bool = False):
     """Degree zero invariants as exact series coefficients c_0..c_{n_max}.
 
     c_n is the sum of fixed point contributions over all solid partitions of
-    size n, in canonical partition order.  A point is built the first time
-    any call in the process needs it, and its `Summand` record is kept, so a
-    later call at new parameters or a new orientation only evaluates.  The
-    orientation sign is applied after the record, at evaluation.  Everything
-    runs on the calling thread.
+    size n, in canonical partition order.  A point's `Summand` record is made
+    the first time any call in the process needs it, and kept, so a later
+    call at new parameters or a new orientation only evaluates.  Only the
+    first point of each S4 orbit in level order is built; the others get
+    that point's record transported along the relabeling, which equals
+    their direct build.  The orientation sign is applied after the record,
+    at evaluation.  Everything runs on the calling thread.
     """
     if params is None:
         params = TorusParams.default()
@@ -392,11 +481,18 @@ def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
     details = []
     for n, level in enumerate(levels):
         total = Fraction(0)
+        # orbit_key -> (record of the orbit's first built point, perm), popped on use
+        orbit: dict[int, tuple[Summand, tuple]] = {}
         for pi in level:
             sign = orientation.sign(pi)
             record = _SUMMANDS.get(pi)
+            if record is None and (hit := orbit.pop(orbit_key(pi), None)) is not None:
+                rep, perm = hit
+                record = _SUMMANDS[pi] = rep.relabeled(perm, 4 * n + 1)
             if record is None:
-                v = FixedPointData(pi).contribution(params, sign)
+                data = FixedPointData(pi)
+                orbit.update(relabelings(pi, data.summand()))
+                v = data.contribution(params, sign)
             else:
                 v = record.value(params, sign)
             total += v
@@ -417,20 +513,19 @@ def transported_orientation(perm, n_max: int,
     land on the opposite sign.  The transported orientation absorbs exactly
     those flips, so evaluating the relabeled partition at the permuted
     parameters reproduces the original summand value for value level
-    symmetry of the whole sum.
+    symmetry of the whole sum.  A flip is a half Euler factor of odd
+    multiplicity whose moved code (`moved_codes`) is negative: the factor
+    that `Summand.relabeled` turns to the positive code of its pair.
     """
     if base is None:
         base = OrientationData()
     signs: dict[str, int] = {}
     for n in range(n_max + 1):
+        code_base = 4 * n + 1
         for pi in enumerate_partitions(4, n):
-            eps = 1
-            for w, m in summand(pi).factors:
-                # the weight with its coefficients permuted as box coordinates are
-                v = w.reduced + (0,)
-                if m % 2 == 1 and LinForm(v[p] for p in perm).reduced < (0, 0, 0):
-                    eps = -eps
-            sign = eps * base.sign(pi)
+            flips = sum(m % 2 for k, m in moved_codes(summand(pi).factors, perm, code_base)
+                        if k < 0)
+            sign = (-1) ** flips * base.sign(pi)
             if sign != 1:
                 signs[pi.relabeled(perm).id()] = sign
     return OrientationData(signs)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dt4calc import localize
 from dt4calc.cli import (EXIT_BOUND, EXIT_MISMATCH, EXIT_NONGENERIC, EXIT_OK,
                          EXIT_UNSUPPORTED, EXIT_USAGE, build_parser, main)
 
@@ -286,6 +287,17 @@ def test_series_nongeneric_message_is_byte_identical(capsys):
         assert code == EXIT_NONGENERIC
         assert out == ""
         assert err == "error: tangent weight -2*s1 + s2 vanishes at s = 1,2,3,-6\n"
+
+
+def test_series_nongeneric_message_at_depth_eight_cold_and_warm(capsys, monkeypatch):
+    # the failing point is transported from the first point of its orbit;
+    # the cold run fills an empty cache and the warm run evaluates from it
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    for _ in range(2):
+        code, out, err = run(capsys, "dt4-series", "--n-max", "8", "--s", "1,7,41,-49")
+        assert code == EXIT_NONGENERIC
+        assert out == ""
+        assert err == "error: tangent weight -7*s1 + s2 vanishes at s = 1,7,41,-49\n"
 
 
 def test_series_repeat_run_is_byte_identical(capsys):

@@ -557,9 +557,11 @@ def test_orientation_flip_negates_one_summand():
 
 def test_relabeled_form_matches_box_relabeling():
     # permuting a weight's coefficients as box coordinates are permuted, the
-    # inline transport in `transported_orientation`, takes the weights of a
-    # partition to those of its relabeling: the tangent weights exactly, the
-    # half Euler factors up to the sign of each pair
+    # transport that `Summand.relabeled` and `transported_orientation` share,
+    # takes the weights of a partition to those of its relabeling: the
+    # tangent weights exactly, the half Euler factors up to the sign of each
+    # pair.  Both records are direct builds, not the cached ones, which the
+    # series may have transported.
     def moved(w, perm):
         v = w.reduced + (0,)
         return LinForm(v[p] for p in perm)
@@ -571,7 +573,8 @@ def test_relabeled_form_matches_box_relabeling():
     for perm in ((1, 0, 2, 3), (2, 0, 3, 1), (3, 2, 1, 0)):
         for n in range(4):
             for pi in enumerate_partitions(4, n):
-                record, image = localize.summand(pi), localize.summand(pi.relabeled(perm))
+                record = Summand(FixedPointData(pi))
+                image = Summand(FixedPointData(pi.relabeled(perm)))
                 assert sorted((moved(w, perm).reduced, m) for w, m in record.tangent) == \
                     sorted((w.reduced, m) for w, m in image.tangent)
                 assert sorted((unsigned(moved(w, perm)), m) for w, m in record.factors) == \
@@ -709,14 +712,75 @@ def count_builds(monkeypatch) -> list:
     return built
 
 
+def first_of_each_orbit(n_max: int) -> list[DPartition]:
+    """The first point of each S4 orbit in level order, for n <= n_max."""
+    firsts, seen = [], set()
+    for n in range(n_max + 1):
+        for pi in enumerate_partitions(4, n):
+            if pi not in seen:
+                firsts.append(pi)
+                seen.update(pi.relabeled(p) for p in itertools.permutations(range(4)))
+    return firsts
+
+
 def test_second_series_at_new_parameters_builds_no_fixed_point(monkeypatch):
+    # a cold series builds the first point of each orbit and transports its
+    # record to the rest of the orbit; a later series builds nothing
     built = count_builds(monkeypatch)
     assert dt4_degree0_series(3, GENERIC) == SERIES_GENERIC
-    assert built == POINTS_3
+    assert built == first_of_each_orbit(3)
+    assert len(built) == 5
     built.clear()
     assert dt4_degree0_series(3, GENERIC2) == SERIES_GENERIC2
     assert dt4_degree0_series(2, GENERIC, OrientationData().flipped(POINTS_3[3].id()))
     assert built == []
+
+
+def test_transported_records_equal_the_direct_builds(monkeypatch):
+    # a cold series builds one point per orbit; every record it leaves, built
+    # or transported, equals the point's direct build slot by slot, and is
+    # kept under the level's own partition object
+    built = count_builds(monkeypatch)
+    dt4_degree0_series(8, TorusParams((2, 31, 347, -380)))
+    assert [sum(p.size == n for p in built) for n in range(9)] == \
+        [1, 1, 1, 2, 4, 7, 13, 25, 49]
+    levels = partition_levels(4, 8)
+    cache = localize._SUMMANDS
+    assert [id(pi) for pi in cache] == [id(pi) for level in levels for pi in level]
+    for level in levels:
+        for pi in level:
+            direct = Summand(FixedPointData(pi))
+            for name in Summand.__slots__:
+                assert getattr(cache[pi], name) == getattr(direct, name), (pi.id(), name)
+
+
+def test_failing_point_at_depth_eight_is_transported(monkeypatch):
+    # the exit 4 message at 1,7,41,-49 names a tangent weight of a point the
+    # series did not build: its transported record keeps the sorted order
+    built = count_builds(monkeypatch)
+    with pytest.raises(NonGenericParameters) as err:
+        dt4_degree0_series(8, GENERIC)
+    assert str(err.value) == "tangent weight -7*s1 + s2 vanishes at s = 1,7,41,-49"
+    failing = list(localize._SUMMANDS)[-1]
+    assert failing.id() == "0,0,0,0;0,1,0,0;1,0,0,0;2,0,0,0;3,0,0,0;4,0,0,0;5,0,0,0;6,0,0,0"
+    assert failing not in built
+
+
+def test_series_oracle_fails_each_point_with_a_wrong_transport(monkeypatch):
+    relabeled = Summand.relabeled
+
+    def off_by_one(self, perm, base):
+        record = relabeled(self, perm, base)
+        record.tangent_count += 1
+        return record
+
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    monkeypatch.setattr(Summand, "relabeled", off_by_one)
+    payload = series_payload(3, GENERIC, OrientationData(), check_oracle=True)
+    firsts = first_of_each_orbit(3)
+    assert payload["oracle"]["checked"] == 15
+    assert payload["oracle"]["failures"] == [pi.id() for pi in POINTS_3[1:] if pi not in firsts]
+    assert payload["coefficients"] == [str(c) for c in SERIES_GENERIC]
 
 
 def test_summand_record_keeps_no_characters():
@@ -746,11 +810,12 @@ def test_series_with_oracle_builds_each_point_once(monkeypatch):
 
 
 def test_series_report_bytes_cold_and_cached(monkeypatch):
-    # the cold run builds every point into an empty cache and the warm run
-    # only evaluates the records it left
+    # the cold run fills an empty cache, building the first point of each
+    # orbit, and the warm run only evaluates the records it left
     built = count_builds(monkeypatch)
     cold = json.dumps(series_payload(4, SUITE_PARAMS, OrientationData()), indent=2)
-    assert len(built) == sum(len(enumerate_partitions(4, n)) for n in range(5))
+    assert built == first_of_each_orbit(4)
+    assert len(built) == 9
     built.clear()
     warm = json.dumps(series_payload(4, SUITE_PARAMS, OrientationData()), indent=2)
     assert built == []
