@@ -29,18 +29,9 @@ def subtorus_code(e, base: int) -> int:
     return ((e[0] - e[3]) * base + e[1] - e[3]) * base + e[2] - e[3]
 
 
-# per base, the (code, sign) of each term (-1)^|e| t^e of
+# the (exponent, sign) of each term (-1)^|e| t^e of
 # P123 = (1 - t1^-1)(1 - t2^-1)(1 - t3^-1)
-_SHIFTS: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
-def _p123(base: int) -> tuple[tuple[int, int], ...]:
-    shifts = _SHIFTS.get(base)
-    if shifts is None:
-        shifts = _SHIFTS[base] = tuple(
-            (subtorus_code(e + (0,), base), (-1) ** -sum(e))
-            for e in product((0, -1), repeat=3))
-    return shifts
+_P123 = tuple((e + (0,), (-1) ** -sum(e)) for e in product((0, -1), repeat=3))
 
 
 def vertex_codes(partition: DPartition, base: int) -> dict[int, int]:
@@ -61,7 +52,8 @@ def vertex_codes(partition: DPartition, base: int) -> dict[int, int]:
     signed = {1: [(d, -m) for d, m in diffs.items()], -1: list(diffs.items())}
     half = dict.fromkeys(boxes, 1)
     get = half.get
-    for shift, sign in _p123(base):
+    for e, sign in _P123:
+        shift = subtorus_code(e, base)
         for d, m in signed[sign]:
             k = d + shift
             half[k] = get(k, 0) + m

@@ -57,9 +57,9 @@ VDIM_N_CAP = 100_000
 GOETTSCHE_N_CAP = 500
 
 
-def _check_cap(n_max: int, cap: int, command: str) -> None:
+def _check_cap(n_max: int, cap: int, command: str, what: str = "--n-max") -> None:
     if n_max > cap:
-        raise BoundExceeded(f"--n-max {n_max} exceeds the {command} cap {cap}")
+        raise BoundExceeded(f"{what} {n_max} exceeds the {command} cap {cap}")
 
 
 # the first matching class gives the exit code; any other package error
@@ -323,8 +323,10 @@ def cmd_tstar(args):
     if args.c is None:
         raise UsageError("tstar needs --c r,c1,n")
     r, c1, n = _int_list(args.c, "--c", "r,c1,n")
-    if r == 1 and c1 == 0 and n < 0 and args.euler is None:
-        raise UsageError("the punctual case needs --euler")
+    if r == 1 and c1 == 0 and n < 0:
+        if args.euler is None:
+            raise UsageError("the punctual case needs --euler")
+        _check_cap(-n, GOETTSCHE_N_CAP, "tstar", "point count")
     try:
         rep = reduced_dt4_tstar((r, c1, n), args.euler)
     except ValueError as e:

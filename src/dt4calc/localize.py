@@ -178,6 +178,12 @@ def subtorus_form(code: int, base: int) -> LinForm:
     return form
 
 
+def weight_tuple(codes: dict[int, int], base: int) -> tuple[LinForm, ...]:
+    """A code -> multiplicity map as its weights, sorted by code, each shared
+    `LinForm` repeated by its multiplicity."""
+    return tuple(w for k in sorted(codes) for w in (subtorus_form(k, base),) * codes[k])
+
+
 def subtorus_codes(ch: Laurent, base: int) -> dict[int, int]:
     """A character restricted to the subtorus, as code -> multiplicity."""
     out: dict[int, int] = {}
@@ -236,9 +242,6 @@ class FixedPointData:
         if bad:
             raise NotEffective(f"{what} character has non effective terms {bad}")
 
-    def _weights(self, codes: dict[int, int]) -> list[LinForm]:
-        return [w for k in sorted(codes) for w in [subtorus_form(k, self.base)] * codes[k]]
-
     @cached_property
     def e1_char(self) -> Laurent:
         return unpack_terms(self.e1_terms, self.partition.size)
@@ -257,12 +260,12 @@ class FixedPointData:
         return self.partition.to_ideal()
 
     @cached_property
-    def e1_weights(self) -> list[LinForm]:
-        return self._weights(self.e1)
+    def e1_weights(self) -> tuple[LinForm, ...]:
+        return weight_tuple(self.e1, self.base)
 
     @cached_property
-    def e2_weights(self) -> list[LinForm]:
-        return self._weights(self.e2)
+    def e2_weights(self) -> tuple[LinForm, ...]:
+        return weight_tuple(self.e2, self.base)
 
     def summand(self) -> "Summand":
         """The compact record of this point's summand, made once per process."""
@@ -286,14 +289,16 @@ class Summand:
     """The parameter-free part of one fixed point's summand.
 
     `tangent` holds the tangent weights and `factors` the half Euler factors,
-    each as (form, multiplicity) pairs in sorted order; `sign` is 1, or 0
-    when an obstruction weight is the zero form, and the orientation sign is
-    applied only in `value`.  No characters are kept.  They are read from
-    the point's `e1` and `e2` codes, one `LinForm` per distinct code, and the
-    checks that do not depend on the parameters run here, once per point.
+    each a tuple of forms sorted by code, every weight repeated by its
+    multiplicity (`weight_tuple`), so their lengths are the two degrees;
+    `sign` is 1, or 0 when an obstruction weight is the zero form, and the
+    orientation sign is applied only in `value`.  No characters are kept.
+    They are read from the point's `e1` and `e2` codes, one shared `LinForm`
+    per distinct code, and the checks that do not depend on the parameters
+    run here, once per point.
     """
 
-    __slots__ = ("tangent", "sign", "factors", "tangent_count", "degree")
+    __slots__ = ("tangent", "sign", "factors")
 
     def __init__(self, data: FixedPointData):
         if 0 in data.e1:
@@ -301,11 +306,8 @@ class Summand:
         self.sign, factors = half_euler(data.e2)
         if any(m <= 0 for _, m in factors):
             raise InternalInconsistency("denominator factor in a half Euler product")
-        base = data.base
-        self.tangent = tuple((subtorus_form(k, base), m) for k, m in sorted(data.e1.items()))
-        self.factors = tuple((subtorus_form(k, base), m) for k, m in factors)
-        self.tangent_count = sum(data.e1.values())
-        self.degree = sum(m for _, m in factors)
+        self.tangent = weight_tuple(data.e1, data.base)
+        self.factors = weight_tuple(dict(factors), data.base)
 
     def value(self, params: TorusParams, orientation: int = 1) -> Fraction:
         """The summand at s with the given orientation sign.
@@ -319,20 +321,20 @@ class Summand:
             raise ValueError("orientation must be +1 or -1")
         scale, s = params.scaled
         den = 1
-        for w, m in self.tangent:
+        for w in self.tangent:
             v = w.evaluate(s)
             if v == 0:
                 raise NonGenericParameters(f"tangent weight {w} vanishes at s = {params}")
-            den *= v ** m
+            den *= v
         num = orientation * self.sign
         if not num:
             return Fraction(0)
-        for w, m in self.factors:
+        for w in self.factors:
             v = w.evaluate(s)
             if v == 0:
                 return Fraction(0)
-            num *= v ** m
-        return Fraction(num * scale ** self.tangent_count, den * scale ** self.degree)
+            num *= v
+        return Fraction(num * scale ** len(self.tangent), den * scale ** len(self.factors))
 
     def relabeled(self, perm, base: int) -> "Summand":
         """The record of the relabeled point `pi.relabeled(perm)`, from this one.
@@ -342,14 +344,12 @@ class Summand:
         so the result equals the direct build field by field.  `base` is
         the point's code base, 4n + 1.
         """
-        tangent = sorted(moved_codes(self.tangent, perm, base))
-        factors = sorted((abs(k), m) for k, m in moved_codes(self.factors, perm, base))
         out = Summand.__new__(Summand)
-        out.tangent = tuple((subtorus_form(k, base), m) for k, m in tangent)
-        out.factors = tuple((subtorus_form(k, base), m) for k, m in factors)
+        out.tangent = tuple(subtorus_form(k, base)
+                            for k in sorted(moved_codes(self.tangent, perm, base)))
+        out.factors = tuple(subtorus_form(k, base)
+                            for k in sorted(map(abs, moved_codes(self.factors, perm, base))))
         out.sign = self.sign
-        out.tangent_count = self.tangent_count
-        out.degree = self.degree
         return out
 
     def __eq__(self, other) -> bool:
@@ -358,20 +358,16 @@ class Summand:
         return all(getattr(self, k) == getattr(other, k) for k in Summand.__slots__)
 
 
-def moved_codes(pairs, perm, base: int) -> list[tuple[int, int]]:
-    """(code, multiplicity) per (weight, multiplicity) pair, with each weight's
-    coefficients permuted as `DPartition.relabeled(perm)` permutes box
-    coordinates: with v = w.reduced + (0,), the triple (v[p0] - v[p3],
-    v[p1] - v[p3], v[p2] - v[p3]).  The move and the packing are linear in
-    the triple, so the code is read off the codes of the three unit triples.
+def moved_codes(forms, perm, base: int) -> list[int]:
+    """The code of each form, in order, with its coefficients permuted as
+    `DPartition.relabeled(perm)` permutes box coordinates: with
+    v = w.reduced + (0,), the triple (v[p0] - v[p3], v[p1] - v[p3],
+    v[p2] - v[p3]).  The move and the packing are linear in the triple, so
+    the code is read off the codes of the three unit triples.
     """
     k0, k1, k2 = (subtorus_code([u[p] for p in perm], base)
                   for u in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
-    out = []
-    for w, m in pairs:
-        a, b, c = w.reduced
-        out.append((a * k0 + b * k1 + c * k2, m))
-    return out
+    return [a * k0 + b * k1 + c * k2 for a, b, c in (w.reduced for w in forms)]
 
 
 # the 23 relabelings other than the identity
@@ -513,9 +509,9 @@ def transported_orientation(perm, n_max: int,
     land on the opposite sign.  The transported orientation absorbs exactly
     those flips, so evaluating the relabeled partition at the permuted
     parameters reproduces the original summand value for value level
-    symmetry of the whole sum.  A flip is a half Euler factor of odd
-    multiplicity whose moved code (`moved_codes`) is negative: the factor
-    that `Summand.relabeled` turns to the positive code of its pair.
+    symmetry of the whole sum.  A flip is a half Euler factor occurrence
+    whose moved code (`moved_codes`) is negative: the factor that
+    `Summand.relabeled` turns to the positive code of its pair.
     """
     if base is None:
         base = OrientationData()
@@ -523,8 +519,7 @@ def transported_orientation(perm, n_max: int,
     for n in range(n_max + 1):
         code_base = 4 * n + 1
         for pi in enumerate_partitions(4, n):
-            flips = sum(m % 2 for k, m in moved_codes(summand(pi).factors, perm, code_base)
-                        if k < 0)
+            flips = sum(k < 0 for k in moved_codes(summand(pi).factors, perm, code_base))
             sign = (-1) ** flips * base.sign(pi)
             if sign != 1:
                 signs[pi.relabeled(perm).id()] = sign
@@ -565,16 +560,16 @@ def one_box_symbolic_report() -> dict:
 
     Each side is compared by exact value on the grid {0..D}^3 of (s1, s2, s3),
     s4 = -(s1 + s2 + s3), with D the largest total degree among the two
-    products (the record's `degree` and `tangent_count`), e3 and e4.  A
-    polynomial of degree at most D in each variable that vanishes on that
-    grid is zero, so agreement there is an identity.
+    products (the lengths of the record's `factors` and `tangent`), e3 and
+    e4.  A polynomial of degree at most D in each variable that vanishes on
+    that grid is zero, so agreement there is an identity.
     """
     record = summand(DPartition(4, [(0, 0, 0, 0)]))
 
-    def value(pairs, s):
-        return prod(w.evaluate(s) ** m for w, m in pairs)
+    def value(forms, s):
+        return prod(w.evaluate(s) for w in forms)
 
-    bound = max(record.degree, record.tangent_count, 4)
+    bound = max(len(record.factors), len(record.tangent), 4)
     grid = [head + (-sum(head),) for head in product(range(bound + 1), repeat=3)]
     num = [record.sign * value(record.factors, s) for s in grid]
     e3 = [sum(prod(c) for c in combinations(s, 3)) for s in grid]

@@ -2,9 +2,10 @@
 
 A partition is a finite downward-closed set of boxes in N^d: whenever a box
 is present, so is every box obtained by decreasing one coordinate.  Size n
-means n boxes.  Enumeration is incremental box addition with canonical-parent
-pruning, so each partition of size n is produced exactly once from the
-partition obtained by deleting its lexicographically largest removable box.
+means n boxes.  Enumeration is incremental box addition: each level is every
+partition of the level below with one addable box added, deduplicated and
+sorted, since a partition of size n arises once from each of its removable
+boxes.
 """
 
 from __future__ import annotations
@@ -182,25 +183,8 @@ def enumerate_partitions(d: int, n: int) -> tuple[DPartition, ...]:
         if k == 0:
             _levels[(d, 0)] = (DPartition(d),)
             continue
-        children = []
-        for pi in _levels[(d, k - 1)]:
-            present = set(pi.boxes)
-            for c in pi.addable_boxes():
-                # canonical parent rule: c must be the lex-largest removable
-                # box of the child, so scan only boxes beyond c
-                canonical = True
-                child_present = present | {c}
-                for b in pi.boxes:
-                    if b <= c:
-                        continue
-                    if all(b[:i] + (b[i] + 1,) + b[i + 1:] not in child_present
-                           for i in range(d)):
-                        canonical = False
-                        break
-                if canonical:
-                    children.append(pi.with_box(c))
-        children.sort()
-        _levels[(d, k)] = tuple(children)
+        _levels[(d, k)] = tuple(sorted({pi.with_box(c) for pi in _levels[(d, k - 1)]
+                                        for c in pi.addable_boxes()}))
     return _levels[(d, n)]
 
 

@@ -123,10 +123,10 @@ def check_weight_structure(**_) -> CheckResult:
             if record.sign == 0:
                 return CheckResult("weight-structure", False,
                                    f"{pi.id()}: trivial sub-representation")
-            if record.tangent_count - record.degree != n:
+            if len(record.tangent) - len(record.factors) != n:
                 return CheckResult("weight-structure", False, f"{pi.id()}: dimension law")
-            count = (sum(m for w, m in record.tangent if w.evaluate(pinned) == 0)
-                     + sum(2 * m for w, m in record.factors if w.evaluate(pinned) == 0))
+            count = (sum(w.evaluate(pinned) == 0 for w in record.tangent)
+                     + 2 * sum(w.evaluate(pinned) == 0 for w in record.factors))
             if count and first_vanish is None:
                 first_vanish = n
             vanishing += count

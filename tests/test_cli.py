@@ -449,6 +449,19 @@ def test_n_max_caps_exit_3_before_any_work(argv, cap, work, capsys, monkeypatch)
     assert err == f"error: --n-max {argv[argv.index('--n-max') + 1]} exceeds the {cap}\n"
 
 
+def test_tstar_point_count_cap_exits_3_before_any_work(capsys, monkeypatch):
+    from dt4calc import cli
+
+    def refuse(*args):
+        raise AssertionError("the punctual series ran past the cap")
+
+    monkeypatch.setattr(cli, "reduced_dt4_tstar", refuse)
+    code, out, err = run(capsys, "tstar", "--c", "1,0,-501", "--euler", "3")
+    assert code == EXIT_BOUND
+    assert out == ""
+    assert err == "error: point count 501 exceeds the tstar cap 500\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["goettsche", "--euler", "3", "--n-max", "-1"],
     ["dt4-series", "--n-max", "-1"],

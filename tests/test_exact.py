@@ -132,7 +132,7 @@ def pairs(*forms):
 def test_weight_product_single_pair_value():
     w = LinForm((1, 1, 0, 0))
     record = weight_product(obstruction=pairs(w))
-    assert (record.sign, record.factors, record.degree) == (1, ((w, 1),), 1)
+    assert (record.sign, record.factors, len(record.factors)) == (1, (w,), 1)
     assert record.value(TorusParams(DEFAULT_S)) == 3
     assert record.value(TorusParams(DEFAULT_S), -1) == -3
 
@@ -145,8 +145,9 @@ def test_weight_product_all_four_coordinates():
     assert dict(factors) == codes(coords[:3] + [neg(coords[3])])
     assert all(k > 0 and m == 1 for k, m in factors)
     record = weight_product(obstruction=pairs(*coords))
-    assert all(w.reduced > (0, 0, 0) and m == 1 for w, m in record.factors)
-    assert {w for w, _ in record.factors} == set(coords[:3]) | {neg(coords[3])}
+    assert all(w.reduced > (0, 0, 0) for w in record.factors)
+    assert len(record.factors) == len(set(record.factors)) == 4
+    assert set(record.factors) == set(coords[:3]) | {neg(coords[3])}
     assert record.value(TorusParams(DEFAULT_S)) == 1 * 2 * 3 * 6
 
 
@@ -163,7 +164,7 @@ def test_weight_product_zero_flag():
     w, zero = LinForm((1, 1, 0, 0)), LinForm((1, 1, 1, 1))
     assert half_euler(codes(pairs(w) + [zero, zero])) == (0, ())
     record = weight_product(tangent=[LinForm((1, 0, 0, 0))], obstruction=pairs(w) + [zero, zero])
-    assert (record.sign, record.factors, record.degree) == (0, (), 0)
+    assert (record.sign, record.factors, len(record.factors)) == (0, (), 0)
     assert record.value(TorusParams(DEFAULT_S)) == 0
     # a zero form is never a tangent factor
     with pytest.raises(InternalInconsistency):
@@ -173,9 +174,10 @@ def test_weight_product_zero_flag():
 def test_weight_product_denominator_factors():
     s1, s2 = LinForm((1, 0, 0, 0)), LinForm((0, 1, 0, 0))
     record = weight_product(tangent=[s1, s2, s2])
-    # grouped, and sorted by reduced coefficients as in every record
-    assert record.tangent == ((s2, 2), (s1, 1))
-    assert (record.tangent_count, record.degree) == (3, 0)
+    # repeated by multiplicity, and sorted by reduced coefficients as in
+    # every record
+    assert record.tangent == (s2, s2, s1)
+    assert (len(record.tangent), len(record.factors)) == (3, 0)
     assert record.value(TorusParams(DEFAULT_S)) == Fraction(1, 4)
 
 
@@ -220,8 +222,8 @@ small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 def test_weight_product_matches_fraction_arithmetic(tangent, halves, head, orientation):
     s = head + (-sum(head),)
     record = weight_product(tangent, [x for w, m in halves for x in pairs(w) * m])
-    assert record.degree == sum(m for _, m in halves)
-    assert record.tangent_count == len(tangent)
+    assert len(record.factors) == sum(m for _, m in halves)
+    assert len(record.tangent) == len(tangent)
 
     def value(w):
         return sum((Fraction(a) * x for a, x in zip(w.reduced + (0,), s)), Fraction(0))

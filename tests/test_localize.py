@@ -170,15 +170,15 @@ def test_one_box_symbolic_shape_catches_a_flipped_sign(monkeypatch):
 
 
 def test_one_box_symbolic_shape_catches_a_wrong_factor(monkeypatch):
-    (_, m), *rest = localize.summand(ONE_BOX).factors
-    rep = _report_with(monkeypatch, factors=((LinForm((2, 1, 0, 0)), m), *rest))
+    _, *rest = localize.summand(ONE_BOX).factors
+    rep = _report_with(monkeypatch, factors=(LinForm((2, 1, 0, 0)), *rest))
     assert rep["numerator_sign"] == 0 and not rep["ok"]
     assert not run_suite(only="one-box")[0][1].ok
 
 
 def test_one_box_symbolic_shape_catches_a_negated_tangent_weight(monkeypatch):
-    (w, m), *rest = localize.summand(ONE_BOX).tangent
-    rep = _report_with(monkeypatch, tangent=((LinForm(-x for x in w.reduced + (0,)), m), *rest))
+    w, *rest = localize.summand(ONE_BOX).tangent
+    rep = _report_with(monkeypatch, tangent=(LinForm(-x for x in w.reduced + (0,)), *rest))
     assert not rep["denominator_matches"] and not rep["ok"]
     assert not run_suite(only="one-box")[0][1].ok
 
@@ -194,8 +194,8 @@ def test_weight_structure_catches_a_zero_obstruction_form(monkeypatch):
 
 
 def test_weight_structure_catches_a_dimension_law_failure(monkeypatch):
-    count = localize.summand(FOUR_BOXES).tangent_count
-    _replace_record(monkeypatch, FOUR_BOXES, tangent_count=count + 1)
+    tangent = localize.summand(FOUR_BOXES).tangent
+    _replace_record(monkeypatch, FOUR_BOXES, tangent=tangent + tangent[:1])
     [(_, result)] = run_suite(only="weight")
     assert not result.ok
     assert result.detail == f"{FOUR_BOXES.id()}: dimension law"
@@ -437,12 +437,12 @@ def test_crosscheck_compares_the_packed_e1():
     assert not ok and lhs == rhs
 
 
-def old_weights(ch: Laurent) -> list[LinForm]:
-    """The sorted weight list of an effective character, one entry per unit
-    of multiplicity, as fixed points expanded characters before packing."""
+def old_weights(ch: Laurent) -> tuple[LinForm, ...]:
+    """The sorted weights of an effective character, one entry per unit of
+    multiplicity, as fixed points expanded characters before packing."""
     assert all(type(c) is int and c > 0 for c in ch.terms.values())
-    return sorted((LinForm(e) for e, c in ch.items_sorted() for _ in range(c)),
-                  key=lambda w: w.reduced)
+    return tuple(sorted((LinForm(e) for e, c in ch.items_sorted() for _ in range(c)),
+                        key=lambda w: w.reduced))
 
 
 def old_route(pi: DPartition) -> tuple[dict, Laurent, tuple]:
@@ -474,6 +474,12 @@ def old_route(pi: DPartition) -> tuple[dict, Laurent, tuple]:
     return views, e2, record
 
 
+def expanded(pairs) -> tuple[LinForm, ...]:
+    """(form, multiplicity) pairs as a record holds them: each form repeated
+    by its multiplicity."""
+    return tuple(w for w, m in pairs for _ in range(m))
+
+
 # every n <= 6, and the single-axis columns of height 1..8, whose characters
 # hold the largest reduced coefficients, +-n, of any point of size n
 KERNEL_CASES = {f"n={n}": enumerate_partitions(4, n) for n in range(7)}
@@ -491,9 +497,10 @@ def test_packed_kernel_matches_the_laurent_route(case):
             assert getattr(data, name) == value, (pi.id(), name)
         assert data.tcy == subtorus_codes(views["tvir"], data.base), pi.id()
         assert data.e2 == subtorus_codes(e2, data.base), pi.id()
+        tangent, sign, factors, tangent_count, degree = record
         got = Summand(data)
-        assert (got.tangent, got.sign, got.factors, got.tangent_count,
-                got.degree) == record, pi.id()
+        assert (got.tangent, got.sign, got.factors, len(got.tangent), len(got.factors)) == (
+            expanded(tangent), sign, expanded(factors), tangent_count, degree), pi.id()
 
 
 def test_series_builds_no_taylor_complex(monkeypatch):
@@ -575,10 +582,10 @@ def test_relabeled_form_matches_box_relabeling():
             for pi in enumerate_partitions(4, n):
                 record = Summand(FixedPointData(pi))
                 image = Summand(FixedPointData(pi.relabeled(perm)))
-                assert sorted((moved(w, perm).reduced, m) for w, m in record.tangent) == \
-                    sorted((w.reduced, m) for w, m in image.tangent)
-                assert sorted((unsigned(moved(w, perm)), m) for w, m in record.factors) == \
-                    sorted((unsigned(w), m) for w, m in image.factors)
+                assert sorted(moved(w, perm).reduced for w in record.tangent) == \
+                    sorted(w.reduced for w in image.tangent)
+                assert sorted(unsigned(moved(w, perm)) for w in record.factors) == \
+                    sorted(unsigned(w) for w in image.factors)
 
 
 @pytest.mark.parametrize("perm", list(itertools.permutations(range(4))))
@@ -769,13 +776,14 @@ def test_failing_point_at_depth_eight_is_transported(monkeypatch):
 def test_series_oracle_fails_each_point_with_a_wrong_transport(monkeypatch):
     relabeled = Summand.relabeled
 
-    def off_by_one(self, perm, base):
+    def reversed_tangent(self, perm, base):
+        # out of order, so unequal to the direct build, but of equal value
         record = relabeled(self, perm, base)
-        record.tangent_count += 1
+        record.tangent = record.tangent[::-1]
         return record
 
     monkeypatch.setattr(localize, "_SUMMANDS", {})
-    monkeypatch.setattr(Summand, "relabeled", off_by_one)
+    monkeypatch.setattr(Summand, "relabeled", reversed_tangent)
     payload = series_payload(3, GENERIC, OrientationData(), check_oracle=True)
     firsts = first_of_each_orbit(3)
     assert payload["oracle"]["checked"] == 15
@@ -789,9 +797,9 @@ def test_summand_record_keeps_no_characters():
     for name in Summand.__slots__:
         value = getattr(record, name)
         assert not isinstance(value, (Laurent, FixedPointData))
-    assert all(isinstance(w, LinForm) and m > 0 for w, m in record.tangent + record.factors)
-    assert sum(m for _, m in record.tangent) == record.tangent_count == 8
-    assert sum(m for _, m in record.factors) == record.degree == 6
+    assert Summand.__slots__ == ("tangent", "sign", "factors")
+    assert all(isinstance(w, LinForm) for w in record.tangent + record.factors)
+    assert (len(record.tangent), len(record.factors)) == (8, 6)
 
 
 def test_zero_tangent_weight_is_caught_when_the_record_is_built():
@@ -880,14 +888,12 @@ def test_subtorus_forms_are_decoded_once_and_shared():
                 assert form == LinForm(unpack(k, 3, base) + (0,))
                 assert form is not LinForm(unpack(k, 3, base) + (0,))
             record = data.summand()
-            factors = [k for k, _ in half_euler(data.e2)[1]]
-            assert [w for w, _ in record.tangent] == [subtorus_form(k, base)
-                                                      for k in sorted(data.e1)]
-            assert all(w is subtorus_form(k, base)
-                       for (w, _), k in zip(record.tangent, sorted(data.e1)))
-            assert all(w is subtorus_form(k, base)
-                       for (w, _), k in zip(record.factors, factors))
-            held.extend(w for w, _ in record.tangent + record.factors)
+            tangent = [k for k in sorted(data.e1) for _ in range(data.e1[k])]
+            factors = [k for k, m in half_euler(data.e2)[1] for _ in range(m)]
+            assert list(record.tangent) == [subtorus_form(k, base) for k in tangent]
+            assert all(w is subtorus_form(k, base) for w, k in zip(record.tangent, tangent))
+            assert all(w is subtorus_form(k, base) for w, k in zip(record.factors, factors))
+            held.extend([*dict.fromkeys(record.tangent), *dict.fromkeys(record.factors)])
         # one object per distinct weight across the level's records, and
         # from n = 2 on the records repeat weights
         assert len({id(w) for w in held}) == len(set(held))
@@ -906,8 +912,12 @@ def test_weights_and_vertex_report_are_pinned(capsys):
         for pi in level:
             record = localize.summand(pi)
             digest.update(pi.id().encode())
-            for w, m in record.tangent + record.factors:
-                digest.update(repr((str(w), w.reduced, m)).encode())
+            # each run of equal weights as the (weight, multiplicity) pair
+            # the digest was recorded from
+            for forms in (record.tangent, record.factors):
+                for w, run in itertools.groupby(forms):
+                    m = sum(1 for _ in run)
+                    digest.update(repr((str(w), w.reduced, m)).encode())
     assert digest.hexdigest() == WEIGHTS_PIN
     assert main(["vertex", "--n-max", "5", "--s", "1,7,41,-49"]) == 0
     out = capsys.readouterr().out.encode()
