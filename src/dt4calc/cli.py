@@ -31,7 +31,7 @@ from .errors import BoundExceeded, Dt4Error, NonGenericParameters, Unsupported
 from .exact import form_str
 from .localize import (FixedPointData, OrientationData, TorusParams,
                        cyclic_completion_report, dt4_degree0_series,
-                       obstruction_crosscheck, transport_oracle_check,
+                       obstruction_crosscheck, record_oracle_check,
                        vertex_oracle_check)
 from .partitions import partition_counts, partition_levels
 from .series import goettsche_series, convolution_oracle, reduced_dt4_tstar
@@ -252,21 +252,11 @@ def series_payload(n_max: int, params: TorusParams, orientation: OrientationData
     """Canonical report for a series run; `dt4-series` renders exactly this.
 
     The series builds the first point of each S4 orbit and transports its
-    record to the others.  The oracle runs first: it builds every point,
-    checks it against the resolution route and its record against the one
-    transported from the first point of its orbit, and leaves the record
-    behind, so the series builds no point a second time.
+    record to the others.  The oracle runs after it, so a series error comes
+    first: it builds every point with n >= 1 directly, checks it against the
+    resolution route and checks the record the series printed it from,
+    built or transported, against its direct build.
     """
-    if check_oracle:
-        checked = 0
-        failures = []
-        for level in partition_levels(4, n_max)[1:]:
-            orbit = {}
-            for pi in level:
-                data = FixedPointData(pi)
-                if not (transport_oracle_check(data, orbit) and _oracle_ok(data)):
-                    failures.append(pi.id())
-                checked += 1
     coeffs, rows = dt4_degree0_series(n_max, params, orientation, want_details=True)
     payload = {
         "n_max": n_max,
@@ -276,7 +266,11 @@ def series_payload(n_max: int, params: TorusParams, orientation: OrientationData
         "points": [{"n": n, "id": pid, "value": str(v)} for (n, pid, v) in rows],
     }
     if check_oracle:
-        payload["oracle"] = _oracle_summary(checked, failures)
+        points = [pi for level in partition_levels(4, n_max)[1:] for pi in level]
+        failures = [pi.id() for pi in points
+                    if not (record_oracle_check(data := FixedPointData(pi))
+                            and _oracle_ok(data))]
+        payload["oracle"] = _oracle_summary(len(points), failures)
     return payload
 
 

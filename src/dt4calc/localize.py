@@ -28,12 +28,16 @@ is kept per process in a compact `Summand` record per partition, so a
 second series at new parameters builds no fixed point data.  Relabeling
 the four axes permutes the fixed points and carries their weights along,
 so a series builds one point per S4 orbit and transports its record to
-the others (`Summand.relabeled`).
+the others (`Summand.relabeled`).  `record_oracle_check` compares the record
+a series left for a point, built or transported, with the point's direct
+build.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
@@ -56,6 +60,10 @@ def vertex_character(q: Laurent) -> Laurent:
     """Virtual tangent character at the fixed point with box character q."""
     qb = q.bar()
     return q + qb * KAPPA_INV - q * qb * _CONJ
+
+
+# the exponent of a decimal coordinate such as 15e-1, written as Fraction reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
 
 class TorusParams:
@@ -86,6 +94,11 @@ class TorusParams:
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 4:
             raise ValueError(f"expected four comma separated values, got {text!r}")
+        # Fraction builds 10**exponent first, so a huge exponent would hang it
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        for p in parts:
+            if (m := _EXPONENT.search(p)) and abs(int(m[1])) > limit:
+                raise ValueError(f"the exponent of {p!r} exceeds {limit} in magnitude")
         return cls(tuple(Fraction(p) for p in parts))
 
     def permuted(self, perm) -> "TorusParams":
@@ -370,10 +383,6 @@ def moved_codes(forms, perm, base: int) -> list[int]:
     return [a * k0 + b * k1 + c * k2 for a, b, c in (w.reduced for w in forms)]
 
 
-# the 23 relabelings other than the identity
-_PERMS = tuple(permutations(range(4)))[1:]
-
-
 def orbit_key(pi: DPartition, perm=(0, 1, 2, 3)) -> int:
     """`pi.relabeled(perm)` as one int: its boxes packed in base n + 1, which
     exceeds every coordinate, sorted, and packed again.  Two partitions of
@@ -386,17 +395,9 @@ def orbit_key(pi: DPartition, perm=(0, 1, 2, 3)) -> int:
     return key
 
 
-def relabelings(pi: DPartition, record: Summand) -> dict[int, tuple[Summand, tuple]]:
-    """The other points of pi's S4 orbit, by `orbit_key`, each mapped to
-    (record, perm) with `pi.relabeled(perm)` the point, for
-    `Summand.relabeled`."""
-    own = orbit_key(pi)
-    return {k: (record, perm) for perm in _PERMS if (k := orbit_key(pi, perm)) != own}
-
-
-# summand cache: partition -> Summand, filled by `FixedPointData.summand`, by
-# the series with transported records and by `transport_oracle_check`, and
-# kept for the life of the process, like the partition levels it is keyed by
+# summand cache: partition -> Summand, filled by `FixedPointData.summand` and
+# by the series with transported records, and kept for the life of the
+# process, like the partition levels it is keyed by
 _SUMMANDS: dict[DPartition, Summand] = {}
 
 
@@ -433,24 +434,12 @@ def obstruction_crosscheck(data: FixedPointData) -> tuple[bool, tuple, tuple]:
     return ok, lhs, rhs
 
 
-def transport_oracle_check(data: FixedPointData, orbit: dict) -> bool:
-    """The point's direct record versus the one transported to it from the
-    first point of its S4 orbit in level order, the route the series takes.
-
-    `orbit` is the level's map from `relabelings`, filled here in level
-    order: the first point of an orbit has no entry, registers its
-    relabelings and passes.  The direct record is kept in the summand cache
-    when the point has none, so a series after the check builds nothing.
-    """
-    pi = data.partition
-    record = Summand(data)
-    _SUMMANDS.setdefault(pi, record)
-    hit = orbit.pop(orbit_key(pi), None)
-    if hit is None:
-        orbit.update(relabelings(pi, record))
-        return True
-    rep, perm = hit
-    return rep.relabeled(perm, data.base) == record
+def record_oracle_check(data: FixedPointData) -> bool:
+    """The point's record in the summand cache, built or transported, versus
+    its direct build, field by field.  A point with no record fails, and the
+    cache is only read."""
+    record = _SUMMANDS.get(data.partition)
+    return record is not None and record == Summand(data)
 
 
 def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
@@ -487,7 +476,9 @@ def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
                 record = _SUMMANDS[pi] = rep.relabeled(perm, 4 * n + 1)
             if record is None:
                 data = FixedPointData(pi)
-                orbit.update(relabelings(pi, data.summand()))
+                rep, own = data.summand(), orbit_key(pi)
+                orbit.update({k: (rep, perm) for perm in permutations(range(4))
+                              if (k := orbit_key(pi, perm)) != own})
                 v = data.contribution(params, sign)
             else:
                 v = record.value(params, sign)

@@ -265,6 +265,7 @@ def test_series_byte_determinism_across_jobs(capsys):
 
 @pytest.mark.parametrize("args", [
     ("dt4-series", "--n-max", "4", "--s", GENERIC_S, "--format", "json"),
+    ("dt4-series", "--n-max", "4", "--s", GENERIC_S, "--check-oracle", "--format", "json"),
     ("suite", "--format", "json"),
     ("cyclic-check", "--n-max", "4", "--format", "json"),
 ])
@@ -298,6 +299,51 @@ def test_series_nongeneric_message_at_depth_eight_cold_and_warm(capsys, monkeypa
         assert code == EXIT_NONGENERIC
         assert out == ""
         assert err == "error: tangent weight -7*s1 + s2 vanishes at s = 1,7,41,-49\n"
+
+
+def test_series_error_comes_before_any_oracle_work(capsys, monkeypatch):
+    # the oracle runs after the series, so a vanishing tangent weight stops
+    # the run before any Taylor work, cold and warm
+    from dt4calc import cli
+    from dt4calc.partitions import DPartition
+
+    def oracle_started(*args):
+        raise AssertionError("the oracle started before the series stopped")
+
+    monkeypatch.setattr(cli, "obstruction_crosscheck", oracle_started)
+    monkeypatch.setattr(DPartition, "to_ideal", oracle_started)
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    for _ in range(2):
+        code, out, err = run(capsys, "dt4-series", "--n-max", "8", "--s", GENERIC_S,
+                             "--check-oracle")
+        assert code == EXIT_NONGENERIC
+        assert out == ""
+        assert err == "error: tangent weight -7*s1 + s2 vanishes at s = 1,7,41,-49\n"
+
+
+@pytest.mark.parametrize("s", ["1e4301,-1e4301,1,-1", "1,1,-1e-4301,-2"])
+def test_series_refuses_an_exponent_past_the_int_string_limit(capsys, s):
+    code, out, err = run(capsys, "dt4-series", "--n-max", "1", "--s", s)
+    bad = next(p for p in s.split(",") if "e" in p)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == (f"error: bad --s value {s!r}: "
+                   f"the exponent of {bad!r} exceeds 4300 in magnitude\n")
+
+
+def test_series_with_a_huge_exponent_in_s_exits_at_once():
+    # Fraction would build 10**999999999 before any check; in a subprocess,
+    # so that a hang fails the test instead of stalling the run
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for s in ("1e999999999,-1e999999999,1,-1", "1e-999999999,1,1,-2"):
+        done = subprocess.run([sys.executable, "-m", "dt4calc.cli", "dt4-series",
+                               "--n-max", "1", "--s", s],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == EXIT_USAGE
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"error: bad --s value {s!r}: the exponent of")
+        assert done.stderr.count("\n") == 1
 
 
 def test_series_repeat_run_is_byte_identical(capsys):

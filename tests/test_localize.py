@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dt4calc import localize, taylor
+from dt4calc import cli, localize, taylor
 from dt4calc.cli import main, series_payload
 from dt4calc.errors import (InternalInconsistency, NonGenericParameters,
                             OddPairing)
@@ -809,12 +809,72 @@ def test_zero_tangent_weight_is_caught_when_the_record_is_built():
         Summand(data)
 
 
-def test_series_with_oracle_builds_each_point_once(monkeypatch):
+def test_series_with_oracle_builds_each_orbit_then_each_point(monkeypatch):
+    # the series builds the first point of each orbit, then the oracle
+    # builds every point with n >= 1 directly
     built = count_builds(monkeypatch)
     payload = series_payload(3, GENERIC, OrientationData(), check_oracle=True)
     assert payload["oracle"]["status"] == "PASS"
     assert payload["coefficients"] == [str(c) for c in SERIES_GENERIC]
-    assert sorted(built, key=POINTS_3.index) == POINTS_3
+    assert built == first_of_each_orbit(3) + POINTS_3[1:]
+
+
+def test_series_oracle_checks_the_records_the_series_printed(monkeypatch):
+    # a transport that flips the sign negates the printed value of every
+    # point that is not the first of its orbit, and the oracle fails exactly
+    # those points
+    relabeled = Summand.relabeled
+
+    def flipped_sign(self, perm, base):
+        record = relabeled(self, perm, base)
+        record.sign = -record.sign
+        return record
+
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    monkeypatch.setattr(Summand, "relabeled", flipped_sign)
+    payload = series_payload(3, GENERIC, OrientationData(), check_oracle=True)
+    firsts = first_of_each_orbit(3)
+    direct = [Summand(DATA_3[pi]).value(GENERIC) for pi in POINTS_3]
+    printed = [Fraction(pt["value"]) for pt in payload["points"]]
+    assert [pt["id"] for pt in payload["points"]] == [pi.id() for pi in POINTS_3]
+    assert all(direct)
+    negated = [pi.id() for pi, d, v in zip(POINTS_3, direct, printed) if v == -d]
+    kept = [pi for pi, d, v in zip(POINTS_3, direct, printed) if v == d]
+    assert negated == payload["oracle"]["failures"] == \
+        [pi.id() for pi in POINTS_3 if pi not in firsts]
+    assert kept == firsts
+
+
+def test_record_check_fails_a_point_with_no_record(monkeypatch):
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    data = FixedPointData(POINTS_3[5])
+    assert not localize.record_oracle_check(data)
+    assert localize._SUMMANDS == {}
+    data.summand()
+    assert localize.record_oracle_check(data)
+    # a series that leaves no record fails every point it printed
+    series = dt4_degree0_series
+
+    def forgetful(*args, **kwargs):
+        out = series(*args, **kwargs)
+        localize._SUMMANDS.clear()
+        return out
+
+    monkeypatch.setattr(cli, "dt4_degree0_series", forgetful)
+    payload = series_payload(2, GENERIC, OrientationData(), check_oracle=True)
+    assert payload["oracle"]["failures"] == [pi.id() for pi in POINTS_3[1:6]]
+    assert payload["coefficients"] == [str(c) for c in SERIES_GENERIC[:3]]
+
+
+def test_parse_refuses_an_exponent_past_the_int_string_limit():
+    big = Fraction(10) ** 4300
+    assert TorusParams.parse("1e4300,-1e+4300,1,-1").s == (big, -big, 1, -1)
+    assert TorusParams.parse("1e-4_300,-1E-0_4300,2,-2").s == (1 / big, -1 / big, 2, -2)
+    for text in ("1e4301,-1e4301,1,-1", "1,1,-1e-4301,-2", "1E+0_4_301,1,1,-3"):
+        bad = next(p for p in text.split(",") if "e" in p.lower())
+        with pytest.raises(ValueError) as err:
+            TorusParams.parse(text)
+        assert str(err.value) == f"the exponent of {bad!r} exceeds 4300 in magnitude"
 
 
 def test_series_report_bytes_cold_and_cached(monkeypatch):
