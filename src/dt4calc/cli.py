@@ -10,7 +10,8 @@ Exit codes:
   0  success
   1  a checked value disagreed with its expected or oracle value
   2  usage error (bad flags or counts, bad orientation file, bad parameters)
-  3  enumeration bound or --n-max cap exceeded, or DT4_MAX_N is not an integer
+  3  enumeration bound or --n-max cap exceeded, DT4_MAX_N is not an integer,
+     or a number to print is past the interpreter's integer string limit
   4  torus parameters hit a vanishing denominator weight
   5  requested case is outside the computed range
   6  internal consistency check failed
@@ -28,7 +29,7 @@ import sys
 from .chow import (cy_hypersurface_context, liqin_case, structure_sheaf_chi_check,
                    vdim_ideal_cy4)
 from .errors import BoundExceeded, Dt4Error, NonGenericParameters, Unsupported
-from .exact import form_str
+from .exact import form_str, number_str
 from .localize import (FixedPointData, OrientationData, TorusParams,
                        cyclic_completion_report, dt4_degree0_series,
                        obstruction_crosscheck, record_oracle_check,
@@ -219,7 +220,7 @@ def cmd_vertex(args):
                 "e2": [list(w.reduced) for w in data.e2_weights],
             }
             try:
-                entry["contribution"] = str(data.contribution(params, 1))
+                entry["contribution"] = number_str(data.contribution(params, 1))
             except NonGenericParameters as e:
                 entry["contribution"] = f"undefined ({e})"
             if args.check_oracle:
@@ -251,24 +252,26 @@ def series_payload(n_max: int, params: TorusParams, orientation: OrientationData
                    check_oracle: bool = False, orientation_label: str = "default") -> dict:
     """Canonical report for a series run; `dt4-series` renders exactly this.
 
-    The series builds the first point of each S4 orbit and transports its
-    record to the others.  The oracle runs after it, so a series error comes
-    first: it builds every point with n >= 1 directly, checks it against the
-    resolution route and checks the record the series printed it from,
-    built or transported, against its direct build.
+    The series builds the first point of each S4 orbit and evaluates every
+    other point from that record at the permuted s.  The oracle runs after
+    it, so a series error comes first: it builds every point with n >= 1
+    directly, checks it against the resolution route, and checks the record
+    the series used, transported to the point, and the value it printed
+    against the direct build.
     """
     coeffs, rows = dt4_degree0_series(n_max, params, orientation, want_details=True)
     payload = {
         "n_max": n_max,
         "s": str(params),
         "orientation": orientation_label,
-        "coefficients": [str(c) for c in coeffs],
-        "points": [{"n": n, "id": pid, "value": str(v)} for (n, pid, v) in rows],
+        "coefficients": [number_str(c) for c in coeffs],
+        "points": [{"n": n, "id": pid, "value": number_str(v)} for (n, pid, v) in rows],
     }
     if check_oracle:
         points = [pi for level in partition_levels(4, n_max)[1:] for pi in level]
-        failures = [pi.id() for pi in points
-                    if not (record_oracle_check(data := FixedPointData(pi))
+        failures = [pi.id() for pi, (_, _, v) in zip(points, rows[1:])
+                    if not (record_oracle_check(data := FixedPointData(pi), params,
+                                                orientation.sign(pi), v)
                             and _oracle_ok(data))]
         payload["oracle"] = _oracle_summary(len(points), failures)
     return payload

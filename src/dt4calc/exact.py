@@ -20,9 +20,12 @@ Parameter values and summands are rationals, ``fractions.Fraction``
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
+
+from .errors import BoundExceeded
 
 Exp = tuple[int, int, int, int]
 
@@ -208,6 +211,16 @@ class LinForm:
 
     def __repr__(self) -> str:
         return f"LinForm{self.reduced + (0,)}"
+
+
+def number_str(x) -> str:
+    """str(x) of an int or Fraction to print, or BoundExceeded when it has
+    more digits than the interpreter writes out (sys.get_int_max_str_digits)."""
+    try:
+        return str(x)
+    except ValueError:
+        raise BoundExceeded(f"a number to print has more than {sys.get_int_max_str_digits()} "
+                            f"digits, the interpreter's limit for integer strings") from None
 
 
 def form_str(r, sep: str = " ") -> str:

@@ -24,13 +24,15 @@ cross-check, and the cyclic completion report, so E1 comes from a
 different route than every Taylor oracle that checks it.
 
 Only that last evaluation depends on the parameters.  The rest of a summand
-is kept per process in a compact `Summand` record per partition, so a
-second series at new parameters builds no fixed point data.  Relabeling
-the four axes permutes the fixed points and carries their weights along,
-so a series builds one point per S4 orbit and transports its record to
-the others (`Summand.relabeled`).  `record_oracle_check` compares the record
-a series left for a point, built or transported, with the point's direct
-build.
+is kept per process in a compact `Summand` record, so a second series at
+new parameters builds no fixed point data.  Relabeling the four axes
+permutes the fixed points and carries their weights along, so a series
+builds one record per S4 orbit and keeps for every other point only the
+orbit's record, the permutation and a sign: the point's summand at s is
+the sign times the record's at the permuted s.  `record_oracle_check`
+compares the record a series used for a point, transported along that
+permutation (`Summand.relabeled`), and the value it printed with the
+point's direct build.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from math import prod
 
 from .characters import subtorus_code, tangent_codes, unpack_terms, vertex_codes
 from .errors import InternalInconsistency, NonGenericParameters, NotEffective, OddPairing
-from .exact import Laurent, LinForm, integer_scaling, unpack
+from .exact import Laurent, LinForm, integer_scaling, number_str, unpack
 from .partitions import (DPartition, MonomialIdeal, enumerate_partitions,
                          partition_from_id, partition_levels)
 from .taylor import ext_characters, euler_character
@@ -105,7 +107,7 @@ class TorusParams:
         return TorusParams(tuple(self.s[perm[i]] for i in range(4)))
 
     def __str__(self) -> str:
-        return ",".join(str(x) for x in self.s)
+        return ",".join(map(number_str, self.s))
 
 
 class OrientationData:
@@ -283,7 +285,7 @@ class FixedPointData:
     def summand(self) -> "Summand":
         """The compact record of this point's summand, made once per process."""
         record = _SUMMANDS.get(self.partition)
-        if record is None:
+        if not isinstance(record, Summand):
             record = _SUMMANDS[self.partition] = Summand(self)
         return record
 
@@ -322,17 +324,21 @@ class Summand:
         self.tangent = weight_tuple(data.e1, data.base)
         self.factors = weight_tuple(dict(factors), data.base)
 
-    def value(self, params: TorusParams, orientation: int = 1) -> Fraction:
+    def value(self, params: TorusParams, orientation: int = 1, at=None) -> Fraction:
         """The summand at s with the given orientation sign.
 
         Weights are evaluated at L*s, so both products are integers and one
-        Fraction is built at the end.  The first tangent weight, in sorted
-        order, that vanishes raises NonGenericParameters; a vanishing
-        numerator factor makes the summand zero.
+        Fraction is built at the end; `at`, when given, replaces L*s by
+        another integer vector of the same scale, such as L*s permuted.  The
+        first tangent weight, in sorted order, that vanishes raises
+        NonGenericParameters; a vanishing numerator factor makes the summand
+        zero.
         """
         if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         scale, s = params.scaled
+        if at is not None:
+            s = at
         den = 1
         for w in self.tangent:
             v = w.evaluate(s)
@@ -383,6 +389,14 @@ def moved_codes(forms, perm, base: int) -> list[int]:
     return [a * k0 + b * k1 + c * k2 for a, b, c in (w.reduced for w in forms)]
 
 
+def transport_sign(record: Summand, perm, base: int) -> int:
+    """The sign eps with summand(q) at s = eps * summand(rep) at s', for
+    q = rep.relabeled(perm) and s'[j] = s[perm.index(j)]: -1 to the number
+    of factor occurrences whose moved code is negative, the factors that
+    `Summand.relabeled` turns to the positive code of their pair."""
+    return -1 if sum(k < 0 for k in moved_codes(record.factors, perm, base)) % 2 else 1
+
+
 def orbit_key(pi: DPartition, perm=(0, 1, 2, 3)) -> int:
     """`pi.relabeled(perm)` as one int: its boxes packed in base n + 1, which
     exceeds every coordinate, sorted, and packed again.  Two partitions of
@@ -395,17 +409,19 @@ def orbit_key(pi: DPartition, perm=(0, 1, 2, 3)) -> int:
     return key
 
 
-# summand cache: partition -> Summand, filled by `FixedPointData.summand` and
-# by the series with transported records, and kept for the life of the
-# process, like the partition levels it is keyed by
-_SUMMANDS: dict[DPartition, Summand] = {}
+# summand cache: partition -> the point's own Summand, filled by
+# `FixedPointData.summand`, or the series' entry (orbit record, perm, eps)
+# for a point it did not build; kept for the life of the process, like the
+# partition levels it is keyed by
+_SUMMANDS: dict[DPartition, Summand | tuple[Summand, tuple, int]] = {}
 
 
 def summand(pi: DPartition) -> Summand:
-    """The cached summand record of a fixed point or, on a miss, a record
-    built from the point and not kept; `FixedPointData.summand` keeps it."""
+    """The cached summand record of a fixed point or, when the cache holds
+    none of its own, a record built from the point and not kept;
+    `FixedPointData.summand` keeps it."""
     record = _SUMMANDS.get(pi)
-    return record if record is not None else Summand(FixedPointData(pi))
+    return record if isinstance(record, Summand) else Summand(FixedPointData(pi))
 
 
 def vertex_oracle_check(data: FixedPointData) -> tuple[bool, Laurent, Laurent]:
@@ -434,12 +450,24 @@ def obstruction_crosscheck(data: FixedPointData) -> tuple[bool, tuple, tuple]:
     return ok, lhs, rhs
 
 
-def record_oracle_check(data: FixedPointData) -> bool:
-    """The point's record in the summand cache, built or transported, versus
-    its direct build, field by field.  A point with no record fails, and the
-    cache is only read."""
+def record_oracle_check(data: FixedPointData, params: TorusParams, orientation: int,
+                        printed: Fraction) -> bool:
+    """The point's entry in the summand cache versus its direct build.
+
+    The record the series used, transported along the entry's permutation
+    when it is an orbit's record, must equal the direct build field by
+    field, and the value the series printed must equal the direct build's
+    value at s with the point's orientation sign.  A point with no entry
+    fails, and the cache is only read.
+    """
     record = _SUMMANDS.get(data.partition)
-    return record is not None and record == Summand(data)
+    if record is None:
+        return False
+    if isinstance(record, tuple):
+        rep, perm, _ = record
+        record = rep.relabeled(perm, data.base)
+    direct = Summand(data)
+    return record == direct and direct.value(params, orientation) == printed
 
 
 def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
@@ -451,37 +479,52 @@ def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
     size n, in canonical partition order.  A point's `Summand` record is made
     the first time any call in the process needs it, and kept, so a later
     call at new parameters or a new orientation only evaluates.  Only the
-    first point of each S4 orbit in level order is built; the others get
-    that point's record transported along the relabeling, which equals
-    their direct build.  The orientation sign is applied after the record,
-    at evaluation.  Everything runs on the calling thread.
+    first point of each S4 orbit in level order is built; every other point
+    q = rep.relabeled(perm) keeps the entry (rep's record, perm, eps) and is
+    evaluated as eps times that record at L*s permuted, s'[j] = s[perm.index(j)]
+    (`transport_sign`).  When that evaluation meets a vanishing tangent
+    weight, the record transported to q raises instead, so the error names
+    the first such weight in q's own sorted order.  The orientation sign is
+    applied at evaluation.  Everything runs on the calling thread.
     """
     if params is None:
         params = TorusParams.default()
     if orientation is None:
         orientation = OrientationData()
     levels = partition_levels(4, n_max)
+    scaled = params.scaled[1]
+    moved_s: dict[tuple, tuple] = {}  # perm -> L*s permuted, at most 24
 
     coeffs = []
     details = []
     for n, level in enumerate(levels):
+        base = 4 * n + 1
         total = Fraction(0)
         # orbit_key -> (record of the orbit's first built point, perm), popped on use
         orbit: dict[int, tuple[Summand, tuple]] = {}
         for pi in level:
             sign = orientation.sign(pi)
-            record = _SUMMANDS.get(pi)
-            if record is None and (hit := orbit.pop(orbit_key(pi), None)) is not None:
+            entry = _SUMMANDS.get(pi)
+            if entry is None and (hit := orbit.pop(orbit_key(pi), None)) is not None:
                 rep, perm = hit
-                record = _SUMMANDS[pi] = rep.relabeled(perm, 4 * n + 1)
-            if record is None:
+                entry = _SUMMANDS[pi] = (rep, perm, transport_sign(rep, perm, base))
+            if entry is None:
                 data = FixedPointData(pi)
                 rep, own = data.summand(), orbit_key(pi)
                 orbit.update({k: (rep, perm) for perm in permutations(range(4))
                               if (k := orbit_key(pi, perm)) != own})
                 v = data.contribution(params, sign)
+            elif isinstance(entry, tuple):
+                rep, perm, eps = entry
+                at = moved_s.get(perm)
+                if at is None:
+                    at = moved_s[perm] = tuple(scaled[perm.index(j)] for j in range(4))
+                try:
+                    v = rep.value(params, eps * sign, at)
+                except NonGenericParameters:
+                    v = rep.relabeled(perm, base).value(params, sign)
             else:
-                v = record.value(params, sign)
+                v = entry.value(params, sign)
             total += v
             if want_details:
                 details.append((n, pi.id(), v))
@@ -510,8 +553,7 @@ def transported_orientation(perm, n_max: int,
     for n in range(n_max + 1):
         code_base = 4 * n + 1
         for pi in enumerate_partitions(4, n):
-            flips = sum(k < 0 for k in moved_codes(summand(pi).factors, perm, code_base))
-            sign = (-1) ** flips * base.sign(pi)
+            sign = transport_sign(summand(pi), perm, code_base) * base.sign(pi)
             if sign != 1:
                 signs[pi.relabeled(perm).id()] = sign
     return OrientationData(signs)

@@ -3,9 +3,9 @@
 A partition is a finite downward-closed set of boxes in N^d: whenever a box
 is present, so is every box obtained by decreasing one coordinate.  Size n
 means n boxes.  Enumeration is incremental box addition: each level is every
-partition of the level below with one addable box added, deduplicated and
-sorted, since a partition of size n arises once from each of its removable
-boxes.
+partition of the level below with one addable box added, deduplicated on
+the sorted box tuples and sorted, since a partition of size n arises once
+from each of its removable boxes; each kept partition is built once.
 """
 
 from __future__ import annotations
@@ -113,21 +113,23 @@ class DPartition:
         present = set(self.boxes)
         return sorted(c for c, k in above.items() if k == d - c.count(0) and c not in present)
 
-    def with_box(self, c: Box) -> "DPartition":
-        out = DPartition.__new__(DPartition)
-        out.d = self.d
-        out.boxes = tuple(sorted(self.boxes + (c,)))
+    @classmethod
+    def _trusted(cls, d: int, boxes: tuple[Box, ...]) -> "DPartition":
+        """A partition of sorted boxes already known to be one, unchecked."""
+        out = cls.__new__(cls)
+        out.d = d
+        out.boxes = boxes
         return out
+
+    def with_box(self, c: Box) -> "DPartition":
+        return DPartition._trusted(self.d, tuple(sorted(self.boxes + (c,))))
 
     def relabeled(self, perm) -> "DPartition":
         """Apply a coordinate permutation; the result is again a partition."""
         if sorted(perm) != list(range(self.d)):
             raise ValueError(f"not a permutation of 0..{self.d - 1}: {perm!r}")
-        boxes = tuple(sorted(tuple(b[perm[i]] for i in range(self.d)) for b in self.boxes))
-        out = DPartition.__new__(DPartition)
-        out.d = self.d
-        out.boxes = boxes
-        return out
+        return DPartition._trusted(self.d, tuple(sorted(
+            tuple(b[perm[i]] for i in range(self.d)) for b in self.boxes)))
 
     def character(self) -> Laurent:
         """Sum of t^box, boxes embedded into four variables with zero padding."""
@@ -183,8 +185,9 @@ def enumerate_partitions(d: int, n: int) -> tuple[DPartition, ...]:
         if k == 0:
             _levels[(d, 0)] = (DPartition(d),)
             continue
-        _levels[(d, k)] = tuple(sorted({pi.with_box(c) for pi in _levels[(d, k - 1)]
-                                        for c in pi.addable_boxes()}))
+        grown = {tuple(sorted(pi.boxes + (c,))) for pi in _levels[(d, k - 1)]
+                 for c in pi.addable_boxes()}
+        _levels[(d, k)] = tuple(DPartition._trusted(d, boxes) for boxes in sorted(grown))
     return _levels[(d, n)]
 
 
@@ -275,27 +278,26 @@ class MonomialIdeal:
         return self._staircase
 
     def _boxes(self) -> tuple[Box, ...]:
+        """The staircase, one total degree at a time: a candidate one step
+        above a box is itself a box exactly when it is not a generator and
+        every c - e_j with c_j > 0 is a box of the level below, since an
+        ideal element with all those outside the ideal is a minimal one."""
         gens = self.gens
+        nvars = self.nvars
         if any(all(x == 0 for x in g) for g in gens):
             return ()
-        for i in range(self.nvars):
+        for i in range(nvars):
             if not any(all(x == 0 for j, x in enumerate(g) if j != i) for g in gens):
                 raise ValueError("quotient is not finite dimensional")
-        seen = set()
-        frontier = [(0,) * self.nvars]
-        seen.add(frontier[0])
+        walls = set(gens)
+        level = {(0,) * nvars}
         out = []
-        while frontier:
-            b = frontier.pop()
-            out.append(b)
-            for i in range(self.nvars):
-                c = b[:i] + (b[i] + 1,) + b[i + 1:]
-                if c in seen:
-                    continue
-                if any(all(x >= y for x, y in zip(c, g)) for g in gens):
-                    continue
-                seen.add(c)
-                frontier.append(c)
+        while level:
+            out.extend(level)
+            above = {b[:i] + (b[i] + 1,) + b[i + 1:] for b in level for i in range(nvars)}
+            level = {c for c in above - walls
+                     if all(not c[j] or c[:j] + (c[j] - 1,) + c[j + 1:] in level
+                            for j in range(nvars))}
         return tuple(sorted(out))
 
     def __eq__(self, other) -> bool:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -344,6 +345,45 @@ def test_series_with_a_huge_exponent_in_s_exits_at_once():
         assert done.stdout == ""
         assert done.stderr.startswith(f"error: bad --s value {s!r}: the exponent of")
         assert done.stderr.count("\n") == 1
+
+
+BIG = str(10 ** 1500)
+
+
+@pytest.mark.parametrize("args", [
+    ("dt4-series", "--n-max", "1", "--s", "1e4300,-1e4300,1,-1"),
+    ("dt4-series", "--n-max", "1", "--s", "1e-4300,-1e-4300,1,-1"),
+    ("vertex", "--n-max", "1", "--s", "1e4300,-1e4300,1,-1"),
+    ("dt4-series", "--n-max", "2", "--s", f"{BIG},1,2,-{int(BIG) + 3}"),
+])
+def test_a_number_past_the_int_string_limit_exits_3(args):
+    # 10^4300 parses but has 4301 digits; a coordinate of 1501 digits gives
+    # a coefficient past the limit at n = 2
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "DT4_MAX_N"}
+    env.update(PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "dt4calc.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_BOUND
+    assert done.stdout == ""
+    assert done.stderr == ("error: a number to print has more than 4300 digits, "
+                           "the interpreter's limit for integer strings\n")
+
+
+def test_deep_series_bytes_are_pinned(capsys):
+    # orbits with non-trivial stabilizers and all 24 relabelings first occur
+    # at these depths; n <= 10 runs in a fresh process under DT4_MAX_N=11
+    code, out, _ = run(capsys, "dt4-series", "--n-max", "8", "--s", "2,31,347,-380")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "8814ef9c8405178eb55399f9739303799279d8b9a10e8faa86c7cd395908089b"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, DT4_MAX_N="11")
+    done = subprocess.run([sys.executable, "-m", "dt4calc.cli", "dt4-series", "--n-max", "10",
+                           "--s", "2,31,347,-380"],
+                          env=env, capture_output=True, check=True, timeout=120)
+    assert hashlib.sha256(done.stdout).hexdigest() == \
+        "4762e374643568ea80929868171e4f196275c0d8ee5ec76d1f39c02ed29d3631"
 
 
 def test_series_repeat_run_is_byte_identical(capsys):

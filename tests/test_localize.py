@@ -743,41 +743,131 @@ def test_second_series_at_new_parameters_builds_no_fixed_point(monkeypatch):
     assert built == []
 
 
+def permuted(params: TorusParams, perm) -> tuple:
+    """L*s with its coordinates permuted, s'[j] = s[perm.index(j)]."""
+    s = params.scaled[1]
+    return tuple(s[perm.index(j)] for j in range(4))
+
+
 def test_transported_records_equal_the_direct_builds(monkeypatch):
-    # a cold series builds one point per orbit; every record it leaves, built
-    # or transported, equals the point's direct build slot by slot, and is
-    # kept under the level's own partition object
+    # a cold series builds one point per orbit and keeps its record; every
+    # other point keeps (record, perm, eps), and is the built point relabeled
+    # by perm; the record moved along perm equals the point's direct build
+    # slot by slot, and eps times the record at the permuted s is the
+    # point's summand; all are keyed by the level's own objects
     built = count_builds(monkeypatch)
-    dt4_degree0_series(8, TorusParams((2, 31, 347, -380)))
+    params = TorusParams((2, 31, 347, -380))
+    dt4_degree0_series(8, params)
     assert [sum(p.size == n for p in built) for n in range(9)] == \
         [1, 1, 1, 2, 4, 7, 13, 25, 49]
     levels = partition_levels(4, 8)
     cache = localize._SUMMANDS
     assert [id(pi) for pi in cache] == [id(pi) for level in levels for pi in level]
+    assert [pi for pi, record in cache.items() if isinstance(record, Summand)] == built
+    owner = {id(cache[pi]): pi for pi in built}
+    signs = set()
     for level in levels:
         for pi in level:
             direct = Summand(FixedPointData(pi))
+            record = cache[pi]
+            if isinstance(record, tuple):
+                rep, perm, eps = record
+                assert owner[id(rep)].relabeled(perm) == pi
+                assert eps * rep.value(params, 1, permuted(params, perm)) == \
+                    direct.value(params), pi.id()
+                signs.add(eps)
+                record = rep.relabeled(perm, 4 * pi.size + 1)
             for name in Summand.__slots__:
-                assert getattr(cache[pi], name) == getattr(direct, name), (pi.id(), name)
+                assert getattr(record, name) == getattr(direct, name), (pi.id(), name)
+    assert signs == {1, -1}
+
+
+def test_series_keeps_one_record_per_orbit_and_transports_none(monkeypatch):
+    # 377 records for the 5818 points with n <= 10, and a successful series,
+    # cold or warm, never moves a record along a relabeling
+    def refuse(*args):
+        raise AssertionError("a successful series transported a record")
+
+    monkeypatch.setenv("DT4_MAX_N", "11")
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    monkeypatch.setattr(Summand, "relabeled", refuse)
+    params = TorusParams((2, 31, 347, -380))
+    cold = dt4_degree0_series(10, params)
+    assert dt4_degree0_series(10, params) == cold
+    cache = localize._SUMMANDS
+    records = [pi for pi, record in cache.items() if isinstance(record, Summand)]
+    assert len(cache) == 5818
+    assert [sum(pi.size == n for pi in records) for n in range(11)] == \
+        [1, 1, 1, 2, 4, 7, 13, 25, 49, 93, 181]
+    assert len(records) == 377
+
+
+def test_a_point_without_its_own_record_still_reads_one(monkeypatch):
+    # after a series, `summand` builds a point's own record without keeping
+    # it, and `FixedPointData.summand` keeps it in place of the entry
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    dt4_degree0_series(3, GENERIC)
+    pi = POINTS_3[-1]
+    assert isinstance(localize._SUMMANDS[pi], tuple)
+    record = localize.summand(pi)
+    assert record == Summand(DATA_3[pi]) and isinstance(localize._SUMMANDS[pi], tuple)
+    kept = FixedPointData(pi).summand()
+    assert kept == record and localize._SUMMANDS[pi] is kept
+    assert localize.summand(pi) is kept
 
 
 def test_failing_point_at_depth_eight_is_transported(monkeypatch):
     # the exit 4 message at 1,7,41,-49 names a tangent weight of a point the
-    # series did not build: its transported record keeps the sorted order
+    # series did not build: its orbit's record meets another vanishing weight
+    # first at the permuted s, so the message comes from the record moved
+    # along the entry's perm, which keeps the point's own sorted order
     built = count_builds(monkeypatch)
+    message = "tangent weight -7*s1 + s2 vanishes at s = 1,7,41,-49"
     with pytest.raises(NonGenericParameters) as err:
         dt4_degree0_series(8, GENERIC)
-    assert str(err.value) == "tangent weight -7*s1 + s2 vanishes at s = 1,7,41,-49"
+    assert str(err.value) == message
     failing = list(localize._SUMMANDS)[-1]
     assert failing.id() == "0,0,0,0;0,1,0,0;1,0,0,0;2,0,0,0;3,0,0,0;4,0,0,0;5,0,0,0;6,0,0,0"
     assert failing not in built
+    rep, perm, eps = localize._SUMMANDS[failing]
+    with pytest.raises(NonGenericParameters) as own:
+        rep.value(GENERIC, 1, permuted(GENERIC, perm))
+    assert str(own.value) != message
+    # a wrong perm in the entry names the weight of another point
+    localize._SUMMANDS[failing] = (rep, (0, 1, 2, 3), eps)
+    with pytest.raises(NonGenericParameters) as err:
+        dt4_degree0_series(8, GENERIC)
+    assert str(err.value) == "tangent weight 7*s1 - s2 vanishes at s = 1,7,41,-49"
 
 
 def test_series_oracle_fails_each_point_with_a_wrong_transport(monkeypatch):
+    # each entry's perm replaced by its inverse: the oracle fails exactly
+    # the points that the inverse relabeling does not reach
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    dt4_degree0_series(3, GENERIC)
+    cache = localize._SUMMANDS
+    owner = {id(record): pi for pi, record in cache.items() if isinstance(record, Summand)}
+    missed = []
+    for pi, entry in cache.items():
+        if isinstance(entry, tuple):
+            rep, perm, eps = entry
+            inverse = tuple(perm.index(j) for j in range(4))
+            cache[pi] = (rep, inverse, eps)
+            if owner[id(rep)].relabeled(inverse) != pi:
+                missed.append(pi.id())
+    payload = series_payload(3, GENERIC, OrientationData(), check_oracle=True)
+    assert payload["oracle"]["checked"] == 15
+    assert payload["oracle"]["failures"] == missed
+    assert len(missed) == 7
+
+
+def test_series_oracle_fails_each_point_with_a_wrong_record_transport(monkeypatch):
+    # a transport out of sort order is unequal to the direct build but of
+    # equal value: the oracle fails every point that is not the first of its
+    # orbit, and the printed bytes, which never use it, are unchanged
     relabeled = Summand.relabeled
 
     def reversed_tangent(self, perm, base):
-        # out of order, so unequal to the direct build, but of equal value
         record = relabeled(self, perm, base)
         record.tangent = record.tangent[::-1]
         return record
@@ -820,38 +910,37 @@ def test_series_with_oracle_builds_each_orbit_then_each_point(monkeypatch):
 
 
 def test_series_oracle_checks_the_records_the_series_printed(monkeypatch):
-    # a transport that flips the sign negates the printed value of every
-    # point that is not the first of its orbit, and the oracle fails exactly
-    # those points
-    relabeled = Summand.relabeled
-
-    def flipped_sign(self, perm, base):
-        record = relabeled(self, perm, base)
-        record.sign = -record.sign
-        return record
-
+    # with eps forced to +1 the series negates the printed value of exactly
+    # the points whose true eps is -1, and the oracle fails exactly those
+    transport_sign = localize.transport_sign
     monkeypatch.setattr(localize, "_SUMMANDS", {})
-    monkeypatch.setattr(Summand, "relabeled", flipped_sign)
+    monkeypatch.setattr(localize, "transport_sign", lambda record, perm, base: 1)
     payload = series_payload(3, GENERIC, OrientationData(), check_oracle=True)
-    firsts = first_of_each_orbit(3)
+    cache = localize._SUMMANDS
+    flipped = [pi.id() for pi in POINTS_3 if isinstance(cache[pi], tuple)
+               and transport_sign(cache[pi][0], cache[pi][1], 4 * pi.size + 1) == -1]
     direct = [Summand(DATA_3[pi]).value(GENERIC) for pi in POINTS_3]
     printed = [Fraction(pt["value"]) for pt in payload["points"]]
     assert [pt["id"] for pt in payload["points"]] == [pi.id() for pi in POINTS_3]
     assert all(direct)
     negated = [pi.id() for pi, d, v in zip(POINTS_3, direct, printed) if v == -d]
     kept = [pi for pi, d, v in zip(POINTS_3, direct, printed) if v == d]
-    assert negated == payload["oracle"]["failures"] == \
-        [pi.id() for pi in POINTS_3 if pi not in firsts]
-    assert kept == firsts
+    assert negated == payload["oracle"]["failures"] == flipped
+    assert len(flipped) == 4
+    assert len(kept) == 12 and set(first_of_each_orbit(3)) < set(kept)
 
 
 def test_record_check_fails_a_point_with_no_record(monkeypatch):
     monkeypatch.setattr(localize, "_SUMMANDS", {})
     data = FixedPointData(POINTS_3[5])
-    assert not localize.record_oracle_check(data)
+    value = Summand(data).value(GENERIC)
+    assert not localize.record_oracle_check(data, GENERIC, 1, value)
     assert localize._SUMMANDS == {}
     data.summand()
-    assert localize.record_oracle_check(data)
+    assert localize.record_oracle_check(data, GENERIC, 1, value)
+    # the printed value is checked too, with the point's orientation sign
+    assert not localize.record_oracle_check(data, GENERIC, 1, -value)
+    assert localize.record_oracle_check(data, GENERIC, -1, -value)
     # a series that leaves no record fails every point it printed
     series = dt4_degree0_series
 

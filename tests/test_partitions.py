@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from dt4calc import partitions
 from dt4calc.errors import BoundExceeded
 from dt4calc.exact import Laurent
 from dt4calc.partitions import (DEFAULT_BOUNDS, DPartition, ENV_BOUND_VAR,
@@ -115,9 +116,31 @@ def test_relabeling_permutes_axes():
     assert swapped.boxes == ((0, 0, 0, 0), (0, 1, 0, 0))
 
 
-def test_ideal_round_trip():
-    for pi in enumerate_partitions(4, 4):
-        assert DPartition(4, pi.to_ideal().staircase()).boxes == pi.boxes
+@pytest.mark.parametrize("d,n_max", [(2, 12), (3, 8), (4, 6)])
+def test_ideal_round_trip(d, n_max):
+    for n in range(n_max + 1):
+        for pi in enumerate_partitions(d, n):
+            assert DPartition(d, pi.to_ideal().staircase()).boxes == pi.boxes
+
+
+def test_enumeration_builds_each_partition_once(monkeypatch):
+    # duplicates are dropped as box tuples, before any partition is made
+    made = []
+
+    class Counted(DPartition):
+        __slots__ = ()
+
+        def __new__(cls, *args):
+            made.append(cls)
+            return super().__new__(cls)
+
+    monkeypatch.setattr(partitions, "_levels", {})
+    monkeypatch.setattr(partitions, "DPartition", Counted)
+    for d, n_max in ((2, 12), (3, 8), (4, 8)):
+        for n in range(n_max + 1):
+            made.clear()
+            level = enumerate_partitions(d, n)
+            assert len(made) == len(level), (d, n)
 
 
 def test_monomial_ideal_validation():
