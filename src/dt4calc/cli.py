@@ -159,7 +159,7 @@ def cmd_chi(args):
     ctx = cy_hypersurface_context()
     value = ctx.chi(ctx.line_bundle(left), ctx.line_bundle(right))
     payload = {"left": f"{left[0]},{left[1]}", "right": f"{right[0]},{right[1]}",
-               "chi": str(value)}
+               "chi": number_str(value)}
     return payload, EXIT_OK
 
 
@@ -300,6 +300,7 @@ def cmd_goettsche(args):
         raise UsageError("goettsche needs --euler")
     _check_cap(args.n_max, GOETTSCHE_N_CAP, "goettsche")
     series = goettsche_series(args.euler, args.n_max)
+    number_str(max(map(abs, series)))  # the largest has the most digits: exit 3 in any format
     payload = {"euler": args.euler, "n_max": args.n_max, "coefficients": series}
     if not args.check_oracle:
         return payload, EXIT_OK
@@ -328,6 +329,7 @@ def cmd_tstar(args):
         rep = reduced_dt4_tstar((r, c1, n), args.euler)
     except ValueError as e:
         raise UsageError(str(e))
+    number_str(rep["value"])  # exit 3 in any format past the int string limit
     payload = {"c": args.c, "case": rep["case"], "value": rep["value"]}
     if "n" in rep:
         payload["n"] = rep["n"]

@@ -15,10 +15,11 @@ exact.
 The summand needs the characters only on that subtorus, where
 T = V + bar(V) with V = Q - Q bar(Q) (1 - t1^{-1})(1 - t2^{-1})(1 - t3^{-1}).
 A fixed point is built from T and E1 = Hom(I, O_Z) as flat int dicts keyed
-by packed subtorus codes, with no Laurent polynomial (`characters`); a
-`LinForm` is decoded once per distinct weight.  The Laurent closed form
-(`vertex_character`) is kept for the `vertex` report and the oracles,
-which compare both with the resolution.  The Taylor complex of `taylor`
+by packed subtorus codes, with no Laurent polynomial (`characters`).  A
+summand record holds its weights as reduced int triples, each code decoded
+once per process, and evaluates them with local arithmetic.  The Laurent
+closed form (`vertex_character`) and the `LinForm` weight views are kept
+for the `vertex` report and the oracles.  The Taylor complex of `taylor`
 serves only the checks, the resolution oracle and the Ext^0/Ext^1
 cross-check, and the cyclic completion report, so E1 comes from a
 different route than every Taylor oracle that checks it.
@@ -31,8 +32,8 @@ builds one record per S4 orbit and keeps for every other point only the
 orbit's record, the permutation and a sign: the point's summand at s is
 the sign times the record's at the permuted s.  `record_oracle_check`
 compares the record a series used for a point, transported along that
-permutation (`Summand.relabeled`), and the value it printed with the
-point's direct build.
+permutation (`Summand.relabeled`), with the point's direct build, and the
+value it printed with a product over the point's own `LinForm` views.
 """
 
 from __future__ import annotations
@@ -41,15 +42,15 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, permutations, product
 from math import prod
+from operator import itemgetter
 
 from .characters import subtorus_code, tangent_codes, unpack_terms, vertex_codes
 from .errors import InternalInconsistency, NonGenericParameters, NotEffective, OddPairing
-from .exact import Laurent, LinForm, integer_scaling, number_str, unpack
-from .partitions import (DPartition, MonomialIdeal, enumerate_partitions,
-                         partition_from_id, partition_levels)
+from .exact import Laurent, LinForm, form_str, integer_scaling, number_str, unpack
+from .partitions import DPartition, MonomialIdeal, partition_from_id, partition_levels
 from .taylor import ext_characters, euler_character
 
 KAPPA_INV = Laurent.monomial((-1, -1, -1, -1))
@@ -82,8 +83,11 @@ class TorusParams:
         if len(s) != 4:
             raise ValueError("parameter vector must have four entries")
         if sum(s) != 0:
-            shown = ",".join(str(x) for x in s)
-            raise ValueError(f"parameter coordinates must sum to zero, got {shown}")
+            try:
+                got = ", got " + ",".join(map(str, s))
+            except ValueError:  # a coordinate past the int string limit
+                got = ""
+            raise ValueError(f"parameter coordinates must sum to zero{got}")
         self.s = s
         self.scaled = integer_scaling(s)
 
@@ -102,9 +106,6 @@ class TorusParams:
             if (m := _EXPONENT.search(p)) and abs(int(m[1])) > limit:
                 raise ValueError(f"the exponent of {p!r} exceeds {limit} in magnitude")
         return cls(tuple(Fraction(p) for p in parts))
-
-    def permuted(self, perm) -> "TorusParams":
-        return TorusParams(tuple(self.s[perm[i]] for i in range(4)))
 
     def __str__(self) -> str:
         return ",".join(map(number_str, self.s))
@@ -178,25 +179,31 @@ def half_euler(codes: dict[int, int]) -> tuple[int, tuple]:
     return 1, tuple(sorted((w, m) for w, m in codes.items() if w > 0))
 
 
+# base -> code -> reduced triple, decoded once per process, so every record
+# that holds a weight shares one triple for it
+_TRIPLES: dict[int, dict[int, tuple[int, int, int]]] = {}
+
+
+def weight_triples(codes, base: int) -> tuple[tuple[int, int, int], ...]:
+    """The reduced triple of each code, in order, from the shared cache."""
+    known = _TRIPLES.setdefault(base, {})
+    return tuple(known.get(k) or known.setdefault(k, unpack(k, 3, base)) for k in codes)
+
+
+# (base, code) -> the weight's `LinForm` view, made once per process
 _FORMS: dict[tuple[int, int], LinForm] = {}
 
 
-def subtorus_form(code: int, base: int) -> LinForm:
-    """The weight whose reduced coefficients are the digits of the code.
-
-    Decoded once per (base, code) per process, so every record that holds
-    a weight shares one `LinForm` for it.
-    """
-    form = _FORMS.get((base, code))
-    if form is None:
-        form = _FORMS[(base, code)] = LinForm(unpack(code, 3, base) + (0,))
-    return form
-
-
-def weight_tuple(codes: dict[int, int], base: int) -> tuple[LinForm, ...]:
-    """A code -> multiplicity map as its weights, sorted by code, each shared
-    `LinForm` repeated by its multiplicity."""
-    return tuple(w for k in sorted(codes) for w in (subtorus_form(k, base),) * codes[k])
+def weight_forms(codes: dict[int, int], base: int) -> tuple[LinForm, ...]:
+    """A code -> multiplicity map as `LinForm`s sorted by code, each shared
+    view repeated by its multiplicity: what the `vertex` report prints and
+    the record oracle evaluates, decoded apart from the records' triples."""
+    out = []
+    for k in sorted(codes):
+        key = (base, k)
+        w = _FORMS.get(key) or _FORMS.setdefault(key, LinForm(unpack(k, 3, base) + (0,)))
+        out += (w,) * codes[k]
+    return tuple(out)
 
 
 def subtorus_codes(ch: Laurent, base: int) -> dict[int, int]:
@@ -253,7 +260,7 @@ class FixedPointData:
             raise InternalInconsistency("weight count violates the dimension law")
 
     def _effective(self, codes: dict[int, int], what: str) -> None:
-        bad = [(subtorus_form(k, self.base), m) for k, m in codes.items() if m < 0]
+        bad = [(LinForm(unpack(k, 3, self.base) + (0,)), m) for k, m in codes.items() if m < 0]
         if bad:
             raise NotEffective(f"{what} character has non effective terms {bad}")
 
@@ -276,11 +283,11 @@ class FixedPointData:
 
     @cached_property
     def e1_weights(self) -> tuple[LinForm, ...]:
-        return weight_tuple(self.e1, self.base)
+        return weight_forms(self.e1, self.base)
 
     @cached_property
     def e2_weights(self) -> tuple[LinForm, ...]:
-        return weight_tuple(self.e2, self.base)
+        return weight_forms(self.e2, self.base)
 
     def summand(self) -> "Summand":
         """The compact record of this point's summand, made once per process."""
@@ -304,13 +311,13 @@ class Summand:
     """The parameter-free part of one fixed point's summand.
 
     `tangent` holds the tangent weights and `factors` the half Euler factors,
-    each a tuple of forms sorted by code, every weight repeated by its
-    multiplicity (`weight_tuple`), so their lengths are the two degrees;
-    `sign` is 1, or 0 when an obstruction weight is the zero form, and the
-    orientation sign is applied only in `value`.  No characters are kept.
-    They are read from the point's `e1` and `e2` codes, one shared `LinForm`
-    per distinct code, and the checks that do not depend on the parameters
-    run here, once per point.
+    each a tuple of reduced int triples sorted by code, every weight repeated
+    by its multiplicity, so their lengths are the two degrees; `sign` is 1,
+    or 0 when an obstruction weight is the zero form, and the orientation
+    sign is applied only in `value`.  No characters are kept.  They are read
+    from the point's `e1` and `e2` codes, one shared triple per distinct
+    code (`weight_triples`), and the checks that do not depend on the
+    parameters run here, once per point.
     """
 
     __slots__ = ("tangent", "sign", "factors")
@@ -321,8 +328,9 @@ class Summand:
         self.sign, factors = half_euler(data.e2)
         if any(m <= 0 for _, m in factors):
             raise InternalInconsistency("denominator factor in a half Euler product")
-        self.tangent = weight_tuple(data.e1, data.base)
-        self.factors = weight_tuple(dict(factors), data.base)
+        e1 = data.e1
+        self.tangent = weight_triples([k for k in sorted(e1) for _ in range(e1[k])], data.base)
+        self.factors = weight_triples([k for k, m in factors for _ in range(m)], data.base)
 
     def value(self, params: TorusParams, orientation: int = 1, at=None) -> Fraction:
         """The summand at s with the given orientation sign.
@@ -337,23 +345,17 @@ class Summand:
         if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         scale, s = params.scaled
-        if at is not None:
-            s = at
-        den = 1
-        for w in self.tangent:
-            v = w.evaluate(s)
-            if v == 0:
-                raise NonGenericParameters(f"tangent weight {w} vanishes at s = {params}")
-            den *= v
+        x, y, z, _ = s if at is None else at
+        den = [a * x + b * y + c * z for a, b, c in self.tangent]
+        if 0 in den:
+            w = form_str(self.tangent[den.index(0)])
+            raise NonGenericParameters(f"tangent weight {w} vanishes at s = {params}")
         num = orientation * self.sign
+        if num:
+            num *= prod([a * x + b * y + c * z for a, b, c in self.factors])
         if not num:
             return Fraction(0)
-        for w in self.factors:
-            v = w.evaluate(s)
-            if v == 0:
-                return Fraction(0)
-            num *= v
-        return Fraction(num * scale ** len(self.tangent), den * scale ** len(self.factors))
+        return Fraction(num * scale ** len(self.tangent), prod(den) * scale ** len(self.factors))
 
     def relabeled(self, perm, base: int) -> "Summand":
         """The record of the relabeled point `pi.relabeled(perm)`, from this one.
@@ -364,10 +366,9 @@ class Summand:
         the point's code base, 4n + 1.
         """
         out = Summand.__new__(Summand)
-        out.tangent = tuple(subtorus_form(k, base)
-                            for k in sorted(moved_codes(self.tangent, perm, base)))
-        out.factors = tuple(subtorus_form(k, base)
-                            for k in sorted(map(abs, moved_codes(self.factors, perm, base))))
+        out.tangent = weight_triples(sorted(moved_codes(self.tangent, perm, base)), base)
+        out.factors = weight_triples(sorted(map(abs, moved_codes(self.factors, perm, base))),
+                                     base)
         out.sign = self.sign
         return out
 
@@ -377,37 +378,36 @@ class Summand:
         return all(getattr(self, k) == getattr(other, k) for k in Summand.__slots__)
 
 
-def moved_codes(forms, perm, base: int) -> list[int]:
-    """The code of each form, in order, with its coefficients permuted as
-    `DPartition.relabeled(perm)` permutes box coordinates: with
-    v = w.reduced + (0,), the triple (v[p0] - v[p3], v[p1] - v[p3],
+def moved_codes(triples, perm, base: int) -> list[int]:
+    """The code of each reduced triple, in order, with its coefficients
+    permuted as `DPartition.relabeled(perm)` permutes box coordinates: with
+    v = triple + (0,), the triple (v[p0] - v[p3], v[p1] - v[p3],
     v[p2] - v[p3]).  The move and the packing are linear in the triple, so
     the code is read off the codes of the three unit triples.
     """
-    k0, k1, k2 = (subtorus_code([u[p] for p in perm], base)
-                  for u in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
-    return [a * k0 + b * k1 + c * k2 for a, b, c in (w.reduced for w in forms)]
+    k0, k1, k2 = _moved_units(perm, base)
+    return [a * k0 + b * k1 + c * k2 for a, b, c in triples]
+
+
+@cache
+def _moved_units(perm, base: int) -> tuple[int, int, int]:
+    return tuple(subtorus_code([u[p] for p in perm], base)
+                 for u in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
 
 
 def transport_sign(record: Summand, perm, base: int) -> int:
     """The sign eps with summand(q) at s = eps * summand(rep) at s', for
     q = rep.relabeled(perm) and s'[j] = s[perm.index(j)]: -1 to the number
-    of factor occurrences whose moved code is negative, the factors that
-    `Summand.relabeled` turns to the positive code of their pair."""
-    return -1 if sum(k < 0 for k in moved_codes(record.factors, perm, base)) % 2 else 1
+    of factor occurrences whose moved code (`moved_codes`) is negative, the
+    factors that `Summand.relabeled` turns to the positive code of their
+    pair."""
+    k0, k1, k2 = _moved_units(perm, base)
+    return -1 if sum(a * k0 + b * k1 + c * k2 < 0 for a, b, c in record.factors) % 2 else 1
 
 
-def orbit_key(pi: DPartition, perm=(0, 1, 2, 3)) -> int:
-    """`pi.relabeled(perm)` as one int: its boxes packed in base n + 1, which
-    exceeds every coordinate, sorted, and packed again.  Two partitions of
-    one size have equal keys exactly when they are equal."""
-    base = pi.size + 1
-    p0, p1, p2, p3 = perm
-    key = 0
-    for c in sorted(((b[p0] * base + b[p1]) * base + b[p2]) * base + b[p3] for b in pi.boxes):
-        key = key * base ** 4 + c
-    return key
-
+# each perm of the four axes with the getter that moves a box as
+# `DPartition.relabeled(perm)` does
+_MOVES = [(perm, itemgetter(*perm)) for perm in permutations(range(4))]
 
 # summand cache: partition -> the point's own Summand, filled by
 # `FixedPointData.summand`, or the series' entry (orbit record, perm, eps)
@@ -456,9 +456,12 @@ def record_oracle_check(data: FixedPointData, params: TorusParams, orientation: 
 
     The record the series used, transported along the entry's permutation
     when it is an orbit's record, must equal the direct build field by
-    field, and the value the series printed must equal the direct build's
-    value at s with the point's orientation sign.  A point with no entry
-    fails, and the cache is only read.
+    field.  The value the series printed must equal, with the point's
+    orientation sign, the product over the point's own `LinForm` views at
+    L*s: one weight of each (w, -w) pair of `e2_weights`, the one above the
+    zero triple, over every weight of `e1_weights`.  That product shares no
+    code with `Summand.value`.  A point with no entry fails, and the cache
+    is only read.
     """
     record = _SUMMANDS.get(data.partition)
     if record is None:
@@ -466,8 +469,17 @@ def record_oracle_check(data: FixedPointData, params: TorusParams, orientation: 
     if isinstance(record, tuple):
         rep, perm, _ = record
         record = rep.relabeled(perm, data.base)
-    direct = Summand(data)
-    return record == direct and direct.value(params, orientation) == printed
+    if record != Summand(data):
+        return False
+    scale, s = params.scaled
+    den = prod(w.evaluate(s) for w in data.e1_weights)
+    if not den:
+        return False
+    if any(w.reduced == (0, 0, 0) for w in data.e2_weights):
+        return printed == 0
+    halves = [w for w in data.e2_weights if w.reduced > (0, 0, 0)]
+    num = orientation * prod(w.evaluate(s) for w in halves)
+    return Fraction(num * scale ** len(data.e1_weights), den * scale ** len(halves)) == printed
 
 
 def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
@@ -500,19 +512,26 @@ def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
     for n, level in enumerate(levels):
         base = 4 * n + 1
         total = Fraction(0)
-        # orbit_key -> (record of the orbit's first built point, perm), popped on use
-        orbit: dict[int, tuple[Summand, tuple]] = {}
+        # boxes of a relabeled point, `pi.relabeled(perm).boxes`, -> (record
+        # of the orbit's first built point, perm), popped on use; each key is
+        # the level's own tuple (`level_boxes`, made at the level's first
+        # build), so the map holds no copies
+        orbit: dict[tuple, tuple[Summand, tuple]] = {}
+        level_boxes = None
         for pi in level:
             sign = orientation.sign(pi)
             entry = _SUMMANDS.get(pi)
-            if entry is None and (hit := orbit.pop(orbit_key(pi), None)) is not None:
+            if entry is None and (hit := orbit.pop(pi.boxes, None)) is not None:
                 rep, perm = hit
                 entry = _SUMMANDS[pi] = (rep, perm, transport_sign(rep, perm, base))
             if entry is None:
                 data = FixedPointData(pi)
-                rep, own = data.summand(), orbit_key(pi)
-                orbit.update({k: (rep, perm) for perm in permutations(range(4))
-                              if (k := orbit_key(pi, perm)) != own})
+                rep = data.summand()
+                if level_boxes is None:
+                    level_boxes = {q.boxes: q.boxes for q in level}
+                own = pi.boxes
+                orbit.update({level_boxes[boxes]: (rep, perm) for perm, move in _MOVES
+                              if (boxes := tuple(sorted(map(move, own)))) != own})
                 v = data.contribution(params, sign)
             elif isinstance(entry, tuple):
                 rep, perm, eps = entry
@@ -532,31 +551,6 @@ def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
     if want_details:
         return coeffs, details
     return coeffs
-
-
-def transported_orientation(perm, n_max: int,
-                            base: OrientationData | None = None) -> OrientationData:
-    """Orientation data for relabeled partitions that matches a base choice.
-
-    Relabeling coordinates maps the weight pairs of a partition to those of
-    the relabeled partition, but the canonical representative of a pair can
-    land on the opposite sign.  The transported orientation absorbs exactly
-    those flips, so evaluating the relabeled partition at the permuted
-    parameters reproduces the original summand value for value level
-    symmetry of the whole sum.  A flip is a half Euler factor occurrence
-    whose moved code (`moved_codes`) is negative: the factor that
-    `Summand.relabeled` turns to the positive code of its pair.
-    """
-    if base is None:
-        base = OrientationData()
-    signs: dict[str, int] = {}
-    for n in range(n_max + 1):
-        code_base = 4 * n + 1
-        for pi in enumerate_partitions(4, n):
-            sign = transport_sign(summand(pi), perm, code_base) * base.sign(pi)
-            if sign != 1:
-                signs[pi.relabeled(perm).id()] = sign
-    return OrientationData(signs)
 
 
 def cyclic_completion_report(pi3: DPartition) -> dict:
@@ -599,8 +593,8 @@ def one_box_symbolic_report() -> dict:
     """
     record = summand(DPartition(4, [(0, 0, 0, 0)]))
 
-    def value(forms, s):
-        return prod(w.evaluate(s) for w in forms)
+    def value(triples, s):
+        return prod(a * s[0] + b * s[1] + c * s[2] for a, b, c in triples)
 
     bound = max(len(record.factors), len(record.tangent), 4)
     grid = [head + (-sum(head),) for head in product(range(bound + 1), repeat=3)]

@@ -92,7 +92,7 @@ class DPartition:
         """Canonical identifier: boxes lex-sorted, 'x,y,..;x,y,..', 'empty' for n = 0."""
         if not self.boxes:
             return "empty"
-        return ";".join(",".join(str(x) for x in b) for b in self.boxes)
+        return ";".join(",".join(map(str, b)) for b in self.boxes)
 
     def addable_boxes(self) -> list[Box]:
         """Boxes whose addition keeps the set downward closed, lex-sorted.

@@ -114,7 +114,7 @@ def check_weight_structure(**_) -> CheckResult:
     obstruction pair as its two weights.
     """
     checked = 0
-    pinned = TorusParams.default().scaled[1]
+    x, y, z, _ = TorusParams.default().scaled[1]
     vanishing = 0
     first_vanish = None
     for n in range(1, 5):
@@ -125,8 +125,8 @@ def check_weight_structure(**_) -> CheckResult:
                                    f"{pi.id()}: trivial sub-representation")
             if len(record.tangent) - len(record.factors) != n:
                 return CheckResult("weight-structure", False, f"{pi.id()}: dimension law")
-            count = (sum(w.evaluate(pinned) == 0 for w in record.tangent)
-                     + 2 * sum(w.evaluate(pinned) == 0 for w in record.factors))
+            count = (sum(a * x + b * y + c * z == 0 for a, b, c in record.tangent)
+                     + 2 * sum(a * x + b * y + c * z == 0 for a, b, c in record.factors))
             if count and first_vanish is None:
                 first_vanish = n
             vanishing += count

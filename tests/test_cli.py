@@ -355,10 +355,15 @@ BIG = str(10 ** 1500)
     ("dt4-series", "--n-max", "1", "--s", "1e-4300,-1e-4300,1,-1"),
     ("vertex", "--n-max", "1", "--s", "1e4300,-1e4300,1,-1"),
     ("dt4-series", "--n-max", "2", "--s", f"{BIG},1,2,-{int(BIG) + 3}"),
+    *(("goettsche", "--euler", BIG, "--n-max", "3", "--format", f)
+      for f in ("text", "json", "csv")),
+    ("tstar", "--c", "1,0,-3", "--euler", BIG),
+    ("chi", "--left", f"{'9' * 4000},{'9' * 4000}"),
 ])
 def test_a_number_past_the_int_string_limit_exits_3(args):
     # 10^4300 parses but has 4301 digits; a coordinate of 1501 digits gives
-    # a coefficient past the limit at n = 2
+    # a coefficient past the limit at n = 2, as e = 10^1500 does at q^3 and
+    # a bidegree of 4000 digits does in chi
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items() if k != "DT4_MAX_N"}
     env.update(PYTHONPATH=src)
@@ -368,6 +373,19 @@ def test_a_number_past_the_int_string_limit_exits_3(args):
     assert done.stdout == ""
     assert done.stderr == ("error: a number to print has more than 4300 digits, "
                            "the interpreter's limit for integer strings\n")
+
+
+def test_unbalanced_s_past_the_int_string_limit_gives_the_sum_message(capsys):
+    code, out, err = run(capsys, "dt4-series", "--n-max", "1", "--s", "1e4300,1,1,1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == ("error: bad --s value '1e4300,1,1,1': "
+                   "parameter coordinates must sum to zero\n")
+    # a coordinate that prints is still shown
+    code, _, err = run(capsys, "dt4-series", "--n-max", "1", "--s", "1,1,1,1")
+    assert code == EXIT_USAGE
+    assert err == ("error: bad --s value '1,1,1,1': "
+                   "parameter coordinates must sum to zero, got 1,1,1,1\n")
 
 
 def test_deep_series_bytes_are_pinned(capsys):

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dt4calc.errors import InternalInconsistency, NonGenericParameters
-from dt4calc.exact import Laurent, LinForm, form_str, integer_scaling
-from dt4calc.localize import (Summand, TorusParams, half_euler, subtorus_code,
-                              subtorus_form)
+from dt4calc.exact import Laurent, LinForm, form_str, integer_scaling, unpack
+from dt4calc.localize import Summand, TorusParams, half_euler, subtorus_code
 
 DEFAULT_S = (Fraction(1), Fraction(2), Fraction(3), Fraction(-6))
 BASE = 41  # digits up to 20, above every coefficient these tests use
@@ -97,7 +96,7 @@ def test_linform_canonical_representative():
         w = LinForm(r + (0,))
         code = subtorus_code(w.reduced + (0,), BASE)
         assert (code > 0) == (w.reduced > (0, 0, 0))
-        assert subtorus_form(code, BASE) == w
+        assert unpack(code, 3, BASE) == w.reduced
 
 
 def test_linform_evaluate_and_str():
@@ -132,7 +131,7 @@ def pairs(*forms):
 def test_weight_product_single_pair_value():
     w = LinForm((1, 1, 0, 0))
     record = weight_product(obstruction=pairs(w))
-    assert (record.sign, record.factors, len(record.factors)) == (1, (w,), 1)
+    assert (record.sign, record.factors, len(record.factors)) == (1, (w.reduced,), 1)
     assert record.value(TorusParams(DEFAULT_S)) == 3
     assert record.value(TorusParams(DEFAULT_S), -1) == -3
 
@@ -145,9 +144,9 @@ def test_weight_product_all_four_coordinates():
     assert dict(factors) == codes(coords[:3] + [neg(coords[3])])
     assert all(k > 0 and m == 1 for k, m in factors)
     record = weight_product(obstruction=pairs(*coords))
-    assert all(w.reduced > (0, 0, 0) for w in record.factors)
+    assert all(w > (0, 0, 0) for w in record.factors)
     assert len(record.factors) == len(set(record.factors)) == 4
-    assert set(record.factors) == set(coords[:3]) | {neg(coords[3])}
+    assert set(record.factors) == {w.reduced for w in coords[:3] + [neg(coords[3])]}
     assert record.value(TorusParams(DEFAULT_S)) == 1 * 2 * 3 * 6
 
 
@@ -176,7 +175,7 @@ def test_weight_product_denominator_factors():
     record = weight_product(tangent=[s1, s2, s2])
     # repeated by multiplicity, and sorted by reduced coefficients as in
     # every record
-    assert record.tangent == (s2, s2, s1)
+    assert record.tangent == (s2.reduced, s2.reduced, s1.reduced)
     assert (len(record.tangent), len(record.factors)) == (3, 0)
     assert record.value(TorusParams(DEFAULT_S)) == Fraction(1, 4)
 

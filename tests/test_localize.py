@@ -17,13 +17,12 @@ from dt4calc import cli, localize, taylor
 from dt4calc.cli import main, series_payload
 from dt4calc.errors import (InternalInconsistency, NonGenericParameters,
                             OddPairing)
-from dt4calc.exact import Laurent, LinForm, unpack
+from dt4calc.exact import Laurent, LinForm, form_str, unpack
 from dt4calc.localize import (FixedPointData, OrientationData, TorusParams,
                               cyclic_completion_report, dt4_degree0_series,
                               Summand, half_euler, obstruction_crosscheck,
                               one_box_symbolic_report,
-                              subtorus_code, subtorus_codes, subtorus_form,
-                              transported_orientation,
+                              subtorus_code, subtorus_codes, transport_sign,
                               vertex_character, vertex_oracle_check)
 from dt4calc.partitions import (DPartition, enumerate_partitions, partition_from_id,
                                 partition_levels)
@@ -68,11 +67,6 @@ def test_torus_params_validation():
     p = TorusParams.parse("1/2, 1/3, 1/6, -1")
     assert sum(p.s) == 0
     assert str(TorusParams.default()) == "1,2,3,-6"
-
-
-def test_torus_params_permuted():
-    p = TorusParams((1, 2, 3, -6)).permuted((3, 2, 1, 0))
-    assert p.s == (-6, 3, 2, 1)
 
 
 def test_orientation_data_validation_and_file(tmp_path):
@@ -135,7 +129,7 @@ def test_one_box_half_euler_value():
     assert sign == 1 and sum(m for _, m in factors) == 3
     # canonical product (s2+s3)(s1+s3)(s1+s2) = 5*4*3; equals -e3 at this s,
     # where e3(1,2,3,-6) = 6 - 12 - 18 - 36 = -60
-    assert prod(subtorus_form(k, data.base).evaluate((1, 2, 3, -6)) ** m
+    assert prod(LinForm(unpack(k, 3, data.base) + (0,)).evaluate((1, 2, 3, -6)) ** m
                 for k, m in factors) == 60
 
 
@@ -171,14 +165,14 @@ def test_one_box_symbolic_shape_catches_a_flipped_sign(monkeypatch):
 
 def test_one_box_symbolic_shape_catches_a_wrong_factor(monkeypatch):
     _, *rest = localize.summand(ONE_BOX).factors
-    rep = _report_with(monkeypatch, factors=(LinForm((2, 1, 0, 0)), *rest))
+    rep = _report_with(monkeypatch, factors=((2, 1, 0), *rest))
     assert rep["numerator_sign"] == 0 and not rep["ok"]
     assert not run_suite(only="one-box")[0][1].ok
 
 
 def test_one_box_symbolic_shape_catches_a_negated_tangent_weight(monkeypatch):
     w, *rest = localize.summand(ONE_BOX).tangent
-    rep = _report_with(monkeypatch, tangent=(LinForm(-x for x in w.reduced + (0,)), *rest))
+    rep = _report_with(monkeypatch, tangent=(tuple(-x for x in w), *rest))
     assert not rep["denominator_matches"] and not rep["ok"]
     assert not run_suite(only="one-box")[0][1].ok
 
@@ -221,7 +215,7 @@ def test_symbolic_identity_against_sympy():
     sign, factors = half_euler(data.e2)
     num = sympy.Integer(sign)
     for k, m in factors:
-        num *= sum(int(c) * v for c, v in zip(subtorus_form(k, data.base).reduced, s)) ** m
+        num *= sum(int(c) * v for c, v in zip(unpack(k, 3, data.base), s)) ** m
     den = sympy.Integer(1)
     for w in data.e1_weights:
         den *= sum(int(c) * v for c, v in zip(w.reduced, s))
@@ -474,10 +468,10 @@ def old_route(pi: DPartition) -> tuple[dict, Laurent, tuple]:
     return views, e2, record
 
 
-def expanded(pairs) -> tuple[LinForm, ...]:
-    """(form, multiplicity) pairs as a record holds them: each form repeated
-    by its multiplicity."""
-    return tuple(w for w, m in pairs for _ in range(m))
+def expanded(pairs) -> tuple[tuple[int, int, int], ...]:
+    """(form, multiplicity) pairs as a record holds them: each form's reduced
+    triple repeated by its multiplicity."""
+    return tuple(w.reduced for w, m in pairs for _ in range(m))
 
 
 # every n <= 6, and the single-axis columns of height 1..8, whose characters
@@ -570,36 +564,60 @@ def test_relabeled_form_matches_box_relabeling():
     # pair.  Both records are direct builds, not the cached ones, which the
     # series may have transported.
     def moved(w, perm):
-        v = w.reduced + (0,)
-        return LinForm(v[p] for p in perm)
+        v = w + (0,)
+        return LinForm(v[p] for p in perm).reduced
 
     def unsigned(w):
-        return max(w.reduced, tuple(-x for x in w.reduced))
+        return max(w, tuple(-x for x in w))
 
-    assert moved(LinForm((1, -1, 0, 2)), (2, 0, 3, 1)) == LinForm((0, 1, 2, -1))
+    assert moved(LinForm((1, -1, 0, 2)).reduced, (2, 0, 3, 1)) == LinForm((0, 1, 2, -1)).reduced
     for perm in ((1, 0, 2, 3), (2, 0, 3, 1), (3, 2, 1, 0)):
         for n in range(4):
             for pi in enumerate_partitions(4, n):
                 record = Summand(FixedPointData(pi))
                 image = Summand(FixedPointData(pi.relabeled(perm)))
-                assert sorted(moved(w, perm).reduced for w in record.tangent) == \
-                    sorted(w.reduced for w in image.tangent)
+                assert sorted(moved(w, perm) for w in record.tangent) == sorted(image.tangent)
                 assert sorted(unsigned(moved(w, perm)) for w in record.factors) == \
                     sorted(unsigned(w) for w in image.factors)
+
+
+def permuted_params(params: TorusParams, perm) -> TorusParams:
+    """The parameter vector with its coordinates permuted, s'[i] = s[perm[i]]."""
+    return TorusParams(tuple(params.s[perm[i]] for i in range(4)))
+
+
+def transported_orientation(perm, n_max: int) -> OrientationData:
+    """Orientation data for relabeled partitions that matches the default.
+
+    Relabeling coordinates maps the weight pairs of a partition to those of
+    the relabeled partition, but the canonical representative of a pair can
+    land on the opposite sign.  The transported orientation absorbs exactly
+    those flips, so evaluating the relabeled partition at the permuted
+    parameters reproduces the original summand value for value: level
+    symmetry of the whole sum.  A flip is a half Euler factor occurrence
+    whose moved code is negative (`transport_sign`).
+    """
+    signs: dict[str, int] = {}
+    for n in range(n_max + 1):
+        for pi in enumerate_partitions(4, n):
+            if transport_sign(localize.summand(pi), perm, 4 * n + 1) != 1:
+                signs[pi.relabeled(perm).id()] = -1
+    return OrientationData(signs)
 
 
 @pytest.mark.parametrize("perm", list(itertools.permutations(range(4))))
 def test_coefficient_symmetry_under_axis_permutation(perm):
     base = dt4_degree0_series(2, GENERIC)
-    moved = dt4_degree0_series(2, GENERIC.permuted(perm),
+    moved = dt4_degree0_series(2, permuted_params(GENERIC, perm),
                                transported_orientation(perm, 2))
     assert moved == base
 
 
 def test_coefficient_symmetry_spot_checks_at_depth_three():
+    assert permuted_params(TorusParams((1, 2, 3, -6)), (3, 2, 1, 0)).s == (-6, 3, 2, 1)
     base = dt4_degree0_series(3, GENERIC)
     for perm in ((1, 0, 2, 3), (3, 2, 1, 0), (1, 2, 3, 0)):
-        moved = dt4_degree0_series(3, GENERIC.permuted(perm),
+        moved = dt4_degree0_series(3, permuted_params(GENERIC, perm),
                                    transported_orientation(perm, 3))
         assert moved == base
 
@@ -888,7 +906,8 @@ def test_summand_record_keeps_no_characters():
         value = getattr(record, name)
         assert not isinstance(value, (Laurent, FixedPointData))
     assert Summand.__slots__ == ("tangent", "sign", "factors")
-    assert all(isinstance(w, LinForm) for w in record.tangent + record.factors)
+    assert all(type(w) is tuple and len(w) == 3 and all(type(c) is int for c in w)
+               for w in record.tangent + record.factors)
     assert (len(record.tangent), len(record.factors)) == (8, 6)
 
 
@@ -928,6 +947,19 @@ def test_series_oracle_checks_the_records_the_series_printed(monkeypatch):
     assert negated == payload["oracle"]["failures"] == flipped
     assert len(flipped) == 4
     assert len(kept) == 12 and set(first_of_each_orbit(3)) < set(kept)
+
+
+def test_series_oracle_fails_a_value_bug_the_record_and_direct_build_share(monkeypatch):
+    # the series and the direct build both evaluate through `Summand.value`;
+    # the oracle checks the printed value against the point's own `LinForm`
+    # views instead, so a doubled value fails every point it checks
+    value = Summand.value
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    monkeypatch.setattr(Summand, "value", lambda self, *args: 2 * value(self, *args))
+    payload = series_payload(3, GENERIC, OrientationData(), check_oracle=True)
+    assert payload["coefficients"] == [str(2 * c) for c in SERIES_GENERIC]
+    assert payload["oracle"]["checked"] == 15
+    assert payload["oracle"]["failures"] == [pi.id() for pi in POINTS_3[1:]]
 
 
 def test_record_check_fails_a_point_with_no_record(monkeypatch):
@@ -1025,28 +1057,34 @@ def test_characters_have_int_coefficients(n):
             assert all(_int_coefficients(ch) for ch in chars.values())
 
 
-def test_subtorus_forms_are_decoded_once_and_shared():
+def test_subtorus_triples_are_decoded_once_and_shared(monkeypatch):
+    decoded = []
+
+    def counting(code, k, base):
+        decoded.append((base, code))
+        return unpack(code, k, base)
+
+    monkeypatch.setattr(localize, "_TRIPLES", {})
+    monkeypatch.setattr(localize, "unpack", counting)
     for n, level in enumerate(partition_levels(4, 5)):
         held = []
         for pi in level:
             data = FixedPointData(pi)
             base = data.base
-            for k in set(data.e1) | set(data.e2):
-                form = subtorus_form(k, base)
-                assert form is localize._FORMS[(base, k)]
-                assert form == LinForm(unpack(k, 3, base) + (0,))
-                assert form is not LinForm(unpack(k, 3, base) + (0,))
-            record = data.summand()
+            record = Summand(data)
             tangent = [k for k in sorted(data.e1) for _ in range(data.e1[k])]
             factors = [k for k, m in half_euler(data.e2)[1] for _ in range(m)]
-            assert list(record.tangent) == [subtorus_form(k, base) for k in tangent]
-            assert all(w is subtorus_form(k, base) for w, k in zip(record.tangent, tangent))
-            assert all(w is subtorus_form(k, base) for w, k in zip(record.factors, factors))
+            known = localize._TRIPLES[base]
+            assert list(record.tangent) == [unpack(k, 3, base) for k in tangent]
+            assert all(w is known[k] for w, k in zip(record.tangent, tangent))
+            assert all(w is known[k] for w, k in zip(record.factors, factors))
             held.extend([*dict.fromkeys(record.tangent), *dict.fromkeys(record.factors)])
         # one object per distinct weight across the level's records, and
         # from n = 2 on the records repeat weights
         assert len({id(w) for w in held}) == len(set(held))
         assert n < 2 or len(set(held)) < len(held)
+    # each code decoded once per base, however many records hold it
+    assert len(decoded) == len(set(decoded))
 
 
 # sha256 over every point's weights for n <= 7 and of the vertex report at
@@ -1066,7 +1104,7 @@ def test_weights_and_vertex_report_are_pinned(capsys):
             for forms in (record.tangent, record.factors):
                 for w, run in itertools.groupby(forms):
                     m = sum(1 for _ in run)
-                    digest.update(repr((str(w), w.reduced, m)).encode())
+                    digest.update(repr((form_str(w), w, m)).encode())
     assert digest.hexdigest() == WEIGHTS_PIN
     assert main(["vertex", "--n-max", "5", "--s", "1,7,41,-49"]) == 0
     out = capsys.readouterr().out.encode()
