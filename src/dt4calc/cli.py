@@ -10,8 +10,9 @@ Exit codes:
   0  success
   1  a checked value disagreed with its expected or oracle value
   2  usage error (bad flags or counts, bad orientation file, bad parameters)
-  3  enumeration bound or --n-max cap exceeded, DT4_MAX_N is not an integer,
-     or a number to print is past the interpreter's integer string limit
+  3  enumeration bound or --n-max cap exceeded, DT4_MAX_N is not an integer
+     or is negative, or a number to print is past the interpreter's integer
+     string limit
   4  torus parameters hit a vanishing denominator weight
   5  requested case is outside the computed range
   6  internal consistency check failed

@@ -58,18 +58,8 @@ class Laurent:
         return Laurent()
 
     @staticmethod
-    def one() -> "Laurent":
-        return Laurent({(0, 0, 0, 0): 1})
-
-    @staticmethod
     def monomial(exp: Iterable[int]) -> "Laurent":
         return Laurent({tuple(exp): 1})
-
-    def coeff(self, exp: Iterable[int]) -> int:
-        return self.terms.get(tuple(exp), 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -136,10 +126,6 @@ class Laurent:
         out = Laurent.__new__(Laurent)
         out.terms = _purged(terms)
         return out
-
-    def coeff_sum(self) -> int:
-        """Value with every variable set to 1."""
-        return sum(self.terms.values())
 
     def items_sorted(self):
         """Terms in lexicographic exponent order, the canonical ordering."""

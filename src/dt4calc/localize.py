@@ -27,13 +27,14 @@ different route than every Taylor oracle that checks it.
 Only that last evaluation depends on the parameters.  The rest of a summand
 is kept per process in a compact `Summand` record, so a second series at
 new parameters builds no fixed point data.  Relabeling the four axes
-permutes the fixed points and carries their weights along, so a series
-builds one record per S4 orbit and keeps for every other point only the
-orbit's record, the permutation and a sign: the point's summand at s is
-the sign times the record's at the permuted s.  `record_oracle_check`
-compares the record a series used for a point, transported along that
-permutation (`Summand.relabeled`), with the point's direct build, and the
-value it printed with a product over the point's own `LinForm` views.
+permutes the fixed points and carries their weights along, so every cache
+entry has one shape, (record, perm, eps): the point's summand at s is eps
+times the record's at s permuted.  A point's own record has the identity
+and +1; when a series builds the first point of an S4 orbit it writes the
+entry of every other point of the orbit.  `record_oracle_check` compares
+each entry's record, moved along its permutation (`Summand.relabeled`),
+with the point's direct build, and the value the series printed with a
+product over the point's own `LinForm` views.
 """
 
 from __future__ import annotations
@@ -290,11 +291,12 @@ class FixedPointData:
         return weight_forms(self.e2, self.base)
 
     def summand(self) -> "Summand":
-        """The compact record of this point's summand, made once per process."""
-        record = _SUMMANDS.get(self.partition)
-        if not isinstance(record, Summand):
-            record = _SUMMANDS[self.partition] = Summand(self)
-        return record
+        """The compact record of this point's summand, made once per process
+        and cached as (record, IDENTITY, 1), in place of an orbit's entry."""
+        entry = _SUMMANDS.get(self.partition)
+        if entry is None or entry[1] != IDENTITY:
+            entry = _SUMMANDS[self.partition] = (Summand(self), IDENTITY, 1)
+        return entry[0]
 
     def contribution(self, params: TorusParams, orientation: int = 1) -> Fraction:
         """Signed half Euler value over the tangent weight product at s.
@@ -405,23 +407,29 @@ def transport_sign(record: Summand, perm, base: int) -> int:
     return -1 if sum(a * k0 + b * k1 + c * k2 < 0 for a, b, c in record.factors) % 2 else 1
 
 
+IDENTITY = (0, 1, 2, 3)
+
 # each perm of the four axes with the getter that moves a box as
 # `DPartition.relabeled(perm)` does
 _MOVES = [(perm, itemgetter(*perm)) for perm in permutations(range(4))]
 
-# summand cache: partition -> the point's own Summand, filled by
-# `FixedPointData.summand`, or the series' entry (orbit record, perm, eps)
-# for a point it did not build; kept for the life of the process, like the
-# partition levels it is keyed by
-_SUMMANDS: dict[DPartition, Summand | tuple[Summand, tuple, int]] = {}
+# summand cache: partition -> (record, perm, eps), the point's summand at s
+# being eps times the record's at L*s permuted by perm; a point's own record
+# has (IDENTITY, 1).  Written by `FixedPointData.summand` and, for the rest
+# of an orbit, when the series builds the orbit's record; kept for the life
+# of the process, like the partition levels it is keyed by
+_SUMMANDS: dict[DPartition, tuple[Summand, tuple, int]] = {}
 
 
 def summand(pi: DPartition) -> Summand:
-    """The cached summand record of a fixed point or, when the cache holds
-    none of its own, a record built from the point and not kept;
+    """The point's record from its cache entry, moved along the entry's
+    perm, or when it has none a record built from the point and not kept;
     `FixedPointData.summand` keeps it."""
-    record = _SUMMANDS.get(pi)
-    return record if isinstance(record, Summand) else Summand(FixedPointData(pi))
+    entry = _SUMMANDS.get(pi)
+    if entry is None:
+        return Summand(FixedPointData(pi))
+    rep, perm, _ = entry
+    return rep if perm == IDENTITY else rep.relabeled(perm, 4 * pi.size + 1)
 
 
 def vertex_oracle_check(data: FixedPointData) -> tuple[bool, Laurent, Laurent]:
@@ -454,22 +462,19 @@ def record_oracle_check(data: FixedPointData, params: TorusParams, orientation: 
                         printed: Fraction) -> bool:
     """The point's entry in the summand cache versus its direct build.
 
-    The record the series used, transported along the entry's permutation
-    when it is an orbit's record, must equal the direct build field by
-    field.  The value the series printed must equal, with the point's
+    The entry's record moved along its permutation, the identity for a
+    point's own record, must equal the direct build field by field.  The value the series printed must equal, with the point's
     orientation sign, the product over the point's own `LinForm` views at
     L*s: one weight of each (w, -w) pair of `e2_weights`, the one above the
     zero triple, over every weight of `e1_weights`.  That product shares no
     code with `Summand.value`.  A point with no entry fails, and the cache
     is only read.
     """
-    record = _SUMMANDS.get(data.partition)
-    if record is None:
+    entry = _SUMMANDS.get(data.partition)
+    if entry is None:
         return False
-    if isinstance(record, tuple):
-        rep, perm, _ = record
-        record = rep.relabeled(perm, data.base)
-    if record != Summand(data):
+    rep, perm, _ = entry
+    if rep.relabeled(perm, data.base) != Summand(data):
         return False
     scale, s = params.scaled
     den = prod(w.evaluate(s) for w in data.e1_weights)
@@ -488,16 +493,17 @@ def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
     """Degree zero invariants as exact series coefficients c_0..c_{n_max}.
 
     c_n is the sum of fixed point contributions over all solid partitions of
-    size n, in canonical partition order.  A point's `Summand` record is made
-    the first time any call in the process needs it, and kept, so a later
-    call at new parameters or a new orientation only evaluates.  Only the
-    first point of each S4 orbit in level order is built; every other point
-    q = rep.relabeled(perm) keeps the entry (rep's record, perm, eps) and is
-    evaluated as eps times that record at L*s permuted, s'[j] = s[perm.index(j)]
-    (`transport_sign`).  When that evaluation meets a vanishing tangent
-    weight, the record transported to q raises instead, so the error names
-    the first such weight in q's own sorted order.  The orientation sign is
-    applied at evaluation.  Everything runs on the calling thread.
+    size n, in canonical partition order.  Every point is evaluated from its
+    cache entry (record, perm, eps) as eps times the record at L*s permuted,
+    s'[j] = s[perm.index(j)].  A point with no entry is built, and its record
+    kept; at that build every point q = pi.relabeled(perm) of its S4 orbit
+    with no entry yet gets (pi's record, perm, eps) (`transport_sign`), so a
+    cold call builds only the first point of each orbit in level order and a
+    later call at new parameters or a new orientation only evaluates.  When
+    an evaluation meets a vanishing tangent weight, the record moved to the
+    point raises instead, so the error names the first such weight in the
+    point's own sorted order.  The orientation sign is applied at
+    evaluation.  Everything runs on the calling thread.
     """
     if params is None:
         params = TorusParams.default()
@@ -505,45 +511,33 @@ def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
         orientation = OrientationData()
     levels = partition_levels(4, n_max)
     scaled = params.scaled[1]
-    moved_s: dict[tuple, tuple] = {}  # perm -> L*s permuted, at most 24
+    moved_s = {perm: tuple(scaled[perm.index(j)] for j in range(4)) for perm, _ in _MOVES}
 
     coeffs = []
     details = []
     for n, level in enumerate(levels):
         base = 4 * n + 1
         total = Fraction(0)
-        # boxes of a relabeled point, `pi.relabeled(perm).boxes`, -> (record
-        # of the orbit's first built point, perm), popped on use; each key is
-        # the level's own tuple (`level_boxes`, made at the level's first
-        # build), so the map holds no copies
-        orbit: dict[tuple, tuple[Summand, tuple]] = {}
-        level_boxes = None
+        by_boxes = None  # boxes -> the level's own point, made at its first build
         for pi in level:
             sign = orientation.sign(pi)
             entry = _SUMMANDS.get(pi)
-            if entry is None and (hit := orbit.pop(pi.boxes, None)) is not None:
-                rep, perm = hit
-                entry = _SUMMANDS[pi] = (rep, perm, transport_sign(rep, perm, base))
             if entry is None:
                 data = FixedPointData(pi)
                 rep = data.summand()
-                if level_boxes is None:
-                    level_boxes = {q.boxes: q.boxes for q in level}
-                own = pi.boxes
-                orbit.update({level_boxes[boxes]: (rep, perm) for perm, move in _MOVES
-                              if (boxes := tuple(sorted(map(move, own)))) != own})
+                if by_boxes is None:
+                    by_boxes = {q.boxes: q for q in level}
+                for perm, move in _MOVES:
+                    q = by_boxes[tuple(sorted(map(move, pi.boxes)))]
+                    if q not in _SUMMANDS:
+                        _SUMMANDS[q] = (rep, perm, transport_sign(rep, perm, base))
                 v = data.contribution(params, sign)
-            elif isinstance(entry, tuple):
+            else:
                 rep, perm, eps = entry
-                at = moved_s.get(perm)
-                if at is None:
-                    at = moved_s[perm] = tuple(scaled[perm.index(j)] for j in range(4))
                 try:
-                    v = rep.value(params, eps * sign, at)
+                    v = rep.value(params, eps * sign, moved_s[perm])
                 except NonGenericParameters:
                     v = rep.relabeled(perm, base).value(params, sign)
-            else:
-                v = entry.value(params, sign)
             total += v
             if want_details:
                 details.append((n, pi.id(), v))

@@ -23,14 +23,18 @@ ENV_BOUND_VAR = "DT4_MAX_N"
 
 
 def size_bound(d: int) -> int:
-    """Largest admissible n for dimension d; DT4_MAX_N overrides the d = 4 cap."""
+    """Largest admissible n for dimension d; DT4_MAX_N, an integer of at
+    least 0, overrides the d = 4 cap."""
     if d == 4:
         raw = os.environ.get(ENV_BOUND_VAR)
         if raw is not None:
             try:
-                return int(raw)
+                bound = int(raw)
             except ValueError:
                 raise BoundExceeded(f"{ENV_BOUND_VAR} must be an integer, got {raw!r}")
+            if bound < 0:
+                raise BoundExceeded(f"{ENV_BOUND_VAR} must be at least 0, got {raw!r}")
+            return bound
     return DEFAULT_BOUNDS[d]
 
 
@@ -54,8 +58,8 @@ class DPartition:
     """A finite downward-closed box set, stored as a lex-sorted tuple.
 
     The constructor checks that no box repeats and that the set is closed,
-    and raises ValueError otherwise; `with_box` and `relabeled`, which keep
-    both by construction, skip the checks.
+    and raises ValueError otherwise; `relabeled`, which keeps both by
+    construction, skips the checks.
     """
 
     __slots__ = ("d", "boxes")
@@ -120,9 +124,6 @@ class DPartition:
         out.d = d
         out.boxes = boxes
         return out
-
-    def with_box(self, c: Box) -> "DPartition":
-        return DPartition._trusted(self.d, tuple(sorted(self.boxes + (c,))))
 
     def relabeled(self, perm) -> "DPartition":
         """Apply a coordinate permutation; the result is again a partition."""

@@ -57,7 +57,7 @@ def _timed(budget):
     return deco
 
 
-@_timed(1.0)
+@_timed(1)
 def check_liqin_table(**_) -> CheckResult:
     rows = [liqin_case(e1, e2) for (e1, e2, _, _) in LIQIN_EXPECTED]
     got = [(r["eps1"], r["eps2"], int(r["chi"]), r["k"]) for r in rows]
@@ -66,7 +66,7 @@ def check_liqin_table(**_) -> CheckResult:
                        "all four cases exact" if ok else f"got {got}")
 
 
-@_timed(1.0)
+@_timed(1)
 def check_chi_structure_sheaf(**_) -> CheckResult:
     rep = structure_sheaf_chi_check()
     ok = rep["ok"] and rep["direct"] == 2
@@ -83,7 +83,7 @@ def check_vdim_law(**_) -> CheckResult:
     return CheckResult("vdim-law", True, "n <= 10, both holonomy cases")
 
 
-@_timed(60.0)
+@_timed(60)
 def check_vertex_oracle(**_) -> CheckResult:
     checked = 0
     for n in range(1, 4):
@@ -153,7 +153,7 @@ def check_one_box_contribution(**_) -> CheckResult:
         f"numerator sign {rep['numerator_sign']:+d} times e3/e4, value {value}")
 
 
-@_timed(60.0)
+@_timed(60)
 def check_cyclic_completion(**_) -> CheckResult:
     checked = 0
     for n in range(4):
@@ -168,7 +168,7 @@ def check_cyclic_completion(**_) -> CheckResult:
                        f"{checked} plane partitions (sizes 0..3), all degrees")
 
 
-@_timed(1.0)
+@_timed(1)
 def check_goettsche_series(**_) -> CheckResult:
     g3 = goettsche_series(3, 20)
     if g3 != convolution_oracle(3, 20):

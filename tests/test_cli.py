@@ -535,6 +535,22 @@ def test_non_integer_bound_variable(capsys, monkeypatch):
     assert err == "error: DT4_MAX_N must be an integer, got 'abc'\n"
 
 
+def test_negative_bound_variable(capsys, monkeypatch):
+    # a negative cap names no size, so it is refused when a d = 4
+    # enumeration first needs it, not reported as a size past the cap
+    monkeypatch.setenv("DT4_MAX_N", "-3")
+    code, out, _ = run(capsys, "partitions", "--d", "2")
+    assert code == EXIT_OK
+    for argv in (["dt4-series", "--n-max", "0"], ["vertex", "--n-max", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_BOUND
+        assert out == ""
+        assert err == "error: DT4_MAX_N must be at least 0, got '-3'\n"
+    monkeypatch.setenv("DT4_MAX_N", "0")
+    code, out, _ = run(capsys, "dt4-series", "--n-max", "0")
+    assert code == EXIT_OK and "q^0: 1" in out
+
+
 @pytest.mark.parametrize("argv,cap,work", [
     (["vdim", "--n-max", "100001"], "vdim cap 100000", "vdim_ideal_cy4"),
     (["goettsche", "--euler", "2", "--n-max", "501", "--check-oracle"],

@@ -34,11 +34,11 @@ def box_character(ideal) -> Laurent:
 
 
 def conj_product(nv) -> Laurent:
-    out = Laurent.one()
+    out = Laurent({(0, 0, 0, 0): 1})
     for i in range(nv):
         e = [0, 0, 0, 0]
         e[i] = -1
-        out = out * (Laurent.one() - Laurent.monomial(e))
+        out = out * (Laurent({(0, 0, 0, 0): 1}) - Laurent.monomial(e))
     return out
 
 
@@ -132,7 +132,7 @@ def reference_euler_character(ideal, source="OZ,OZ"):
 def test_one_point_self_ext_is_the_exterior_algebra():
     ideal = DPartition(4, [(0, 0, 0, 0)]).to_ideal()
     ext = ext_characters(ideal, "OZ,OZ")
-    assert [ext[i].coeff_sum() for i in range(5)] == [1, 4, 6, 4, 1]
+    assert [sum(ext[i].terms.values()) for i in range(5)] == [1, 4, 6, 4, 1]
     for i in range(5):
         assert ext[i] == elementary_in_inverses(i, 4)
 
@@ -140,10 +140,10 @@ def test_one_point_self_ext_is_the_exterior_algebra():
 def test_one_point_in_three_variables():
     ideal = DPartition(3, [(0, 0, 0)]).to_ideal()
     ext = ext_characters(ideal, "OZ,OZ")
-    assert [ext.get(i, Laurent.zero()).coeff_sum() for i in range(4)] == [1, 3, 3, 1]
+    assert [sum(ext.get(i, Laurent.zero()).terms.values()) for i in range(4)] == [1, 3, 3, 1]
     for i in range(4):
         assert ext[i] == elementary_in_inverses(i, 3)
-    assert 4 not in ext or ext[4].is_zero()
+    assert 4 not in ext or not ext[4].terms
 
 
 def test_one_point_ideal_source_shifts_the_self_ext():
@@ -187,7 +187,7 @@ def test_ext_dimensions_are_nonnegative_and_finite():
     for pi in enumerate_partitions(4, 3):
         for source in ("OZ,OZ", "I,OZ"):
             for i, ch in ext_characters(pi.to_ideal(), source).items():
-                total = ch.coeff_sum()
+                total = sum(ch.terms.values())
                 assert total >= 0
                 assert all(c > 0 for c in ch.terms.values())
 
@@ -266,7 +266,7 @@ def test_euler_character_computes_no_rank(monkeypatch):
 
     monkeypatch.setattr(taylor, "_rank", refuse)
     ideal = enumerate_partitions(4, 4)[5].to_ideal()
-    assert not euler_character(ideal, "OZ,OZ").is_zero()
+    assert euler_character(ideal, "OZ,OZ").terms
 
 
 @st.composite
