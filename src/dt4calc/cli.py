@@ -217,8 +217,8 @@ def cmd_vertex(args):
                 "id": pi.id(),
                 "boxes": [list(b) for b in pi.boxes],
                 "tvir": str(data.tvir),
-                "e1": [list(w.reduced) for w in data.e1_weights],
-                "e2": [list(w.reduced) for w in data.e2_weights],
+                "e1": [list(t) for t in data.e1_weights],
+                "e2": [list(t) for t in data.e2_weights],
             }
             try:
                 entry["contribution"] = number_str(data.contribution(params, 1))

@@ -12,8 +12,8 @@ Everything downstream works over two representations:
     parameters, taken modulo the relation ``s1 + s2 + s3 + s4 = 0``.  It is
     stored as its reduced triple ``(a1 - a4, a2 - a4, a3 - a4)``, the digits
     of its `subtorus_code`; sums, negation and the choice of sign in a
-    ``(w, -w)`` pair are done on those codes.  Summand records evaluate bare
-    triples; a ``LinForm`` is the `vertex` report's and the oracle's view.
+    ``(w, -w)`` pair are done on those codes.  Records and the `vertex`
+    report hold bare triples; only the record oracle builds a ``LinForm``.
 
 Parameter values and summands are rationals, ``fractions.Fraction``
 (lowest terms, positive denominator, unbounded size); integers are ``int``.

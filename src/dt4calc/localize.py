@@ -17,12 +17,12 @@ T = V + bar(V) with V = Q - Q bar(Q) (1 - t1^{-1})(1 - t2^{-1})(1 - t3^{-1}).
 A fixed point is built from T and E1 = Hom(I, O_Z) as flat int dicts keyed
 by packed subtorus codes, with no Laurent polynomial (`characters`).  A
 summand record holds its weights as reduced int triples, each code decoded
-once per process, and evaluates them with local arithmetic.  The Laurent
-closed form (`vertex_character`) and the `LinForm` weight views are kept
-for the `vertex` report and the oracles.  The Taylor complex of `taylor`
-serves only the checks, the resolution oracle and the Ext^0/Ext^1
-cross-check, and the cyclic completion report, so E1 comes from a
-different route than every Taylor oracle that checks it.
+once per process, and evaluates them with local arithmetic; only the
+record oracle decodes a weight to a `LinForm`.  The Laurent closed form
+(`vertex_character`) is kept for the `vertex` report and the oracles.  The
+Taylor complex of `taylor` serves only the checks, the resolution oracle
+and the Ext^0/Ext^1 cross-check, and the cyclic completion report, so E1
+comes from a different route than every Taylor oracle that checks it.
 
 Only that last evaluation depends on the parameters.  The rest of a summand
 is kept per process in a compact `Summand` record, so a second series at
@@ -34,7 +34,7 @@ and +1; when a series builds the first point of an S4 orbit it writes the
 entry of every other point of the orbit.  `record_oracle_check` compares
 each entry's record, moved along its permutation (`Summand.relabeled`),
 with the point's direct build, and the value the series printed with a
-product over the point's own `LinForm` views.
+product over the point's own codes, decoded and evaluated apart.
 """
 
 from __future__ import annotations
@@ -104,6 +104,8 @@ class TorusParams:
         # Fraction builds 10**exponent first, so a huge exponent would hang it
         limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
         for p in parts:
+            if len(p) > limit:  # int() would refuse its digits
+                raise ValueError(f"a coordinate is longer than {limit} characters")
             if (m := _EXPONENT.search(p)) and abs(int(m[1])) > limit:
                 raise ValueError(f"the exponent of {p!r} exceeds {limit} in magnitude")
         return cls(tuple(Fraction(p) for p in parts))
@@ -123,12 +125,11 @@ class OrientationData:
     sign builds no id.
     """
 
-    __slots__ = ("signs", "by_partition")
+    __slots__ = ("by_partition",)
 
     def __init__(self, signs: dict[str, int] | None = None):
-        signs = dict(signs or {})
         by_partition: dict[DPartition, int] = {}
-        for key, val in signs.items():
+        for key, val in (signs or {}).items():
             if not isinstance(key, str):
                 raise ValueError(f"orientation key {key!r} is not a string")
             pi = partition_from_id(key, 4)
@@ -138,18 +139,20 @@ class OrientationData:
             if type(val) is not int or val not in (1, -1):
                 raise ValueError(f"orientation for {key!r} must be +1 or -1, got {val!r}")
             by_partition[pi] = val
-        self.signs = signs
         self.by_partition = by_partition
 
     @classmethod
     def from_file(cls, path: str) -> "OrientationData":
         with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"orientation file {path} is not valid JSON: {e}")
-            except RecursionError:
-                raise ValueError(f"orientation file {path} is nested too deeply to read")
+            text = fh.read()
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"orientation file {path} is not valid JSON: {e}")
+        except RecursionError:
+            raise ValueError(f"orientation file {path} is nested too deeply to read")
+        except ValueError:  # an integer of more digits than int() reads
+            raise ValueError(f"orientation file {path} holds an integer too long to read")
         if not isinstance(raw, dict):
             raise ValueError(f"orientation file {path} must hold a JSON object")
         return cls(raw)
@@ -158,8 +161,8 @@ class OrientationData:
         return self.by_partition.get(partition, 1)
 
     def flipped(self, key: str) -> "OrientationData":
-        signs = dict(self.signs)
-        signs[key] = -self.signs.get(key, 1)
+        signs = {pi.id(): val for pi, val in self.by_partition.items()}
+        signs[key] = -signs.get(key, 1)
         return OrientationData(signs)
 
 
@@ -191,20 +194,10 @@ def weight_triples(codes, base: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(known.get(k) or known.setdefault(k, unpack(k, 3, base)) for k in codes)
 
 
-# (base, code) -> the weight's `LinForm` view, made once per process
-_FORMS: dict[tuple[int, int], LinForm] = {}
-
-
-def weight_forms(codes: dict[int, int], base: int) -> tuple[LinForm, ...]:
-    """A code -> multiplicity map as `LinForm`s sorted by code, each shared
-    view repeated by its multiplicity: what the `vertex` report prints and
-    the record oracle evaluates, decoded apart from the records' triples."""
-    out = []
-    for k in sorted(codes):
-        key = (base, k)
-        w = _FORMS.get(key) or _FORMS.setdefault(key, LinForm(unpack(k, 3, base) + (0,)))
-        out += (w,) * codes[k]
-    return tuple(out)
+def sorted_triples(codes: dict[int, int], base: int) -> tuple[tuple[int, int, int], ...]:
+    """A code -> multiplicity map as reduced triples sorted by code, each
+    repeated by its multiplicity."""
+    return weight_triples([k for k in sorted(codes) for _ in range(codes[k])], base)
 
 
 def subtorus_codes(ch: Laurent, base: int) -> dict[int, int]:
@@ -224,14 +217,14 @@ class FixedPointData:
     the virtual tangent character, `e1` the tangent and `e2` the obstruction
     character.  Every reduced coefficient they hold lies in [-2n + 1,
     2n - 1], inside the digit range, so adding codes adds vectors, negating
-    is `bar`, codes sort as `LinForm.reduced` does, and a code is positive
-    exactly when its triple is, `reduced > (0, 0, 0)`.  `e1_terms` holds E1
+    is `bar`, codes sort as their reduced triples do, and a code is positive
+    exactly when its triple is above (0, 0, 0).  `e1_terms` holds E1
     on the full torus, packed as `tangent_codes` counts it.
 
     What the oracles and the `vertex` report read are views, each built on
     first access: the Laurent characters `q`, `tvir` and `e1_char`, which is
-    `e1_terms` unpacked; the weight lists; and the monomial `ideal`, which
-    both Taylor checks share.
+    `e1_terms` unpacked; the weight lists, as records hold them
+    (`sorted_triples`); and the monomial `ideal`, both Taylor checks' own.
     """
 
     def __init__(self, partition: DPartition):
@@ -261,7 +254,7 @@ class FixedPointData:
             raise InternalInconsistency("weight count violates the dimension law")
 
     def _effective(self, codes: dict[int, int], what: str) -> None:
-        bad = [(LinForm(unpack(k, 3, self.base) + (0,)), m) for k, m in codes.items() if m < 0]
+        bad = {form_str(unpack(k, 3, self.base)): m for k, m in codes.items() if m < 0}
         if bad:
             raise NotEffective(f"{what} character has non effective terms {bad}")
 
@@ -283,12 +276,12 @@ class FixedPointData:
         return self.partition.to_ideal()
 
     @cached_property
-    def e1_weights(self) -> tuple[LinForm, ...]:
-        return weight_forms(self.e1, self.base)
+    def e1_weights(self) -> tuple[tuple[int, int, int], ...]:
+        return sorted_triples(self.e1, self.base)
 
     @cached_property
-    def e2_weights(self) -> tuple[LinForm, ...]:
-        return weight_forms(self.e2, self.base)
+    def e2_weights(self) -> tuple[tuple[int, int, int], ...]:
+        return sorted_triples(self.e2, self.base)
 
     def summand(self) -> "Summand":
         """The compact record of this point's summand, made once per process
@@ -330,9 +323,8 @@ class Summand:
         self.sign, factors = half_euler(data.e2)
         if any(m <= 0 for _, m in factors):
             raise InternalInconsistency("denominator factor in a half Euler product")
-        e1 = data.e1
-        self.tangent = weight_triples([k for k in sorted(e1) for _ in range(e1[k])], data.base)
-        self.factors = weight_triples([k for k, m in factors for _ in range(m)], data.base)
+        self.tangent = sorted_triples(data.e1, data.base)
+        self.factors = sorted_triples(dict(factors), data.base)
 
     def value(self, params: TorusParams, orientation: int = 1, at=None) -> Fraction:
         """The summand at s with the given orientation sign.
@@ -463,12 +455,13 @@ def record_oracle_check(data: FixedPointData, params: TorusParams, orientation: 
     """The point's entry in the summand cache versus its direct build.
 
     The entry's record moved along its permutation, the identity for a
-    point's own record, must equal the direct build field by field.  The value the series printed must equal, with the point's
-    orientation sign, the product over the point's own `LinForm` views at
-    L*s: one weight of each (w, -w) pair of `e2_weights`, the one above the
-    zero triple, over every weight of `e1_weights`.  That product shares no
-    code with `Summand.value`.  A point with no entry fails, and the cache
-    is only read.
+    point's own record, must equal the direct build field by field.  The
+    value the series printed must equal, with the point's orientation sign,
+    a product at L*s over the point's own codes, each decoded here to a
+    `LinForm`: one weight of each (w, -w) pair of `e2`, the one above the
+    zero triple, over every weight of `e1`, each to its multiplicity.  That
+    product shares no code with `Summand.value`.  A point with no entry
+    fails, and the cache is only read.
     """
     entry = _SUMMANDS.get(data.partition)
     if entry is None:
@@ -477,14 +470,17 @@ def record_oracle_check(data: FixedPointData, params: TorusParams, orientation: 
     if rep.relabeled(perm, data.base) != Summand(data):
         return False
     scale, s = params.scaled
-    den = prod(w.evaluate(s) for w in data.e1_weights)
+    tangent = [(LinForm(unpack(k, 3, data.base) + (0,)), m) for k, m in data.e1.items()]
+    obstruction = [(LinForm(unpack(k, 3, data.base) + (0,)), m) for k, m in data.e2.items()]
+    den = prod(w.evaluate(s) ** m for w, m in tangent)
     if not den:
         return False
-    if any(w.reduced == (0, 0, 0) for w in data.e2_weights):
+    if any(w.reduced == (0, 0, 0) for w, _ in obstruction):
         return printed == 0
-    halves = [w for w in data.e2_weights if w.reduced > (0, 0, 0)]
-    num = orientation * prod(w.evaluate(s) for w in halves)
-    return Fraction(num * scale ** len(data.e1_weights), den * scale ** len(halves)) == printed
+    halves = [(w, m) for w, m in obstruction if w.reduced > (0, 0, 0)]
+    num = orientation * prod(w.evaluate(s) ** m for w, m in halves)
+    return Fraction(num * scale ** sum(m for _, m in tangent),
+                    den * scale ** sum(m for _, m in halves)) == printed
 
 
 def dt4_degree0_series(n_max: int, params: TorusParams | None = None,

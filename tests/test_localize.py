@@ -4,7 +4,10 @@ import hashlib
 import itertools
 import json
 import operator
+import os
+import subprocess
 import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -101,8 +104,8 @@ def test_vertex_character_one_box():
 
 def test_one_box_tangent_weights():
     data = one_box_data()
-    expected = {LinForm((-1, 0, 0, 0)), LinForm((0, -1, 0, 0)),
-                LinForm((0, 0, -1, 0)), LinForm((0, 0, 0, -1))}
+    expected = {LinForm(e).reduced for e in ((-1, 0, 0, 0), (0, -1, 0, 0),
+                                             (0, 0, -1, 0), (0, 0, 0, -1))}
     assert set(data.e1_weights) == expected
     assert len(data.e1_weights) == 4
 
@@ -111,7 +114,7 @@ def test_one_box_obstruction_weights():
     # the six pair sums s_i + s_j; on the subtorus a pair through the fourth
     # coordinate is minus the complementary pair, so three forms appear twice
     data = one_box_data()
-    got = sorted(w.reduced for w in data.e2_weights)
+    got = sorted(data.e2_weights)
     pairs = [LinForm((1, 1, 0, 0)), LinForm((1, 0, 1, 0)), LinForm((0, 1, 1, 0))]
     expected = sorted([w.reduced for w in pairs] + [tuple(-x for x in w.reduced) for w in pairs])
     assert got == expected
@@ -218,7 +221,7 @@ def test_symbolic_identity_against_sympy():
         num *= sum(int(c) * v for c, v in zip(unpack(k, 3, data.base), s)) ** m
     den = sympy.Integer(1)
     for w in data.e1_weights:
-        den *= sum(int(c) * v for c, v in zip(w.reduced, s))
+        den *= sum(int(c) * v for c, v in zip(w, s))
     e4 = s1 * s2 * s3 * s4
     assert sympy.simplify(num / den + e3 / e4) == 0
 
@@ -462,7 +465,8 @@ def old_route(pi: DPartition) -> tuple[dict, Laurent, tuple]:
     factors = tuple(sorted(((w, m) for w, m in obstruction.items() if w.reduced > (0, 0, 0)),
                            key=lambda wm: wm[0].reduced)) if sign else ()
     views = {"q": q, "tvir": tvir, "e1_char": e1,
-             "e1_weights": e1_weights, "e2_weights": e2_weights}
+             "e1_weights": tuple(w.reduced for w in e1_weights),
+             "e2_weights": tuple(w.reduced for w in e2_weights)}
     record = (tuple(tangent.items()), sign, factors, len(e1_weights),
               sum(m for _, m in factors))
     return views, e2, record
@@ -657,20 +661,20 @@ def reference_summand(data: FixedPointData, params: TorusParams, sign: int) -> F
     """The summand in Fraction arithmetic, one weight at a time, straight
     from the weight lists of the fixed point."""
     def value(w):
-        return sum((Fraction(a) * x for a, x in zip(w.reduced, params.s)), Fraction(0))
+        return sum((Fraction(a) * x for a, x in zip(w, params.s)), Fraction(0))
 
     den = Fraction(1)
     for w in data.e1_weights:
         v = value(w)
         if v == 0:
-            raise NonGenericParameters(f"tangent weight {w} vanishes at s = {params}")
+            raise NonGenericParameters(f"tangent weight {form_str(w)} vanishes at s = {params}")
         den *= v
-    if any(w.reduced == (0, 0, 0) for w in data.e2_weights):
+    if (0, 0, 0) in data.e2_weights:
         return Fraction(0)
     # one weight from each (w, -w) pair: the canonical one
     num = Fraction(sign)
     for w in data.e2_weights:
-        if w.reduced > (0, 0, 0):
+        if w > (0, 0, 0):
             num *= value(w)
     return num / den
 
@@ -955,8 +959,8 @@ def test_series_oracle_checks_the_records_the_series_printed(monkeypatch):
 
 def test_series_oracle_fails_a_value_bug_the_record_and_direct_build_share(monkeypatch):
     # the series and the direct build both evaluate through `Summand.value`;
-    # the oracle checks the printed value against the point's own `LinForm`
-    # views instead, so a doubled value fails every point it checks
+    # the oracle checks the printed value against the point's own codes,
+    # decoded to `LinForm`s there, so a doubled value fails every point
     value = Summand.value
     monkeypatch.setattr(localize, "_SUMMANDS", {})
     monkeypatch.setattr(Summand, "value", lambda self, *args: 2 * value(self, *args))
@@ -964,6 +968,52 @@ def test_series_oracle_fails_a_value_bug_the_record_and_direct_build_share(monke
     assert payload["coefficients"] == [str(2 * c) for c in SERIES_GENERIC]
     assert payload["oracle"]["checked"] == 15
     assert payload["oracle"]["failures"] == [pi.id() for pi in POINTS_3[1:]]
+
+
+def test_series_oracle_fails_a_bad_triple_the_records_share(monkeypatch):
+    # every record and the direct build read their triples from the shared
+    # `weight_triples`; the oracle decodes the point's codes itself
+    triples = localize.weight_triples
+    clear_module_caches(monkeypatch)
+    monkeypatch.setattr(localize, "weight_triples", lambda codes, base: tuple(
+        (a + 1, b, c) if k == max(codes) else (a, b, c)
+        for k, (a, b, c) in zip(codes, triples(codes, base))))
+    payload = series_payload(3, GENERIC, OrientationData(), check_oracle=True)
+    assert payload["oracle"]["failures"] == [pi.id() for pi in POINTS_3[1:]]
+
+
+def test_no_linform_is_built_outside_the_record_oracle():
+    # in a fresh process, so that no cache another test filled hides a build;
+    # the last command shows that the patch sees the oracle's own builds
+    script = textwrap.dedent("""\
+        import contextlib, io
+        from dt4calc import cli, exact
+
+        def refuse(self, a):
+            raise AssertionError("a LinForm was built")
+
+        exact.LinForm.__init__ = refuse
+        s = "1,7,41,-49"
+        for argv in (["dt4-series", "--n-max", "3", "--s", s],
+                     *(["vertex", "--n-max", "3", "--s", s, "--format", f]
+                       for f in ("text", "json", "csv")),
+                     ["suite"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(["dt4-series", "--n-max", "1", "--s", s, "--check-oracle"])
+        except AssertionError as e:
+            assert str(e) == "a LinForm was built"
+        else:
+            raise AssertionError("the oracle built no LinForm")
+        """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "DT4_MAX_N"}
+    env.update(PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_record_check_fails_a_point_with_no_record(monkeypatch):
@@ -992,10 +1042,10 @@ def test_record_check_fails_a_point_with_no_record(monkeypatch):
 
 
 def clear_module_caches(monkeypatch) -> None:
-    """Give this test empty partition levels and summand, triple and form
-    caches, and clear the moved unit codes."""
+    """Give this test empty partition levels and summand and triple caches,
+    and clear the moved unit codes."""
     monkeypatch.setattr(partitions, "_levels", {})
-    for name in ("_SUMMANDS", "_TRIPLES", "_FORMS"):
+    for name in ("_SUMMANDS", "_TRIPLES"):
         monkeypatch.setattr(localize, name, {})
     localize._moved_units.cache_clear()
 
