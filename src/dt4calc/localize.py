@@ -29,12 +29,14 @@ is kept per process in a compact `Summand` record, so a second series at
 new parameters builds no fixed point data.  Relabeling the four axes
 permutes the fixed points and carries their weights along, so every cache
 entry has one shape, (record, perm, eps): the point's summand at s is eps
-times the record's at s permuted.  A point's own record has the identity
-and +1; when a series builds the first point of an S4 orbit it writes the
-entry of every other point of the orbit.  `record_oracle_check` compares
-each entry's record, moved along its permutation (`Summand.relabeled`),
-with the point's direct build, and the value the series printed with a
-product over the point's own codes, decoded and evaluated apart.
+times the record's at s permuted.  Only the series writes the cache: when
+it builds the first point of an S4 orbit, in level order, it writes the
+entry of every point of the orbit, its own with the identity and +1; a
+point built elsewhere keeps its record on itself.  `record_oracle_check`
+compares each entry's record, moved along its permutation
+(`Summand.relabeled`), with the point's direct build, and the value the
+series printed with a product over the point's own codes, decoded and
+evaluated apart.
 """
 
 from __future__ import annotations
@@ -141,10 +143,17 @@ class OrientationData:
             by_partition[pi] = val
         self.by_partition = by_partition
 
+    # the most characters an orientation file may hold; a file that names
+    # every point with n <= 13 holds about 5.5 million
+    MAX_CHARS = 16 * 2 ** 20
+
     @classmethod
     def from_file(cls, path: str) -> "OrientationData":
         with open(path) as fh:
-            text = fh.read()
+            text = fh.read(cls.MAX_CHARS + 1)
+        if len(text) > cls.MAX_CHARS:
+            raise ValueError(f"orientation file {path} is longer than "
+                             f"{cls.MAX_CHARS} characters")
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
@@ -284,12 +293,11 @@ class FixedPointData:
         return sorted_triples(self.e2, self.base)
 
     def summand(self) -> "Summand":
-        """The compact record of this point's summand, made once per process
-        and cached as (record, IDENTITY, 1), in place of an orbit's entry."""
-        entry = _SUMMANDS.get(self.partition)
-        if entry is None or entry[1] != IDENTITY:
-            entry = _SUMMANDS[self.partition] = (Summand(self), IDENTITY, 1)
-        return entry[0]
+        """The compact record of this point's summand, built on first call
+        and kept on the point; no module cache is read or written."""
+        if "_summand" not in self.__dict__:
+            self._summand = Summand(self)
+        return self._summand
 
     def contribution(self, params: TorusParams, orientation: int = 1) -> Fraction:
         """Signed half Euler value over the tangent weight product at s.
@@ -406,22 +414,11 @@ IDENTITY = (0, 1, 2, 3)
 _MOVES = [(perm, itemgetter(*perm)) for perm in permutations(range(4))]
 
 # summand cache: partition -> (record, perm, eps), the point's summand at s
-# being eps times the record's at L*s permuted by perm; a point's own record
-# has (IDENTITY, 1).  Written by `FixedPointData.summand` and, for the rest
-# of an orbit, when the series builds the orbit's record; kept for the life
-# of the process, like the partition levels it is keyed by
+# being eps times the record's at L*s permuted by perm; the built point of
+# an orbit has (IDENTITY, 1).  Written only by `dt4_degree0_series`, for a
+# whole orbit when it builds the orbit's first point; kept for the life of
+# the process, like the partition levels it is keyed by
 _SUMMANDS: dict[DPartition, tuple[Summand, tuple, int]] = {}
-
-
-def summand(pi: DPartition) -> Summand:
-    """The point's record from its cache entry, moved along the entry's
-    perm, or when it has none a record built from the point and not kept;
-    `FixedPointData.summand` keeps it."""
-    entry = _SUMMANDS.get(pi)
-    if entry is None:
-        return Summand(FixedPointData(pi))
-    rep, perm, _ = entry
-    return rep if perm == IDENTITY else rep.relabeled(perm, 4 * pi.size + 1)
 
 
 def vertex_oracle_check(data: FixedPointData) -> tuple[bool, Laurent, Laurent]:
@@ -454,8 +451,8 @@ def record_oracle_check(data: FixedPointData, params: TorusParams, orientation: 
                         printed: Fraction) -> bool:
     """The point's entry in the summand cache versus its direct build.
 
-    The entry's record moved along its permutation, the identity for a
-    point's own record, must equal the direct build field by field.  The
+    The entry's record moved along its permutation, the identity for the
+    point a series built, must equal the direct build field by field.  The
     value the series printed must equal, with the point's orientation sign,
     a product at L*s over the point's own codes, each decoded here to a
     `LinForm`: one weight of each (w, -w) pair of `e2`, the one above the
@@ -491,12 +488,13 @@ def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
     c_n is the sum of fixed point contributions over all solid partitions of
     size n, in canonical partition order.  Every point is evaluated from its
     cache entry (record, perm, eps) as eps times the record at L*s permuted,
-    s'[j] = s[perm.index(j)].  A point with no entry is built, and its record
-    kept; at that build every point q = pi.relabeled(perm) of its S4 orbit
-    with no entry yet gets (pi's record, perm, eps) (`transport_sign`), so a
-    cold call builds only the first point of each orbit in level order and a
-    later call at new parameters or a new orientation only evaluates.  When
-    an evaluation meets a vanishing tangent weight, the record moved to the
+    s'[j] = s[perm.index(j)].  A point with no entry is built, and every
+    point q = pi.relabeled(perm) of its S4 orbit with no entry yet, pi
+    itself first, gets (pi's record, perm, eps) (`transport_sign`).  Only
+    this writes the cache, so the identity entries are the first point of
+    each orbit in level order; a cold call builds only those and a later
+    call at new parameters or a new orientation only evaluates.  When an
+    evaluation meets a vanishing tangent weight, the record moved to the
     point raises instead, so the error names the first such weight in the
     point's own sorted order.  The orientation sign is applied at
     evaluation.  Everything runs on the calling thread.
@@ -581,7 +579,7 @@ def one_box_symbolic_report() -> dict:
     e4.  A polynomial of degree at most D in each variable that vanishes on
     that grid is zero, so agreement there is an identity.
     """
-    record = summand(DPartition(4, [(0, 0, 0, 0)]))
+    record = FixedPointData(DPartition(4, [(0, 0, 0, 0)])).summand()
 
     def value(triples, s):
         return prod(a * s[0] + b * s[1] + c * s[2] for a, b, c in triples)

@@ -1,9 +1,9 @@
 """Acceptance checks, each one criterion with a stable name and a verdict.
 
 Every check recomputes its claim and compares against frozen expected values
-or an independent route.  The state carried between checks is what the
-library keeps per process (partition levels and summand records), which the
-same code builds on first use, so each point is built once.
+or an independent route.  The state carried between checks is each fixed
+point the run builds, at most once and handed on like the orientation, and
+what the library keeps per process (partition levels, the summand cache).
 Timing limits are part of the verdict where a criterion carries one, but
 measured times are never printed, so output stays byte stable run to run.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .chow import (liqin_case, structure_sheaf_chi_check, surface_obstruction_identity,
@@ -20,7 +21,7 @@ from .chow import (liqin_case, structure_sheaf_chi_check, surface_obstruction_id
 from .errors import Dt4Error
 from .localize import (FixedPointData, OrientationData, TorusParams,
                        cyclic_completion_report, dt4_degree0_series,
-                       one_box_symbolic_report, summand, vertex_oracle_check)
+                       one_box_symbolic_report, vertex_oracle_check)
 from .partitions import enumerate_partitions, partition_numbers
 from .series import convolution_oracle, goettsche_series
 
@@ -84,22 +85,20 @@ def check_vdim_law(**_) -> CheckResult:
 
 
 @_timed(60)
-def check_vertex_oracle(**_) -> CheckResult:
+def check_vertex_oracle(point=FixedPointData, **_) -> CheckResult:
     checked = 0
     for n in range(1, 4):
         for pi in enumerate_partitions(4, n):
-            data = FixedPointData(pi)
-            ok, lhs, rhs = vertex_oracle_check(data)
+            ok, lhs, rhs = vertex_oracle_check(point(pi))
             if not ok:
                 return CheckResult("vertex-oracle", False,
                                    f"mismatch at {pi.id()}: {lhs} vs {rhs}")
-            data.summand()
             checked += 1
     return CheckResult("vertex-oracle", checked == 15,
                        f"{checked} solid partitions, exact Laurent equality")
 
 
-def check_weight_structure(**_) -> CheckResult:
+def check_weight_structure(point=FixedPointData, **_) -> CheckResult:
     """Structure of the tangent and obstruction weights for every n <= 4.
 
     Building a point already checks that both characters are effective, that
@@ -119,7 +118,7 @@ def check_weight_structure(**_) -> CheckResult:
     first_vanish = None
     for n in range(1, 5):
         for pi in enumerate_partitions(4, n):
-            record = summand(pi)
+            record = point(pi).summand()
             if record.sign == 0:
                 return CheckResult("weight-structure", False,
                                    f"{pi.id()}: trivial sub-representation")
@@ -141,11 +140,11 @@ def check_weight_structure(**_) -> CheckResult:
                        f"sub-representations; {note}")
 
 
-def check_one_box_contribution(**_) -> CheckResult:
+def check_one_box_contribution(point=FixedPointData, **_) -> CheckResult:
     rep = one_box_symbolic_report()
     if not rep["ok"]:
         return CheckResult("one-box-contribution", False, f"symbolic shape failed: {rep}")
-    value = summand(enumerate_partitions(4, 1)[0]).value(TorusParams.default(), 1)
+    value = point(enumerate_partitions(4, 1)[0]).summand().value(TorusParams.default(), 1)
     if value * value != Fraction(25, 9):
         return CheckResult("one-box-contribution", False, f"value {value} is not +-5/3")
     return CheckResult(
@@ -257,10 +256,11 @@ def run_suite(only: str | None = None, orientation_path: str | None = None):
             orientation = OrientationData.from_file(orientation_path)
         except (OSError, ValueError, Dt4Error) as e:
             orientation_error = str(e)
+    point = cache(FixedPointData)
     results = []
     for number, name, fn in CRITERIA:
         if only and only not in name:
             continue
-        result = fn(orientation=orientation, orientation_error=orientation_error)
+        result = fn(orientation=orientation, orientation_error=orientation_error, point=point)
         results.append((number, result))
     return results

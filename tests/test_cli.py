@@ -484,6 +484,32 @@ def test_deeply_nested_orientation_is_rejected(capsys, tmp_path):
     assert out.startswith("FAIL 10 orientation-flip: orientation data rejected")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_an_endless_orientation_file_is_refused_at_the_cap(capsys):
+    # /dev/zero never ends: the read stops one character past the cap, so
+    # memory stays bounded and each command names the cause in one line
+    message = (f"orientation file /dev/zero is longer than "
+               f"{localize.OrientationData.MAX_CHARS} characters")
+    code, out, err = run(capsys, "dt4-series", "--n-max", "1", "--orientation", "/dev/zero")
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: bad orientation file '/dev/zero': {message}\n"
+    code, out, err = run(capsys, "suite", "--orientation", "/dev/zero", "--only", "orientation")
+    assert code == EXIT_MISMATCH and err == ""
+    assert out.startswith(f"FAIL 10 orientation-flip: orientation data rejected: {message}\n")
+
+
+def test_an_orientation_file_at_the_cap_is_read(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(localize.OrientationData, "MAX_CHARS", 10)
+    path = tmp_path / "orient.json"
+    path.write_text("{}" + " " * 8)
+    assert run(capsys, "dt4-series", "--n-max", "1", "--orientation", str(path))[0] == EXIT_OK
+    path.write_text("{}" + " " * 9)
+    code, out, err = run(capsys, "dt4-series", "--n-max", "1", "--orientation", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err == (f"error: bad orientation file '{path}': "
+                   f"orientation file {path} is longer than 10 characters\n")
+
+
 def test_goettsche_json_integer_array(capsys):
     code, out, _ = run(capsys, "goettsche", "--euler", "3", "--n-max", "7",
                        "--format", "json")

@@ -147,12 +147,15 @@ ONE_BOX = DPartition(4, [(0, 0, 0, 0)])
 
 
 def _replace_record(monkeypatch, pi: DPartition, **fields):
-    """Cache a copy of a point's record with some fields replaced."""
-    record = localize.summand(pi)
+    """Make `FixedPointData.summand` of this one point return a copy of its
+    record with some fields replaced."""
+    summand = FixedPointData.summand
+    record = FixedPointData(pi).summand()
     fake = Summand.__new__(Summand)
     for name in Summand.__slots__:
         setattr(fake, name, fields.get(name, getattr(record, name)))
-    monkeypatch.setitem(localize._SUMMANDS, pi, (fake, IDENTITY, 1))
+    monkeypatch.setattr(FixedPointData, "summand",
+                        lambda data: fake if data.partition == pi else summand(data))
 
 
 def _report_with(monkeypatch, **fields):
@@ -162,19 +165,19 @@ def _report_with(monkeypatch, **fields):
 
 
 def test_one_box_symbolic_shape_catches_a_flipped_sign(monkeypatch):
-    rep = _report_with(monkeypatch, sign=-localize.summand(ONE_BOX).sign)
+    rep = _report_with(monkeypatch, sign=-FixedPointData(ONE_BOX).summand().sign)
     assert rep["numerator_sign"] == 1 and rep["ok"]
 
 
 def test_one_box_symbolic_shape_catches_a_wrong_factor(monkeypatch):
-    _, *rest = localize.summand(ONE_BOX).factors
+    _, *rest = FixedPointData(ONE_BOX).summand().factors
     rep = _report_with(monkeypatch, factors=((2, 1, 0), *rest))
     assert rep["numerator_sign"] == 0 and not rep["ok"]
     assert not run_suite(only="one-box")[0][1].ok
 
 
 def test_one_box_symbolic_shape_catches_a_negated_tangent_weight(monkeypatch):
-    w, *rest = localize.summand(ONE_BOX).tangent
+    w, *rest = FixedPointData(ONE_BOX).summand().tangent
     rep = _report_with(monkeypatch, tangent=(tuple(-x for x in w), *rest))
     assert not rep["denominator_matches"] and not rep["ok"]
     assert not run_suite(only="one-box")[0][1].ok
@@ -191,7 +194,7 @@ def test_weight_structure_catches_a_zero_obstruction_form(monkeypatch):
 
 
 def test_weight_structure_catches_a_dimension_law_failure(monkeypatch):
-    tangent = localize.summand(FOUR_BOXES).tangent
+    tangent = FixedPointData(FOUR_BOXES).summand().tangent
     _replace_record(monkeypatch, FOUR_BOXES, tangent=tangent + tangent[:1])
     [(_, result)] = run_suite(only="weight")
     assert not result.ok
@@ -604,7 +607,7 @@ def transported_orientation(perm, n_max: int) -> OrientationData:
     signs: dict[str, int] = {}
     for n in range(n_max + 1):
         for pi in enumerate_partitions(4, n):
-            if transport_sign(localize.summand(pi), perm, 4 * n + 1) != 1:
+            if transport_sign(DATA_3[pi].summand(), perm, 4 * n + 1) != 1:
                 signs[pi.relabeled(perm).id()] = -1
     return OrientationData(signs)
 
@@ -824,20 +827,27 @@ def test_series_keeps_one_record_per_orbit_and_transports_none(monkeypatch):
     assert len(records) == 377
 
 
-def test_a_point_without_its_own_record_still_reads_one(monkeypatch):
-    # after a series, `summand` moves the orbit's record along the point's
-    # entry without writing, and `FixedPointData.summand` keeps the point's
-    # own record in place of the entry
+def test_only_the_series_writes_the_summand_cache(monkeypatch, capsys):
+    # `vertex`, every point's own record, a `--check-oracle` run and the
+    # criteria that read records leave the cache empty; so whatever ran
+    # first, a series keeps the identity entry for exactly the first point
+    # of each orbit, and a second series at another s keeps the same ones
     monkeypatch.setattr(localize, "_SUMMANDS", {})
-    dt4_degree0_series(3, GENERIC)
-    pi = POINTS_3[-1]
-    entry = localize._SUMMANDS[pi]
-    assert entry[1] != IDENTITY
-    record = localize.summand(pi)
-    assert record == Summand(DATA_3[pi]) and localize._SUMMANDS[pi] is entry
-    kept = FixedPointData(pi).summand()
-    assert kept == record and localize._SUMMANDS[pi] == (kept, IDENTITY, 1)
-    assert localize.summand(pi) is kept
+    assert main(["vertex", "--n-max", "3", "--s", "1,7,41,-49"]) == 0
+    for pi in POINTS_3:
+        FixedPointData(pi).summand()
+    assert main(["vertex", "--n-max", "3", "--s", "1,7,41,-49", "--check-oracle"]) == 0
+    for only in ("vertex-oracle", "weight", "one-box"):
+        assert run_suite(only=only)[0][1].ok
+    capsys.readouterr()
+    cache = localize._SUMMANDS
+    assert cache == {}
+    for params in (GENERIC, GENERIC2):
+        dt4_degree0_series(3, params)
+        assert len(cache) == len(POINTS_3)
+        own = [pi for pi, (_, perm, _) in cache.items() if perm == IDENTITY]
+        assert own == first_of_each_orbit(3)
+        assert all(cache[pi][2] == 1 for pi in own)
 
 
 def test_failing_point_at_depth_eight_is_transported(monkeypatch):
@@ -854,7 +864,7 @@ def test_failing_point_at_depth_eight_is_transported(monkeypatch):
         "0,0,0,0;0,1,0,0;1,0,0,0;2,0,0,0;3,0,0,0;4,0,0,0;5,0,0,0;6,0,0,0", 4)
     assert failing not in built
     with pytest.raises(NonGenericParameters) as own:
-        localize.summand(failing).value(GENERIC)
+        FixedPointData(failing).summand().value(GENERIC)
     assert str(own.value) == message
     rep, perm, eps = localize._SUMMANDS[failing]
     with pytest.raises(NonGenericParameters) as moved:
@@ -909,7 +919,7 @@ def test_series_oracle_fails_each_point_with_a_wrong_record_transport(monkeypatc
 
 def test_summand_record_keeps_no_characters():
     record = DATA_3[POINTS_3[5]].summand()
-    assert record is localize.summand(POINTS_3[5])
+    assert record is DATA_3[POINTS_3[5]].summand()
     for name in Summand.__slots__:
         value = getattr(record, name)
         assert not isinstance(value, (Laurent, FixedPointData))
@@ -1022,7 +1032,8 @@ def test_record_check_fails_a_point_with_no_record(monkeypatch):
     value = Summand(data).value(GENERIC)
     assert not localize.record_oracle_check(data, GENERIC, 1, value)
     assert localize._SUMMANDS == {}
-    data.summand()
+    dt4_degree0_series(2, GENERIC)
+    assert localize._SUMMANDS[data.partition][1] != IDENTITY
     assert localize.record_oracle_check(data, GENERIC, 1, value)
     # the printed value is checked too, with the point's orientation sign
     assert not localize.record_oracle_check(data, GENERIC, 1, -value)
@@ -1052,10 +1063,10 @@ def clear_module_caches(monkeypatch) -> None:
 
 def test_series_report_bytes_do_not_depend_on_the_cache_state(monkeypatch):
     # the n <= 3 report at the suite's s in three states: every module cache
-    # cleared; warmed by a deeper series at another s; and with the own
-    # records of the points a series transports kept in their place, then a
-    # --check-oracle run.  The two series' values are checked against the
-    # regression values too, so a cache the clearing misses is seen as well
+    # cleared; warmed by a deeper series at another s; and after each point
+    # a series transports has built its own record, then a --check-oracle
+    # run.  The two series' values are checked against the regression
+    # values too, so a cache the clearing misses is seen as well
     def report(**kwargs):
         payload = series_payload(3, SUITE_PARAMS, OrientationData(), **kwargs)
         return json.dumps({k: v for k, v in payload.items() if k != "oracle"}), payload
@@ -1103,11 +1114,15 @@ def test_series_report_bytes_cold_and_cached(monkeypatch):
 
 
 def test_suite_builds_each_fixed_point_once(monkeypatch):
+    # criteria 4-6 share one build of each point with 1 <= n <= 4, the one
+    # box report builds its own point, and the series builds only the first
+    # point of each orbit
     built = count_builds(monkeypatch)
     results = run_suite()
     assert all(result.ok for _, result in results)
-    assert len(built) == len(set(built)) == 42
-    assert sorted(p.size for p in built) == [0] + [1] + [2] * 4 + [3] * 10 + [4] * 26
+    points = [pi for n in range(1, 5) for pi in enumerate_partitions(4, n)]
+    assert built == points + [ONE_BOX] + first_of_each_orbit(3)
+    assert len(built) == 47
 
 
 def test_cached_series_with_an_orientation_map_builds_no_id(monkeypatch):
@@ -1188,7 +1203,7 @@ def test_weights_and_vertex_report_are_pinned(capsys):
     digest = hashlib.sha256()
     for level in partition_levels(4, 7):
         for pi in level:
-            record = localize.summand(pi)
+            record = FixedPointData(pi).summand()
             digest.update(pi.id().encode())
             # each run of equal weights as the (weight, multiplicity) pair
             # the digest was recorded from

@@ -1,5 +1,6 @@
 """The runtime stays stdlib-only and free of floating point: every module of
-the package imports only the standard library and names no float."""
+the package imports only the standard library and names no float.  The
+summand cache has one writer, the series."""
 
 import ast
 import glob
@@ -44,3 +45,47 @@ def test_no_float_literal_or_name(path):
            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
            or isinstance(node, ast.Name) and node.id == "float"]
     assert bad == []
+
+
+# the dict methods that change the dict in place
+_MUTATORS = {"clear", "pop", "popitem", "setdefault", "update"}
+
+
+def _names_cache(node) -> bool:
+    """Whether an expression is `_SUMMANDS`, an attribute of that name, or an
+    item of either."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return (isinstance(node, ast.Name) and node.id == "_SUMMANDS"
+            or isinstance(node, ast.Attribute) and node.attr == "_SUMMANDS")
+
+
+def _scoped(node, scope):
+    """Each node below `node` with the dotted name of the function or class
+    that holds it, `scope` itself at the top."""
+    for child in ast.iter_child_nodes(node):
+        yield child, scope
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        yield from _scoped(child, inner)
+
+
+def test_only_the_series_writes_the_summand_cache():
+    # an assignment to `_SUMMANDS` or to an item of it, a `del`, or a call
+    # of a mutating method, anywhere in the package; only the module-level
+    # definition and `localize.dt4_degree0_series` may write
+    writes = []
+    for path in MODULES:
+        module = os.path.basename(path)[:-3]
+        for node, scope in _scoped(_tree(path), module):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                hit = node.func.attr in _MUTATORS and _names_cache(node.func.value)
+            else:
+                hit = (isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+                       and _names_cache(node))
+            if hit:
+                writes.append((scope, ast.unparse(node)))
+    assert ("localize", "_SUMMANDS") in writes
+    others = [w for w in writes if w != ("localize", "_SUMMANDS")]
+    assert others and {scope for scope, _ in others} == {"localize.dt4_degree0_series"}
