@@ -156,25 +156,8 @@ class CohClass:
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono, c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-            body = "*".join(f"h{i + 1}^{e}" if e > 1 else f"h{i + 1}"
-                            for i, e in enumerate(mono) if e)
-            if not body:
-                body = str(abs(c))
-            elif abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
-
     def __repr__(self):
-        return f"CohClass({self})"
+        return f"CohClass({self.ring!r}, {self.terms!r})"
 
 
 def _line_series(x: CohClass, table) -> CohClass:
@@ -345,10 +328,7 @@ def vdim_ideal_cy4(n: int, h02: int) -> dict:
     if h02 not in (0, 1):
         raise ValueError("h02 must be 0 or 1")
     chi = -2 * n + 2 + h02
-    vd = 2 - chi
-    if vd != 2 * n - h02:
-        raise AssertionError("dimension bookkeeping broke")
-    return {"n": n, "h02": h02, "chi": chi, "vdim": vd}
+    return {"n": n, "h02": h02, "chi": chi, "vdim": 2 - chi}
 
 
 @functools.cache

@@ -64,6 +64,22 @@ def _check_cap(n_max: int, cap: int, command: str, what: str = "--n-max") -> Non
         raise BoundExceeded(f"{what} {n_max} exceeds the {command} cap {cap}")
 
 
+def _check_punctual_digits(e: int, n: int) -> None:
+    """Exit 3 before the punctual series when its q^n coefficient cannot be
+    printed: for e >= 1 it is at least b_n = C(e + n - 1, n), the q^n
+    coefficient of the k = 1 factor, and b_m is nondecreasing in m.  Only a
+    b_m of more than 3 * limit bits can have more than `limit` digits, so
+    only those are written out.  No bound is claimed for e <= 0."""
+    limit = sys.get_int_max_str_digits()
+    if e < 1 or not limit:
+        return
+    b = 1
+    for m in range(1, n + 1):
+        b = b * (e + m - 1) // m
+        if b.bit_length() > 3 * limit:
+            number_str(b)
+
+
 # the first matching class gives the exit code; any other package error
 # signals a bug rather than bad input
 EXIT_CODES = (
@@ -139,7 +155,7 @@ def _spaced(table) -> list[str]:
 
 def cmd_liqin(args):
     rows = [liqin_case(e1, e2) for (e1, e2, _, _) in LIQIN_EXPECTED]
-    payload = {"rows": [{"eps1": r["eps1"], "eps2": r["eps2"], "chi": str(r["chi"]),
+    payload = {"rows": [{"eps1": r["eps1"], "eps2": r["eps2"], "chi": number_str(r["chi"]),
                          "k": r["k"], "k_binomial": r["k_binomial"]} for r in rows]}
     got = [(r["eps1"], r["eps2"], int(r["chi"]), r["k"]) for r in rows]
     return payload, EXIT_OK if got == LIQIN_EXPECTED else EXIT_MISMATCH
@@ -152,8 +168,8 @@ def csv_liqin(p):
 def cmd_chi(args):
     if args.left is None and args.right is None:
         rep = structure_sheaf_chi_check()
-        payload = {"left": "0,0", "right": "0,0", "chi": str(rep["direct"]),
-                   "oracle": str(rep["oracle"]), "ok": bool(rep["ok"])}
+        payload = {"left": "0,0", "right": "0,0", "chi": number_str(rep["direct"]),
+                   "oracle": number_str(rep["oracle"]), "ok": bool(rep["ok"])}
         return payload, EXIT_OK if rep["ok"] else EXIT_MISMATCH
     left = _int_list(args.left or "0,0", "--left", "p,q")
     right = _int_list(args.right or "0,0", "--right", "p,q")
@@ -178,7 +194,7 @@ def cmd_vdim(args):
     for n in range(args.n_max + 1):
         for h02 in (0, 1):
             rep = vdim_ideal_cy4(n, h02)
-            rows.append({"n": n, "h02": h02, "chi": str(rep["chi"]),
+            rows.append({"n": n, "h02": h02, "chi": number_str(rep["chi"]),
                          "vdim": rep["vdim"]})
     return {"rows": rows}, EXIT_OK
 
@@ -300,6 +316,7 @@ def cmd_goettsche(args):
     if args.euler is None:
         raise UsageError("goettsche needs --euler")
     _check_cap(args.n_max, GOETTSCHE_N_CAP, "goettsche")
+    _check_punctual_digits(args.euler, args.n_max)
     series = goettsche_series(args.euler, args.n_max)
     number_str(max(map(abs, series)))  # the largest has the most digits: exit 3 in any format
     payload = {"euler": args.euler, "n_max": args.n_max, "coefficients": series}
@@ -326,6 +343,7 @@ def cmd_tstar(args):
         if args.euler is None:
             raise UsageError("the punctual case needs --euler")
         _check_cap(-n, GOETTSCHE_N_CAP, "tstar", "point count")
+        _check_punctual_digits(args.euler, -n)
     try:
         rep = reduced_dt4_tstar((r, c1, n), args.euler)
     except ValueError as e:

@@ -69,9 +69,6 @@ class Laurent:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "Laurent") -> "Laurent":
         if not isinstance(other, Laurent):
             return NotImplemented

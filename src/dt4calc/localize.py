@@ -169,10 +169,11 @@ class OrientationData:
     def sign(self, partition: DPartition) -> int:
         return self.by_partition.get(partition, 1)
 
-    def flipped(self, key: str) -> "OrientationData":
-        signs = {pi.id(): val for pi, val in self.by_partition.items()}
-        signs[key] = -signs.get(key, 1)
-        return OrientationData(signs)
+    def flipped(self, partition: DPartition) -> "OrientationData":
+        """A copy with the sign of `partition` negated."""
+        out = OrientationData()
+        out.by_partition = {**self.by_partition, partition: -self.sign(partition)}
+        return out
 
 
 def half_euler(codes: dict[int, int]) -> tuple[int, tuple]:

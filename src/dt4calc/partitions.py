@@ -89,9 +89,6 @@ class DPartition:
     def __hash__(self):
         return hash((self.d, self.boxes))
 
-    def __lt__(self, other: "DPartition") -> bool:
-        return self.boxes < other.boxes
-
     def id(self) -> str:
         """Canonical identifier: boxes lex-sorted, 'x,y,..;x,y,..', 'empty' for n = 0."""
         if not self.boxes:

@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 from .chow import (liqin_case, structure_sheaf_chi_check, surface_obstruction_identity,
                    vdim_ideal_cy4)
-from .errors import Dt4Error
 from .localize import (FixedPointData, OrientationData, TorusParams,
                        cyclic_completion_report, dt4_degree0_series,
                        one_box_symbolic_report, vertex_oracle_check)
@@ -199,7 +198,7 @@ def check_orientation_flip(orientation: OrientationData | None = None,
                            f"orientation data rejected: {orientation_error}")
     base = orientation or OrientationData()
     target = enumerate_partitions(4, 2)[1]
-    flipped = base.flipped(target.id())
+    flipped = base.flipped(target)
     c0, rows0 = dt4_degree0_series(2, SUITE_PARAMS, base, want_details=True)
     c1, rows1 = dt4_degree0_series(2, SUITE_PARAMS, flipped, want_details=True)
     v0 = {pid: v for (_, pid, v) in rows0}
@@ -254,7 +253,7 @@ def run_suite(only: str | None = None, orientation_path: str | None = None):
     if orientation_path is not None:
         try:
             orientation = OrientationData.from_file(orientation_path)
-        except (OSError, ValueError, Dt4Error) as e:
+        except (OSError, ValueError) as e:
             orientation_error = str(e)
     point = cache(FixedPointData)
     results = []

@@ -371,6 +371,60 @@ def test_a_number_past_the_int_string_limit_exits_3(args):
                            "the interpreter's limit for integer strings\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["goettsche", "--euler", str(10 ** 40), "--n-max", "500"],
+    ["goettsche", "--euler", str(10 ** 200), "--n-max", "500", "--check-oracle"],
+    ["tstar", "--c", "1,0,-500", "--euler", str(10 ** 20)],
+])
+def test_a_punctual_series_past_the_int_string_limit_exits_3_before_it_runs(
+        argv, capsys, monkeypatch):
+    # for e >= 1 the q^n coefficient is at least C(e + n - 1, n), so a
+    # binomial past the limit settles exit 3 before the series is summed
+    from dt4calc import cli, series
+
+    def refuse(*args):
+        raise RuntimeError("the punctual series ran")
+
+    for module, name in ((cli, "goettsche_series"), (cli, "convolution_oracle"),
+                         (series, "goettsche_series")):
+        monkeypatch.setattr(module, name, refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BOUND
+    assert out == ""
+    assert err == ("error: a number to print has more than 4300 digits, "
+                   "the interpreter's limit for integer strings\n")
+
+
+def test_the_punctual_early_exit_only_fires_where_the_series_would_not_print():
+    # at the lowest limit the interpreter allows, every (e, n) the early
+    # check refuses has a q^n coefficient too long to print, and some pass
+    from dt4calc.cli import _check_punctual_digits
+    from dt4calc.errors import BoundExceeded
+    from dt4calc.exact import number_str
+    from dt4calc.series import goettsche_series
+
+    def exits_3(check, *args):
+        try:
+            check(*args)
+        except BoundExceeded:
+            return True
+        return False
+
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        verdicts = {(e, n): exits_3(_check_punctual_digits, e, n)
+                    for e in (-10 ** 12, 0, 1, 2, 24, 10 ** 6, 10 ** 12, 10 ** 15)
+                    for n in range(0, 81, 16)}
+        for (e, n), early in verdicts.items():
+            if early:
+                assert exits_3(number_str, goettsche_series(e, n)[n]), (e, n)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert verdicts[10 ** 15, 80] and not verdicts[10 ** 12, 16]
+    assert not any(verdicts[e, 80] for e in (-10 ** 12, 0, 1, 2, 24, 10 ** 6))
+
+
 def test_unbalanced_s_past_the_int_string_limit_gives_the_sum_message(capsys):
     code, out, err = run(capsys, "dt4-series", "--n-max", "1", "--s", "1e4300,1,1,1")
     assert code == EXIT_USAGE

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dt4calc import cli, localize, partitions, taylor
+from dt4calc.chow import CohClass, cy_hypersurface_context, vdim_ideal_cy4
 from dt4calc.cli import main, series_payload
 from dt4calc.errors import (InternalInconsistency, NonGenericParameters,
                             OddPairing)
@@ -27,8 +28,8 @@ from dt4calc.localize import (IDENTITY, FixedPointData, OrientationData, TorusPa
                               one_box_symbolic_report,
                               subtorus_code, subtorus_codes, transport_sign,
                               vertex_character, vertex_oracle_check)
-from dt4calc.partitions import (DPartition, enumerate_partitions, partition_from_id,
-                                partition_levels)
+from dt4calc.partitions import (DPartition, enumerate_partitions, partition_counts,
+                                partition_from_id, partition_levels)
 from dt4calc.suite import SUITE_PARAMS, run_suite
 from dt4calc.taylor import euler_character, ext_characters
 
@@ -552,7 +553,7 @@ def test_numerator_zero_summand_contributes_zero():
 def test_orientation_flip_negates_one_summand():
     target = enumerate_partitions(4, 2)[0]
     base = OrientationData()
-    flipped = base.flipped(target.id())
+    flipped = base.flipped(target)
     _, rows0 = dt4_degree0_series(2, GENERIC, base, want_details=True)
     _, rows1 = dt4_degree0_series(2, GENERIC, flipped, want_details=True)
     v0 = {pid: v for (_, pid, v) in rows0}
@@ -718,7 +719,7 @@ def test_orientation_flip_after_a_cached_call_negates_one_summand(monkeypatch):
     # +1 sign and each later call applies its own
     monkeypatch.setattr(localize, "_SUMMANDS", {})
     target = enumerate_partitions(4, 3)[4]
-    flipped = OrientationData().flipped(target.id())
+    flipped = OrientationData().flipped(target)
     _, rows1 = dt4_degree0_series(3, GENERIC2, flipped, want_details=True)
     _, rows0 = dt4_degree0_series(3, GENERIC2, OrientationData(), want_details=True)
     _, again = dt4_degree0_series(3, GENERIC2, flipped, want_details=True)
@@ -764,7 +765,7 @@ def test_second_series_at_new_parameters_builds_no_fixed_point(monkeypatch):
     assert len(built) == 5
     built.clear()
     assert dt4_degree0_series(3, GENERIC2) == SERIES_GENERIC2
-    assert dt4_degree0_series(2, GENERIC, OrientationData().flipped(POINTS_3[3].id()))
+    assert dt4_degree0_series(2, GENERIC, OrientationData().flipped(POINTS_3[3]))
     assert built == []
 
 
@@ -1215,3 +1216,45 @@ def test_weights_and_vertex_report_are_pinned(capsys):
     assert main(["vertex", "--n-max", "5", "--s", "1,7,41,-49"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == VERTEX_PIN
+
+
+ONE_BOX = enumerate_partitions(4, 1)[0]
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: TorusParams((1, 2, -3)), "parameter vector must have four entries"),
+    (lambda: FixedPointData(DPartition(3, [(0, 0, 0)])), "fixed points live in dimension 4"),
+    (lambda: FixedPointData(ONE_BOX).contribution(GENERIC, 2),
+     "orientation must be +1 or -1"),
+    (lambda: enumerate_partitions(5, 1), "dimension must be 2, 3 or 4, got 5"),
+    (lambda: enumerate_partitions(4, -1), "size must be nonnegative"),
+    (lambda: partition_counts(4, -1), "size must be nonnegative"),
+    (lambda: ONE_BOX.relabeled((0, 0, 1, 2)), "not a permutation of 0..3: (0, 0, 1, 2)"),
+    (lambda: CohClass((1,), {(0,): 1}) + CohClass((2,), {(0,): 1}),
+     "classes live in different rings"),
+    (lambda: CohClass((1, 2), {(0,): 1}), "monomial (0,) does not fit the ring (1, 2)"),
+    (lambda: cy_hypersurface_context().line_bundle((1,)),
+     "multidegree length does not match the ring"),
+    (lambda: vdim_ideal_cy4(-1, 0), "point count must be nonnegative"),
+    (lambda: vdim_ideal_cy4(0, 2), "h02 must be 0 or 1"),
+    (lambda: Laurent({(1, 2): 1}), "exponent vector must have length 4, got (1, 2)"),
+    (lambda: LinForm((1, 2, 3)), "coefficient vector must have length 4, got (1, 2, 3)"),
+], ids=["torus-length", "point-dimension", "contribution-orientation",
+        "enumerate-dimension", "enumerate-size", "counts-size", "relabel-perm",
+        "ring-mismatch", "monomial-ring", "line-bundle-degrees", "vdim-count",
+        "vdim-holonomy", "laurent-exponent", "linform-length"])
+def test_library_guards_refuse_bad_input(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_record_check_fails_a_point_whose_tangent_weight_vanishes(monkeypatch):
+    # the series at a generic s writes the entry; at 1,2,3,-6 the weight
+    # -2*s1 + s2 of this point vanishes, so the check fails and does not divide
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    dt4_degree0_series(3, GENERIC)
+    data = FixedPointData(partition_from_id("0,0,0,0;0,1,0,0;1,0,0,0", 4))
+    with pytest.raises(NonGenericParameters):
+        data.contribution(TorusParams.default(), 1)
+    assert localize.record_oracle_check(data, TorusParams.default(), 1, Fraction(0)) is False

@@ -1,6 +1,6 @@
 """The runtime stays stdlib-only and free of floating point: every module of
-the package imports only the standard library and names no float.  The
-summand cache has one writer, the series."""
+the package imports only the standard library and names no float.  No
+module asserts.  The summand cache has one writer, the series."""
 
 import ast
 import glob
@@ -44,6 +44,19 @@ def test_no_float_literal_or_name(path):
     bad = [(node.lineno, ast.unparse(node)) for node in ast.walk(_tree(path))
            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
            or isinstance(node, ast.Name) and node.id == "float"]
+    assert bad == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_assert_statement_or_assertion_error(path):
+    # an assert vanishes under python -O, and `cli.main` maps only its own
+    # error classes to exit codes, so an AssertionError would end in a
+    # traceback
+    bad = [(node.lineno, ast.unparse(node)) for node in ast.walk(_tree(path))
+           if isinstance(node, ast.Assert)
+           or isinstance(node, ast.Raise) and node.exc is not None
+           and "AssertionError" in {n.id for n in ast.walk(node.exc)
+                                    if isinstance(n, ast.Name)}]
     assert bad == []
 
 
