@@ -135,12 +135,8 @@ class DPartition:
         return Laurent({b + pad: 1 for b in self.boxes})
 
     def to_ideal(self) -> "MonomialIdeal":
-        """Monomial ideal whose staircase complement is this partition.
-
-        The minimal generators are exactly the addable boxes: the minimal
-        points of the complement of the box set.
-        """
-        return MonomialIdeal(self.d, self.addable_boxes())
+        """The monomial ideal whose staircase is this partition."""
+        return MonomialIdeal(self)
 
     def __repr__(self) -> str:
         return f"DPartition(d={self.d}, {self.id()!r})"
@@ -248,63 +244,31 @@ def partition_counts(d: int, n_max: int) -> list[int]:
 
 
 class MonomialIdeal:
-    """Monomial ideal given by minimal generators in nvars variables."""
+    """Monomial ideal of a partition: the span of the monomials outside it.
 
-    __slots__ = ("nvars", "gens", "_staircase")
+    The partition is the ideal's staircase, and its addable boxes, the
+    minimal points of the complement, are the minimal generators `gens`.
+    Every ideal of finite colength is the ideal of its staircase partition.
+    """
 
-    def __init__(self, nvars: int, gens):
-        gens = tuple(sorted(tuple(int(x) for x in g) for g in gens))
-        for g in gens:
-            if len(g) != nvars or any(x < 0 for x in g):
-                raise ValueError(f"bad generator exponent {g!r}")
-        for g in gens:
-            for h in gens:
-                if g is not h and all(x <= y for x, y in zip(g, h)):
-                    raise ValueError(f"generators not minimal: {g} divides {h}")
-        self.nvars = nvars
-        self.gens = gens
-        self._staircase = None
+    __slots__ = ("partition", "nvars", "gens")
+
+    def __init__(self, partition: DPartition):
+        self.partition = partition
+        self.nvars = partition.d
+        self.gens = tuple(partition.addable_boxes())
 
     def staircase(self) -> tuple[Box, ...]:
-        """Boxes outside the ideal; requires the quotient to be finite.
-
-        Computed on first call and kept, so the routes that read one ideal
-        share it.
-        """
-        if self._staircase is None:
-            self._staircase = self._boxes()
-        return self._staircase
-
-    def _boxes(self) -> tuple[Box, ...]:
-        """The staircase, one total degree at a time: a candidate one step
-        above a box is itself a box exactly when it is not a generator and
-        every c - e_j with c_j > 0 is a box of the level below, since an
-        ideal element with all those outside the ideal is a minimal one."""
-        gens = self.gens
-        nvars = self.nvars
-        if any(all(x == 0 for x in g) for g in gens):
-            return ()
-        for i in range(nvars):
-            if not any(all(x == 0 for j, x in enumerate(g) if j != i) for g in gens):
-                raise ValueError("quotient is not finite dimensional")
-        walls = set(gens)
-        level = {(0,) * nvars}
-        out = []
-        while level:
-            out.extend(level)
-            above = {b[:i] + (b[i] + 1,) + b[i + 1:] for b in level for i in range(nvars)}
-            level = {c for c in above - walls
-                     if all(not c[j] or c[:j] + (c[j] - 1,) + c[j + 1:] in level
-                            for j in range(nvars))}
-        return tuple(sorted(out))
+        """Boxes outside the ideal: the partition's own boxes."""
+        return self.partition.boxes
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return self.nvars == other.nvars and self.gens == other.gens
+        return self.partition == other.partition
 
     def __hash__(self):
-        return hash((self.nvars, self.gens))
+        return hash(self.partition)
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({self.nvars}, {list(self.gens)})"

@@ -121,13 +121,14 @@ def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ",
 
     Multidegrees are packed into ints, as signed digits in base 2a + 1 with
     the first coordinate most significant, where a is the largest exponent
-    of a generator.  The quotient is finite, so every variable has a pure
-    power among the generators and every other generator has a smaller
-    exponent in that variable: lcms have coordinates in [0, a], boxes in
-    [0, a - 1], multidegrees b - lcm(S) in [-a, a - 1] and row targets
-    mu + lcm(U) in [-a, 2a - 1].  Any two vectors compared here differ by at
-    most 2a - 1 in each coordinate, so their codes are equal only when they
-    are, and multidegree codes sort and decode as the vectors do.
+    of a generator.  The generators are a partition's addable boxes, so
+    every variable has a pure power among them and every other generator has
+    a smaller exponent in that variable: lcms have coordinates in [0, a],
+    boxes in [0, a - 1], multidegrees b - lcm(S) in [-a, a - 1] and row
+    targets mu + lcm(U) in [-a, 2a - 1].  Any two vectors compared here
+    differ by at most 2a - 1 in each coordinate, so their codes are equal
+    only when they are, and multidegree codes sort and decode as the vectors
+    do.
     """
     shift = _source_shift(ideal, source)
     boxes = ideal.staircase()
@@ -250,12 +251,11 @@ def euler_character(ideal: MonomialIdeal, source: str = "OZ,OZ") -> Laurent:
     is dropped and the sign flips.
     """
     shift = _source_shift(ideal, source)
-    boxes = ideal.staircase()
     k_poly = _lcm_sum(ideal)
     if shift:
         zero = (0,) * ideal.nvars
         k_poly = {m: -c for m, c in k_poly.items()}
         k_poly[zero] = k_poly.get(zero, 0) + 1
     pad = (0,) * (4 - ideal.nvars)
-    q = Laurent({b + pad: 1 for b in boxes})
+    q = ideal.partition.character()
     return q * Laurent({tuple(-x for x in m) + pad: c for m, c in k_poly.items()})

@@ -146,6 +146,30 @@ def test_check_oracle_catches_an_extra_lcm_term(capsys, monkeypatch):
     assert out.splitlines()[-1] == "oracle: FAIL (5 partitions checked)"
 
 
+@pytest.mark.parametrize("wrong", [
+    lambda gens: gens[:-1],
+    lambda gens: gens[:-1] + ((gens[-1][0] + 1,) + gens[-1][1:],),
+], ids=["dropped", "raised"])
+def test_check_oracle_fails_generators_that_miss_the_staircase(wrong, capsys, monkeypatch):
+    # the resolution oracle reads K from the generators and Q from the boxes,
+    # so generators that do not cut out the partition are a mismatch, not a
+    # crash; the last generator is the pure power of t1, dropped or raised
+    from dt4calc.partitions import DPartition
+
+    to_ideal = DPartition.to_ideal
+
+    def tampered(pi):
+        ideal = to_ideal(pi)
+        ideal.gens = wrong(ideal.gens)
+        return ideal
+
+    monkeypatch.setattr(DPartition, "to_ideal", tampered)
+    code, out, _ = run(capsys, "dt4-series", "--n-max", "2", "--s", GENERIC_S,
+                       "--check-oracle")
+    assert code == EXIT_MISMATCH
+    assert out.splitlines()[-1] == "oracle: FAIL (5 partitions checked)"
+
+
 @pytest.mark.parametrize("command", ["dt4-series", "vertex"])
 def test_check_oracle_builds_one_ideal_per_point(command, capsys, monkeypatch):
     from dt4calc.partitions import DPartition

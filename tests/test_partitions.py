@@ -8,9 +8,8 @@ from dt4calc import partitions
 from dt4calc.errors import BoundExceeded
 from dt4calc.exact import Laurent
 from dt4calc.partitions import (DEFAULT_BOUNDS, DPartition, ENV_BOUND_VAR,
-                                MonomialIdeal, enumerate_partitions,
-                                is_downward_closed, partition_counts,
-                                partition_from_id, size_bound)
+                                enumerate_partitions, is_downward_closed,
+                                partition_counts, partition_from_id, size_bound)
 
 
 def brute_force_sets(d, n):
@@ -117,10 +116,23 @@ def test_relabeling_permutes_axes():
 
 
 @pytest.mark.parametrize("d,n_max", [(2, 12), (3, 8), (4, 6)])
-def test_ideal_round_trip(d, n_max):
+def test_generators_are_the_minimal_points_outside_the_partition(d, n_max):
+    # over the box [0, max_i + 1] in each coordinate i, a point is outside the
+    # partition exactly when a generator divides it; past that box in
+    # coordinate i, the pure power of degree max_i + 1 divides it
+    def divides(g, c):
+        return all(x <= y for x, y in zip(g, c))
+
     for n in range(n_max + 1):
         for pi in enumerate_partitions(d, n):
-            assert DPartition(d, pi.to_ideal().staircase()).boxes == pi.boxes
+            gens = pi.to_ideal().gens
+            boxes = set(pi.boxes)
+            tops = [max((b[i] for b in boxes), default=-1) + 1 for i in range(d)]
+            for c in itertools.product(*(range(t + 1) for t in tops)):
+                assert (c not in boxes) == any(divides(g, c) for g in gens), (pi.id(), c)
+            for i, t in enumerate(tops):
+                assert tuple(t if j == i else 0 for j in range(d)) in gens, (pi.id(), i)
+            assert not any(g != h and divides(g, h) for g in gens for h in gens), pi.id()
 
 
 def test_enumeration_builds_each_partition_once(monkeypatch):
@@ -141,15 +153,6 @@ def test_enumeration_builds_each_partition_once(monkeypatch):
             made.clear()
             level = enumerate_partitions(d, n)
             assert len(made) == len(level), (d, n)
-
-
-def test_monomial_ideal_validation():
-    with pytest.raises(ValueError):
-        MonomialIdeal(2, [(1, 0), (2, 0)])  # second generator is redundant
-    with pytest.raises(ValueError):
-        MonomialIdeal(2, [(1, -1)])
-    with pytest.raises(ValueError):
-        MonomialIdeal(2, [(1, 0)]).staircase()  # infinite in the y direction
 
 
 def padded(pi: DPartition) -> DPartition:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dt4calc import taylor
 from dt4calc.errors import BoundExceeded, InternalInconsistency
 from dt4calc.exact import Laurent
-from dt4calc.partitions import DPartition, MonomialIdeal, enumerate_partitions
+from dt4calc.partitions import DPartition, enumerate_partitions
 from dt4calc.taylor import _rank, _source_shift, ext_characters, euler_character
 
 
@@ -209,7 +209,7 @@ def test_generator_cap():
     boxes = [(i, 0) for i in range(9)] + [(0, j) for j in range(1, 9)]
     staircase = DPartition(2, boxes)
     gens = staircase.to_ideal()
-    big = MonomialIdeal(2, [(i, 17 - i) for i in range(18)])
+    big = DPartition(2, [(a, b) for a in range(17) for b in range(17 - a)]).to_ideal()
     with pytest.raises(BoundExceeded):
         ext_characters(big, "OZ,OZ")
     assert gens.nvars == 2  # small one stays usable
@@ -252,7 +252,7 @@ def test_rank_free_euler_character_matches_the_full_complex(d, n_max):
 
 
 def test_euler_character_keeps_the_generator_cap():
-    big = MonomialIdeal(2, [(i, 17 - i) for i in range(18)])
+    big = DPartition(2, [(a, b) for a in range(17) for b in range(17 - a)]).to_ideal()
     for source in ("OZ,OZ", "I,OZ"):
         with pytest.raises(BoundExceeded):
             euler_character(big, source)
