@@ -2,9 +2,12 @@
 
 The ambient ring for P^{n_1} x ... x P^{n_m} is Q[h_1..h_m] modulo
 h_i^{n_i + 1}, and a ring is just the tuple (n_1, ..., n_m), which is also
-the exponent of its top monomial.  A class is a map from exponent tuples to
-Fraction.  A K-theory class is its Chern character, a class like any other:
-the dual negates the odd degrees and the tensor product is the product.
+the exponent of its top monomial.  A class is a list of int numerators, one
+per monomial of the ring, over one positive denominator, both in lowest
+terms; a table built once per ring lists the monomials and the index
+triples of every product, so a product is int arithmetic only.  A K-theory
+class is its Chern character, a class like any other: the dual negates the
+odd degrees and the tensor product is the product.
 
 The cotangent class of a product space is the dual of the tangent class
 from the Euler sequence of each factor, a sum of exponentials of the
@@ -26,9 +29,12 @@ returns a new class.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import add
 
 from .errors import Unsupported
 
@@ -43,29 +49,57 @@ _TD_LINE_INV = [Fraction((-1) ** k, factorial(k + 1)) for k in range(9)]
 _ONE_PLUS_INV = [Fraction((-1) ** k) for k in range(9)]
 
 
-class CohClass:
-    """Inhomogeneous cohomology class with exact rational coefficients."""
+_RingTable = collections.namedtuple("_RingTable", "monos index products degrees")
 
-    __slots__ = ("ring", "terms")
+
+@functools.cache
+def _ring_table(ring) -> _RingTable:
+    """A ring's monomials in degree order, the index of each, the (i, j, k)
+    triples with monos[i] * monos[j] = monos[k] inside the ring, and the
+    degree of each monomial; built once per ring."""
+    monos = sorted(itertools.product(*(range(n + 1) for n in ring)), key=sum)
+    index = {m: i for i, m in enumerate(monos)}
+    products = [(i, j, k) for i, a in enumerate(monos) for j, b in enumerate(monos)
+                if (k := index.get(tuple(map(add, a, b)))) is not None]
+    return _RingTable(monos, index, products, [sum(m) for m in monos])
+
+
+class CohClass:
+    """Inhomogeneous cohomology class with exact rational coefficients.
+
+    ``num[i] / den`` is the coefficient of the ring's i-th monomial, in the
+    order of its `_ring_table`; ``den`` is positive and gcd(den, *num) is 1,
+    so equal classes have equal fields.
+    """
+
+    __slots__ = ("ring", "table", "num", "den")
 
     def __init__(self, ring: tuple[int, ...], terms=None):
-        self.ring = ring
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                c = c if isinstance(c, Fraction) else Fraction(c)
-                mono = tuple(mono)
-                if len(mono) != len(ring):
-                    raise ValueError(f"monomial {mono!r} does not fit the ring {ring!r}")
-                if c and all(e <= n for e, n in zip(mono, ring)):
-                    clean[mono] = c
-        self.terms = clean
+        self.ring = ring = tuple(ring)
+        self.table = table = _ring_table(ring)
+        coeffs = {}
+        for mono, c in (terms or {}).items():
+            mono = tuple(mono)
+            if len(mono) != len(ring):
+                raise ValueError(f"monomial {mono!r} does not fit the ring {ring!r}")
+            if any(e < 0 for e in mono):
+                raise ValueError(f"monomial {mono!r} has a negative exponent")
+            if mono in table.index:
+                coeffs[table.index[mono]] = Fraction(c)
+        # no prime divides the lcm of reduced denominators and every
+        # numerator over it, so the fields start in lowest terms
+        self.den = den = lcm(*(c.denominator for c in coeffs.values()))
+        self.num = [0] * len(table.monos)
+        for i, c in coeffs.items():
+            self.num[i] = c.numerator * (den // c.denominator)
 
-    @staticmethod
-    def _of(ring, terms) -> "CohClass":
-        """A class from terms that are already nonzero and inside the ring."""
+    def _of(self, num, den) -> "CohClass":
+        """A class of this ring from numerators over a positive denominator."""
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [n // g for n in num], den // g
         out = CohClass.__new__(CohClass)
-        out.ring, out.terms = ring, terms
+        out.ring, out.table, out.num, out.den = self.ring, self.table, num, den
         return out
 
     @staticmethod
@@ -90,17 +124,12 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return CohClass._of(self.ring, terms)
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, den // other.den
+        return self._of([a * p + b * q for a, b in zip(self.num, other.num)], den)
 
     def __neg__(self):
-        return CohClass._of(self.ring, {m: -c for m, c in self.terms.items()})
+        return self._of([-n for n in self.num], self.den)
 
     def __sub__(self, other):
         if not isinstance(other, CohClass):
@@ -111,24 +140,15 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check(other)
-        ring = self.ring
-        terms = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = tuple(a + b for a, b in zip(ma, mb))
-                if any(e > n for e, n in zip(mono, ring)):
-                    continue
-                s = terms.get(mono, Fraction(0)) + ca * cb
-                if s:
-                    terms[mono] = s
-                else:
-                    terms.pop(mono, None)
-        return CohClass._of(ring, terms)
+        a, b = self.num, other.num
+        out = [0] * len(a)
+        for i, j, k in self.table.products:
+            out[k] += a[i] * b[j]
+        return self._of(out, self.den * other.den)
 
     def scale(self, c) -> "CohClass":
         c = c if isinstance(c, Fraction) else Fraction(c)
-        return CohClass._of(self.ring,
-                            {m: c * v for m, v in self.terms.items()} if c else {})
+        return self._of([n * c.numerator for n in self.num], self.den * c.denominator)
 
     def power(self, k: int) -> "CohClass":
         out = CohClass.one(self.ring)
@@ -138,26 +158,28 @@ class CohClass:
 
     def dual(self) -> "CohClass":
         """The Chern character of the dual class: odd degrees change sign."""
-        return CohClass._of(self.ring, {m: -c if sum(m) % 2 else c
-                                        for m, c in self.terms.items()})
+        return self._of([-n if d % 2 else n for n, d in zip(self.num, self.table.degrees)],
+                        self.den)
 
     def component(self, degree: int) -> "CohClass":
-        return CohClass._of(self.ring, {m: c for m, c in self.terms.items()
-                                        if sum(m) == degree})
+        return self._of([n if d == degree else 0
+                         for n, d in zip(self.num, self.table.degrees)], self.den)
 
     def degree_zero_value(self) -> Fraction:
-        return self.terms.get((0,) * len(self.ring), Fraction(0))
+        return self.coefficient((0,) * len(self.ring))
 
     def coefficient(self, mono) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+        i = self.table.index.get(tuple(mono))
+        return Fraction(0) if i is None else Fraction(self.num[i], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, CohClass):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self.num == other.num and self.den == other.den
 
     def __repr__(self):
-        return f"CohClass({self.ring!r}, {self.terms!r})"
+        terms = {m: Fraction(n, self.den) for m, n in zip(self.table.monos, self.num) if n}
+        return f"CohClass({self.ring!r}, {terms!r})"
 
 
 def _line_series(x: CohClass, table) -> CohClass:
@@ -169,7 +191,7 @@ def _line_series(x: CohClass, table) -> CohClass:
     for c in table:
         out = out + term.scale(c)
         term = term * x
-        if not term.terms:
+        if not any(term.num):
             break
     return out
 

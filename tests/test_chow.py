@@ -5,6 +5,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dt4calc import chow
 from dt4calc.chow import (CohClass, VarietyContext, chi_product_line_oracle,
@@ -179,6 +181,81 @@ def test_truncation_keeps_classes_inside_the_ring():
     b = CohClass.generator(ring, 1)
     assert b.power(5) == CohClass.zero(ring)
     assert (a * b.power(4)).coefficient((1, 4)) == 1
+
+
+def test_negative_exponents_are_refused():
+    # a monomial below the ring would otherwise survive every product:
+    # its square would hold a (-2, 0) term
+    for terms in ({(-1, 0): 3}, {(0, -1): 0}, {(0, 0): 1, (2, -1): 1}):
+        with pytest.raises(ValueError, match="negative exponent"):
+            CohClass((1, 4), terms)
+
+
+RINGS = [(1, 4), (2,), (4,), (1, 1, 2)]
+COEFFS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+def _reference(ring, terms):
+    """The class as a dict of nonzero Fraction terms inside the ring."""
+    return {m: Fraction(c) for m, c in terms.items()
+            if c and all(e <= n for e, n in zip(m, ring))}
+
+
+def _reference_mul(ring, a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return _reference(ring, out)
+
+
+def _terms(x):
+    monos = itertools.product(*(range(n + 1) for n in x.ring))
+    return {m: x.coefficient(m) for m in monos if x.coefficient(m)}
+
+
+@st.composite
+def class_pairs(draw):
+    ring = draw(st.sampled_from(RINGS))
+    # exponents one past the top monomial too, which the ring truncates
+    monos = st.tuples(*(st.integers(0, n + 1) for n in ring))
+    a, b = (draw(st.dictionaries(monos, COEFFS, max_size=6)) for _ in range(2))
+    return ring, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_pairs(), COEFFS, st.integers(0, 4))
+def test_class_arithmetic_matches_a_fraction_dict_reference(pair, c, k):
+    ring, ta, tb = pair
+    a, b = CohClass(ring, ta), CohClass(ring, tb)
+    ra, rb = _reference(ring, ta), _reference(ring, tb)
+    assert _terms(a) == ra
+    assert _terms(a + b) == _reference(ring, {m: ra.get(m, 0) + rb.get(m, 0)
+                                              for m in ra.keys() | rb.keys()})
+    assert _terms(a - b) == _reference(ring, {m: ra.get(m, 0) - rb.get(m, 0)
+                                              for m in ra.keys() | rb.keys()})
+    assert _terms(a * b) == _reference_mul(ring, ra, rb)
+    assert _terms(a.scale(c)) == _reference(ring, {m: v * c for m, v in ra.items()})
+    power = {(0,) * len(ring): Fraction(1)}
+    for _ in range(k):
+        power = _reference_mul(ring, power, ra)
+    assert _terms(a.power(k)) == power
+    assert _terms(a.dual()) == {m: -v if sum(m) % 2 else v for m, v in ra.items()}
+    for degree in range(sum(ring) + 2):
+        assert _terms(a.component(degree)) == {m: v for m, v in ra.items()
+                                               if sum(m) == degree}
+    assert a.degree_zero_value() == ra.get((0,) * len(ring), 0)
+    for mono in ta:
+        assert a.coefficient(mono) == ra.get(mono, 0)
+    # equal values are equal classes, however they were reached
+    assert a.scale(Fraction(1, 3)).scale(3) == a
+    assert (a + b) - b == a
+    assert a * b == b * a
+    assert a + a == a.scale(2)
+    assert a * CohClass.one(ring) == a
+    assert CohClass(ring, _terms(a)) == a
+    assert a - a == CohClass.zero(ring) == a.scale(0)
 
 
 def test_sheaf_class_dual_and_tensor():

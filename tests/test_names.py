@@ -67,7 +67,7 @@ ORACLE_ONLY = {"partitions.DPartition.to_ideal", "taylor.ext_characters",
                "exact.LinForm.evaluate"}
 
 
-@pytest.mark.parametrize("workload", ["oracle-n4", "series-n5", "sweep-n4"])
+@pytest.mark.parametrize("workload", ["oracle-n4", "series-n5", "sweep-n4", "suite"])
 def test_oracle_workload_fires_every_span_the_runner_names(workload, monkeypatch):
     # one traced sample of the workload, as `benchmarks/run.py --self-test` runs it
     monkeypatch.syspath_prepend(os.path.join(ROOT, "benchmarks"))
