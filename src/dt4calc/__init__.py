@@ -11,7 +11,7 @@ from .chow import (VarietyContext, cy_hypersurface_context, liqin_case,
                    projective_plane_context, structure_sheaf_chi_check,
                    surface_obstruction_identity, vdim_ideal_cy4)
 from .errors import (BoundExceeded, Dt4Error, InternalInconsistency,
-                     NonGenericParameters, NotEffective, OddPairing, Unsupported)
+                     NonGenericParameters, Unsupported)
 from .exact import Laurent, LinForm
 from .localize import (FixedPointData, OrientationData, TorusParams,
                        cyclic_completion_report, dt4_degree0_series,
@@ -27,8 +27,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundExceeded", "DPartition", "Dt4Error",
     "FixedPointData", "InternalInconsistency", "Laurent", "LinForm",
-    "MonomialIdeal", "NonGenericParameters", "NotEffective", "OddPairing",
-    "OrientationData", "TorusParams", "Unsupported",
+    "MonomialIdeal", "NonGenericParameters", "OrientationData",
+    "TorusParams", "Unsupported",
     "VarietyContext", "convolution_oracle", "cy_hypersurface_context",
     "cyclic_completion_report", "dt4_degree0_series", "enumerate_partitions",
     "euler_character", "ext_characters", "goettsche_series", "half_euler",

@@ -87,8 +87,6 @@ def tangent_codes(partition: DPartition, base: int) -> tuple[dict[int, int], dic
     coordinate, and their codes are equal only when the vectors are.
     """
     boxes = partition.boxes
-    if not boxes:
-        return {}, {}
     gens = partition.addable_boxes()
     p = 2 * len(boxes) + 1
 

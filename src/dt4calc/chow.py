@@ -103,10 +103,6 @@ class CohClass:
         return out
 
     @staticmethod
-    def zero(ring) -> "CohClass":
-        return CohClass(ring)
-
-    @staticmethod
     def one(ring) -> "CohClass":
         return CohClass(ring, {(0,) * len(ring): Fraction(1)})
 
@@ -187,7 +183,7 @@ def _line_series(x: CohClass, table) -> CohClass:
     truncated by the ring."""
     if x.degree_zero_value():
         raise ValueError("line series need a class with zero constant term")
-    out, term = CohClass.zero(x.ring), CohClass.one(x.ring)
+    out, term = CohClass(x.ring), CohClass.one(x.ring)
     for c in table:
         out = out + term.scale(c)
         term = term * x
@@ -270,7 +266,7 @@ class VarietyContext:
         if self.divisor is not None:
             raise Unsupported("cotangent classes are only set up on product spaces")
         one = CohClass.one(self.ring)
-        tangent = CohClass.zero(self.ring)
+        tangent = CohClass(self.ring)
         for i, n in enumerate(self.ring):
             e_h = _line_series(CohClass.generator(self.ring, i), _EXP)
             tangent = tangent + e_h.scale(n + 1) - one
@@ -359,6 +355,14 @@ def projective_plane_context() -> VarietyContext:
     return VarietyContext.product_space((2,))
 
 
+@functools.cache
+def _plane_classes() -> tuple[VarietyContext, CohClass, Fraction]:
+    """The plane with its cotangent class and Euler number, built once per
+    process."""
+    ctx = projective_plane_context()
+    return ctx, ctx.cotangent_sheaf_class(), ctx.euler_number()
+
+
 def surface_obstruction_identity(c) -> dict:
     """Both sides of the obstruction dimension identity on the plane.
 
@@ -367,13 +371,11 @@ def surface_obstruction_identity(c) -> dict:
     they agree for every class, which is what the reduced theory needs.
     """
     r, a, b = c
-    ctx = projective_plane_context()
+    ctx, omega, e_s = _plane_classes()
     ring = ctx.ring
     h = CohClass.generator(ring, 0)
     ch = (CohClass.one(ring).scale(Fraction(r)) + h.scale(Fraction(a))
           + (h * h).scale(Fraction(b)))
-    omega = ctx.cotangent_sheaf_class()
-    e_s = ctx.euler_number()
     lhs = -ctx.chi(ch, ch * omega)
     rhs = -2 * ctx.chi(ch, ch) + Fraction(r) ** 2 * e_s
     return {"c": tuple(c), "lhs": lhs, "rhs": rhs, "euler": e_s, "ok": lhs == rhs}

@@ -1,8 +1,9 @@
 """Error taxonomy shared by every module.
 
-Each failure mode that callers are expected to handle gets its own class;
-anything that signals a bug in this package rather than bad input raises
-InternalInconsistency so it is never silently caught together with the rest.
+One class per exit code of the command line: each failure mode that callers
+are expected to handle gets its own class, and any broken invariant, a sign
+of a bug in this package rather than bad input, raises InternalInconsistency
+so it is never silently caught together with the rest.
 """
 
 
@@ -16,14 +17,6 @@ class NonGenericParameters(Dt4Error):
 
 class BoundExceeded(Dt4Error):
     """An enumeration or expansion would pass the configured size cap."""
-
-
-class NotEffective(Dt4Error):
-    """A character that must be an honest representation has a negative coefficient."""
-
-
-class OddPairing(Dt4Error):
-    """A weight multiset that must split into (w, -w) pairs does not."""
 
 
 class InternalInconsistency(Dt4Error):

@@ -54,10 +54,6 @@ class Laurent:
         self.terms = clean
 
     @staticmethod
-    def zero() -> "Laurent":
-        return Laurent()
-
-    @staticmethod
     def monomial(exp: Iterable[int]) -> "Laurent":
         return Laurent({tuple(exp): 1})
 
@@ -124,15 +120,11 @@ class Laurent:
         out.terms = _purged(terms)
         return out
 
-    def items_sorted(self):
-        """Terms in lexicographic exponent order, the canonical ordering."""
-        return sorted(self.terms.items())
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         pieces = []
-        for exp, c in self.items_sorted():
+        for exp, c in sorted(self.terms.items()):
             mono = "*".join(
                 f"t{i + 1}^{e}" if e != 1 else f"t{i + 1}"
                 for i, e in enumerate(exp)

@@ -51,7 +51,7 @@ from math import prod
 from operator import itemgetter
 
 from .characters import subtorus_code, tangent_codes, unpack_terms, vertex_codes
-from .errors import InternalInconsistency, NonGenericParameters, NotEffective, OddPairing
+from .errors import InternalInconsistency, NonGenericParameters
 from .exact import Laurent, LinForm, form_str, integer_scaling, number_str, unpack
 from .partitions import DPartition, MonomialIdeal, partition_from_id, partition_levels
 from .taylor import ext_characters, euler_character
@@ -182,14 +182,15 @@ def half_euler(codes: dict[int, int]) -> tuple[int, tuple]:
     The weights are `subtorus_code`s with their multiplicities.  `factors`
     holds the canonical weight of each pair, the positive one of w and -w,
     with its multiplicity, sorted, and the sign is 1.  The zero weight makes
-    the product zero, (0, ()).  If the multiset does not split into opposite
-    pairs the square root does not exist and OddPairing is raised.
+    the product zero, (0, ()).  A multiset that does not split into opposite
+    pairs has no square root, a broken invariant: InternalInconsistency.
     """
     if 0 in codes:
         return 0, ()
     for w, m in codes.items():
         if codes.get(-w, 0) != m:
-            raise OddPairing(f"weight {w} has multiplicity {m} but {-w} has {codes.get(-w, 0)}")
+            raise InternalInconsistency(
+                f"weight {w} has multiplicity {m} but {-w} has {codes.get(-w, 0)}")
     return 1, tuple(sorted((w, m) for w, m in codes.items() if w > 0))
 
 
@@ -266,7 +267,7 @@ class FixedPointData:
     def _effective(self, codes: dict[int, int], what: str) -> None:
         bad = {form_str(unpack(k, 3, self.base)): m for k, m in codes.items() if m < 0}
         if bad:
-            raise NotEffective(f"{what} character has non effective terms {bad}")
+            raise InternalInconsistency(f"{what} character has non effective terms {bad}")
 
     @cached_property
     def e1_char(self) -> Laurent:
@@ -426,7 +427,7 @@ def vertex_oracle_check(data: FixedPointData) -> tuple[bool, Laurent, Laurent]:
     """Closed form versus the resolution route, on the full torus, and the
     point's packed `tcy` versus the resolution route on the subtorus."""
     q = data.q
-    rhs = q + q.bar() * KAPPA_INV - euler_character(data.ideal, "OZ,OZ")
+    rhs = q + q.bar() * KAPPA_INV - euler_character(data.ideal)
     ok = data.tvir == rhs and data.tcy == subtorus_codes(rhs, data.base)
     return ok, data.tvir, rhs
 
@@ -443,7 +444,7 @@ def obstruction_crosscheck(data: FixedPointData) -> tuple[bool, tuple, tuple]:
     """
     ext = ext_characters(data.ideal, "I,OZ", degree=(0, 1))
     lhs = (data.e1_char, data.e2)
-    rhs = (ext.get(0, Laurent.zero()), subtorus_codes(ext.get(1, Laurent.zero()), data.base))
+    rhs = (ext.get(0, Laurent()), subtorus_codes(ext.get(1, Laurent()), data.base))
     ok = lhs == rhs and data.e1 == subtorus_codes(rhs[0], data.base)
     return ok, lhs, rhs
 
@@ -556,9 +557,9 @@ def cyclic_completion_report(pi3: DPartition) -> dict:
     rows = []
     ok = True
     for i in range(5):
-        lhs = ext4.get(i, Laurent.zero()).cy_reduce()
-        low = ext3.get(i, Laurent.zero()).cy_reduce()
-        dual = ext3.get(4 - i, Laurent.zero()).bar().cy_reduce()
+        lhs = ext4.get(i, Laurent()).cy_reduce()
+        low = ext3.get(i, Laurent()).cy_reduce()
+        dual = ext3.get(4 - i, Laurent()).bar().cy_reduce()
         rhs = low + dual
         match = lhs == rhs
         ok = ok and match

@@ -22,12 +22,12 @@ skipped where the next size has no cochain at mu.  Without a degree it
 lists every subset and returns every degree.  Multidegrees are packed into
 ints; `ext_characters` gives the digit-range argument.
 
-The Euler characteristic needs no ranks at all: each differential cancels
-equal dimensions in adjacent degrees, so it is the signed sum of the
+The Euler characteristic chi(O_Z, O_Z) needs no ranks: each differential
+cancels equal dimensions in adjacent degrees, so it is the signed sum of the
 cochains, Q bar(K) with Q the box character and K = sum over subsets S of
-(-1)^|S| t^lcm(S).  `euler_character` collapses K by the lcm recurrence,
-one generator at a time, and takes one Laurent product; no subset is
-listed.
+(-1)^|S| t^lcm(S).  `euler_character` collapses K one generator at a time
+and takes one Laurent product.  chi(I, O_Z) = Q - chi(O_Z, O_Z), by the
+ideal sequence 0 -> I -> O -> O_Z -> 0, so it has no route of its own.
 
 The fixed points of the localization do not come through here: their
 tangent character is counted from graph components in `characters`.  These
@@ -91,7 +91,8 @@ def _source_shift(ideal: MonomialIdeal, source: str) -> int:
 
     Ext^i(I, O_Z) is cohomology of the same cochain complex as
     Ext^i(O_Z, O_Z) with the degree zero column dropped and indices moved
-    down by one, so the shift is 0 for source "OZ,OZ" and 1 for "I,OZ".
+    down by one, so the shift is 0 for source "OZ,OZ" and 1 for "I,OZ";
+    chi(I, O_Z) is Q - chi(O_Z, O_Z), with Q the box character.
     """
     if source not in ("OZ,OZ", "I,OZ"):
         raise ValueError(f"unknown source {source!r}")
@@ -132,8 +133,6 @@ def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ",
     """
     shift = _source_shift(ideal, source)
     boxes = ideal.staircase()
-    if not boxes:
-        return {}
     nv = ideal.nvars
     gens = ideal.gens
     r = len(gens)
@@ -241,21 +240,16 @@ def _lcm_sum(ideal: MonomialIdeal) -> dict[tuple[int, ...], int]:
     return k_poly
 
 
-def euler_character(ideal: MonomialIdeal, source: str = "OZ,OZ") -> Laurent:
-    """Alternating sum of the Ext characters, read off the cochains alone.
+def euler_character(ideal: MonomialIdeal) -> Laurent:
+    """chi(O_Z, O_Z), the alternating sum of the Ext characters, from the cochains.
 
-    The cochain of a subset S and a box b sits in Ext degree |S| - shift at
+    The cochain of a subset S and a box b sits in Ext degree |S| at
     multidegree b - lcm(S), so the sum of (-1)^degree t^multidegree over all
     of them is Q bar(K), one Laurent product, with Q the box character and
-    K the signed lcm sum of `_lcm_sum`.  For source "I,OZ" the empty subset
-    is dropped and the sign flips.
+    K the signed lcm sum of `_lcm_sum`.  chi(I, O_Z) is Q - chi(O_Z, O_Z).
     """
-    shift = _source_shift(ideal, source)
+    _source_shift(ideal, "OZ,OZ")  # for its generator cap
     k_poly = _lcm_sum(ideal)
-    if shift:
-        zero = (0,) * ideal.nvars
-        k_poly = {m: -c for m, c in k_poly.items()}
-        k_poly[zero] = k_poly.get(zero, 0) + 1
     pad = (0,) * (4 - ideal.nvars)
     q = ideal.partition.character()
     return q * Laurent({tuple(-x for x in m) + pad: c for m, c in k_poly.items()})

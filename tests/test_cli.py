@@ -11,8 +11,8 @@ import sys
 import pytest
 
 from dt4calc import localize
-from dt4calc.cli import (EXIT_BOUND, EXIT_MISMATCH, EXIT_NONGENERIC, EXIT_OK,
-                         EXIT_UNSUPPORTED, EXIT_USAGE, build_parser, main)
+from dt4calc.cli import (EXIT_BOUND, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_NONGENERIC,
+                         EXIT_OK, EXIT_UNSUPPORTED, EXIT_USAGE, build_parser, main)
 
 GENERIC_S = "1,7,41,-49"
 
@@ -132,6 +132,29 @@ def test_check_oracle_catches_an_e1_error(capsys, monkeypatch):
                            "--check-oracle")
         assert code == EXIT_MISMATCH, command
         assert "oracle: FAIL (5 partitions checked)" in out
+
+
+def test_broken_invariant_exits_internal(capsys, monkeypatch):
+    # moving multiplicity 3 from the s1 pair to the s3 pair of the virtual
+    # tangent character keeps its rank 2n but leaves E2 = E1 + bar(E1) - T
+    # with -3 at s3 and -s3, which no honest representation has
+    kernel = localize.vertex_codes
+
+    def tampered(pi, base):
+        tcy = dict(kernel(pi, base))
+        if pi.size == 2:
+            s1 = localize.subtorus_code((1, 0, 0, 0), base)
+            s3 = localize.subtorus_code((0, 0, 1, 0), base)
+            for k, m in ((s1, -3), (-s1, -3), (s3, 3), (-s3, 3)):
+                tcy[k] = tcy.get(k, 0) + m
+        return tcy
+
+    monkeypatch.setattr(localize, "vertex_codes", tampered)
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    code, out, err = run(capsys, "dt4-series", "--n-max", "2", "--s", GENERIC_S)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "error: obstruction character has non effective terms {'-s3': -3, 's3': -3}\n"
 
 
 def test_check_oracle_catches_an_extra_lcm_term(capsys, monkeypatch):

@@ -82,7 +82,7 @@ def test_character_counts_boxes():
         ch = pi.character()
         assert sum(ch.terms.values()) == 4
         assert all(c > 0 for c in ch.terms.values())
-        for box, _ in ch.items_sorted():
+        for box, _ in sorted(ch.terms.items()):
             assert len(box) == 4 and box[3] == 0
 
 
