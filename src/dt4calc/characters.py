@@ -5,8 +5,8 @@ into one int (`subtorus_code`), so sums of vectors are sums of ints.
 
 There (1 - t1^-1)...(1 - t4^-1) = P123 + bar(P123) with
 P123 = (1 - t1^-1)(1 - t2^-1)(1 - t3^-1), so the virtual tangent character
-is T = V + bar(V) with V = Q - Q bar(Q) P123, eight shifts of the box
-differences (`vertex_codes`).
+is T = V + bar(V) (`mirrored`) with V = Q - Q bar(Q) P123, eight shifts of
+the box differences (`half_codes`).
 
 The tangent character E1 = Hom(I, O_Z) is counted from graph components at
 each multidegree (`tangent_codes`), with no Taylor complex, no ideal and no
@@ -34,12 +34,13 @@ def subtorus_code(e, base: int) -> int:
 _P123 = tuple((e + (0,), (-1) ** -sum(e)) for e in product((0, -1), repeat=3))
 
 
-def vertex_codes(partition: DPartition, base: int) -> dict[int, int]:
-    """The virtual tangent character on the subtorus, code -> multiplicity.
+def half_codes(partition: DPartition, base: int) -> dict[int, int]:
+    """The half V of the virtual tangent character T = V + bar(V) on the
+    subtorus, code -> multiplicity.
 
     There P1234 = (1 - t1^-1)...(1 - t4^-1) equals P123 + bar(P123), and the
-    box differences D = Q bar(Q) are self dual, so T = V + bar(V) with
-    V = Q - D P123: eight shifts of the box differences.
+    box differences D = Q bar(Q) are self dual, so V = Q - D P123: eight
+    shifts of the box differences.
     """
     boxes = [subtorus_code(b, base) for b in partition.boxes]
     diffs: dict[int, int] = {}
@@ -57,12 +58,17 @@ def vertex_codes(partition: DPartition, base: int) -> dict[int, int]:
         for d, m in signed[sign]:
             k = d + shift
             half[k] = get(k, 0) + m
-    tcy: dict[int, int] = {}
-    for k, m in half.items():
-        m += get(-k, 0)
+    return half
+
+
+def mirrored(codes: dict[int, int]) -> dict[int, int]:
+    """codes + bar(codes), with zero terms dropped: a self dual character."""
+    out: dict[int, int] = {}
+    for k, m in codes.items():
+        m += codes.get(-k, 0)
         if m:
-            tcy[k] = tcy[-k] = m
-    return tcy
+            out[k] = out[-k] = m
+    return out
 
 
 def tangent_codes(partition: DPartition, base: int) -> tuple[dict[int, int], dict[int, int]]:

@@ -14,7 +14,7 @@ exact.
 
 The summand needs the characters only on that subtorus, where
 T = V + bar(V) with V = Q - Q bar(Q) (1 - t1^{-1})(1 - t2^{-1})(1 - t3^{-1}).
-A fixed point is built from T and E1 = Hom(I, O_Z) as flat int dicts keyed
+A fixed point is built from V and E1 = Hom(I, O_Z) as flat int dicts keyed
 by packed subtorus codes, with no Laurent polynomial (`characters`).  A
 summand record holds its weights as reduced int triples, each code decoded
 once per process, and evaluates them with local arithmetic; only the
@@ -50,7 +50,7 @@ from itertools import combinations, permutations, product
 from math import prod
 from operator import itemgetter
 
-from .characters import subtorus_code, tangent_codes, unpack_terms, vertex_codes
+from .characters import half_codes, mirrored, subtorus_code, tangent_codes, unpack_terms
 from .errors import InternalInconsistency, NonGenericParameters
 from .exact import Laurent, LinForm, form_str, integer_scaling, number_str, unpack
 from .partitions import DPartition, MonomialIdeal, partition_from_id, partition_levels
@@ -224,18 +224,21 @@ class FixedPointData:
     """Everything the localization formula needs at one fixed point.
 
     The characters the summand needs are restricted to the subtorus and kept
-    as dicts from `subtorus_code` to multiplicity, in base 4n + 1: `tcy` is
-    the virtual tangent character, `e1` the tangent and `e2` the obstruction
-    character.  Every reduced coefficient they hold lies in [-2n + 1,
-    2n - 1], inside the digit range, so adding codes adds vectors, negating
-    is `bar`, codes sort as their reduced triples do, and a code is positive
-    exactly when its triple is above (0, 0, 0).  `e1_terms` holds E1
-    on the full torus, packed as `tangent_codes` counts it.
+    as dicts from `subtorus_code` to multiplicity, in base 4n + 1: `half`
+    holds V, `e1` the tangent and `e2` the obstruction character
+    E1 + bar(E1) - T, built as `mirrored(e1 - half)`, so self dual and of
+    2|E1| - 2n weights by construction; the rank of V and the effectivity
+    of E1 and E2 are checked.  Every reduced coefficient they hold lies in [-2n + 1, 2n - 1],
+    inside the digit range, so adding codes adds vectors, negating is `bar`,
+    codes sort as their reduced triples do, and a code is positive exactly
+    when its triple is above (0, 0, 0).  `e1_terms` holds E1 on the full
+    torus, packed as `tangent_codes` counts it.
 
     What the oracles and the `vertex` report read are views, each built on
-    first access: the Laurent characters `q`, `tvir` and `e1_char`, which is
-    `e1_terms` unpacked; the weight lists, as records hold them
-    (`sorted_triples`); and the monomial `ideal`, both Taylor checks' own.
+    first access: the packed T, `tcy`, which is `mirrored(half)`; the
+    Laurent characters `q`, `tvir` and `e1_char`, which is `e1_terms`
+    unpacked; the weight lists, as records hold them (`sorted_triples`);
+    and the monomial `ideal`, both Taylor checks' own.
     """
 
     def __init__(self, partition: DPartition):
@@ -244,30 +247,26 @@ class FixedPointData:
         self.partition = partition
         n = partition.size
         self.base = base = 4 * n + 1
-        self.tcy = tcy = vertex_codes(partition, base)
-        if sum(tcy.values()) != 2 * n:
+        self.half = half = half_codes(partition, base)
+        if sum(half.values()) != n:
             raise InternalInconsistency(
-                f"virtual dimension shadow {sum(tcy.values())} != {2 * n}")
-        e1, self.e1_terms = tangent_codes(partition, base)
-        self.e1 = e1
-        self._effective(e1, "tangent")
-        e2 = dict(e1)
-        get = e2.get
-        for k, m in e1.items():
-            e2[-k] = get(-k, 0) + m
-        for k, m in tcy.items():
-            e2[k] = get(k, 0) - m
-        self.e2 = e2 = {k: m for k, m in e2.items() if m}
-        self._effective(e2, "obstruction")
-        if e2 != {-k: m for k, m in e2.items()}:
-            raise InternalInconsistency("obstruction character is not self dual")
-        if sum(e2.values()) != 2 * sum(e1.values()) - 2 * n:
-            raise InternalInconsistency("weight count violates the dimension law")
+                f"virtual dimension shadow {2 * sum(half.values())} != {2 * n}")
+        self.e1, self.e1_terms = tangent_codes(partition, base)
+        self._effective(self.e1, "tangent")
+        w = dict(self.e1)
+        for k, m in half.items():
+            w[k] = w.get(k, 0) - m
+        self.e2 = mirrored(w)
+        self._effective(self.e2, "obstruction")
 
     def _effective(self, codes: dict[int, int], what: str) -> None:
         bad = {form_str(unpack(k, 3, self.base)): m for k, m in codes.items() if m < 0}
         if bad:
             raise InternalInconsistency(f"{what} character has non effective terms {bad}")
+
+    @cached_property
+    def tcy(self) -> dict[int, int]:
+        return mirrored(self.half)
 
     @cached_property
     def e1_char(self) -> Laurent:
@@ -331,8 +330,6 @@ class Summand:
         if 0 in data.e1:
             raise InternalInconsistency("zero weight in the tangent character")
         self.sign, factors = half_euler(data.e2)
-        if any(m <= 0 for _, m in factors):
-            raise InternalInconsistency("denominator factor in a half Euler product")
         self.tangent = sorted_triples(data.e1, data.base)
         self.factors = sorted_triples(dict(factors), data.base)
 

@@ -1,9 +1,11 @@
 """Acceptance checks, each one criterion with a stable name and a verdict.
 
 Every check recomputes its claim and compares against frozen expected values
-or an independent route.  The state carried between checks is each fixed
-point the run builds, at most once and handed on like the orientation, and
-what the library keeps per process (partition levels, the summand cache).
+or an independent route, and returns (ok, detail); `run_suite` names each
+verdict from `CRITERIA`, the one place a criterion's name is written.  The
+state carried between checks is each fixed point the run builds, at most
+once and handed on like the orientation, and what the library keeps per
+process (partition levels, the summand cache).
 Timing limits are part of the verdict where a criterion carries one, but
 measured times are never printed, so output stays byte stable run to run.
 """
@@ -47,62 +49,56 @@ def _timed(budget):
     def deco(fn):
         def run(*args, **kwargs):
             t0 = time.perf_counter()
-            result = fn(*args, **kwargs)
-            elapsed = time.perf_counter() - t0
-            if elapsed > budget:
-                return CheckResult(result.name, False,
-                                   f"{result.detail}; exceeded the {budget} s budget")
-            return result
+            ok, detail = fn(*args, **kwargs)
+            if time.perf_counter() - t0 > budget:
+                return False, f"{detail}; exceeded the {budget} s budget"
+            return ok, detail
         return run
     return deco
 
 
 @_timed(1)
-def check_liqin_table(**_) -> CheckResult:
+def check_liqin_table(**_) -> tuple[bool, str]:
     rows = [liqin_case(e1, e2) for (e1, e2, _, _) in LIQIN_EXPECTED]
     got = [(r["eps1"], r["eps2"], int(r["chi"]), r["k"]) for r in rows]
     ok = got == LIQIN_EXPECTED
-    return CheckResult("liqin-table", ok,
-                       "all four cases exact" if ok else f"got {got}")
+    return ok, ("all four cases exact" if ok else f"got {got}")
 
 
 @_timed(1)
-def check_chi_structure_sheaf(**_) -> CheckResult:
+def check_chi_structure_sheaf(**_) -> tuple[bool, str]:
     rep = structure_sheaf_chi_check()
     ok = rep["ok"] and rep["direct"] == 2
-    return CheckResult("chi-structure-sheaf", ok,
-                       f"integral {rep['direct']}, ambient oracle {rep['oracle']}")
+    return ok, f"integral {rep['direct']}, ambient oracle {rep['oracle']}"
 
 
-def check_vdim_law(**_) -> CheckResult:
+def check_vdim_law(**_) -> tuple[bool, str]:
     for n in range(11):
         for h02 in (0, 1):
             rep = vdim_ideal_cy4(n, h02)
             if rep["vdim"] != 2 * n - h02 or rep["chi"] != 2 - rep["vdim"]:
-                return CheckResult("vdim-law", False, f"failed at n={n}, h02={h02}: {rep}")
-    return CheckResult("vdim-law", True, "n <= 10, both holonomy cases")
+                return False, f"failed at n={n}, h02={h02}: {rep}"
+    return True, "n <= 10, both holonomy cases"
 
 
 @_timed(60)
-def check_vertex_oracle(point=FixedPointData, **_) -> CheckResult:
+def check_vertex_oracle(point=FixedPointData, **_) -> tuple[bool, str]:
     checked = 0
     for n in range(1, 4):
         for pi in enumerate_partitions(4, n):
             ok, lhs, rhs = vertex_oracle_check(point(pi))
             if not ok:
-                return CheckResult("vertex-oracle", False,
-                                   f"mismatch at {pi.id()}: {lhs} vs {rhs}")
+                return False, f"mismatch at {pi.id()}: {lhs} vs {rhs}"
             checked += 1
-    return CheckResult("vertex-oracle", checked == 15,
-                       f"{checked} solid partitions, exact Laurent equality")
+    return checked == 15, f"{checked} solid partitions, exact Laurent equality"
 
 
-def check_weight_structure(point=FixedPointData, **_) -> CheckResult:
+def check_weight_structure(point=FixedPointData, **_) -> tuple[bool, str]:
     """Structure of the tangent and obstruction weights for every n <= 4.
 
-    Building a point already checks that both characters are effective, that
-    the obstruction character is self dual and that the weights obey the
-    dimension law, so this reads each point's `Summand` record.  The
+    Building a point checks that both characters are effective, and builds
+    the obstruction character self dual and obeying the dimension law, so
+    this reads each point's `Summand` record.  The
     zero-weight clause is checked at the level of forms on the subtorus (no
     trivial sub-representation), which is the property that survives any
     generic parameter choice.  The documentation default (1,2,3,-6) is NOT
@@ -119,10 +115,9 @@ def check_weight_structure(point=FixedPointData, **_) -> CheckResult:
         for pi in enumerate_partitions(4, n):
             record = point(pi).summand()
             if record.sign == 0:
-                return CheckResult("weight-structure", False,
-                                   f"{pi.id()}: trivial sub-representation")
+                return False, f"{pi.id()}: trivial sub-representation"
             if len(record.tangent) - len(record.factors) != n:
-                return CheckResult("weight-structure", False, f"{pi.id()}: dimension law")
+                return False, f"{pi.id()}: dimension law"
             count = (sum(a * x + b * y + c * z == 0 for a, b, c in record.tangent)
                      + 2 * sum(a * x + b * y + c * z == 0 for a, b, c in record.factors))
             if count and first_vanish is None:
@@ -134,68 +129,60 @@ def check_weight_structure(point=FixedPointData, **_) -> CheckResult:
         note = (f"{vanishing} weight values vanish at 1,2,3,-6 (first at "
                 f"n = {first_vanish}); forms are all nonzero, so any generic "
                 f"vector works")
-    return CheckResult("weight-structure", checked == 41,
-                       f"{checked} solid partitions, no trivial "
-                       f"sub-representations; {note}")
+    return (checked == 41,
+            f"{checked} solid partitions, no trivial sub-representations; {note}")
 
 
-def check_one_box_contribution(point=FixedPointData, **_) -> CheckResult:
+def check_one_box_contribution(point=FixedPointData, **_) -> tuple[bool, str]:
     rep = one_box_symbolic_report()
     if not rep["ok"]:
-        return CheckResult("one-box-contribution", False, f"symbolic shape failed: {rep}")
+        return False, f"symbolic shape failed: {rep}"
     value = point(enumerate_partitions(4, 1)[0]).summand().value(TorusParams.default(), 1)
     if value * value != Fraction(25, 9):
-        return CheckResult("one-box-contribution", False, f"value {value} is not +-5/3")
-    return CheckResult(
-        "one-box-contribution", True,
-        f"numerator sign {rep['numerator_sign']:+d} times e3/e4, value {value}")
+        return False, f"value {value} is not +-5/3"
+    return True, f"numerator sign {rep['numerator_sign']:+d} times e3/e4, value {value}"
 
 
 @_timed(60)
-def check_cyclic_completion(**_) -> CheckResult:
+def check_cyclic_completion(**_) -> tuple[bool, str]:
     checked = 0
     for n in range(4):
         for pi3 in enumerate_partitions(3, n):
             rep = cyclic_completion_report(pi3)
             if not rep["ok"]:
                 bad = [r["degree"] for r in rep["rows"] if not r["match"]]
-                return CheckResult("cyclic-completion", False,
-                                   f"{pi3.id()}: degrees {bad} disagree")
+                return False, f"{pi3.id()}: degrees {bad} disagree"
             checked += 1
-    return CheckResult("cyclic-completion", True,
-                       f"{checked} plane partitions (sizes 0..3), all degrees")
+    return True, f"{checked} plane partitions (sizes 0..3), all degrees"
 
 
 @_timed(1)
-def check_goettsche_series(**_) -> CheckResult:
+def check_goettsche_series(**_) -> tuple[bool, str]:
     g3 = goettsche_series(3, 20)
     if g3 != convolution_oracle(3, 20):
-        return CheckResult("goettsche-series", False, "e = 3 routes disagree")
+        return False, "e = 3 routes disagree"
     if g3[:5] != [1, 3, 9, 22, 51]:
-        return CheckResult("goettsche-series", False, f"e = 3 head {g3[:5]}")
+        return False, f"e = 3 head {g3[:5]}"
     if goettsche_series(1, 50) != partition_numbers(50):
-        return CheckResult("goettsche-series", False, "e = 1 is not the partition numbers")
-    return CheckResult("goettsche-series", True,
-                       "e = 3 vs convolution to q^20, e = 1 vs pentagonal to q^50")
+        return False, "e = 1 is not the partition numbers"
+    return True, "e = 3 vs convolution to q^20, e = 1 vs pentagonal to q^50"
 
 
-def check_surface_identity(**_) -> CheckResult:
+def check_surface_identity(**_) -> tuple[bool, str]:
     for n in range(6):
         rep = surface_obstruction_identity((1, 0, -n))
         if not rep["ok"] or rep["lhs"] != 4 * n + 1:
-            return CheckResult("surface-identity", False, f"(1,0,-{n}): {rep}")
+            return False, f"(1,0,-{n}): {rep}"
     rep = surface_obstruction_identity((2, 0, 0))
     if not rep["ok"] or rep["lhs"] != 4:
-        return CheckResult("surface-identity", False, f"(2,0,0): {rep}")
-    return CheckResult("surface-identity", True,
-                       "(1,0,-n) gives 4n+1 for n <= 5; (2,0,0) gives 4")
+        return False, f"(2,0,0): {rep}"
+    return True, "(1,0,-n) gives 4n+1 for n <= 5; (2,0,0) gives 4"
 
 
 def check_orientation_flip(orientation: OrientationData | None = None,
-                           orientation_error: str | None = None, **_) -> CheckResult:
+                           orientation_error: str | None = None, **_) -> tuple[bool, str]:
     if orientation_error is not None:
-        return CheckResult("orientation-flip", False,
-                           f"orientation data rejected: {orientation_error}")
+        return False, f"orientation data rejected: {orientation_error}"
     base = orientation or OrientationData()
     target = enumerate_partitions(4, 2)[1]
     flipped = base.flipped(target)
@@ -206,16 +193,15 @@ def check_orientation_flip(orientation: OrientationData | None = None,
     for pid in v0:
         want = -v0[pid] if pid == target.id() else v0[pid]
         if v1[pid] != want:
-            return CheckResult("orientation-flip", False, f"summand {pid} moved wrongly")
+            return False, f"summand {pid} moved wrongly"
     if v0[target.id()] == 0:
-        return CheckResult("orientation-flip", False, "target summand vanishes, no signal")
+        return False, "target summand vanishes, no signal"
     if c1[2] - c0[2] != -2 * v0[target.id()]:
-        return CheckResult("orientation-flip", False, "coefficient shift is off")
-    return CheckResult("orientation-flip", True,
-                       f"flipping {target.id()} negates exactly its summand")
+        return False, "coefficient shift is off"
+    return True, f"flipping {target.id()} negates exactly its summand"
 
 
-def check_determinism(**_) -> CheckResult:
+def check_determinism(**_) -> tuple[bool, str]:
     from .cli import build_parser, cmd_dt4_series  # the CLI imports this module
 
     parser = build_parser()
@@ -226,9 +212,8 @@ def check_determinism(**_) -> CheckResult:
         return json.dumps(cmd_dt4_series(args)[0], indent=2).encode()
 
     ok = report("1") == report("4")
-    return CheckResult("determinism", ok,
-                       "series report bytes agree for 1 and 4 worker runs" if ok
-                       else "thread count changed the bytes")
+    return ok, ("series report bytes agree for 1 and 4 worker runs" if ok
+                else "thread count changed the bytes")
 
 
 CRITERIA = [
@@ -260,6 +245,6 @@ def run_suite(only: str | None = None, orientation_path: str | None = None):
     for number, name, fn in CRITERIA:
         if only and only not in name:
             continue
-        result = fn(orientation=orientation, orientation_error=orientation_error, point=point)
-        results.append((number, result))
+        ok, detail = fn(orientation=orientation, orientation_error=orientation_error, point=point)
+        results.append((number, CheckResult(name, ok, detail)))
     return results

@@ -3,10 +3,12 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -135,26 +137,55 @@ def test_check_oracle_catches_an_e1_error(capsys, monkeypatch):
 
 
 def test_broken_invariant_exits_internal(capsys, monkeypatch):
-    # moving multiplicity 3 from the s1 pair to the s3 pair of the virtual
-    # tangent character keeps its rank 2n but leaves E2 = E1 + bar(E1) - T
-    # with -3 at s3 and -s3, which no honest representation has
-    kernel = localize.vertex_codes
+    # moving multiplicity 3 from s1 to s3 in the half V keeps its rank n but
+    # leaves E2 = W + bar(W), W = E1 - V, with -3 at s3 and -s3, which no
+    # honest representation has
+    kernel = localize.half_codes
 
     def tampered(pi, base):
-        tcy = dict(kernel(pi, base))
+        half = dict(kernel(pi, base))
         if pi.size == 2:
             s1 = localize.subtorus_code((1, 0, 0, 0), base)
             s3 = localize.subtorus_code((0, 0, 1, 0), base)
-            for k, m in ((s1, -3), (-s1, -3), (s3, 3), (-s3, 3)):
-                tcy[k] = tcy.get(k, 0) + m
-        return tcy
+            for k, m in ((s1, -3), (s3, 3)):
+                half[k] = half.get(k, 0) + m
+        return half
 
-    monkeypatch.setattr(localize, "vertex_codes", tampered)
+    monkeypatch.setattr(localize, "half_codes", tampered)
     monkeypatch.setattr(localize, "_SUMMANDS", {})
     code, out, err = run(capsys, "dt4-series", "--n-max", "2", "--s", GENERIC_S)
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err == "error: obstruction character has non effective terms {'-s3': -3, 's3': -3}\n"
+
+
+@pytest.mark.parametrize("kernel,edit,message", [
+    ("half_codes", lambda codes, s1: codes.update({s1: codes.get(s1, 0) + 1}),
+     "virtual dimension shadow 4 != 2"),
+    ("tangent_codes", lambda codes, s1: codes.update({s1: -1}),
+     "tangent character has non effective terms {'s1': -1}"),
+    ("tangent_codes", lambda codes, s1: codes.update({0: 1}),
+     "zero weight in the tangent character"),
+], ids=["rank", "effective-tangent", "zero-tangent-weight"])
+def test_each_checked_invariant_exits_internal(kernel, edit, message, capsys, monkeypatch):
+    # each invariant a fixed point still checks, broken at the one box point
+    # through the subtorus codes of V or of E1, ends the series in exit 6
+    # with one line that names it
+    real = getattr(localize, kernel)
+
+    def tampered(pi, base):
+        out = real(pi, base)
+        if pi.size == 1:
+            edit(out if kernel == "half_codes" else out[0],
+                 localize.subtorus_code((1, 0, 0, 0), base))
+        return out
+
+    monkeypatch.setattr(localize, kernel, tampered)
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    code, out, err = run(capsys, "dt4-series", "--n-max", "1", "--s", GENERIC_S)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_check_oracle_catches_an_extra_lcm_term(capsys, monkeypatch):
@@ -207,9 +238,9 @@ def test_check_oracle_builds_one_ideal_per_point(command, capsys, monkeypatch):
 
 
 def test_check_oracle_catches_a_tampered_packed_vertex_character(capsys, monkeypatch):
-    # swap one obstruction pair of each point for another pair: the rank, the
-    # effectiveness and self duality of E2 and the dimension law all still
-    # hold, so only the comparison of the packed T with the resolution sees it
+    # swap one obstruction pair of each point for another pair, through V:
+    # the rank of V and the effectiveness of E2 still hold, so only the
+    # comparison of the packed T with the resolution sees it
     from collections import Counter
 
     from dt4calc import localize
@@ -217,17 +248,17 @@ def test_check_oracle_catches_a_tampered_packed_vertex_character(capsys, monkeyp
     from dt4calc.partitions import partition_levels
 
     e2 = {pi: FixedPointData(pi).e2 for level in partition_levels(4, 2) for pi in level}
-    vertex_codes = localize.vertex_codes
+    half_codes = localize.half_codes
 
     def tampered(pi, base):
-        tcy = Counter(vertex_codes(pi, base))
+        half = Counter(half_codes(pi, base))
         if pi.size:
             v = max(e2[pi])
-            tcy.update((v, -v))
-            tcy.subtract((v + 1, -v - 1))
-        return {k: m for k, m in tcy.items() if m}
+            half[v] += 1
+            half[v + 1] -= 1
+        return dict(half)
 
-    monkeypatch.setattr(localize, "vertex_codes", tampered)
+    monkeypatch.setattr(localize, "half_codes", tampered)
     monkeypatch.setattr(localize, "_SUMMANDS", {})
     for command in ("vertex", "dt4-series"):
         code, out, _ = run(capsys, command, "--n-max", "2", "--s", GENERIC_S,
@@ -658,6 +689,19 @@ def test_suite_only_filter(capsys):
     assert code == EXIT_OK
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert len(lines) == 1 and "goettsche-series" in lines[0]
+
+
+def test_suite_fails_a_check_past_its_runtime_budget(capsys, monkeypatch):
+    # each clock reading is 2 s after the one before, so the liqin check
+    # takes 2 s against its 1 s budget
+    clock = itertools.count(0, 2)
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+    code, out, err = run(capsys, "suite", "--only", "liqin")
+    assert code == EXIT_MISMATCH
+    assert out.splitlines() == [
+        "FAIL  1 liqin-table: all four cases exact; exceeded the 1 s budget",
+        "1 checks: 0 passed, 1 failed"]
+    assert err == ""
 
 
 def test_suite_only_no_match_is_usage_error(capsys):

@@ -65,8 +65,8 @@ def test_goettsche_criterion_builds_no_fraction(monkeypatch):
 
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         monkeypatch.setattr(Fraction, name, boom)
-    result = check_goettsche_series()
-    assert result.ok, result.detail
+    ok, detail = check_goettsche_series()
+    assert ok, detail
 
 
 def test_euler_series_multiplicativity():

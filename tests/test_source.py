@@ -1,6 +1,7 @@
 """The runtime stays stdlib-only and free of floating point: every module of
 the package imports only the standard library and names no float.  No
-module asserts.  The summand cache has one writer, the series."""
+module asserts.  The summand cache has one writer, the series, and a suite
+verdict one builder, the suite runner."""
 
 import ast
 import glob
@@ -102,3 +103,16 @@ def test_only_the_series_writes_the_summand_cache():
     assert ("localize", "_SUMMANDS") in writes
     others = [w for w in writes if w != ("localize", "_SUMMANDS")]
     assert others and {scope for scope, _ in others} == {"localize.dt4_degree0_series"}
+
+
+def test_only_the_suite_runner_builds_a_check_result():
+    # a criterion returns (ok, detail) and `suite.run_suite` names it from
+    # `suite.CRITERIA`, so no check restates its own name
+    calls = []
+    for path in MODULES:
+        module = os.path.basename(path)[:-3]
+        for node, scope in _scoped(_tree(path), module):
+            if isinstance(node, ast.Call) and "CheckResult" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls.append((scope, ast.unparse(node)))
+    assert [scope for scope, _ in calls] == ["suite.run_suite"], calls
