@@ -21,8 +21,9 @@ once per process, and evaluates them with local arithmetic; only the
 record oracle decodes a weight to a `LinForm`.  The Laurent closed form
 (`vertex_character`) is kept for the `vertex` report and the oracles.  The
 Taylor complex of `taylor` serves only the checks, the resolution oracle
-and the Ext^0/Ext^1 cross-check, and the cyclic completion report, so E1
-comes from a different route than every Taylor oracle that checks it.
+and the cross-check of E1 and E2 against Ext^1 and Ext^2(O_Z, O_Z), and the
+cyclic completion report, so E1 comes from a different route than every
+Taylor oracle that checks it.
 
 Only that last evaluation depends on the parameters.  The rest of a summand
 is kept per process in a compact `Summand` record, so a second series at
@@ -430,18 +431,19 @@ def vertex_oracle_check(data: FixedPointData) -> tuple[bool, Laurent, Laurent]:
 
 
 def obstruction_crosscheck(data: FixedPointData) -> tuple[bool, tuple, tuple]:
-    """E1 and the obstruction character versus Ext^0 and Ext^1(I, O_Z) from
-    the resolution route.
+    """E1 and the obstruction character versus Ext^1 and Ext^2(O_Z, O_Z)
+    from the resolution route, which are Ext^0 and Ext^1(I, O_Z) by the
+    ideal sequence.
 
-    One Taylor call gives both degrees: Ext^0 needs only the subsets of size
-    one and two and the rank of d1, which Ext^1 builds anyway.  E1 is
+    One Taylor call gives both degrees: Ext^1 needs the rank of d1, which
+    Ext^2 builds anyway, and the rank of d0, which is zero.  E1 is
     compared on the full torus and as the point's packed `e1`, E2 as the
     packed `e2` the summand is read from.  Returns whether both agree,
-    (E1, packed E2) and (Ext^0, packed Ext^1).
+    (E1, packed E2) and (Ext^1, packed Ext^2).
     """
-    ext = ext_characters(data.ideal, "I,OZ", degree=(0, 1))
+    ext = ext_characters(data.ideal, degree=(1, 2))
     lhs = (data.e1_char, data.e2)
-    rhs = (ext.get(0, Laurent()), subtorus_codes(ext.get(1, Laurent()), data.base))
+    rhs = (ext.get(1, Laurent()), subtorus_codes(ext.get(2, Laurent()), data.base))
     ok = lhs == rhs and data.e1 == subtorus_codes(rhs[0], data.base)
     return ok, lhs, rhs
 
@@ -549,8 +551,8 @@ def cyclic_completion_report(pi3: DPartition) -> dict:
         raise ValueError("cyclic completion compares dimension 3 against 4")
     ideal3 = pi3.to_ideal()
     ideal4 = DPartition(4, [b + (0,) for b in pi3.boxes]).to_ideal()
-    ext3 = ext_characters(ideal3, "OZ,OZ")
-    ext4 = ext_characters(ideal4, "OZ,OZ")
+    ext3 = ext_characters(ideal3)
+    ext4 = ext_characters(ideal4)
     rows = []
     ok = True
     for i in range(5):

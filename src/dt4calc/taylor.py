@@ -9,12 +9,14 @@ groups are read off one multidegree at a time from the ranks of its
 differentials, found by fraction-free elimination over the integers, which
 is exact over the rationals.
 
-The cochains of Ext^i sit on the subsets of size k = i (source O_Z) or
-k = i + 1 (source I), and Ext^i only needs the differentials into and out
-of that degree.  Asked for one degree, `ext_characters` lists only the
-subsets of size k - 1 and k, which is O(r^k) of them rather than 2^r;
-asked for several, the sizes from the lowest k - 1 to the highest k.  The
-rows of the differential out of the top size are found lazily: at
+By the ideal sequence 0 -> I -> O -> O_Z -> 0, Ext^i(I, O_Z) is
+Ext^(i+1)(O_Z, O_Z) for every i >= 0, since Hom(O_Z, O_Z) -> Hom(O, O_Z) is
+an isomorphism; so only the self-Ext is computed here, and its Ext^i has
+its cochains on the subsets of size i.  Ext^i only needs the differentials
+into and out of that degree.  Asked for one degree, `ext_characters` lists
+only the subsets of size i - 1 and i, which is O(r^i) of them rather than
+2^r; asked for several, the sizes from the lowest i - 1 to the highest i.
+The rows of the differential out of the top size are found lazily: at
 multidegree mu the row of a subset U exists exactly when mu + lcm(U) is a
 box, so each column tries its one-generator extensions, and rows that no
 column hits, which cannot change the rank, are never built.  A rank is
@@ -27,13 +29,13 @@ cancels equal dimensions in adjacent degrees, so it is the signed sum of the
 cochains, Q bar(K) with Q the box character and K = sum over subsets S of
 (-1)^|S| t^lcm(S).  `euler_character` collapses K one generator at a time
 and takes one Laurent product.  chi(I, O_Z) = Q - chi(O_Z, O_Z), by the
-ideal sequence 0 -> I -> O -> O_Z -> 0, so it has no route of its own.
+same sequence, so it has no route of its own.
 
 The fixed points of the localization do not come through here: their
 tangent character is counted from graph components in `characters`.  These
 routes serve the checks, `vertex_oracle_check` (through `euler_character`),
-`obstruction_crosscheck` (Ext^0 and Ext^1 of I in one call) and the cyclic
-completion report behind `cyclic-check`.
+`obstruction_crosscheck` (Ext^1 and Ext^2 of O_Z in one call) and the
+cyclic completion report behind `cyclic-check`.
 
 Characters are returned as Laurent polynomials in t1..t4 with int
 coefficients, since every dimension and signed cochain count is an integer;
@@ -86,20 +88,11 @@ def _rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _source_shift(ideal: MonomialIdeal, source: str) -> int:
-    """Taylor degree of the Ext^0 cochains, after the checks every route makes.
-
-    Ext^i(I, O_Z) is cohomology of the same cochain complex as
-    Ext^i(O_Z, O_Z) with the degree zero column dropped and indices moved
-    down by one, so the shift is 0 for source "OZ,OZ" and 1 for "I,OZ";
-    chi(I, O_Z) is Q - chi(O_Z, O_Z), with Q the box character.
-    """
-    if source not in ("OZ,OZ", "I,OZ"):
-        raise ValueError(f"unknown source {source!r}")
+def _check_generators(ideal: MonomialIdeal) -> None:
+    """Refuse an ideal with more generators than the Taylor complex cap."""
     r = len(ideal.gens)
     if r > GENERATOR_CAP:
         raise BoundExceeded(f"{r} generators exceeds the Taylor complex cap {GENERATOR_CAP}")
-    return 0 if source == "OZ,OZ" else 1
 
 
 def _subsets(gens, nv: int, sizes):
@@ -111,14 +104,14 @@ def _subsets(gens, nv: int, sizes):
             yield k, sum(1 << g for g in subset), lcm
 
 
-def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ",
-                   degree: int | tuple[int, ...] | None = None) -> dict[int, Laurent]:
-    """Characters of Ext^i(F, O_Z) for F = O_Z (source "OZ,OZ") or F = I ("I,OZ").
+def ext_characters(ideal: MonomialIdeal,
+                   degree: tuple[int, ...] | None = None) -> dict[int, Laurent]:
+    """Characters of Ext^i(O_Z, O_Z); Ext^i(I, O_Z) is the entry at i + 1.
 
     Returns a dict mapping cohomological degree to the exact torus character;
-    degrees with vanishing Ext are simply absent.  With `degree` set to one
-    degree or a tuple of them, only those are computed, from the subsets of
-    the generators they need.
+    degrees with vanishing Ext are simply absent.  With `degree` set to a
+    tuple of degrees, only those are computed, from the subsets of the
+    generators they need.
 
     Multidegrees are packed into ints, as signed digits in base 2a + 1 with
     the first coordinate most significant, where a is the largest exponent
@@ -131,17 +124,13 @@ def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ",
     only when they are, and multidegree codes sort and decode as the vectors
     do.
     """
-    shift = _source_shift(ideal, source)
+    _check_generators(ideal)
     boxes = ideal.staircase()
     nv = ideal.nvars
     gens = ideal.gens
     r = len(gens)
-    top = nv - shift
-    if degree is None:
-        wanted = range(shift, r + 1)
-    else:
-        wanted = tuple(i + shift for i in ((degree,) if isinstance(degree, int) else degree))
-    lo = max(min(wanted) - 1, shift)
+    wanted = range(r + 1) if degree is None else degree
+    lo = max(min(wanted) - 1, 0)
     hi = min(max(wanted), r)
 
     base = 2 * max(map(max, gens)) + 1
@@ -207,20 +196,19 @@ def ext_characters(ideal: MonomialIdeal, source: str = "OZ,OZ",
             for j in (k - 1, k):
                 if j not in ranks:
                     ranks[j] = rank(j, mu)
-            i = k - shift
             dim = len(cols) - ranks[k] - ranks[k - 1]
             if dim < 0:
                 raise InternalInconsistency(
-                    f"negative cohomology dimension {dim} of Ext^{i} at multidegree "
+                    f"negative cohomology dimension {dim} of Ext^{k} at multidegree "
                     f"{unpack(mu, nv, base)}")
             if dim:
-                if i > top:
+                if k > nv:
                     raise InternalInconsistency(
-                        f"nonzero Ext^{i} beyond the global dimension at multidegree "
+                        f"nonzero Ext^{k} beyond the global dimension at multidegree "
                         f"{unpack(mu, nv, base)}")
-                chars.setdefault(i, {})[unpack(mu, nv, base) + pad] = dim
+                chars.setdefault(k, {})[unpack(mu, nv, base) + pad] = dim
 
-    return {i: Laurent(terms) for i, terms in sorted(chars.items())}
+    return {k: Laurent(terms) for k, terms in sorted(chars.items())}
 
 
 def _lcm_sum(ideal: MonomialIdeal) -> dict[tuple[int, ...], int]:
@@ -248,7 +236,7 @@ def euler_character(ideal: MonomialIdeal) -> Laurent:
     of them is Q bar(K), one Laurent product, with Q the box character and
     K the signed lcm sum of `_lcm_sum`.  chi(I, O_Z) is Q - chi(O_Z, O_Z).
     """
-    _source_shift(ideal, "OZ,OZ")  # for its generator cap
+    _check_generators(ideal)
     k_poly = _lcm_sum(ideal)
     pad = (0,) * (4 - ideal.nvars)
     q = ideal.partition.character()

@@ -11,7 +11,7 @@ from dt4calc import taylor
 from dt4calc.errors import BoundExceeded, InternalInconsistency
 from dt4calc.exact import Laurent
 from dt4calc.partitions import DPartition, enumerate_partitions
-from dt4calc.taylor import _rank, _source_shift, ext_characters, euler_character
+from dt4calc.taylor import _rank, ext_characters, euler_character
 
 
 def elementary_in_inverses(k, nv):
@@ -43,9 +43,14 @@ def conj_product(nv) -> Laurent:
 
 
 # The subset-by-subset routes that `ext_characters` and `euler_character`
-# replaced, kept as references: every cochain of sizes lo - 1..hi + 1 as a
-# (mask, box) pair with a tuple multidegree, every row of every differential
-# built, and the Euler character summed over all 2^r subsets and all boxes.
+# replaced, kept as references: every cochain as a (mask, box) pair with a
+# tuple multidegree, every row of every differential built, and the Euler
+# character summed over all 2^r subsets and all boxes.  Each computes
+# Ext^i(F, O_Z) for F = O_Z (source "OZ,OZ") or F = I ("I,OZ") directly:
+# the cochains of Ext^i(I, O_Z) are the subsets of size i + 1.
+
+SHIFT = {"OZ,OZ": 0, "I,OZ": 1}
+
 
 def reference_subsets(gens, nv, sizes):
     zero = (0,) * nv
@@ -55,8 +60,8 @@ def reference_subsets(gens, nv, sizes):
             yield k, sum(1 << g for g in subset), lcm
 
 
-def reference_ext_characters(ideal, source="OZ,OZ", degree=None):
-    shift = _source_shift(ideal, source)
+def reference_ext_characters(ideal, source="OZ,OZ"):
+    shift = SHIFT[source]
     boxes = ideal.staircase()
     nv = ideal.nvars
     gens = ideal.gens
@@ -64,23 +69,15 @@ def reference_ext_characters(ideal, source="OZ,OZ", degree=None):
     if not boxes:
         return {}
     top = nv - shift
-    if degree is None:
-        sizes = range(shift, r + 1)
-        wanted = sizes
-    else:
-        wanted = tuple(i + shift for i in ((degree,) if isinstance(degree, int) else degree))
-        sizes = range(max(min(wanted) - 1, shift), min(max(wanted) + 1, r) + 1)
     lcms = {}
     by_mdeg = {}
-    for k, mask, a in reference_subsets(gens, nv, sizes):
+    for k, mask, a in reference_subsets(gens, nv, range(shift, r + 1)):
         lcms[mask] = a
         for b in boxes:
             mu = tuple(x - y for x, y in zip(b, a))
             by_mdeg.setdefault(mu, {}).setdefault(k, []).append((mask, b))
     chars = {}
     for mu, levels in sorted(by_mdeg.items()):
-        if not any(k in levels for k in wanted):
-            continue
         for lst in levels.values():
             lst.sort()
         index = {k: {elem: i for i, elem in enumerate(lst)} for k, lst in levels.items()}
@@ -104,11 +101,9 @@ def reference_ext_characters(ideal, source="OZ,OZ", degree=None):
                     below = (umask & (bit - 1)).bit_count()
                     mat[row][j] = 1 if below % 2 == 0 else -1
             ranks[k] = _rank(mat)
-        for k in wanted:
-            if k not in levels:
-                continue
+        for k, cols in levels.items():
             i = k - shift
-            dim = len(levels[k]) - ranks.get(k, 0) - ranks.get(k - 1, 0)
+            dim = len(cols) - ranks.get(k, 0) - ranks.get(k - 1, 0)
             assert dim >= 0 and (not dim or i <= top), (mu, i, dim)
             if dim:
                 chars.setdefault(i, {})[mu + (0,) * (4 - nv)] = dim
@@ -116,7 +111,7 @@ def reference_ext_characters(ideal, source="OZ,OZ", degree=None):
 
 
 def reference_euler_character(ideal, source="OZ,OZ"):
-    shift = _source_shift(ideal, source)
+    shift = SHIFT[source]
     boxes = ideal.staircase()
     pad = (0,) * (4 - ideal.nvars)
     terms = {}
@@ -129,9 +124,18 @@ def reference_euler_character(ideal, source="OZ,OZ"):
     return Laurent(terms)
 
 
+def ext_from(ideal, source, degree=None):
+    """Ext^i(F, O_Z) from `ext_characters`, for F as in the references:
+    Ext^i(I, O_Z) is read as Ext^(i+1)(O_Z, O_Z), by the ideal sequence."""
+    if source == "OZ,OZ":
+        return ext_characters(ideal, degree=degree)
+    shifted = None if degree is None else tuple(i + 1 for i in degree)
+    return {i - 1: ch for i, ch in ext_characters(ideal, degree=shifted).items() if i}
+
+
 def test_one_point_self_ext_is_the_exterior_algebra():
     ideal = DPartition(4, [(0, 0, 0, 0)]).to_ideal()
-    ext = ext_characters(ideal, "OZ,OZ")
+    ext = ext_characters(ideal)
     assert [sum(ext[i].terms.values()) for i in range(5)] == [1, 4, 6, 4, 1]
     for i in range(5):
         assert ext[i] == elementary_in_inverses(i, 4)
@@ -139,7 +143,7 @@ def test_one_point_self_ext_is_the_exterior_algebra():
 
 def test_one_point_in_three_variables():
     ideal = DPartition(3, [(0, 0, 0)]).to_ideal()
-    ext = ext_characters(ideal, "OZ,OZ")
+    ext = ext_characters(ideal)
     assert [sum(ext.get(i, Laurent()).terms.values()) for i in range(4)] == [1, 3, 3, 1]
     for i in range(4):
         assert ext[i] == elementary_in_inverses(i, 3)
@@ -148,8 +152,8 @@ def test_one_point_in_three_variables():
 
 def test_one_point_ideal_source_shifts_the_self_ext():
     ideal = DPartition(4, [(0, 0, 0, 0)]).to_ideal()
-    oz = ext_characters(ideal, "OZ,OZ")
-    ioz = ext_characters(ideal, "I,OZ")
+    oz = ext_characters(ideal)
+    ioz = reference_ext_characters(ideal, "I,OZ")
     # Hom(I, O_Z) is the tangent space; higher groups continue the pattern
     assert ioz[0] == oz[1]
     for i in range(1, 4):
@@ -186,7 +190,7 @@ def test_euler_characteristic_identity_three_variables(n):
 def test_ext_dimensions_are_nonnegative_and_finite():
     for pi in enumerate_partitions(4, 3):
         for source in ("OZ,OZ", "I,OZ"):
-            for i, ch in ext_characters(pi.to_ideal(), source).items():
+            for i, ch in ext_from(pi.to_ideal(), source).items():
                 total = sum(ch.terms.values())
                 assert total >= 0
                 assert all(c > 0 for c in ch.terms.values())
@@ -196,29 +200,31 @@ def test_relabeling_permutes_characters():
     pi = DPartition(4, [(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)])
     perm = (1, 0, 3, 2)
     rho = pi.relabeled(perm)
-    ext = ext_characters(pi.to_ideal(), "OZ,OZ")
-    ext_r = ext_characters(rho.to_ideal(), "OZ,OZ")
+    ext = ext_characters(pi.to_ideal())
+    ext_r = ext_characters(rho.to_ideal())
     for i in ext:
         moved = Laurent({tuple(e[perm.index(j)] for j in range(4)): c
                          for e, c in sorted(ext[i].terms.items())})
         assert ext_r[i] == moved
 
 
-def test_generator_cap():
-    # the staircase ideal of a long d = 2 hook has many generators
-    boxes = [(i, 0) for i in range(9)] + [(0, j) for j in range(1, 9)]
-    staircase = DPartition(2, boxes)
-    gens = staircase.to_ideal()
-    big = DPartition(2, [(a, b) for a in range(17) for b in range(17 - a)]).to_ideal()
-    with pytest.raises(BoundExceeded):
-        ext_characters(big, "OZ,OZ")
-    assert gens.nvars == 2  # small one stays usable
-
-
-def test_unknown_source_rejected():
-    ideal = DPartition(4, [(0, 0, 0, 0)]).to_ideal()
-    with pytest.raises(ValueError):
-        ext_characters(ideal, "OZ,I")
+@pytest.mark.parametrize("route", ["euler_character", "ext_characters"])
+def test_generator_cap(route):
+    # the triangle {a + b < m} has the m + 1 generators (a, m - a): the cap
+    # 16 at m = 15, one more at m = 16
+    at_cap, over = (DPartition(2, [(a, b) for a in range(m) for b in range(m - a)]).to_ideal()
+                    for m in (15, 16))
+    assert (len(at_cap.gens), len(over.gens)) == (16, 17)
+    q = box_character(at_cap)
+    if route == "euler_character":
+        run, expected = euler_character, q * q.bar() * conj_product(2)
+    else:
+        # Ext^0(O_Z, O_Z) = Hom(O_Z, O_Z) = O_Z, from the empty subset alone
+        run, expected = (lambda ideal: ext_characters(ideal, degree=(0,))), {0: q}
+    assert run(at_cap) == expected
+    with pytest.raises(BoundExceeded,
+                       match=r"^17 generators exceeds the Taylor complex cap 16$"):
+        run(over)
 
 
 @pytest.mark.parametrize("d", [4, 3])
@@ -227,10 +233,10 @@ def test_degree_window_matches_the_full_complex(d):
         for pi in enumerate_partitions(d, n):
             ideal = pi.to_ideal()
             for source in ("OZ,OZ", "I,OZ"):
-                full = ext_characters(ideal, source)
-                top = d if source == "OZ,OZ" else d - 1
+                full = ext_from(ideal, source)
+                top = d - SHIFT[source]
                 for i in range(top + 1):
-                    window = ext_characters(ideal, source, degree=i)
+                    window = ext_from(ideal, source, degree=(i,))
                     assert window == ({i: full[i]} if i in full else {}), (pi.id(), source, i)
 
 
@@ -247,7 +253,7 @@ def test_rank_free_euler_character_matches_the_full_complex(d, n_max):
             routes = {"OZ,OZ": chi, "I,OZ": box_character(ideal) - chi}
             for source, euler in routes.items():
                 alternating = Laurent()
-                for i, ch in ext_characters(ideal, source).items():
+                for i, ch in ext_from(ideal, source).items():
                     alternating = alternating + (ch if i % 2 == 0 else -ch)
                 assert euler == alternating, (pi.id(), source)
                 cases += 1
@@ -258,8 +264,6 @@ def test_euler_character_keeps_the_generator_cap():
     big = DPartition(2, [(a, b) for a in range(17) for b in range(17 - a)]).to_ideal()
     with pytest.raises(BoundExceeded):
         euler_character(big)
-    with pytest.raises(ValueError):
-        ext_characters(big, "OZ,I")
 
 
 def test_euler_character_computes_no_rank(monkeypatch):
@@ -305,23 +309,22 @@ def test_negative_dimension_names_degree_and_multidegree(monkeypatch):
     ideal = DPartition(4, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)]).to_ideal()
     with pytest.raises(InternalInconsistency,
                        match=r"of Ext\^1 at multidegree \(0, 0, -2, 0\)"):
-        ext_characters(ideal, "OZ,OZ", degree=1)
+        ext_characters(ideal, degree=(1,))
 
 
 def _windows(ideal, source):
     """Every degree argument the comparison covers: None, each single
-    degree up to the global dimension, and (0, 1)."""
-    top = ideal.nvars - (source == "I,OZ")
-    return [None, *range(top + 1), (0, 1)]
+    degree up to the global dimension, (0, 1) and (1, 2); the obstruction
+    cross-check reads (1, 2) of "OZ,OZ", which is (0, 1) of "I,OZ"."""
+    top = ideal.nvars - SHIFT[source]
+    return [None, *((i,) for i in range(top + 1)), (0, 1), (1, 2)]
 
 
 def _assert_routes_match_the_reference(ideal, source):
     full = reference_ext_characters(ideal, source)
     for degree in _windows(ideal, source):
-        wanted = full if degree is None else {
-            i: ch for i, ch in full.items()
-            if i in ((degree,) if isinstance(degree, int) else degree)}
-        assert ext_characters(ideal, source, degree=degree) == wanted, (ideal, source, degree)
+        wanted = full if degree is None else {i: ch for i, ch in full.items() if i in degree}
+        assert ext_from(ideal, source, degree) == wanted, (ideal, source, degree)
     euler = euler_character(ideal)
     if source == "I,OZ":
         euler = box_character(ideal) - euler
