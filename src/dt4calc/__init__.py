@@ -12,7 +12,7 @@ from .chow import (VarietyContext, cy_hypersurface_context, liqin_case,
                    surface_obstruction_identity, vdim_ideal_cy4)
 from .errors import (BoundExceeded, Dt4Error, InternalInconsistency,
                      NonGenericParameters, Unsupported)
-from .exact import Laurent, LinForm
+from .exact import Laurent
 from .localize import (FixedPointData, OrientationData, TorusParams,
                        cyclic_completion_report, dt4_degree0_series,
                        half_euler, obstruction_crosscheck, vertex_character,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundExceeded", "DPartition", "Dt4Error",
-    "FixedPointData", "InternalInconsistency", "Laurent", "LinForm",
+    "FixedPointData", "InternalInconsistency", "Laurent",
     "MonomialIdeal", "NonGenericParameters", "OrientationData",
     "TorusParams", "Unsupported",
     "VarietyContext", "convolution_oracle", "cy_hypersurface_context",

@@ -36,7 +36,7 @@ _P123 = tuple((e + (0,), (-1) ** -sum(e)) for e in product((0, -1), repeat=3))
 
 def half_codes(partition: DPartition, base: int) -> dict[int, int]:
     """The half V of the virtual tangent character T = V + bar(V) on the
-    subtorus, code -> multiplicity.
+    subtorus, code -> multiplicity, with no zero terms.
 
     There P1234 = (1 - t1^-1)...(1 - t4^-1) equals P123 + bar(P123), and the
     box differences D = Q bar(Q) are self dual, so V = Q - D P123: eight
@@ -58,7 +58,7 @@ def half_codes(partition: DPartition, base: int) -> dict[int, int]:
         for d, m in signed[sign]:
             k = d + shift
             half[k] = get(k, 0) + m
-    return half
+    return {k: m for k, m in half.items() if m}
 
 
 def mirrored(codes: dict[int, int]) -> dict[int, int]:

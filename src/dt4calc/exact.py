@@ -1,4 +1,4 @@
-"""Exact arithmetic kernel: Laurent polynomials and weight forms.
+"""Exact arithmetic kernel: Laurent polynomials and weight triples.
 
 Everything downstream works over two representations:
 
@@ -8,12 +8,12 @@ Everything downstream works over two representations:
     integral, so characters are computed in plain integer arithmetic.  Zero
     coefficients are purged on every operation, so equality is plain dict
     equality.
-  * ``LinForm``: an integer linear form ``a1*s1 + ... + a4*s4`` in the torus
-    parameters, taken modulo the relation ``s1 + s2 + s3 + s4 = 0``.  It is
-    stored as its reduced triple ``(a1 - a4, a2 - a4, a3 - a4)``, the digits
-    of its `subtorus_code`; sums, negation and the choice of sign in a
-    ``(w, -w)`` pair are done on those codes.  Records and the `vertex`
-    report hold bare triples; only the record oracle builds a ``LinForm``.
+  * weights: an integer linear form ``a1*s1 + ... + a4*s4`` in the torus
+    parameters, modulo ``s1 + s2 + s3 + s4 = 0``, is its reduced int triple
+    ``(a1 - a4, a2 - a4, a3 - a4)``, the digits of its `subtorus_code`; sums,
+    negation and the choice of sign in a ``(w, -w)`` pair are done on those
+    codes.  Records and the `vertex` report hold bare triples; `LinForm` is
+    only the record oracle's evaluator of a decoded triple.
 
 Parameter values and summands are rationals, ``fractions.Fraction``
 (lowest terms, positive denominator, unbounded size); integers are ``int``.
@@ -147,31 +147,12 @@ class Laurent:
 
 
 class LinForm:
-    """Integer linear form in s1..s4, taken modulo s1 + s2 + s3 + s4 = 0.
-
-    Built from a coefficient 4-vector ``a`` and stored as its reduced triple
-    ``(a1 - a4, a2 - a4, a3 - a4)``, which is one triple per class: two forms
-    agree on every parameter vector with coordinate sum zero exactly when
-    their triples agree.  The triple is the digit vector of the form's
-    `subtorus_code`, so a form is the positive one of its pair ``(w, -w)``
-    exactly when its triple is above ``(0, 0, 0)``.
-    """
+    """A reduced weight triple as the record oracle evaluates it."""
 
     __slots__ = ("reduced",)
 
-    def __init__(self, a: Iterable[int]):
-        a = tuple(map(int, a))
-        if len(a) != 4:
-            raise ValueError(f"coefficient vector must have length 4, got {a!r}")
-        self.reduced = (a[0] - a[3], a[1] - a[3], a[2] - a[3])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinForm):
-            return NotImplemented
-        return self.reduced == other.reduced
-
-    def __hash__(self):
-        return hash(self.reduced)
+    def __init__(self, reduced: tuple[int, int, int]):
+        self.reduced = reduced
 
     def evaluate(self, s):
         """Value at a parameter 4-vector; callers ensure sum(s) == 0.
@@ -181,12 +162,6 @@ class LinForm:
         """
         r = self.reduced
         return r[0] * s[0] + r[1] * s[1] + r[2] * s[2]
-
-    def __str__(self) -> str:
-        return form_str(self.reduced)
-
-    def __repr__(self) -> str:
-        return f"LinForm{self.reduced + (0,)}"
 
 
 def number_str(x) -> str:

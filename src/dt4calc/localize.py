@@ -17,13 +17,13 @@ T = V + bar(V) with V = Q - Q bar(Q) (1 - t1^{-1})(1 - t2^{-1})(1 - t3^{-1}).
 A fixed point is built from V and E1 = Hom(I, O_Z) as flat int dicts keyed
 by packed subtorus codes, with no Laurent polynomial (`characters`).  A
 summand record holds its weights as reduced int triples, each code decoded
-once per process, and evaluates them with local arithmetic; only the
-record oracle decodes a weight to a `LinForm`.  The Laurent closed form
-(`vertex_character`) is kept for the `vertex` report and the oracles.  The
-Taylor complex of `taylor` serves only the checks, the resolution oracle
-and the cross-check of E1 and E2 against Ext^1 and Ext^2(O_Z, O_Z), and the
-cyclic completion report, so E1 comes from a different route than every
-Taylor oracle that checks it.
+once per process, and evaluates them with local arithmetic; the record
+oracle decodes the codes again and evaluates them with its own `LinForm`.
+The Laurent closed form (`vertex_character`) is kept for the `vertex`
+report and the oracles.  The Taylor complex of `taylor` serves only the
+checks, the resolution oracle and the cross-check of E1 and E2 against
+Ext^1 and Ext^2(O_Z, O_Z), and the cyclic completion report, so E1 comes
+from a different route than every Taylor oracle that checks it.
 
 Only that last evaluation depends on the parameters.  The rest of a summand
 is kept per process in a compact `Summand` record, so a second series at
@@ -455,11 +455,11 @@ def record_oracle_check(data: FixedPointData, params: TorusParams, orientation: 
     The entry's record moved along its permutation, the identity for the
     point a series built, must equal the direct build field by field.  The
     value the series printed must equal, with the point's orientation sign,
-    a product at L*s over the point's own codes, each decoded here to a
-    `LinForm`: one weight of each (w, -w) pair of `e2`, the one above the
-    zero triple, over every weight of `e1`, each to its multiplicity.  That
-    product shares no code with `Summand.value`.  A point with no entry
-    fails, and the cache is only read.
+    a product at L*s over the point's own codes, each decoded here and
+    evaluated by a `LinForm`: one weight of each (w, -w) pair of `e2`, the
+    one above the zero triple, over every weight of `e1`, each to its
+    multiplicity.  That product shares no code with `Summand.value`.  A
+    point with no entry fails, and the cache is only read.
     """
     entry = _SUMMANDS.get(data.partition)
     if entry is None:
@@ -468,8 +468,8 @@ def record_oracle_check(data: FixedPointData, params: TorusParams, orientation: 
     if rep.relabeled(perm, data.base) != Summand(data):
         return False
     scale, s = params.scaled
-    tangent = [(LinForm(unpack(k, 3, data.base) + (0,)), m) for k, m in data.e1.items()]
-    obstruction = [(LinForm(unpack(k, 3, data.base) + (0,)), m) for k, m in data.e2.items()]
+    tangent = [(LinForm(unpack(k, 3, data.base)), m) for k, m in data.e1.items()]
+    obstruction = [(LinForm(unpack(k, 3, data.base)), m) for k, m in data.e2.items()]
     den = prod(w.evaluate(s) ** m for w, m in tangent)
     if not den:
         return False

@@ -20,7 +20,7 @@ from dt4calc import cli, localize, partitions, taylor
 from dt4calc.chow import CohClass, cy_hypersurface_context, vdim_ideal_cy4
 from dt4calc.cli import main, series_payload
 from dt4calc.errors import InternalInconsistency, NonGenericParameters
-from dt4calc.exact import Laurent, LinForm, form_str, unpack
+from dt4calc.exact import Laurent, form_str, unpack
 from dt4calc.localize import (IDENTITY, FixedPointData, OrientationData, TorusParams,
                               cyclic_completion_report, dt4_degree0_series,
                               Summand, half_euler, obstruction_crosscheck,
@@ -60,6 +60,16 @@ SERIES_GENERIC2 = [
 
 def one_box_data() -> FixedPointData:
     return FixedPointData(enumerate_partitions(4, 1)[0])
+
+
+def reduced(a) -> tuple[int, int, int]:
+    """The reduced triple of the form a1*s1 + ... + a4*s4 modulo
+    s1 + s2 + s3 + s4 = 0, from its coefficient 4-vector."""
+    return (a[0] - a[3], a[1] - a[3], a[2] - a[3])
+
+
+def neg(w: tuple[int, int, int]) -> tuple[int, int, int]:
+    return tuple(-x for x in w)
 
 
 def test_torus_params_validation():
@@ -104,8 +114,8 @@ def test_vertex_character_one_box():
 
 def test_one_box_tangent_weights():
     data = one_box_data()
-    expected = {LinForm(e).reduced for e in ((-1, 0, 0, 0), (0, -1, 0, 0),
-                                             (0, 0, -1, 0), (0, 0, 0, -1))}
+    expected = {reduced(e) for e in ((-1, 0, 0, 0), (0, -1, 0, 0),
+                                     (0, 0, -1, 0), (0, 0, 0, -1))}
     assert set(data.e1_weights) == expected
     assert len(data.e1_weights) == 4
 
@@ -115,8 +125,8 @@ def test_one_box_obstruction_weights():
     # coordinate is minus the complementary pair, so three forms appear twice
     data = one_box_data()
     got = sorted(data.e2_weights)
-    pairs = [LinForm((1, 1, 0, 0)), LinForm((1, 0, 1, 0)), LinForm((0, 1, 1, 0))]
-    expected = sorted([w.reduced for w in pairs] + [tuple(-x for x in w.reduced) for w in pairs])
+    pairs = [reduced((1, 1, 0, 0)), reduced((1, 0, 1, 0)), reduced((0, 1, 1, 0))]
+    expected = sorted(pairs + [neg(w) for w in pairs])
     assert got == expected
 
 
@@ -132,7 +142,7 @@ def test_one_box_half_euler_value():
     assert sign == 1 and sum(m for _, m in factors) == 3
     # canonical product (s2+s3)(s1+s3)(s1+s2) = 5*4*3; equals -e3 at this s,
     # where e3(1,2,3,-6) = 6 - 12 - 18 - 36 = -60
-    assert prod(LinForm(unpack(k, 3, data.base) + (0,)).evaluate((1, 2, 3, -6)) ** m
+    assert prod(sum(a * x for a, x in zip(unpack(k, 3, data.base), (1, 2, 3))) ** m
                 for k, m in factors) == 60
 
 
@@ -438,12 +448,11 @@ def test_crosscheck_compares_the_packed_e1():
     assert not ok and lhs == rhs
 
 
-def old_weights(ch: Laurent) -> tuple[LinForm, ...]:
-    """The sorted weights of an effective character, one entry per unit of
-    multiplicity, as fixed points expanded characters before packing."""
+def old_weights(ch: Laurent) -> tuple[tuple[int, int, int], ...]:
+    """The sorted weight triples of an effective character, one entry per
+    unit of multiplicity, as fixed points expanded characters before packing."""
     assert all(type(c) is int and c > 0 for c in ch.terms.values())
-    return tuple(sorted((LinForm(e) for e, c in sorted(ch.terms.items()) for _ in range(c)),
-                        key=lambda w: w.reduced))
+    return tuple(sorted(reduced(e) for e, c in sorted(ch.terms.items()) for _ in range(c)))
 
 
 def old_route(pi: DPartition) -> tuple[dict, Laurent, tuple]:
@@ -455,31 +464,29 @@ def old_route(pi: DPartition) -> tuple[dict, Laurent, tuple]:
     e1cy = e1.cy_reduce()
     e2 = e1cy + e1cy.bar() - tvir.cy_reduce()
     e1_weights, e2_weights = old_weights(e1), old_weights(e2)
-    tangent: dict[LinForm, int] = {}
+    tangent: dict[tuple[int, int, int], int] = {}
     for w in e1_weights:
         tangent[w] = tangent.get(w, 0) + 1
     # the pairing as `half_euler` did it on weight lists, canonical forms by
     # a positive reduced triple and sorted by reduced coefficients
-    obstruction: dict[LinForm, int] = {}
+    obstruction: dict[tuple[int, int, int], int] = {}
     for w in e2_weights:
         obstruction[w] = obstruction.get(w, 0) + 1
-    assert all(obstruction.get(LinForm(-x for x in w.reduced + (0,))) == m
-               for w, m in obstruction.items())
-    sign = 0 if any(w.reduced == (0, 0, 0) for w in obstruction) else 1
-    factors = tuple(sorted(((w, m) for w, m in obstruction.items() if w.reduced > (0, 0, 0)),
-                           key=lambda wm: wm[0].reduced)) if sign else ()
+    assert all(obstruction.get(neg(w)) == m for w, m in obstruction.items())
+    sign = 0 if (0, 0, 0) in obstruction else 1
+    factors = tuple(sorted((w, m) for w, m in obstruction.items()
+                           if w > (0, 0, 0))) if sign else ()
     views = {"q": q, "tvir": tvir, "e1_char": e1,
-             "e1_weights": tuple(w.reduced for w in e1_weights),
-             "e2_weights": tuple(w.reduced for w in e2_weights)}
+             "e1_weights": e1_weights, "e2_weights": e2_weights}
     record = (tuple(tangent.items()), sign, factors, len(e1_weights),
               sum(m for _, m in factors))
     return views, e2, record
 
 
 def expanded(pairs) -> tuple[tuple[int, int, int], ...]:
-    """(form, multiplicity) pairs as a record holds them: each form's reduced
-    triple repeated by its multiplicity."""
-    return tuple(w.reduced for w, m in pairs for _ in range(m))
+    """(triple, multiplicity) pairs as a record holds them: each triple
+    repeated by its multiplicity."""
+    return tuple(w for w, m in pairs for _ in range(m))
 
 
 # every n <= 6, and the single-axis columns of height 1..8, whose characters
@@ -503,6 +510,14 @@ def test_packed_kernel_matches_the_laurent_route(case):
         got = Summand(data)
         assert (got.tangent, got.sign, got.factors, len(got.tangent), len(got.factors)) == (
             expanded(tangent), sign, expanded(factors), tangent_count, degree), pi.id()
+
+
+def test_half_holds_no_zero_multiplicity():
+    # the shifted box differences of V = Q - D P123 cancel at many codes;
+    # `half` keeps only the codes whose multiplicity survives
+    for n in range(5):
+        for pi in enumerate_partitions(4, n):
+            assert all(FixedPointData(pi).half.values()), pi.id()
 
 
 def test_series_builds_no_taylor_complex(monkeypatch):
@@ -573,12 +588,12 @@ def test_relabeled_form_matches_box_relabeling():
     # series may have transported.
     def moved(w, perm):
         v = w + (0,)
-        return LinForm(v[p] for p in perm).reduced
+        return reduced([v[p] for p in perm])
 
     def unsigned(w):
-        return max(w, tuple(-x for x in w))
+        return max(w, neg(w))
 
-    assert moved(LinForm((1, -1, 0, 2)).reduced, (2, 0, 3, 1)) == LinForm((0, 1, 2, -1)).reduced
+    assert moved(reduced((1, -1, 0, 2)), (2, 0, 3, 1)) == reduced((0, 1, 2, -1))
     for perm in ((1, 0, 2, 3), (2, 0, 3, 1), (3, 2, 1, 0)):
         for n in range(4):
             for pi in enumerate_partitions(4, n):
@@ -972,7 +987,8 @@ def test_series_oracle_checks_the_records_the_series_printed(monkeypatch):
 def test_series_oracle_fails_a_value_bug_the_record_and_direct_build_share(monkeypatch):
     # the series and the direct build both evaluate through `Summand.value`;
     # the oracle checks the printed value against the point's own codes,
-    # decoded to `LinForm`s there, so a doubled value fails every point
+    # decoded there and evaluated by its own `LinForm`, so a doubled value
+    # fails every point
     value = Summand.value
     monkeypatch.setattr(localize, "_SUMMANDS", {})
     monkeypatch.setattr(Summand, "value", lambda self, *args: 2 * value(self, *args))
@@ -1237,11 +1253,10 @@ ONE_BOX = enumerate_partitions(4, 1)[0]
     (lambda: vdim_ideal_cy4(-1, 0), "point count must be nonnegative"),
     (lambda: vdim_ideal_cy4(0, 2), "h02 must be 0 or 1"),
     (lambda: Laurent({(1, 2): 1}), "exponent vector must have length 4, got (1, 2)"),
-    (lambda: LinForm((1, 2, 3)), "coefficient vector must have length 4, got (1, 2, 3)"),
 ], ids=["torus-length", "point-dimension", "contribution-orientation",
         "enumerate-dimension", "enumerate-size", "counts-size", "relabel-perm",
         "ring-mismatch", "monomial-ring", "line-bundle-degrees", "vdim-count",
-        "vdim-holonomy", "laurent-exponent", "linform-length"])
+        "vdim-holonomy", "laurent-exponent"])
 def test_library_guards_refuse_bad_input(make, message):
     with pytest.raises(ValueError) as exc:
         make()

@@ -1,7 +1,8 @@
 """The runtime stays stdlib-only and free of floating point: every module of
 the package imports only the standard library and names no float.  No
-module asserts.  The summand cache has one writer, the series, and a suite
-verdict one builder, the suite runner."""
+module asserts.  The summand cache has one writer, the series, a suite
+verdict one builder, the suite runner, and a `LinForm` one builder, the
+record oracle."""
 
 import ast
 import glob
@@ -105,14 +106,29 @@ def test_only_the_series_writes_the_summand_cache():
     assert others and {scope for scope, _ in others} == {"localize.dt4_degree0_series"}
 
 
-def test_only_the_suite_runner_builds_a_check_result():
-    # a criterion returns (ok, detail) and `suite.run_suite` names it from
-    # `suite.CRITERIA`, so no check restates its own name
+def _calls(name):
+    """(scope, source) of each call in the package of `name`, bare or as an
+    attribute."""
     calls = []
     for path in MODULES:
         module = os.path.basename(path)[:-3]
         for node, scope in _scoped(_tree(path), module):
-            if isinstance(node, ast.Call) and "CheckResult" in (
+            if isinstance(node, ast.Call) and name in (
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 calls.append((scope, ast.unparse(node)))
+    return calls
+
+
+def test_only_the_suite_runner_builds_a_check_result():
+    # a criterion returns (ok, detail) and `suite.run_suite` names it from
+    # `suite.CRITERIA`, so no check restates its own name
+    calls = _calls("CheckResult")
     assert [scope for scope, _ in calls] == ["suite.run_suite"], calls
+
+
+def test_only_the_record_oracle_builds_a_linform():
+    # weights are int triples and codes everywhere else; `LinForm` is the
+    # record oracle's own evaluator, so that its product shares no code
+    # with `Summand.value`
+    calls = _calls("LinForm")
+    assert calls and {scope for scope, _ in calls} == {"localize.record_oracle_check"}, calls

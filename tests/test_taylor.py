@@ -260,12 +260,6 @@ def test_rank_free_euler_character_matches_the_full_complex(d, n_max):
     assert cases == {4: 202, 3: 48}[d]
 
 
-def test_euler_character_keeps_the_generator_cap():
-    big = DPartition(2, [(a, b) for a in range(17) for b in range(17 - a)]).to_ideal()
-    with pytest.raises(BoundExceeded):
-        euler_character(big)
-
-
 def test_euler_character_computes_no_rank(monkeypatch):
     def refuse(rows):
         raise AssertionError("euler_character called _rank")
