@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add
 
-from .errors import Unsupported
+from .errors import InternalInconsistency, Unsupported
 
 # coefficients by degree, through degree 8, of the series f(x) of a line
 # bundle with first Chern class x: exp(x) for its Chern character,
@@ -321,6 +321,7 @@ def liqin_case(eps1: int, eps2: int) -> dict:
     Two values of k are reported: the one obtained from chi by k = (2 -
     chi)/2, and the closed binomial expression (1 + eps1) * C(6 - eps2, 4).
     The sources disagree for (0, 1); both numbers are surfaced on purpose.
+    An odd chi cannot be halved, a broken invariant: InternalInconsistency.
     """
     if eps1 not in (0, 1) or eps2 not in (0, 1):
         raise ValueError("eps1 and eps2 must be 0 or 1")
@@ -328,7 +329,7 @@ def liqin_case(eps1: int, eps2: int) -> dict:
     e = ctx.line_bundle((-1, 1)) + ctx.line_bundle((eps1 + 1, eps2 - 1))
     chi = ctx.chi(e, e)
     if (2 - chi) % 2 != 0:
-        raise ValueError(f"chi = {chi} is odd, cannot halve")
+        raise InternalInconsistency(f"chi = {chi} is odd, cannot halve")
     k = (2 - chi) // 2
     k_binomial = (1 + eps1) * int(generalized_binomial(6 - eps2, 4))
     return {"eps1": eps1, "eps2": eps2, "chi": chi, "k": int(k),

@@ -31,11 +31,6 @@ from .errors import BoundExceeded
 Exp = tuple[int, int, int, int]
 
 
-def _purged(terms: dict) -> dict:
-    """The terms without zero coefficients."""
-    return {e: c for e, c in terms.items() if c}
-
-
 class Laurent:
     """Laurent polynomial in t1..t4 with int coefficients."""
 
@@ -54,11 +49,15 @@ class Laurent:
         self.terms = clean
 
     @staticmethod
+    def _of(terms: dict) -> "Laurent":
+        """The polynomial of checked terms, without their zero coefficients."""
+        out = Laurent.__new__(Laurent)
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
+
+    @staticmethod
     def monomial(exp: Iterable[int]) -> "Laurent":
         return Laurent({tuple(exp): 1})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Laurent):
@@ -72,14 +71,10 @@ class Laurent:
         get = terms.get
         for exp, c in other.terms.items():
             terms[exp] = get(exp, 0) + c
-        out = Laurent.__new__(Laurent)
-        out.terms = _purged(terms)
-        return out
+        return Laurent._of(terms)
 
     def __neg__(self) -> "Laurent":
-        out = Laurent.__new__(Laurent)
-        out.terms = {exp: -c for exp, c in self.terms.items()}
-        return out
+        return Laurent._of({exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other: "Laurent") -> "Laurent":
         if not isinstance(other, Laurent):
@@ -96,15 +91,11 @@ class Laurent:
             for (b0, b1, b2, b3), cb in right:
                 exp = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
                 terms[exp] = get(exp, 0) + ca * cb
-        out = Laurent.__new__(Laurent)
-        out.terms = _purged(terms)
-        return out
+        return Laurent._of(terms)
 
     def bar(self) -> "Laurent":
         """Negate every exponent (the duality involution t -> t^-1)."""
-        out = Laurent.__new__(Laurent)
-        out.terms = {(-a, -b, -c, -d): k for (a, b, c, d), k in self.terms.items()}
-        return out
+        return Laurent._of({(-a, -b, -c, -d): k for (a, b, c, d), k in self.terms.items()})
 
     def cy_reduce(self) -> "Laurent":
         """Restrict to the subtorus t1 t2 t3 t4 = 1, merging colliding terms.
@@ -116,9 +107,7 @@ class Laurent:
         for (a, b, c, d), k in self.terms.items():
             r = (a - d, b - d, c - d, 0)
             terms[r] = get(r, 0) + k
-        out = Laurent.__new__(Laurent)
-        out.terms = _purged(terms)
-        return out
+        return Laurent._of(terms)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -7,10 +7,10 @@ form
     T = Q + bar(Q) kappa^{-1} - Q bar(Q) (1 - t1^{-1})(1 - t2^{-1})(1 - t3^{-1})(1 - t4^{-1})
 
 with Q the box character and kappa = t1 t2 t3 t4.  On the subtorus where
-kappa = 1 the obstruction weights pair off as (w, -w); the contribution of
-the fixed point is a sign choice times the product of one weight from each
-pair, divided by the product of the tangent weights.  All arithmetic is
-exact.
+kappa = 1 the obstruction weights pair off as (w, -w), a zero weight with
+itself; the contribution of the fixed point is the orientation sign times
+the product of one weight from each pair, divided by the product of the
+tangent weights, so a zero weight makes it zero.  All arithmetic is exact.
 
 The summand needs the characters only on that subtorus, where
 T = V + bar(V) with V = Q - Q bar(Q) (1 - t1^{-1})(1 - t2^{-1})(1 - t3^{-1}).
@@ -173,26 +173,26 @@ class OrientationData:
     def flipped(self, partition: DPartition) -> "OrientationData":
         """A copy with the sign of `partition` negated."""
         out = OrientationData()
-        out.by_partition = {**self.by_partition, partition: -self.sign(partition)}
+        out.by_partition = {**self.by_partition, partition: -self.by_partition.get(partition, 1)}
         return out
 
 
-def half_euler(codes: dict[int, int]) -> tuple[int, tuple]:
-    """One weight from each (w, -w) pair, as (sign, factors).
+def half_euler(codes: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """One weight from each (w, -w) pair, as sorted (code, multiplicity) pairs.
 
-    The weights are `subtorus_code`s with their multiplicities.  `factors`
-    holds the canonical weight of each pair, the positive one of w and -w,
-    with its multiplicity, sorted, and the sign is 1.  The zero weight makes
-    the product zero, (0, ()).  A multiset that does not split into opposite
-    pairs has no square root, a broken invariant: InternalInconsistency.
+    The weights are `subtorus_code`s with their multiplicities; each pair
+    gives its positive weight.  The zero weight is its own pair and gives
+    half its multiplicity, a zero factor that makes the product zero.  A
+    multiset that does not split into opposite pairs, or an odd multiplicity
+    at zero, has no square root, a broken invariant: InternalInconsistency.
     """
-    if 0 in codes:
-        return 0, ()
     for w, m in codes.items():
         if codes.get(-w, 0) != m:
             raise InternalInconsistency(
                 f"weight {w} has multiplicity {m} but {-w} has {codes.get(-w, 0)}")
-    return 1, tuple(sorted((w, m) for w, m in codes.items() if w > 0))
+    if codes.get(0, 0) % 2:
+        raise InternalInconsistency(f"the zero weight has odd multiplicity {codes[0]}")
+    return tuple(sorted((w, m // 2 if w == 0 else m) for w, m in codes.items() if w >= 0))
 
 
 # base -> code -> reduced triple, decoded once per process, so every record
@@ -317,22 +317,22 @@ class Summand:
 
     `tangent` holds the tangent weights and `factors` the half Euler factors,
     each a tuple of reduced int triples sorted by code, every weight repeated
-    by its multiplicity, so their lengths are the two degrees; `sign` is 1,
-    or 0 when an obstruction weight is the zero form, and the orientation
-    sign is applied only in `value`.  No characters are kept.  They are read
-    from the point's `e1` and `e2` codes, one shared triple per distinct
-    code (`weight_triples`), and the checks that do not depend on the
-    parameters run here, once per point.
+    by its multiplicity, so their lengths are the two degrees.  A zero
+    obstruction weight is a zero factor, (0, 0, 0), so the product is zero;
+    the orientation sign, applied only in `value`, is the only sign a
+    summand meets.  No characters are kept.  They are read from the point's
+    `e1` and `e2` codes, one shared triple per distinct code
+    (`weight_triples`), and the checks that do not depend on the parameters
+    run here, once per point.
     """
 
-    __slots__ = ("tangent", "sign", "factors")
+    __slots__ = ("tangent", "factors")
 
     def __init__(self, data: FixedPointData):
         if 0 in data.e1:
             raise InternalInconsistency("zero weight in the tangent character")
-        self.sign, factors = half_euler(data.e2)
         self.tangent = sorted_triples(data.e1, data.base)
-        self.factors = sorted_triples(dict(factors), data.base)
+        self.factors = sorted_triples(dict(half_euler(data.e2)), data.base)
 
     def value(self, params: TorusParams, orientation: int = 1, at=None) -> Fraction:
         """The summand at s with the given orientation sign.
@@ -352,11 +352,7 @@ class Summand:
         if 0 in den:
             w = form_str(self.tangent[den.index(0)])
             raise NonGenericParameters(f"tangent weight {w} vanishes at s = {params}")
-        num = orientation * self.sign
-        if num:
-            num *= prod([a * x + b * y + c * z for a, b, c in self.factors])
-        if not num:
-            return Fraction(0)
+        num = orientation * prod([a * x + b * y + c * z for a, b, c in self.factors])
         return Fraction(num * scale ** len(self.tangent), prod(den) * scale ** len(self.factors))
 
     def relabeled(self, perm, base: int) -> "Summand":
@@ -371,7 +367,6 @@ class Summand:
         out.tangent = weight_triples(sorted(moved_codes(self.tangent, perm, base)), base)
         out.factors = weight_triples(sorted(map(abs, moved_codes(self.factors, perm, base))),
                                      base)
-        out.sign = self.sign
         return out
 
     def __eq__(self, other) -> bool:
@@ -587,7 +582,7 @@ def one_box_symbolic_report() -> dict:
 
     bound = max(len(record.factors), len(record.tangent), 4)
     grid = [head + (-sum(head),) for head in product(range(bound + 1), repeat=3)]
-    num = [record.sign * value(record.factors, s) for s in grid]
+    num = [value(record.factors, s) for s in grid]
     e3 = [sum(prod(c) for c in combinations(s, 3)) for s in grid]
     num_sign = next((sign for sign in (1, -1) if num == [sign * v for v in e3]), 0)
     # e4 has the one term s1 s2 s3 s4

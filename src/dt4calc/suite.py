@@ -98,14 +98,15 @@ def check_weight_structure(point=FixedPointData, **_) -> tuple[bool, str]:
 
     Building a point checks that both characters are effective, and builds
     the obstruction character self dual and obeying the dimension law, so
-    this reads each point's `Summand` record.  The
-    zero-weight clause is checked at the level of forms on the subtorus (no
-    trivial sub-representation), which is the property that survives any
-    generic parameter choice.  The documentation default (1,2,3,-6) is NOT
-    generic past n = 1: some nonzero forms evaluate to zero there, starting
-    with an obstruction weight at n = 2 and a tangent weight at n = 3.  The
-    detail line counts those vanishing values rather than hiding them, each
-    obstruction pair as its two weights.
+    this reads each point's `Summand` record.  The zero-weight clause is
+    checked at the level of forms on the subtorus (no trivial
+    sub-representation: no zero triple among the record's half Euler
+    factors, where a zero obstruction weight lands), which is the property
+    that survives any generic parameter choice.  The documentation default
+    (1,2,3,-6) is NOT generic past n = 1: some nonzero forms evaluate to
+    zero there, starting with an obstruction weight at n = 2 and a tangent
+    weight at n = 3.  The detail line counts those vanishing values rather
+    than hiding them, each obstruction pair as its two weights.
     """
     checked = 0
     x, y, z, _ = TorusParams.default().scaled[1]
@@ -114,7 +115,7 @@ def check_weight_structure(point=FixedPointData, **_) -> tuple[bool, str]:
     for n in range(1, 5):
         for pi in enumerate_partitions(4, n):
             record = point(pi).summand()
-            if record.sign == 0:
+            if (0, 0, 0) in record.factors:
                 return False, f"{pi.id()}: trivial sub-representation"
             if len(record.tangent) - len(record.factors) != n:
                 return False, f"{pi.id()}: dimension law"

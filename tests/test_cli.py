@@ -47,6 +47,19 @@ def test_liqin_csv_and_json_agree(capsys):
                        str(rec["k"]), str(rec["k_binomial"])]
 
 
+def test_liqin_odd_chi_exits_internal(capsys, monkeypatch):
+    # chi(E, E) must be even to halve; an odd one is a broken invariant,
+    # which ends in exit 6 with one line rather than a traceback
+    from dt4calc.chow import VarietyContext
+
+    chi = VarietyContext.chi
+    monkeypatch.setattr(VarietyContext, "chi", lambda ctx, e, f: chi(ctx, e, f) + 1)
+    code, out, err = run(capsys, "liqin")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "error: chi = -5 is odd, cannot halve\n"
+
+
 def test_chi_default_reports_oracle(capsys):
     code, out, _ = run(capsys, "chi", "--format", "json")
     assert code == EXIT_OK

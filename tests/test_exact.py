@@ -134,7 +134,7 @@ def pairs(*forms):
 def test_weight_product_single_pair_value():
     w = reduced((1, 1, 0, 0))
     record = weight_product(obstruction=pairs(w))
-    assert (record.sign, record.factors, len(record.factors)) == (1, (w,), 1)
+    assert (record.factors, len(record.factors)) == ((w,), 1)
     assert record.value(TorusParams(DEFAULT_S)) == 3
     assert record.value(TorusParams(DEFAULT_S), -1) == -3
 
@@ -142,8 +142,7 @@ def test_weight_product_single_pair_value():
 def test_weight_product_all_four_coordinates():
     # s4 is not a canonical form: the pair (s4, -s4) is stored as -s4
     coords = [reduced(e) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
-    sign, factors = half_euler(codes(pairs(*coords)))
-    assert sign == 1
+    factors = half_euler(codes(pairs(*coords)))
     assert dict(factors) == codes(coords[:3] + [neg(coords[3])])
     assert all(k > 0 and m == 1 for k, m in factors)
     record = weight_product(obstruction=pairs(*coords))
@@ -162,12 +161,14 @@ def test_weight_product_vanishing_factor_raises():
                           obstruction=pairs(w)).value(TorusParams(DEFAULT_S)) == 0
 
 
-def test_weight_product_zero_flag():
+def test_weight_product_zero_factor():
     w, zero = reduced((1, 1, 0, 0)), reduced((1, 1, 1, 1))
-    assert half_euler(codes(pairs(w) + [zero, zero])) == (0, ())
+    # the zero weight is its own pair: two of them give one zero factor
+    assert half_euler(codes(pairs(w) + [zero, zero])) == ((0, 1), (subtorus_code(w + (0,), BASE), 1))
     record = weight_product(tangent=[reduced((1, 0, 0, 0))], obstruction=pairs(w) + [zero, zero])
-    assert (record.sign, record.factors, len(record.factors)) == (0, (), 0)
+    assert (record.factors, len(record.factors)) == (((0, 0, 0), w), 2)
     assert record.value(TorusParams(DEFAULT_S)) == 0
+    assert record.value(TorusParams(DEFAULT_S), -1) == 0
     # a zero form is never a tangent factor
     with pytest.raises(InternalInconsistency):
         weight_product(tangent=[zero])
@@ -187,7 +188,7 @@ def test_weight_product_multiplicities_cancel():
     s1, s4 = reduced((1, 0, 0, 0)), reduced((0, 0, 0, 1))
     # repeated pairs add up to one factor
     (k1, _), (k4, _) = codes([s1, neg(s4)]).items()
-    assert half_euler(codes(pairs(s1, s1) + [s4, neg(s4)])) == (1, ((k1, 2), (k4, 1)))
+    assert half_euler(codes(pairs(s1, s1) + [s4, neg(s4)])) == ((k1, 2), (k4, 1))
     # a factor over the same tangent weight cancels to 1, or to -1 when the
     # stored canonical form is the opposite of the tangent weight
     assert weight_product(tangent=[s1], obstruction=pairs(s1)).value(TorusParams(DEFAULT_S)) == 1

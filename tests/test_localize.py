@@ -11,6 +11,7 @@ import textwrap
 from collections import Counter
 from fractions import Fraction
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -138,8 +139,8 @@ def test_one_box_contribution_value():
 
 def test_one_box_half_euler_value():
     data = one_box_data()
-    sign, factors = half_euler(data.e2)
-    assert sign == 1 and sum(m for _, m in factors) == 3
+    factors = half_euler(data.e2)
+    assert all(k > 0 for k, _ in factors) and sum(m for _, m in factors) == 3
     # canonical product (s2+s3)(s1+s3)(s1+s2) = 5*4*3; equals -e3 at this s,
     # where e3(1,2,3,-6) = 6 - 12 - 18 - 36 = -60
     assert prod(sum(a * x for a, x in zip(unpack(k, 3, data.base), (1, 2, 3))) ** m
@@ -175,7 +176,8 @@ def _report_with(monkeypatch, **fields):
 
 
 def test_one_box_symbolic_shape_catches_a_flipped_sign(monkeypatch):
-    rep = _report_with(monkeypatch, sign=-FixedPointData(ONE_BOX).summand().sign)
+    w, *rest = FixedPointData(ONE_BOX).summand().factors
+    rep = _report_with(monkeypatch, factors=(tuple(-x for x in w), *rest))
     assert rep["numerator_sign"] == 1 and rep["ok"]
 
 
@@ -197,7 +199,8 @@ FOUR_BOXES = enumerate_partitions(4, 4)[-1]
 
 
 def test_weight_structure_catches_a_zero_obstruction_form(monkeypatch):
-    _replace_record(monkeypatch, FOUR_BOXES, sign=0)
+    _, *rest = FixedPointData(FOUR_BOXES).summand().factors
+    _replace_record(monkeypatch, FOUR_BOXES, factors=((0, 0, 0), *rest))
     [(_, result)] = run_suite(only="weight")
     assert not result.ok
     assert result.detail == f"{FOUR_BOXES.id()}: trivial sub-representation"
@@ -228,8 +231,8 @@ def test_symbolic_identity_against_sympy():
     assert sympy.expand(product - e3) == 0
 
     data = one_box_data()
-    sign, factors = half_euler(data.e2)
-    num = sympy.Integer(sign)
+    factors = half_euler(data.e2)
+    num = sympy.Integer(1)
     for k, m in factors:
         num *= sum(int(c) * v for c, v in zip(unpack(k, 3, data.base), s)) ** m
     den = sympy.Integer(1)
@@ -242,13 +245,34 @@ def test_symbolic_identity_against_sympy():
 def test_half_euler_pairing_rules():
     w = subtorus_code((1, 1, 0, 0), 9)  # reduced (1, 1, 0)
     v = subtorus_code((0, 0, 0, 1), 9)  # reduced (-1, -1, -1)
-    assert half_euler({w: 1, -w: 1}) == half_euler({-w: 1, w: 1}) == (1, ((w, 1),))
+    assert half_euler({w: 1, -w: 1}) == half_euler({-w: 1, w: 1}) == ((w, 1),)
     # a pair is stored by its canonical, positive code, sorted as the forms'
     # reduced coefficients
-    assert half_euler({v: 2, -w: 1, -v: 2, w: 1}) == (1, ((w, 1), (-v, 2)))
+    assert half_euler({v: 2, -w: 1, -v: 2, w: 1}) == ((w, 1), (-v, 2))
     with pytest.raises(InternalInconsistency, match="weight .* has multiplicity 2 but .* has 1"):
         half_euler({w: 2, -w: 1})
-    assert half_euler({w: 1, -w: 1, 0: 2}) == (0, ())
+
+
+def test_half_euler_zero_weight_is_a_zero_factor():
+    # the zero weight is its own pair, so two zero weights give one zero
+    # factor, and the record's product vanishes with no flag
+    w = subtorus_code((1, 1, 0, 0), 9)
+    codes = {0: 2, w: 1, -w: 1}
+    assert half_euler(codes) == ((0, 1), (w, 1))
+    record = Summand(SimpleNamespace(base=9, e1={subtorus_code((1, 0, 0, 0), 9): 1}, e2=codes))
+    assert record.factors == ((0, 0, 0), (1, 1, 0))
+    for orientation in (1, -1):
+        value = record.value(TorusParams.default(), orientation)
+        assert value == 0 and type(value) is Fraction
+
+
+def test_half_euler_refuses_an_odd_zero_multiplicity():
+    # an odd count of zero weights has no square root; halving it would
+    # silently drop the zero factor
+    with pytest.raises(InternalInconsistency, match="the zero weight has odd multiplicity 1"):
+        half_euler({0: 1})
+    with pytest.raises(InternalInconsistency, match="the zero weight has odd multiplicity 3"):
+        half_euler({0: 3, 5: 1, -5: 1})
 
 
 def test_fixed_point_structure_small():
@@ -473,12 +497,12 @@ def old_route(pi: DPartition) -> tuple[dict, Laurent, tuple]:
     for w in e2_weights:
         obstruction[w] = obstruction.get(w, 0) + 1
     assert all(obstruction.get(neg(w)) == m for w, m in obstruction.items())
-    sign = 0 if (0, 0, 0) in obstruction else 1
-    factors = tuple(sorted((w, m) for w, m in obstruction.items()
-                           if w > (0, 0, 0))) if sign else ()
+    # the zero triple is its own pair and gives half its multiplicity
+    factors = tuple(sorted((w, m if w != (0, 0, 0) else m // 2) for w, m in obstruction.items()
+                           if w >= (0, 0, 0)))
     views = {"q": q, "tvir": tvir, "e1_char": e1,
              "e1_weights": e1_weights, "e2_weights": e2_weights}
-    record = (tuple(tangent.items()), sign, factors, len(e1_weights),
+    record = (tuple(tangent.items()), factors, len(e1_weights),
               sum(m for _, m in factors))
     return views, e2, record
 
@@ -506,10 +530,10 @@ def test_packed_kernel_matches_the_laurent_route(case):
             assert getattr(data, name) == value, (pi.id(), name)
         assert data.tcy == subtorus_codes(views["tvir"], data.base), pi.id()
         assert data.e2 == subtorus_codes(e2, data.base), pi.id()
-        tangent, sign, factors, tangent_count, degree = record
+        tangent, factors, tangent_count, degree = record
         got = Summand(data)
-        assert (got.tangent, got.sign, got.factors, len(got.tangent), len(got.factors)) == (
-            expanded(tangent), sign, expanded(factors), tangent_count, degree), pi.id()
+        assert (got.tangent, got.factors, len(got.tangent), len(got.factors)) == (
+            expanded(tangent), expanded(factors), tangent_count, degree), pi.id()
 
 
 def test_half_holds_no_zero_multiplicity():
@@ -940,7 +964,7 @@ def test_summand_record_keeps_no_characters():
     for name in Summand.__slots__:
         value = getattr(record, name)
         assert not isinstance(value, (Laurent, FixedPointData))
-    assert Summand.__slots__ == ("tangent", "sign", "factors")
+    assert Summand.__slots__ == ("tangent", "factors")
     assert all(type(w) is tuple and len(w) == 3 and all(type(c) is int for c in w)
                for w in record.tangent + record.factors)
     assert (len(record.tangent), len(record.factors)) == (8, 6)
@@ -1195,7 +1219,7 @@ def test_subtorus_triples_are_decoded_once_and_shared(monkeypatch):
             base = data.base
             record = Summand(data)
             tangent = [k for k in sorted(data.e1) for _ in range(data.e1[k])]
-            factors = [k for k, m in half_euler(data.e2)[1] for _ in range(m)]
+            factors = [k for k, m in half_euler(data.e2) for _ in range(m)]
             known = localize._TRIPLES[base]
             assert list(record.tangent) == [unpack(k, 3, base) for k in tangent]
             assert all(w is known[k] for w, k in zip(record.tangent, tangent))
