@@ -12,7 +12,7 @@ The tangent character E1 = Hom(I, O_Z) is counted from graph components at
 each multidegree (`tangent_codes`), with no Taylor complex, no ideal and no
 rank, and written straight to subtorus codes.  Its full torus terms are
 kept packed; `unpack_terms` reads them as a Laurent polynomial, for the
-Ext cross-check and the `vertex` report.
+Ext cross-check.
 """
 
 from __future__ import annotations

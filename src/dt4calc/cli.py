@@ -398,11 +398,8 @@ def cmd_suite(args):
     results = run_suite(only=args.only, orientation_path=orientation_path)
     if not results:
         raise UsageError(f"no acceptance check matches --only {args.only!r}")
-    payload = {"results": [{"criterion": num, "name": r.name, "ok": r.ok,
-                            "detail": r.detail} for (num, r) in results]}
-    passed = sum(1 for _, r in results if r.ok)
-    payload["passed"] = passed
-    payload["failed"] = len(results) - passed
+    passed = sum(r["ok"] for r in results)
+    payload = {"results": results, "passed": passed, "failed": len(results) - passed}
     return payload, EXIT_OK if passed == len(results) else EXIT_MISMATCH
 
 

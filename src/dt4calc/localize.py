@@ -236,10 +236,9 @@ class FixedPointData:
     torus, packed as `tangent_codes` counts it.
 
     What the oracles and the `vertex` report read are views, each built on
-    first access: the packed T, `tcy`, which is `mirrored(half)`; the
-    Laurent characters `q`, `tvir` and `e1_char`, which is `e1_terms`
-    unpacked; the weight lists, as records hold them (`sorted_triples`);
-    and the monomial `ideal`, both Taylor checks' own.
+    first access: the Laurent characters `q` and `tvir`; the weight lists,
+    as records hold them (`sorted_triples`); and the monomial `ideal`, both
+    Taylor checks' own.
     """
 
     def __init__(self, partition: DPartition):
@@ -264,14 +263,6 @@ class FixedPointData:
         bad = {form_str(unpack(k, 3, self.base)): m for k, m in codes.items() if m < 0}
         if bad:
             raise InternalInconsistency(f"{what} character has non effective terms {bad}")
-
-    @cached_property
-    def tcy(self) -> dict[int, int]:
-        return mirrored(self.half)
-
-    @cached_property
-    def e1_char(self) -> Laurent:
-        return unpack_terms(self.e1_terms, self.partition.size)
 
     @cached_property
     def q(self) -> Laurent:
@@ -402,15 +393,13 @@ def transport_sign(record: Summand, perm, base: int) -> int:
     return -1 if sum(a * k0 + b * k1 + c * k2 < 0 for a, b, c in record.factors) % 2 else 1
 
 
-IDENTITY = (0, 1, 2, 3)
-
 # each perm of the four axes with the getter that moves a box as
 # `DPartition.relabeled(perm)` does
 _MOVES = [(perm, itemgetter(*perm)) for perm in permutations(range(4))]
 
 # summand cache: partition -> (record, perm, eps), the point's summand at s
 # being eps times the record's at L*s permuted by perm; the built point of
-# an orbit has (IDENTITY, 1).  Written only by `dt4_degree0_series`, for a
+# an orbit has (identity, 1).  Written only by `dt4_degree0_series`, for a
 # whole orbit when it builds the orbit's first point; kept for the life of
 # the process, like the partition levels it is keyed by
 _SUMMANDS: dict[DPartition, tuple[Summand, tuple, int]] = {}
@@ -418,10 +407,11 @@ _SUMMANDS: dict[DPartition, tuple[Summand, tuple, int]] = {}
 
 def vertex_oracle_check(data: FixedPointData) -> tuple[bool, Laurent, Laurent]:
     """Closed form versus the resolution route, on the full torus, and the
-    point's packed `tcy` versus the resolution route on the subtorus."""
+    point's packed T, `mirrored(half)`, versus the resolution route on the
+    subtorus."""
     q = data.q
     rhs = q + q.bar() * KAPPA_INV - euler_character(data.ideal)
-    ok = data.tvir == rhs and data.tcy == subtorus_codes(rhs, data.base)
+    ok = data.tvir == rhs and mirrored(data.half) == subtorus_codes(rhs, data.base)
     return ok, data.tvir, rhs
 
 
@@ -432,12 +422,12 @@ def obstruction_crosscheck(data: FixedPointData) -> tuple[bool, tuple, tuple]:
 
     One Taylor call gives both degrees: Ext^1 needs the rank of d1, which
     Ext^2 builds anyway, and the rank of d0, which is zero.  E1 is
-    compared on the full torus and as the point's packed `e1`, E2 as the
-    packed `e2` the summand is read from.  Returns whether both agree,
-    (E1, packed E2) and (Ext^1, packed Ext^2).
+    compared on the full torus, as `e1_terms` unpacked, and as the point's
+    packed `e1`, E2 as the packed `e2` the summand is read from.  Returns
+    whether both agree, (E1, packed E2) and (Ext^1, packed Ext^2).
     """
     ext = ext_characters(data.ideal, degree=(1, 2))
-    lhs = (data.e1_char, data.e2)
+    lhs = (unpack_terms(data.e1_terms, data.partition.size), data.e2)
     rhs = (ext.get(1, Laurent()), subtorus_codes(ext.get(2, Laurent()), data.base))
     ok = lhs == rhs and data.e1 == subtorus_codes(rhs[0], data.base)
     return ok, lhs, rhs

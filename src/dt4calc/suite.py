@@ -1,11 +1,12 @@
 """Acceptance checks, each one criterion with a stable name and a verdict.
 
 Every check recomputes its claim and compares against frozen expected values
-or an independent route, and returns (ok, detail); `run_suite` names each
-verdict from `CRITERIA`, the one place a criterion's name is written.  The
-state carried between checks is each fixed point the run builds, at most
-once and handed on like the orientation, and what the library keeps per
-process (partition levels, the summand cache).
+or an independent route, and returns (ok, detail); `run_suite` returns each
+verdict as the row `suite` prints, named from `CRITERIA`, the one place a
+criterion's name is written.  The state carried between checks is each
+fixed point the run builds, at most once and handed on like the
+orientation, and what the library keeps per process (partition levels, the
+summand cache).
 Timing limits are part of the verdict where a criterion carries one, but
 measured times are never printed, so output stays byte stable run to run.
 """
@@ -16,7 +17,6 @@ import json
 import time
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
 
 from .chow import (liqin_case, structure_sheaf_chi_check, surface_obstruction_identity,
                    vdim_ideal_cy4)
@@ -36,12 +36,6 @@ LIQIN_EXPECTED = [
     (0, 0, -26, 14),
     (1, 0, -56, 29),
 ]
-
-
-class CheckResult(NamedTuple):
-    name: str
-    ok: bool
-    detail: str
 
 
 def _timed(budget):
@@ -233,7 +227,8 @@ CRITERIA = [
 
 
 def run_suite(only: str | None = None, orientation_path: str | None = None):
-    """Run the acceptance checks, optionally filtered by name substring."""
+    """Run the acceptance checks, optionally filtered by name substring, as
+    rows {"criterion", "name", "ok", "detail"}."""
     orientation = None
     orientation_error = None
     if orientation_path is not None:
@@ -242,10 +237,10 @@ def run_suite(only: str | None = None, orientation_path: str | None = None):
         except (OSError, ValueError) as e:
             orientation_error = str(e)
     point = cache(FixedPointData)
-    results = []
+    rows = []
     for number, name, fn in CRITERIA:
         if only and only not in name:
             continue
         ok, detail = fn(orientation=orientation, orientation_error=orientation_error, point=point)
-        results.append((number, CheckResult(name, ok, detail)))
-    return results
+        rows.append({"criterion": number, "name": name, "ok": ok, "detail": detail})
+    return rows

@@ -300,7 +300,7 @@ def test_suite_builds_each_context_once(monkeypatch):
     cy_hypersurface_context.cache_clear()
     projective_plane_context.cache_clear()
     chow._plane_classes.cache_clear()
-    assert all(result.ok for _, result in run_suite())
+    assert all(row["ok"] for row in run_suite())
     assert [b for b in built if b[0] == "hypersurface"] == [("hypersurface", (1, 4), (2, 5))]
     assert [b for b in built if b[0] == "product"] == [("product", (1, 4)),
                                                        ("product", (2,))]

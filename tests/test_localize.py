@@ -18,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dt4calc import cli, localize, partitions, taylor
+from dt4calc.characters import mirrored, unpack_terms
 from dt4calc.chow import CohClass, cy_hypersurface_context, vdim_ideal_cy4
 from dt4calc.cli import main, series_payload
 from dt4calc.errors import InternalInconsistency, NonGenericParameters
 from dt4calc.exact import Laurent, form_str, unpack
-from dt4calc.localize import (IDENTITY, FixedPointData, OrientationData, TorusParams,
+from dt4calc.localize import (FixedPointData, OrientationData, TorusParams,
                               cyclic_completion_report, dt4_degree0_series,
                               Summand, half_euler, obstruction_crosscheck,
                               one_box_symbolic_report,
@@ -34,6 +35,8 @@ from dt4calc.suite import SUITE_PARAMS, run_suite
 from dt4calc.taylor import euler_character, ext_characters
 
 GENERIC = TorusParams((1, 7, 41, -49))
+# the permutation of the four axes that moves nothing
+IDENTITY = (0, 1, 2, 3)
 GENERIC2 = TorusParams((2, 11, 59, -72))
 
 # regression values computed once with this package and checked against a
@@ -185,14 +188,14 @@ def test_one_box_symbolic_shape_catches_a_wrong_factor(monkeypatch):
     _, *rest = FixedPointData(ONE_BOX).summand().factors
     rep = _report_with(monkeypatch, factors=((2, 1, 0), *rest))
     assert rep["numerator_sign"] == 0 and not rep["ok"]
-    assert not run_suite(only="one-box")[0][1].ok
+    assert not run_suite(only="one-box")[0]["ok"]
 
 
 def test_one_box_symbolic_shape_catches_a_negated_tangent_weight(monkeypatch):
     w, *rest = FixedPointData(ONE_BOX).summand().tangent
     rep = _report_with(monkeypatch, tangent=(tuple(-x for x in w), *rest))
     assert not rep["denominator_matches"] and not rep["ok"]
-    assert not run_suite(only="one-box")[0][1].ok
+    assert not run_suite(only="one-box")[0]["ok"]
 
 
 FOUR_BOXES = enumerate_partitions(4, 4)[-1]
@@ -201,23 +204,23 @@ FOUR_BOXES = enumerate_partitions(4, 4)[-1]
 def test_weight_structure_catches_a_zero_obstruction_form(monkeypatch):
     _, *rest = FixedPointData(FOUR_BOXES).summand().factors
     _replace_record(monkeypatch, FOUR_BOXES, factors=((0, 0, 0), *rest))
-    [(_, result)] = run_suite(only="weight")
-    assert not result.ok
-    assert result.detail == f"{FOUR_BOXES.id()}: trivial sub-representation"
+    [result] = run_suite(only="weight")
+    assert not result["ok"]
+    assert result["detail"] == f"{FOUR_BOXES.id()}: trivial sub-representation"
 
 
 def test_weight_structure_catches_a_dimension_law_failure(monkeypatch):
     tangent = FixedPointData(FOUR_BOXES).summand().tangent
     _replace_record(monkeypatch, FOUR_BOXES, tangent=tangent + tangent[:1])
-    [(_, result)] = run_suite(only="weight")
-    assert not result.ok
-    assert result.detail == f"{FOUR_BOXES.id()}: dimension law"
+    [result] = run_suite(only="weight")
+    assert not result["ok"]
+    assert result["detail"] == f"{FOUR_BOXES.id()}: dimension law"
 
 
 def test_weight_structure_leaves_the_cache_as_it_is(monkeypatch):
     monkeypatch.setattr(localize, "_SUMMANDS", {})
-    [(_, result)] = run_suite(only="weight")
-    assert result.ok and localize._SUMMANDS == {}
+    [result] = run_suite(only="weight")
+    assert result["ok"] and localize._SUMMANDS == {}
 
 
 def test_symbolic_identity_against_sympy():
@@ -303,7 +306,7 @@ def taylor_hom(pi: DPartition) -> Laurent:
 @pytest.mark.parametrize("n", range(7))
 def test_tangent_character_matches_taylor_degree_zero(n):
     for pi in enumerate_partitions(4, n):
-        assert FixedPointData(pi).e1_char == taylor_hom(pi), pi.id()
+        assert unpack_terms(FixedPointData(pi).e1_terms, n) == taylor_hom(pi), pi.id()
 
 
 @pytest.mark.parametrize("axis", range(4))
@@ -313,7 +316,8 @@ def test_tangent_character_on_single_axis_columns(axis):
     for h in range(1, 9):
         column = DPartition(4, [tuple(k if i == axis else 0 for i in range(4))
                                 for k in range(h)])
-        assert FixedPointData(column).e1_char == taylor_hom(column), column.id()
+        assert unpack_terms(FixedPointData(column).e1_terms, h) == taylor_hom(column), \
+            column.id()
 
 
 def reference_vertex_codes(partition: DPartition, base: int) -> dict[int, int]:
@@ -389,15 +393,16 @@ def test_fixed_point_kernels_match_the_reference(case):
     for pi in REFERENCE_CASES[case]:
         data = FixedPointData(pi)
         base = data.base
-        assert data.tcy == reference_vertex_codes(pi, base), pi.id()
+        assert mirrored(data.half) == reference_vertex_codes(pi, base), pi.id()
         e1 = reference_tangent_character(pi)
         assert data.e1 == subtorus_codes(e1, base), pi.id()
-        assert data.e1_char == e1, pi.id()
+        assert unpack_terms(data.e1_terms, pi.size) == e1, pi.id()
         assert localize.tangent_codes(pi, base) == (data.e1, data.e1_terms), pi.id()
 
 
 def test_series_builds_no_laurent(monkeypatch):
-    # E1 on the full torus is a view that only the oracles and `vertex` read
+    # E1 on the full torus is packed terms that only the Ext cross-check
+    # reads as a Laurent polynomial
     def fail(*args, **kwargs):
         raise AssertionError("the series path built a Laurent polynomial")
 
@@ -408,10 +413,16 @@ def test_series_builds_no_laurent(monkeypatch):
 
 def test_crosscheck_catches_an_e1_error_the_obstruction_hides():
     data = FixedPointData(POINTS_3[5])
-    # t1 - t1^-1 is antisymmetric, so it cancels in E2 = E1 + bar(E1) - T
-    data.e1_char = (data.e1_char + Laurent.monomial((1, 0, 0, 0))
-                    - Laurent.monomial((-1, 0, 0, 0)))
-    e1cy = data.e1_char.cy_reduce()
+    n = data.partition.size
+    # t1 - t1^-1 is antisymmetric, so it cancels in E2 = E1 + bar(E1) - T;
+    # packed in base 2n + 1, t1 is the code (2n + 1)^3 and t1^-1 its negative
+    t1 = (2 * n + 1) ** 3
+    terms = data.e1_terms
+    data.e1_terms = {**terms, t1: terms.get(t1, 0) + 1, -t1: terms.get(-t1, 0) - 1}
+    e1 = unpack_terms(data.e1_terms, n)
+    assert e1 == (unpack_terms(terms, n) + Laurent.monomial((1, 0, 0, 0))
+                  - Laurent.monomial((-1, 0, 0, 0)))
+    e1cy = e1.cy_reduce()
     assert subtorus_codes(e1cy + e1cy.bar() - data.tvir.cy_reduce(), data.base) == data.e2
     ok, lhs, rhs = obstruction_crosscheck(data)
     assert not ok
@@ -484,7 +495,7 @@ def old_route(pi: DPartition) -> tuple[dict, Laurent, tuple]:
     products, with no codes."""
     q = pi.character()
     tvir = vertex_character(q)
-    e1 = FixedPointData(pi).e1_char
+    e1 = unpack_terms(FixedPointData(pi).e1_terms, pi.size)
     e1cy = e1.cy_reduce()
     e2 = e1cy + e1cy.bar() - tvir.cy_reduce()
     e1_weights, e2_weights = old_weights(e1), old_weights(e2)
@@ -500,8 +511,7 @@ def old_route(pi: DPartition) -> tuple[dict, Laurent, tuple]:
     # the zero triple is its own pair and gives half its multiplicity
     factors = tuple(sorted((w, m if w != (0, 0, 0) else m // 2) for w, m in obstruction.items()
                            if w >= (0, 0, 0)))
-    views = {"q": q, "tvir": tvir, "e1_char": e1,
-             "e1_weights": e1_weights, "e2_weights": e2_weights}
+    views = {"q": q, "tvir": tvir, "e1_weights": e1_weights, "e2_weights": e2_weights}
     record = (tuple(tangent.items()), factors, len(e1_weights),
               sum(m for _, m in factors))
     return views, e2, record
@@ -528,7 +538,7 @@ def test_packed_kernel_matches_the_laurent_route(case):
         views, e2, record = old_route(pi)
         for name, value in views.items():
             assert getattr(data, name) == value, (pi.id(), name)
-        assert data.tcy == subtorus_codes(views["tvir"], data.base), pi.id()
+        assert mirrored(data.half) == subtorus_codes(views["tvir"], data.base), pi.id()
         assert data.e2 == subtorus_codes(e2, data.base), pi.id()
         tangent, factors, tangent_count, degree = record
         got = Summand(data)
@@ -879,7 +889,7 @@ def test_only_the_series_writes_the_summand_cache(monkeypatch, capsys):
         FixedPointData(pi).summand()
     assert main(["vertex", "--n-max", "3", "--s", "1,7,41,-49", "--check-oracle"]) == 0
     for only in ("vertex-oracle", "weight", "one-box"):
-        assert run_suite(only=only)[0][1].ok
+        assert run_suite(only=only)[0]["ok"]
     capsys.readouterr()
     cache = localize._SUMMANDS
     assert cache == {}
@@ -1068,6 +1078,21 @@ def test_no_linform_is_built_outside_the_record_oracle():
     assert done.returncode == 0, done.stderr
 
 
+def test_record_check_reads_a_zero_obstruction_weight_as_a_zero_summand(monkeypatch):
+    # the zero weight is its own (w, -w) pair: code 0 twice in e2 is one
+    # zero factor, and the cache entry is the direct build of the point
+    data = FixedPointData(POINTS_3[5])
+    dropped = Summand(data).value(GENERIC)
+    data.e2 = {**data.e2, 0: 2}
+    record = Summand(data)
+    assert (0, 0, 0) in record.factors
+    monkeypatch.setattr(localize, "_SUMMANDS", {data.partition: (record, IDENTITY, 1)})
+    assert localize.record_oracle_check(data, GENERIC, 1, Fraction(0))
+    # the value with the zero factor left out is refused, like any nonzero one
+    assert not localize.record_oracle_check(data, GENERIC, 1, dropped)
+    assert not localize.record_oracle_check(data, GENERIC, 1, Fraction(1))
+
+
 def test_record_check_fails_a_point_with_no_record(monkeypatch):
     monkeypatch.setattr(localize, "_SUMMANDS", {})
     data = FixedPointData(POINTS_3[5])
@@ -1160,8 +1185,7 @@ def test_suite_builds_each_fixed_point_once(monkeypatch):
     # box report builds its own point, and the series builds only the first
     # point of each orbit
     built = count_builds(monkeypatch)
-    results = run_suite()
-    assert all(result.ok for _, result in results)
+    assert all(row["ok"] for row in run_suite())
     points = [pi for n in range(1, 5) for pi in enumerate_partitions(4, n)]
     assert built == points + [ONE_BOX] + first_of_each_orbit(3)
     assert len(built) == 47
@@ -1191,9 +1215,10 @@ def _int_coefficients(ch: Laurent) -> bool:
 def test_characters_have_int_coefficients(n):
     for pi in enumerate_partitions(4, n):
         data = FixedPointData(pi)
-        e1cy = data.e1_char.cy_reduce()
+        e1 = unpack_terms(data.e1_terms, n)
+        e1cy = e1.cy_reduce()
         e2 = e1cy + e1cy.bar() - data.tvir.cy_reduce()
-        for ch in (data.q, data.tvir, data.e1_char, e2):
+        for ch in (data.q, data.tvir, e1, e2):
             assert _int_coefficients(ch), pi.id()
         assert subtorus_codes(e2, data.base) == data.e2, pi.id()
         assert type(sum(data.tvir.terms.values())) is int
@@ -1277,10 +1302,11 @@ ONE_BOX = enumerate_partitions(4, 1)[0]
     (lambda: vdim_ideal_cy4(-1, 0), "point count must be nonnegative"),
     (lambda: vdim_ideal_cy4(0, 2), "h02 must be 0 or 1"),
     (lambda: Laurent({(1, 2): 1}), "exponent vector must have length 4, got (1, 2)"),
+    (lambda: OrientationData({1: 1}), "orientation key 1 is not a string"),
 ], ids=["torus-length", "point-dimension", "contribution-orientation",
         "enumerate-dimension", "enumerate-size", "counts-size", "relabel-perm",
         "ring-mismatch", "monomial-ring", "line-bundle-degrees", "vdim-count",
-        "vdim-holonomy", "laurent-exponent"])
+        "vdim-holonomy", "laurent-exponent", "orientation-key"])
 def test_library_guards_refuse_bad_input(make, message):
     with pytest.raises(ValueError) as exc:
         make()

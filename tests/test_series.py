@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from dt4calc import series
 from dt4calc.chow import generalized_binomial
-from dt4calc.errors import Unsupported
+from dt4calc.errors import InternalInconsistency, Unsupported
 from dt4calc.partitions import partition_numbers
 from dt4calc.series import convolution_oracle, goettsche_series, reduced_dt4_tstar
 from dt4calc.suite import check_goettsche_series
@@ -81,6 +82,16 @@ def test_convolution_oracle_matches_the_product_route_deep(e):
     # three times deeper than the shared test, where each exact division in
     # the power recurrence is by n up to 60
     assert goettsche_series(e, 60) == convolution_oracle(e, 60)
+
+
+def test_convolution_oracle_refuses_an_inexact_division(monkeypatch):
+    # a power of an integer series with constant term 1 has integer
+    # coefficients, so only a coefficient that is not an integer, here
+    # p_2 = 1/2, leaves a remainder: 2 g_2 = 2 p_2 = 1
+    monkeypatch.setattr(series, "partition_numbers", lambda n: [1, 1, Fraction(1, 2)])
+    with pytest.raises(InternalInconsistency) as exc:
+        convolution_oracle(1, 2)
+    assert str(exc.value) == "q^2 coefficient of P^1 is 1/2"
 
 
 def test_euler_series_positivity_and_leading_terms():

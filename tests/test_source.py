@@ -119,13 +119,6 @@ def _calls(name):
     return calls
 
 
-def test_only_the_suite_runner_builds_a_check_result():
-    # a criterion returns (ok, detail) and `suite.run_suite` names it from
-    # `suite.CRITERIA`, so no check restates its own name
-    calls = _calls("CheckResult")
-    assert [scope for scope, _ in calls] == ["suite.run_suite"], calls
-
-
 def test_only_the_record_oracle_builds_a_linform():
     # weights are int triples and codes everywhere else; `LinForm` is the
     # record oracle's own evaluator, so that its product shares no code

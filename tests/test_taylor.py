@@ -306,6 +306,18 @@ def test_negative_dimension_names_degree_and_multidegree(monkeypatch):
         ext_characters(ideal, degree=(1,))
 
 
+def test_ext_beyond_the_global_dimension_is_refused(monkeypatch):
+    # with every rank zero each cochain survives, and x^2, xy, y^2 in two
+    # variables has cochains on its three-element subset
+    monkeypatch.setattr(taylor, "_rank", lambda rows: 0)
+    ideal = DPartition(2, [(0, 0), (1, 0), (0, 1)]).to_ideal()
+    assert len(ideal.gens) > ideal.nvars
+    with pytest.raises(InternalInconsistency) as exc:
+        ext_characters(ideal)
+    assert str(exc.value) == ("nonzero Ext^3 beyond the global dimension at "
+                              "multidegree (-2, -2)")
+
+
 def _windows(ideal, source):
     """Every degree argument the comparison covers: None, each single
     degree up to the global dimension, (0, 1) and (1, 2); the obstruction
