@@ -6,6 +6,11 @@ text and CSV renderers (JSON is the payload itself).  All rationals are
 printed exactly as num/den strings and nothing time dependent is ever
 emitted, so two runs with the same arguments produce byte identical output.
 
+A command line that names a subcommand is parsed by a parser holding only
+that subparser (`build_parser(command)`); help and command lines naming
+none are parsed by the parser of all ten.  Both give the same bytes on
+stdout and stderr for every command line, usage lines and errors included.
+
 Exit codes:
   0  success
   1  a checked value disagreed with its expected or oracle value
@@ -455,60 +460,77 @@ def _at_least(low: int):
     return count
 
 
+_N_MAX = _at_least(0)
+
+# name -> (help line, (flag, add_argument keywords) of each argument but --format)
+ARGUMENTS = {
+    "liqin": ("hyperplane-section Euler pairing table with both k readings", ()),
+    "chi": ("Euler pairing of line bundles on the (2,5) hypersurface", (
+        ("--left", {"help": "line bundle bidegree p,q (default structure sheaf)"}),
+        ("--right", {"help": "line bundle bidegree p,q"}))),
+    "vdim": ("virtual dimension table for ideal sheaves of points", (
+        ("--n-max", {"type": _N_MAX, "default": 10}),)),
+    "partitions": ("downward-closed partition counts", (
+        ("--d", {"type": int, "choices": (2, 3, 4), "default": 4}),
+        ("--n-max", {"type": _N_MAX, "default": 6}),
+        ("--list", {"action": "store_true", "help": "also print identifiers"}))),
+    "vertex": ("per fixed point characters, weights, and contributions", (
+        ("--n-max", {"type": _N_MAX, "default": 2}),
+        ("--s", {"default": "1,2,3,-6"}),
+        ("--check-oracle", {"action": "store_true"}))),
+    "dt4-series": ("degree-0 equivariant series with per-point breakdown", (
+        ("--n-max", {"type": _N_MAX, "default": 2}),
+        ("--s", {"default": "1,2,3,-6"}),
+        ("--orientation", {"default": "default",
+                           "help": '"default" or a JSON file of per-point signs'}),
+        ("--jobs", {"type": _at_least(1), "default": 1}),
+        ("--check-oracle", {"action": "store_true"}))),
+    "goettsche": ("punctual Hilbert scheme Euler series", (
+        ("--euler", {"type": int, "help": "Euler number of the surface"}),
+        ("--n-max", {"type": _N_MAX, "default": 20}),
+        ("--check-oracle", {"action": "store_true"}))),
+    "tstar": ("reduced invariants of the cotangent fibre geometry", (
+        ("--c", {"help": "Chern character triple r,c1,n"}),
+        ("--euler", {"type": int, "help": "surface Euler number (punctual case)"}))),
+    "cyclic-check": ("push plane partitions into four variables and compare Ext", (
+        ("--n-max", {"type": _N_MAX, "default": 3}),)),
+    "suite": ("run the acceptance checks", (
+        ("--only", {"help": "run only checks whose name contains this"}),
+        ("--orientation", {"default": "default"}))),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process and shared
-    by `main` and the determinism criterion; parsing leaves it unchanged."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `command`, or of every subcommand when it is None,
+    built once per process; parsing leaves it unchanged.
+
+    With a command it holds that one subparser, which is all a command line
+    naming it reaches, so a call pays for one subparser, not ten.  Its
+    subcommand metavar lists all ten, as the full parser's choices do,
+    because an "unrecognized arguments" error prints the top-level usage
+    line.  The full parser serves help and command lines that name no
+    command, and leaves the metavar unset: it would change its "required"
+    and "invalid choice" messages."""
     parser = argparse.ArgumentParser(
         prog="dt4calc",
         description="Exact localization and intersection-theory calculator "
                     "for rank-one invariants of four-folds.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    n_max = _at_least(0)
-
-    def add(name, help_text):
+    one = command is not None
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    for name in (command,) if one else COMMANDS:
+        help_text, arguments = ARGUMENTS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        return p
-
-    add("liqin", "hyperplane-section Euler pairing table with both k readings")
-    p = add("chi", "Euler pairing of line bundles on the (2,5) hypersurface")
-    p.add_argument("--left", help="line bundle bidegree p,q (default structure sheaf)")
-    p.add_argument("--right", help="line bundle bidegree p,q")
-    p = add("vdim", "virtual dimension table for ideal sheaves of points")
-    p.add_argument("--n-max", type=n_max, default=10)
-    p = add("partitions", "downward-closed partition counts")
-    p.add_argument("--d", type=int, choices=(2, 3, 4), default=4)
-    p.add_argument("--n-max", type=n_max, default=6)
-    p.add_argument("--list", action="store_true", help="also print identifiers")
-    p = add("vertex", "per fixed point characters, weights, and contributions")
-    p.add_argument("--n-max", type=n_max, default=2)
-    p.add_argument("--s", default="1,2,3,-6")
-    p.add_argument("--check-oracle", action="store_true")
-    p = add("dt4-series", "degree-0 equivariant series with per-point breakdown")
-    p.add_argument("--n-max", type=n_max, default=2)
-    p.add_argument("--s", default="1,2,3,-6")
-    p.add_argument("--orientation", default="default",
-                   help='"default" or a JSON file of per-point signs')
-    p.add_argument("--jobs", type=_at_least(1), default=1)
-    p.add_argument("--check-oracle", action="store_true")
-    p = add("goettsche", "punctual Hilbert scheme Euler series")
-    p.add_argument("--euler", type=int, help="Euler number of the surface")
-    p.add_argument("--n-max", type=n_max, default=20)
-    p.add_argument("--check-oracle", action="store_true")
-    p = add("tstar", "reduced invariants of the cotangent fibre geometry")
-    p.add_argument("--c", help="Chern character triple r,c1,n")
-    p.add_argument("--euler", type=int, help="surface Euler number (punctual case)")
-    p = add("cyclic-check", "push plane partitions into four variables and compare Ext")
-    p.add_argument("--n-max", type=n_max, default=3)
-    p = add("suite", "run the acceptance checks")
-    p.add_argument("--only", help="run only checks whose name contains this")
-    p.add_argument("--orientation", default="default")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     command, text_lines, csv_table = COMMANDS[args.command]
     try:
         payload, code = command(args)

@@ -54,6 +54,18 @@ def is_downward_closed(boxes, d: int) -> bool:
     return True
 
 
+class _BoxText(dict):
+    """Box -> its "x,y,.." text, filled on first use: a series names each
+    box in thousands of ids, and a lookup is cheaper than a join."""
+
+    def __missing__(self, box: Box) -> str:
+        text = self[box] = ",".join(map(str, box))
+        return text
+
+
+_BOX_TEXT = _BoxText()
+
+
 class DPartition:
     """A finite downward-closed box set, stored as a lex-sorted tuple.
 
@@ -93,7 +105,7 @@ class DPartition:
         """Canonical identifier: boxes lex-sorted, 'x,y,..;x,y,..', 'empty' for n = 0."""
         if not self.boxes:
             return "empty"
-        return ";".join(",".join(map(str, b)) for b in self.boxes)
+        return ";".join(map(_BOX_TEXT.__getitem__, self.boxes))
 
     def addable_boxes(self) -> list[Box]:
         """Boxes whose addition keeps the set downward closed, lex-sorted.

@@ -199,7 +199,7 @@ def check_orientation_flip(orientation: OrientationData | None = None,
 def check_determinism(**_) -> tuple[bool, str]:
     from .cli import build_parser, cmd_dt4_series  # the CLI imports this module
 
-    parser = build_parser()
+    parser = build_parser("dt4-series")
 
     def report(jobs: str) -> bytes:
         args = parser.parse_args(

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 
@@ -284,16 +285,41 @@ def test_check_oracle_catches_a_tampered_packed_vertex_character(capsys, monkeyp
         assert localize.vertex_oracle_check(FixedPointData(pi))[0] == (pi.size == 0)
 
 
-def test_main_calls_share_one_parser(capsys):
-    parser = build_parser()
-    first = run(capsys, "dt4-series", "--n-max", "2", "--s", GENERIC_S, "--check-oracle")
-    assert first[0] == EXIT_OK and "oracle: PASS" in first[1]
-    other = run(capsys, "vertex", "--n-max", "1", "--format", "json")
-    assert other[0] == EXIT_OK and json.loads(other[1])["n_max"] == 1
-    # no flag of an earlier call carries over to the next one
-    again = run(capsys, "dt4-series", "--n-max", "2", "--s", GENERIC_S)
-    assert again[0] == EXIT_OK and again[1] == first[1].replace("oracle: PASS (5 partitions checked)\n", "")
-    assert build_parser() is parser
+def test_calls_of_one_command_share_one_parser(capsys):
+    parser = build_parser("dt4-series")
+    with mock.patch.object(parser, "parse_args", wraps=parser.parse_args) as spy:
+        first = run(capsys, "dt4-series", "--n-max", "2", "--s", GENERIC_S, "--check-oracle")
+        assert first[0] == EXIT_OK and "oracle: PASS" in first[1]
+        other = run(capsys, "vertex", "--n-max", "1", "--format", "json")
+        assert other[0] == EXIT_OK and json.loads(other[1])["n_max"] == 1
+        # no flag of an earlier call carries over to the next one
+        again = run(capsys, "dt4-series", "--n-max", "2", "--s", GENERIC_S)
+        assert again[0] == EXIT_OK and again[1] == first[1].replace(
+            "oracle: PASS (5 partitions checked)\n", "")
+    # both dt4-series calls parsed with the one cached parser, vertex did not
+    assert [call.args[0][0] for call in spy.call_args_list] == ["dt4-series", "dt4-series"]
+
+
+def _subcommands(parser) -> list[str]:
+    return list(next(a for a in parser._actions if a.dest == "command").choices)
+
+
+def test_a_command_line_builds_only_its_own_subparser(capsys):
+    build_parser.cache_clear()
+    code, _, _ = run(capsys, "dt4-series", "--n-max", "1", "--s", GENERIC_S)
+    assert code == EXIT_OK
+    assert build_parser.cache_info().currsize == 1
+    assert _subcommands(build_parser("dt4-series")) == ["dt4-series"]
+    assert build_parser.cache_info().misses == 1, "main built another parser"
+    # the determinism criterion parses its series with the dt4-series parser
+    build_parser.cache_clear()
+    code, _, _ = run(capsys, "suite", "--only", "determinism")
+    assert code == EXIT_OK
+    assert build_parser.cache_info().currsize == 2
+    assert _subcommands(build_parser("suite")) == ["suite"]
+    assert _subcommands(build_parser("dt4-series")) == ["dt4-series"]
+    assert build_parser.cache_info().misses == 2, "the suite built another parser"
+    assert len(_subcommands(build_parser())) == 10
 
 
 def test_partitions_env_override(capsys, monkeypatch):

@@ -6,6 +6,10 @@ Each argv ends in a documented exit code, 0 to 6, with no exception past
 No message passes on the interpreter's advice to raise its integer string
 limit, which the program never does.  Counts stay at n <= 3 or past every
 bound, so each argv runs in well under a second.
+
+The parser `main` picks for an argv, which holds only the subparser its
+first word names, parses every such argv, and the help and error lines
+below, to the same result and the same bytes as the parser of all ten.
 """
 
 import contextlib
@@ -18,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dt4calc.cli import build_parser, main
+from dt4calc.cli import COMMANDS, build_parser, main
 
 HUGE = "4" * 4400           # more digits than int() reads
 BIG = str(10 ** 1500)       # parses, but its cube has too many digits to print
@@ -146,3 +150,52 @@ def test_hostile_command_lines_end_in_a_documented_exit(orientation_dir, argv, b
     else:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
     assert "set_int_max_str_digits" not in err, argv
+
+
+def _parsed(parser, argv, columns):
+    """Exit code, parsed fields, stdout and stderr of parsing `argv`."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": columns}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, fields = 0, vars(parser.parse_args(argv))
+        except SystemExit as e:
+            code, fields = e.code, None
+    return code, fields, out.getvalue(), err.getvalue()
+
+
+def _assert_one_command_parser_agrees(argv, columns="80"):
+    own = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    assert _parsed(own, argv, columns) == _parsed(build_parser(), argv, columns), argv
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(argv=command_lines())
+def test_one_command_parser_agrees_on_hostile_command_lines(argv):
+    _assert_one_command_parser_agrees(argv)
+
+
+HELP_AND_ERRORS = [[], ["-h"], ["frobnicate"]] + [
+    argv for name in COMMANDS for argv in (
+        [name, "-h"], [name, "extra"], [name, "--bogus"], [name, name],
+        [name, "--format", "xml"])]
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
+@pytest.mark.parametrize("argv", HELP_AND_ERRORS, ids=" ".join)
+def test_one_command_parser_agrees_on_help_and_errors(argv, columns):
+    _assert_one_command_parser_agrees(argv, columns)
+
+
+
+def test_the_parser_of_all_ten_keeps_its_positional_name():
+    # the subcommand metavar of a one-command parser stays off this one:
+    # it would rename the positional in these two messages
+    choices = ", ".join(repr(name) for name in COMMANDS)
+    for argv, last in [
+            ([], "the following arguments are required: command"),
+            (["frobnicate"], f"argument command: invalid choice: 'frobnicate' "
+                             f"(choose from {choices})")]:
+        code, _, out, err = _parsed(build_parser(), argv, "80")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"\ndt4calc: error: {last}\n"), argv

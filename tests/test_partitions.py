@@ -9,7 +9,8 @@ from dt4calc.errors import BoundExceeded
 from dt4calc.exact import Laurent
 from dt4calc.partitions import (DEFAULT_BOUNDS, DPartition, ENV_BOUND_VAR,
                                 enumerate_partitions, is_downward_closed,
-                                partition_counts, partition_from_id, size_bound)
+                                partition_counts, partition_from_id, partition_levels,
+                                size_bound)
 
 
 def brute_force_sets(d, n):
@@ -75,6 +76,20 @@ def test_identifier_round_trip():
             boxes = tuple(tuple(int(x) for x in part.split(","))
                           for part in token.split(";"))
         assert boxes == pi.boxes
+
+
+@pytest.mark.parametrize("d,n_max", [(2, 8), (3, 5), (4, 4)])
+def test_ids_from_the_box_table_join_the_box_texts(d, n_max):
+    # the ids read each box's text from a per-process table; they must be
+    # the join of the boxes themselves, whatever the table held before
+    partitions._BOX_TEXT.clear()
+    for level in partition_levels(d, n_max):
+        for pi in level:
+            token = pi.id()
+            assert token == (";".join(",".join(map(str, b)) for b in pi.boxes) or "empty")
+            assert partition_from_id(token, d) == pi
+    assert set(partitions._BOX_TEXT) == {b for level in partition_levels(d, n_max)
+                                         for pi in level for b in pi.boxes}
 
 
 def test_character_counts_boxes():
