@@ -22,9 +22,9 @@ Parameter values and summands are rationals, ``fractions.Fraction``
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
 
 from .errors import BoundExceeded
 

@@ -42,7 +42,6 @@ evaluated apart.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from fractions import Fraction
@@ -150,6 +149,7 @@ class OrientationData:
 
     @classmethod
     def from_file(cls, path: str) -> "OrientationData":
+        import json
         with open(path) as fh:
             text = fh.read(cls.MAX_CHARS + 1)
         if len(text) > cls.MAX_CHARS:

@@ -11,6 +11,7 @@ from each of its removable boxes; each kept partition is built once.
 from __future__ import annotations
 
 import os
+from operator import index
 
 from .errors import BoundExceeded
 from .exact import Laurent
@@ -69,8 +70,9 @@ _BOX_TEXT = _BoxText()
 class DPartition:
     """A finite downward-closed box set, stored as a lex-sorted tuple.
 
-    The constructor checks that no box repeats and that the set is closed,
-    and raises ValueError otherwise; `relabeled`, which keeps both by
+    The constructor checks that every box is a point of N^d, with integer
+    coordinates, that no box repeats and that the set is closed, and raises
+    ValueError otherwise; `relabeled`, which keeps all three by
     construction, skips the checks.
     """
 
@@ -78,7 +80,13 @@ class DPartition:
 
     def __init__(self, d: int, boxes=()):
         _check_dim(d)
-        boxes = tuple(sorted(tuple(int(x) for x in b) for b in boxes))
+        points = []
+        for b in boxes:
+            try:
+                points.append(tuple(map(index, b)))
+            except TypeError:  # a coordinate that is not an integer
+                raise ValueError(f"box {b!r} is not a point of N^{d}") from None
+        boxes = tuple(sorted(points))
         for i, b in enumerate(boxes):
             if len(b) != d or any(x < 0 for x in b):
                 raise ValueError(f"box {b!r} is not a point of N^{d}")

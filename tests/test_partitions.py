@@ -116,6 +116,13 @@ def test_constructor_rejects_a_set_that_is_not_downward_closed():
     assert DPartition(4, [(0, 0, 0, 0), (1, 0, 0, 0)]).size == 2
 
 
+def test_constructor_rejects_a_coordinate_that_is_not_an_integer():
+    with pytest.raises(ValueError, match=r"box \(0\.7, 0, 0, 0\) is not a point of N\^4"):
+        DPartition(4, [(0.7, 0, 0, 0)])
+    with pytest.raises(ValueError, match=r"box \('1', 0, 0, 0\) is not a point of N\^4"):
+        DPartition(4, [(0, 0, 0, 0), ("1", 0, 0, 0)])
+
+
 def test_constructor_rejects_a_repeated_box():
     with pytest.raises(ValueError, match=r"box \(0, 0, 0, 0\) is repeated"):
         DPartition(4, [(0, 0, 0, 0), (0, 0, 0, 0)])
