@@ -128,9 +128,10 @@ def _int_list(text: str, flag: str, names: str) -> tuple[int, ...]:
     return values
 
 
-def _oracle_ok(data: FixedPointData) -> bool:
-    """The resolution oracle and the obstruction cross-check both agree."""
-    return vertex_oracle_check(data)[0] and obstruction_crosscheck(data)[0]
+def _oracle_ok(data: FixedPointData, memo: dict) -> bool:
+    """The resolution oracle and the obstruction cross-check both agree,
+    each reading the resolution route from the run's `memo`."""
+    return vertex_oracle_check(data, memo)[0] and obstruction_crosscheck(data, memo)[0]
 
 
 def _oracle_summary(checked: int, failures: list[str]) -> dict:
@@ -230,6 +231,7 @@ def cmd_vertex(args):
     levels = partition_levels(4, args.n_max)
     points = []
     failures = []
+    memo = {}  # the resolution route per S4 orbit, for this run only
     for n in range(1, args.n_max + 1):
         for pi in levels[n]:
             data = FixedPointData(pi)
@@ -246,7 +248,7 @@ def cmd_vertex(args):
             except NonGenericParameters as e:
                 entry["contribution"] = f"undefined ({e})"
             if args.check_oracle:
-                ok = _oracle_ok(data)
+                ok = _oracle_ok(data, memo)
                 entry["oracle"] = "PASS" if ok else "FAIL"
                 if not ok:
                     failures.append(pi.id())
@@ -277,7 +279,8 @@ def series_payload(n_max: int, params: TorusParams, orientation: OrientationData
     The series builds the first point of each S4 orbit and evaluates every
     other point from that record at the permuted s.  The oracle runs after
     it, so a series error comes first: it builds every point with n >= 1
-    directly, checks it against the resolution route, and checks the record
+    directly, checks it against the resolution route, computed once per S4
+    orbit and moved to the point (`resolution`), and checks the record
     the series used, transported to the point, and the value it printed
     against the direct build.
     """
@@ -291,10 +294,11 @@ def series_payload(n_max: int, params: TorusParams, orientation: OrientationData
     }
     if check_oracle:
         points = [pi for level in partition_levels(4, n_max)[1:] for pi in level]
+        memo = {}  # the resolution route per S4 orbit, for this run only
         failures = [pi.id() for pi, (_, _, v) in zip(points, rows[1:])
                     if not (record_oracle_check(data := FixedPointData(pi), params,
                                                 orientation.sign(pi), v)
-                            and _oracle_ok(data))]
+                            and _oracle_ok(data, memo))]
         payload["oracle"] = _oracle_summary(len(points), failures)
     return payload
 

@@ -23,7 +23,9 @@ The Laurent closed form (`vertex_character`) is kept for the `vertex`
 report and the oracles.  The Taylor complex of `taylor` serves only the
 checks, the resolution oracle and the cross-check of E1 and E2 against
 Ext^1 and Ext^2(O_Z, O_Z), and the cyclic completion report, so E1 comes
-from a different route than every Taylor oracle that checks it.
+from a different route than every Taylor oracle that checks it.  The two
+oracles read it through `resolution`, once per S4 orbit and run, and moved
+to each point they check.
 
 Only that last evaluation depends on the parameters.  The rest of a summand
 is kept per process in a compact `Summand` record, so a second series at
@@ -53,7 +55,7 @@ from operator import itemgetter
 from .characters import half_codes, mirrored, subtorus_code, tangent_codes, unpack_terms
 from .errors import InternalInconsistency, NonGenericParameters
 from .exact import Laurent, LinForm, form_str, integer_scaling, number_str, unpack
-from .partitions import DPartition, MonomialIdeal, partition_from_id, partition_levels
+from .partitions import DPartition, partition_from_id, partition_levels
 from .taylor import ext_characters, euler_character
 
 KAPPA_INV = Laurent.monomial((-1, -1, -1, -1))
@@ -236,9 +238,8 @@ class FixedPointData:
     torus, packed as `tangent_codes` counts it.
 
     What the oracles and the `vertex` report read are views, each built on
-    first access: the Laurent characters `q` and `tvir`; the weight lists,
-    as records hold them (`sorted_triples`); and the monomial `ideal`, both
-    Taylor checks' own.
+    first access: the Laurent characters `q` and `tvir`, and the weight
+    lists, as records hold them (`sorted_triples`).
     """
 
     def __init__(self, partition: DPartition):
@@ -271,11 +272,6 @@ class FixedPointData:
     @cached_property
     def tvir(self) -> Laurent:
         return vertex_character(self.q)
-
-    @cached_property
-    def ideal(self) -> MonomialIdeal:
-        """The point's monomial ideal, shared by both Taylor checks."""
-        return self.partition.to_ideal()
 
     @cached_property
     def e1_weights(self) -> tuple[tuple[int, int, int], ...]:
@@ -405,17 +401,39 @@ _MOVES = [(perm, itemgetter(*perm)) for perm in permutations(range(4))]
 _SUMMANDS: dict[DPartition, tuple[Summand, tuple, int]] = {}
 
 
-def vertex_oracle_check(data: FixedPointData) -> tuple[bool, Laurent, Laurent]:
+def resolution(partition: DPartition, what: str, memo=None):
+    """chi(O_Z, O_Z) (`what` "chi") or the (1, 2) window of Ext (`what`
+    "ext") at a point, computed at most once per `memo`, its own if None, on
+    the ideal of the first member of the point's S4 orbit in box order, and
+    moved to the point: Ext of a monomial ideal is equivariant under
+    permuting the variables, so exponents move by the inverse perm."""
+    memo = {} if memo is None else memo
+    first, perm = min((tuple(sorted(map(move, partition.boxes))), perm)
+                      for perm, move in _MOVES)
+    got = memo.get((first, what))
+    if got is None:
+        ideal = memo.get(first)
+        if ideal is None:
+            ideal = memo[first] = partition.relabeled(perm).to_ideal()
+        got = memo[first, what] = (euler_character(ideal) if what == "chi"
+                                   else ext_characters(ideal, degree=(1, 2)))
+    back = itemgetter(*sorted(range(4), key=perm.__getitem__))
+    if what == "chi":
+        return Laurent._of({back(e): c for e, c in got.terms.items()})
+    return {i: Laurent._of({back(e): c for e, c in ch.terms.items()}) for i, ch in got.items()}
+
+
+def vertex_oracle_check(data: FixedPointData, memo=None) -> tuple[bool, Laurent, Laurent]:
     """Closed form versus the resolution route, on the full torus, and the
     point's packed T, `mirrored(half)`, versus the resolution route on the
-    subtorus."""
+    subtorus; the route is read through `resolution`, on the run's `memo`."""
     q = data.q
-    rhs = q + q.bar() * KAPPA_INV - euler_character(data.ideal)
+    rhs = q + q.bar() * KAPPA_INV - resolution(data.partition, "chi", memo)
     ok = data.tvir == rhs and mirrored(data.half) == subtorus_codes(rhs, data.base)
     return ok, data.tvir, rhs
 
 
-def obstruction_crosscheck(data: FixedPointData) -> tuple[bool, tuple, tuple]:
+def obstruction_crosscheck(data: FixedPointData, memo=None) -> tuple[bool, tuple, tuple]:
     """E1 and the obstruction character versus Ext^1 and Ext^2(O_Z, O_Z)
     from the resolution route, which are Ext^0 and Ext^1(I, O_Z) by the
     ideal sequence.
@@ -424,9 +442,10 @@ def obstruction_crosscheck(data: FixedPointData) -> tuple[bool, tuple, tuple]:
     Ext^2 builds anyway, and the rank of d0, which is zero.  E1 is
     compared on the full torus, as `e1_terms` unpacked, and as the point's
     packed `e1`, E2 as the packed `e2` the summand is read from.  Returns
-    whether both agree, (E1, packed E2) and (Ext^1, packed Ext^2).
+    whether both agree, (E1, packed E2) and (Ext^1, packed Ext^2).  The
+    window is read through `resolution`, on the run's `memo`.
     """
-    ext = ext_characters(data.ideal, degree=(1, 2))
+    ext = resolution(data.partition, "ext", memo)
     lhs = (unpack_terms(data.e1_terms, data.partition.size), data.e2)
     rhs = (ext.get(1, Laurent()), subtorus_codes(ext.get(2, Laurent()), data.base))
     ok = lhs == rhs and data.e1 == subtorus_codes(rhs[0], data.base)

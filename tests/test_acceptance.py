@@ -57,7 +57,7 @@ BROKEN = {
     "vdim": ("vdim-law", {"vdim_ideal_cy4": _vdim_off_at_3_1},
              "failed at n=3, h02=1: {'n': 3, 'h02': 1, 'chi': -2, 'vdim': 5}"),
     "vertex-mismatch": ("vertex-oracle", {
-        "vertex_oracle_check": lambda data: (data.partition.size < 2, "lhs", "rhs")},
+        "vertex_oracle_check": lambda data, memo: (data.partition.size < 2, "lhs", "rhs")},
         "mismatch at 0,0,0,0;0,0,0,1: lhs vs rhs"),
     "one-box-value": ("one-box-contribution", {
         "TorusParams": SimpleNamespace(default=lambda: TorusParams((1, 1, 1, -3)))},

@@ -238,9 +238,18 @@ def test_check_oracle_fails_generators_that_miss_the_staircase(wrong, capsys, mo
     assert out.splitlines()[-1] == "oracle: FAIL (5 partitions checked)"
 
 
-@pytest.mark.parametrize("command", ["dt4-series", "vertex"])
-def test_check_oracle_builds_one_ideal_per_point(command, capsys, monkeypatch):
+def first_of_orbit(pi):
+    """The member of pi's S4 orbit whose sorted boxes come first."""
     from dt4calc.partitions import DPartition
+
+    return DPartition(4, min(pi.relabeled(p).boxes for p in itertools.permutations(range(4))))
+
+
+@pytest.mark.parametrize("command", ["dt4-series", "vertex"])
+def test_check_oracle_builds_one_ideal_per_orbit(command, capsys, monkeypatch):
+    # the 15 points with n <= 3 fall into 4 orbits: one box, two boxes, three
+    # in a line and three in an L
+    from dt4calc.partitions import DPartition, partition_levels
 
     built = []
     to_ideal = DPartition.to_ideal
@@ -248,7 +257,52 @@ def test_check_oracle_builds_one_ideal_per_point(command, capsys, monkeypatch):
     code, out, _ = run(capsys, command, "--n-max", "3", "--s", GENERIC_S, "--check-oracle")
     assert code == EXIT_OK
     assert out.splitlines()[-1] == "oracle: PASS (15 partitions checked)"
-    assert len(built) == len(set(built)) == 15
+    firsts = {first_of_orbit(pi) for level in partition_levels(4, 3)[1:] for pi in level}
+    assert len(built) == len(set(built)) == 4
+    assert set(built) == firsts
+
+
+@pytest.mark.parametrize("command", ["dt4-series", "vertex"])
+def test_check_oracle_catches_a_fault_off_the_first_member_of_each_orbit(
+        command, capsys, monkeypatch):
+    # t1 - t1^-1 added to E1 on the full torus, only at points that are not
+    # the first member of their orbit: the one point where each orbit's
+    # resolution route is computed is left honest, and the 11 others must
+    # still fail against the route moved to them
+    tangent_codes = localize.tangent_codes
+
+    def tampered(pi, base):
+        e1, terms = tangent_codes(pi, base)
+        if pi.size and pi != first_of_orbit(pi):
+            t1 = (2 * pi.size + 1) ** 3
+            terms = {**terms, t1: terms.get(t1, 0) + 1, -t1: terms.get(-t1, 0) - 1}
+        return e1, terms
+
+    monkeypatch.setattr(localize, "tangent_codes", tampered)
+    code, out, _ = run(capsys, command, "--n-max", "3", "--s", GENERIC_S, "--check-oracle")
+    assert code == EXIT_MISMATCH
+    assert out.splitlines()[-1] == "oracle: FAIL (15 partitions checked)"
+    if command == "vertex":
+        assert out.count("\noracle: FAIL\n") == 11 and out.count("\noracle: PASS\n") == 4
+
+
+def test_check_oracle_keeps_no_state_between_runs(capsys, monkeypatch):
+    # each run makes its own memo: a fault introduced after a passing run
+    # shows in the next run of the same command line and of the suite
+    from dt4calc import taylor
+    from dt4calc.suite import run_suite
+
+    argv = ("dt4-series", "--n-max", "2", "--s", GENERIC_S, "--check-oracle")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and out.splitlines()[-1] == "oracle: PASS (5 partitions checked)"
+    assert [row["ok"] for row in run_suite(only="vertex-oracle")] == [True]
+    real = taylor._lcm_sum
+    monkeypatch.setattr(taylor, "_lcm_sum",
+                        lambda ideal: {**real(ideal), (9,) * ideal.nvars: 1})
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_MISMATCH
+    assert out.splitlines()[-1] == "oracle: FAIL (5 partitions checked)"
+    assert [row["ok"] for row in run_suite(only="vertex-oracle")] == [False]
 
 
 def test_check_oracle_catches_a_tampered_packed_vertex_character(capsys, monkeypatch):
@@ -603,6 +657,23 @@ def test_deep_series_bytes_are_pinned(capsys):
                           env=env, capture_output=True, check=True, timeout=120)
     assert hashlib.sha256(done.stdout).hexdigest() == \
         "4762e374643568ea80929868171e4f196275c0d8ee5ec76d1f39c02ed29d3631"
+
+
+def test_deep_oracle_bytes_are_pinned(capsys, monkeypatch):
+    # 547 points with n <= 7 in 53 orbits of 1, 3, 4, 6, 12 and 24 points;
+    # the resolution route is computed once per orbit and moved to the rest
+    from dt4calc.partitions import DPartition
+
+    built = []
+    to_ideal = DPartition.to_ideal
+    monkeypatch.setattr(DPartition, "to_ideal", lambda pi: built.append(pi) or to_ideal(pi))
+    code, out, _ = run(capsys, "dt4-series", "--n-max", "7", "--s", GENERIC_S,
+                       "--check-oracle")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "oracle: PASS (547 partitions checked)"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "8fd883353fe4255f5ccd9fee5be20a420cf06b9200b9881d66800661ecc3a8a1"
+    assert len(built) == len(set(built)) == 53
 
 
 def test_series_repeat_run_is_byte_identical(capsys):

@@ -465,14 +465,45 @@ def test_crosscheck_catches_a_dropped_top_differential_row(monkeypatch):
 
 
 def test_both_checks_share_one_ideal_and_one_staircase(monkeypatch):
-    built = []
+    # on one memo both checks read the ideal of the first member of the
+    # point's orbit in box order, built once; the point, three boxes along
+    # t1, is not that member, three boxes along t4
+    built, read = [], []
     to_ideal = DPartition.to_ideal
     monkeypatch.setattr(DPartition, "to_ideal", lambda pi: built.append(pi) or to_ideal(pi))
+    for name in ("euler_character", "ext_characters"):
+        def spy(ideal, *args, real=getattr(localize, name), **kwargs):
+            read.append(ideal)
+            return real(ideal, *args, **kwargs)
+        monkeypatch.setattr(localize, name, spy)
     data = FixedPointData(POINTS_3[-1])
-    staircase = data.ideal.staircase()
-    assert vertex_oracle_check(data)[0] and obstruction_crosscheck(data)[0]
-    assert built == [data.partition]
-    assert data.ideal.staircase() is staircase
+    memo = {}
+    assert vertex_oracle_check(data, memo)[0] and obstruction_crosscheck(data, memo)[0]
+    assert vertex_oracle_check(data, memo)[0] and obstruction_crosscheck(data, memo)[0]
+    first = DPartition(4, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2)])
+    assert built == [first] and data.partition != first
+    assert len(read) == 2 and read[0] is read[1]
+    assert read[0].staircase() is built[0].boxes
+
+
+# the S4 orbits of every solid partition with n <= 6, each as its members
+ORBITS_6 = {}
+for _pi in (pi for n in range(7) for pi in enumerate_partitions(4, n)):
+    ORBITS_6.setdefault(min(_pi.relabeled(p).boxes for p in itertools.permutations(range(4))),
+                        []).append(_pi)
+
+
+def test_moved_resolution_equals_the_direct_one():
+    # each level shares one memo, so every point but the first member of its
+    # orbit reads a character computed at another point and moved to it
+    assert sorted({len(members) for members in ORBITS_6.values()}) == [1, 4, 6, 12, 24]
+    for n in range(7):
+        memo = {}
+        for pi in enumerate_partitions(4, n):
+            ideal = pi.to_ideal()
+            assert localize.resolution(pi, "chi", memo) == euler_character(ideal), pi.id()
+            assert localize.resolution(pi, "ext", memo) == \
+                ext_characters(ideal, degree=(1, 2)), pi.id()
 
 
 def test_crosscheck_compares_the_packed_e1():

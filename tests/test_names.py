@@ -91,6 +91,10 @@ def test_oracle_workload_fires_every_span_the_runner_names(workload, monkeypatch
     layers = result["layers"]
     assert [span for span in fires if layers[f"{span}.calls"] <= 0] == []
     if workload == "oracle-n4":
-        # both checks read one ideal per point
-        checked = layers["localize.obstruction_crosscheck.calls"]
-        assert layers["partitions.DPartition.to_ideal.calls"] == checked == 41
+        # both checks run at each of the 41 points, and read the resolution
+        # route computed once for each of the 8 orbits
+        assert layers["localize.vertex_oracle_check.calls"] == 41
+        assert layers["localize.obstruction_crosscheck.calls"] == 41
+        assert layers["partitions.DPartition.to_ideal.calls"] == 8
+        assert layers["taylor.ext_characters.calls"] == 8
+        assert layers["taylor.euler_character.calls"] == 8
