@@ -6,13 +6,16 @@ into one int (`subtorus_code`), so sums of vectors are sums of ints.
 There (1 - t1^-1)...(1 - t4^-1) = P123 + bar(P123) with
 P123 = (1 - t1^-1)(1 - t2^-1)(1 - t3^-1), so the virtual tangent character
 is T = V + bar(V) (`mirrored`) with V = Q - Q bar(Q) P123, eight shifts of
-the box differences (`half_codes`).
+the box differences (`half_codes`).  On the full torus, where exponents
+are packed in base 2n + 1 (`torus_code`), T itself is 16 shifts of them
+(`vertex_character`).
 
 The tangent character E1 = Hom(I, O_Z) is counted from graph components at
 each multidegree (`tangent_codes`), with no Taylor complex, no ideal and no
-rank, and written straight to subtorus codes.  Its full torus terms are
-kept packed; `unpack_terms` reads them as a Laurent polynomial, for the
-Ext cross-check.
+rank, and written straight to subtorus codes, its full torus terms kept
+packed.  The resolution oracle packs the Taylor route's terms the same
+ways (`pack_moved`); `unpack_terms` reads full torus terms as a Laurent
+polynomial, for the `vertex` report and a failing check.
 """
 
 from __future__ import annotations
@@ -23,6 +26,13 @@ from .exact import Laurent, unpack
 from .partitions import DPartition
 
 
+def torus_code(e, p: int) -> int:
+    """The exponent vector e on the full torus as one int: signed digits in
+    base p, the first most significant.  In base 2n + 1, as `unpack_terms`
+    reads them, vectors with entries in [-n, n] have distinct codes."""
+    return ((e[0] * p + e[1]) * p + e[2]) * p + e[3]
+
+
 def subtorus_code(e, base: int) -> int:
     """The exponent or coefficient vector e on the subtorus, (e1-e4, e2-e4,
     e3-e4), as one int: signed digits in `base`, the first most significant."""
@@ -30,35 +40,74 @@ def subtorus_code(e, base: int) -> int:
 
 
 # the (exponent, sign) of each term (-1)^|e| t^e of
-# P123 = (1 - t1^-1)(1 - t2^-1)(1 - t3^-1)
-_P123 = tuple((e + (0,), (-1) ** -sum(e)) for e in product((0, -1), repeat=3))
+# P1234 = (1 - t1^-1)(1 - t2^-1)(1 - t3^-1)(1 - t4^-1)
+_P1234 = tuple((e, (-1) ** -sum(e)) for e in product((0, -1), repeat=4))
 
 
-def half_codes(partition: DPartition, base: int) -> dict[int, int]:
-    """The half V of the virtual tangent character T = V + bar(V) on the
-    subtorus, code -> multiplicity, with no zero terms.
-
-    There P1234 = (1 - t1^-1)...(1 - t4^-1) equals P123 + bar(P123), and the
-    box differences D = Q bar(Q) are self dual, so V = Q - D P123: eight
-    shifts of the box differences.
-    """
-    boxes = [subtorus_code(b, base) for b in partition.boxes]
+def _less_box_differences(boxes: list[int], shifts, out: dict[int, int]) -> dict[int, int]:
+    """`out` less D times the sum of sign * t^shift over the (shift, sign)
+    pairs, with no zero terms, all as codes of one packing: D = Q bar(Q) is
+    the box differences, from the code of each box in `boxes`."""
     diffs: dict[int, int] = {}
     get = diffs.get
     for a in boxes:
         for b in boxes:
             d = a - b
             diffs[d] = get(d, 0) + 1
-    # V = Q - sum of sign * D t^shift: the terms of -sign * D, by sign
+    # the terms of -sign * D, by sign
     signed = {1: [(d, -m) for d, m in diffs.items()], -1: list(diffs.items())}
-    half = dict.fromkeys(boxes, 1)
-    get = half.get
-    for e, sign in _P123:
-        shift = subtorus_code(e, base)
+    get = out.get
+    for shift, sign in shifts:
         for d, m in signed[sign]:
             k = d + shift
-            half[k] = get(k, 0) + m
-    return {k: m for k, m in half.items() if m}
+            out[k] = get(k, 0) + m
+    return {k: m for k, m in out.items() if m}
+
+
+def half_codes(partition: DPartition, base: int) -> dict[int, int]:
+    """The half V of the virtual tangent character T = V + bar(V) on the
+    subtorus, code -> multiplicity, with no zero terms.
+
+    There P1234 equals P123 + bar(P123), with P123 = (1 - t1^-1)(1 - t2^-1)
+    (1 - t3^-1) the terms of P1234 with e4 = 0, and the box differences
+    D = Q bar(Q) are self dual, so V = Q - D P123: eight shifts of the box
+    differences.
+    """
+    boxes = [subtorus_code(b, base) for b in partition.boxes]
+    shifts = [(subtorus_code(e, base), sign) for e, sign in _P1234 if not e[3]]
+    return _less_box_differences(boxes, shifts, dict.fromkeys(boxes, 1))
+
+
+def vertex_character(partition: DPartition) -> dict[int, int]:
+    """The virtual tangent character T at a fixed point, its full torus
+    terms packed in base 2n + 1 (`torus_code`), code -> multiplicity, with
+    no zero terms: Q + bar(Q) kappa^-1 less 16 shifts of the box
+    differences D = Q bar(Q), the terms of D P1234.  Every exponent lies in
+    [-n, n], so codes are equal only when exponents are."""
+    p = 2 * partition.size + 1
+    boxes = [torus_code(b, p) for b in partition.boxes]
+    kappa = torus_code((1, 1, 1, 1), p)
+    # bar(Q) kappa^-1 has the exponent -b - 1 for a box b, negative, so no box
+    units = dict.fromkeys(boxes + [-k - kappa for k in boxes], 1)
+    return _less_box_differences(boxes, [(torus_code(e, p), sign) for e, sign in _P1234], units)
+
+
+def pack_moved(terms, perm, n: int) -> tuple[dict[int, int], dict[int, int]]:
+    """(exponent, value) terms with each exponent e moved to e[i] at place
+    perm[i], as (full torus, subtorus) codes -> value in base 2n + 1 and
+    4n + 1, each code a dot product of e with the codes of the unit vectors;
+    exact for exponents in [-n, n], where full torus codes do not alias."""
+    p, q = 2 * n + 1, 4 * n + 1
+    f0, f1, f2, f3 = [p ** (3 - j) for j in perm]
+    s0, s1, s2, s3 = [(q * q, q, 1, -q * q - q - 1)[j] for j in perm]
+    full: dict[int, int] = {}
+    sub: dict[int, int] = {}
+    get = sub.get
+    for (a, b, c, d), m in terms:
+        full[a * f0 + b * f1 + c * f2 + d * f3] = m
+        k = a * s0 + b * s1 + c * s2 + d * s3
+        sub[k] = get(k, 0) + m
+    return full, {k: m for k, m in sub.items() if m}
 
 
 def mirrored(codes: dict[int, int]) -> dict[int, int]:
@@ -86,8 +135,8 @@ def tangent_codes(partition: DPartition, base: int) -> tuple[dict[int, int], dic
     Generators are the addable boxes.  One pass over the (box, generator)
     pairs groups them by mu = box - generator, which gives each mu its live
     generators as a bitmask, and its subtorus code as code(box) -
-    code(generator).  Full torus vectors are packed into ints as digits in
-    base 2n + 1, the first most significant, as `exact.unpack` reads them.
+    code(generator).  Full torus vectors are packed into ints in base
+    2n + 1 (`torus_code`).
     Every vector compared here has coordinates in [-n, 2n - 1] and every box
     in [0, n - 1], so two of them differ by less than the base in each
     coordinate, and their codes are equal only when the vectors are.
@@ -95,12 +144,8 @@ def tangent_codes(partition: DPartition, base: int) -> tuple[dict[int, int], dic
     boxes = partition.boxes
     gens = partition.addable_boxes()
     p = 2 * len(boxes) + 1
-
-    def pack(v) -> int:
-        return ((v[0] * p + v[1]) * p + v[2]) * p + v[3]
-
-    box_codes = set(map(pack, boxes))
-    gen_codes = list(map(pack, gens))
+    box_codes = {torus_code(b, p) for b in boxes}
+    gen_codes = [torus_code(g, p) for g in gens]
     gen_info = [(1 << i, pg, subtorus_code(g, base))
                 for i, (g, pg) in enumerate(zip(gens, gen_codes))]
     # for each generator g, the (bit, packed lcm(g, h) - g) of the other
@@ -118,7 +163,7 @@ def tangent_codes(partition: DPartition, base: int) -> tuple[dict[int, int], dic
     live: dict[int, int] = {}
     sub: dict[int, int] = {}
     for b in boxes:
-        pb, sb = pack(b), subtorus_code(b, base)
+        pb, sb = torus_code(b, p), subtorus_code(b, base)
         for bit, pg, sg in gen_info:
             mu = pb - pg
             mask = live.get(mu)
@@ -157,7 +202,8 @@ def tangent_codes(partition: DPartition, base: int) -> tuple[dict[int, int], dic
 
 
 def unpack_terms(terms: dict[int, int], n: int) -> Laurent:
-    """The packed full torus terms of `tangent_codes` at a partition of size
-    n as a Laurent polynomial: each key is four signed digits in base 2n + 1."""
+    """Packed full torus terms at a partition of size n, such as those of
+    `tangent_codes`, as a Laurent polynomial: each key is a `torus_code` in
+    base 2n + 1, four signed digits."""
     p = 2 * n + 1
     return Laurent({unpack(code, 4, p): m for code, m in terms.items()})

@@ -19,13 +19,17 @@ by packed subtorus codes, with no Laurent polynomial (`characters`).  A
 summand record holds its weights as reduced int triples, each code decoded
 once per process, and evaluates them with local arithmetic; the record
 oracle decodes the codes again and evaluates them with its own `LinForm`.
-The Laurent closed form (`vertex_character`) is kept for the `vertex`
-report and the oracles.  The Taylor complex of `taylor` serves only the
+The closed form T on the full torus is built the same way, packed in
+base 2n + 1 (`vertex_character`); the `vertex` report reads it as a
+Laurent polynomial.  The Taylor complex of `taylor` serves only the
 checks, the resolution oracle and the cross-check of E1 and E2 against
 Ext^1 and Ext^2(O_Z, O_Z), and the cyclic completion report, so E1 comes
 from a different route than every Taylor oracle that checks it.  The two
-oracles read it through `resolution`, once per S4 orbit and run, and moved
-to each point they check.
+oracles read it through `resolution`, once per S4 orbit and run, as the
+exponents of the orbit's first member, which each point packs by dot
+products with its own permutation: a passing check compares int codes
+and builds no Laurent polynomial, a failing one reports both sides as
+Laurent polynomials.
 
 Only that last evaluation depends on the parameters.  The rest of a summand
 is kept per process in a compact `Summand` record, so a second series at
@@ -52,23 +56,12 @@ from itertools import combinations, permutations, product
 from math import prod
 from operator import itemgetter
 
-from .characters import half_codes, mirrored, subtorus_code, tangent_codes, unpack_terms
+from .characters import (half_codes, mirrored, pack_moved, subtorus_code, tangent_codes,
+                         unpack_terms, vertex_character)
 from .errors import InternalInconsistency, NonGenericParameters
 from .exact import Laurent, LinForm, form_str, integer_scaling, number_str, unpack
 from .partitions import DPartition, partition_from_id, partition_levels
 from .taylor import ext_characters, euler_character
-
-KAPPA_INV = Laurent.monomial((-1, -1, -1, -1))
-
-# (1 - t1^-1)(1 - t2^-1)(1 - t3^-1)(1 - t4^-1): the terms (-1)^|e| t^e
-_CONJ = Laurent({e: (-1) ** -sum(e) for e in product((0, -1), repeat=4)})
-
-
-def vertex_character(q: Laurent) -> Laurent:
-    """Virtual tangent character at the fixed point with box character q."""
-    qb = q.bar()
-    return q + qb * KAPPA_INV - q * qb * _CONJ
-
 
 # the exponent of a decimal coordinate such as 15e-1, written as Fraction reads it
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
@@ -214,15 +207,6 @@ def sorted_triples(codes: dict[int, int], base: int) -> tuple[tuple[int, int, in
     return weight_triples([k for k in sorted(codes) for _ in range(codes[k])], base)
 
 
-def subtorus_codes(ch: Laurent, base: int) -> dict[int, int]:
-    """A character restricted to the subtorus, as code -> multiplicity."""
-    out: dict[int, int] = {}
-    for e, c in ch.terms.items():
-        k = subtorus_code(e, base)
-        out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if c}
-
-
 class FixedPointData:
     """Everything the localization formula needs at one fixed point.
 
@@ -237,9 +221,10 @@ class FixedPointData:
     when its triple is above (0, 0, 0).  `e1_terms` holds E1 on the full
     torus, packed as `tangent_codes` counts it.
 
-    What the oracles and the `vertex` report read are views, each built on
-    first access: the Laurent characters `q` and `tvir`, and the weight
-    lists, as records hold them (`sorted_triples`).
+    What the `vertex` report reads are views, each built on first access:
+    `tvir`, the packed closed form of `vertex_character` as a Laurent
+    polynomial, and the weight lists, as records hold them
+    (`sorted_triples`).
     """
 
     def __init__(self, partition: DPartition):
@@ -266,12 +251,8 @@ class FixedPointData:
             raise InternalInconsistency(f"{what} character has non effective terms {bad}")
 
     @cached_property
-    def q(self) -> Laurent:
-        return self.partition.character()
-
-    @cached_property
     def tvir(self) -> Laurent:
-        return vertex_character(self.q)
+        return unpack_terms(vertex_character(self.partition), self.partition.size)
 
     @cached_property
     def e1_weights(self) -> tuple[tuple[int, int, int], ...]:
@@ -401,55 +382,80 @@ _MOVES = [(perm, itemgetter(*perm)) for perm in permutations(range(4))]
 _SUMMANDS: dict[DPartition, tuple[Summand, tuple, int]] = {}
 
 
-def resolution(partition: DPartition, what: str, memo=None):
-    """chi(O_Z, O_Z) (`what` "chi") or the (1, 2) window of Ext (`what`
-    "ext") at a point, computed at most once per `memo`, its own if None, on
-    the ideal of the first member of the point's S4 orbit in box order, and
-    moved to the point: Ext of a monomial ideal is equivariant under
-    permuting the variables, so exponents move by the inverse perm."""
+def _first_member(partition: DPartition) -> tuple[tuple, tuple]:
+    """The first member of the point's S4 orbit in box order, as its boxes,
+    and the perm that relabels the point to it."""
+    return min((tuple(sorted(map(move, partition.boxes))), perm) for perm, move in _MOVES)
+
+
+def resolution(partition: DPartition, what: str, memo=None) -> tuple[tuple, dict, bool]:
+    """The resolution route at a point by degree: for `what` "tvir",
+    Q + bar(Q) kappa^-1 - chi(O_Z, O_Z) at 0, for "ext" the (1, 2) window
+    of Ext; computed at most once per `memo`, its own if None, on the ideal
+    of the first member of the point's S4 orbit, where each point's first
+    member is looked up once.  Returns (perm, terms, fits): the route's
+    (exponent, value) pairs at that member, which Ext of a monomial ideal,
+    equivariant under permuting the variables, moves to the point with
+    e[i] at place perm[i]; and whether every exponent lies in [-n, n],
+    where packed codes (`pack_moved`) cannot alias.
+    """
     memo = {} if memo is None else memo
-    first, perm = min((tuple(sorted(map(move, partition.boxes))), perm)
-                      for perm, move in _MOVES)
+    first, perm = memo.get(partition) or memo.setdefault(partition, _first_member(partition))
     got = memo.get((first, what))
     if got is None:
-        ideal = memo.get(first)
-        if ideal is None:
-            ideal = memo[first] = partition.relabeled(perm).to_ideal()
-        got = memo[first, what] = (euler_character(ideal) if what == "chi"
-                                   else ext_characters(ideal, degree=(1, 2)))
+        ideal = memo.get(first) or memo.setdefault(first, partition.relabeled(perm).to_ideal())
+        if what == "tvir":
+            units = Laurent({e: 1 for b in first for e in (b, tuple(-x - 1 for x in b))})
+            chars = {0: units - euler_character(ideal)}
+        else:
+            chars = ext_characters(ideal, degree=(1, 2))
+        terms = {i: list(ch.terms.items()) for i, ch in chars.items()}
+        n = partition.size
+        got = memo[first, what] = terms, all(
+            -n <= x <= n for pairs in terms.values() for e, _ in pairs for x in e)
+    return perm, *got
+
+
+def _moved_laurent(terms, perm) -> Laurent:
+    """Terms of `resolution` moved to the point as a Laurent polynomial."""
     back = itemgetter(*sorted(range(4), key=perm.__getitem__))
-    if what == "chi":
-        return Laurent._of({back(e): c for e, c in got.terms.items()})
-    return {i: Laurent._of({back(e): c for e, c in ch.terms.items()}) for i, ch in got.items()}
+    return Laurent({back(e): m for e, m in terms})
 
 
-def vertex_oracle_check(data: FixedPointData, memo=None) -> tuple[bool, Laurent, Laurent]:
-    """Closed form versus the resolution route, on the full torus, and the
-    point's packed T, `mirrored(half)`, versus the resolution route on the
-    subtorus; the route is read through `resolution`, on the run's `memo`."""
-    q = data.q
-    rhs = q + q.bar() * KAPPA_INV - resolution(data.partition, "chi", memo)
-    ok = data.tvir == rhs and mirrored(data.half) == subtorus_codes(rhs, data.base)
-    return ok, data.tvir, rhs
+def vertex_oracle_check(data: FixedPointData, memo=None) -> tuple[bool, object, object]:
+    """The closed form T (`vertex_character`) on the full torus, and the
+    point's packed T, `mirrored(half)`, on the subtorus, versus the route
+    Q + bar(Q) kappa^-1 - chi(O_Z, O_Z) as packed codes, read through
+    `resolution` on the run's `memo`.  Returns (ok, lhs, rhs): T and the
+    route as Laurent polynomials when they disagree, else None for both,
+    so a passing check builds no Laurent polynomial."""
+    perm, route, fits = resolution(data.partition, "tvir", memo)
+    if fits and pack_moved(route[0], perm, data.partition.size) == (
+            vertex_character(data.partition), mirrored(data.half)):
+        return True, None, None
+    return False, data.tvir, _moved_laurent(route[0], perm)
 
 
-def obstruction_crosscheck(data: FixedPointData, memo=None) -> tuple[bool, tuple, tuple]:
+def obstruction_crosscheck(data: FixedPointData, memo=None) -> tuple[bool, object, object]:
     """E1 and the obstruction character versus Ext^1 and Ext^2(O_Z, O_Z)
     from the resolution route, which are Ext^0 and Ext^1(I, O_Z) by the
     ideal sequence.
 
     One Taylor call gives both degrees: Ext^1 needs the rank of d1, which
     Ext^2 builds anyway, and the rank of d0, which is zero.  E1 is
-    compared on the full torus, as `e1_terms` unpacked, and as the point's
-    packed `e1`, E2 as the packed `e2` the summand is read from.  Returns
-    whether both agree, (E1, packed E2) and (Ext^1, packed Ext^2).  The
-    window is read through `resolution`, on the run's `memo`.
+    compared on the full torus, as the packed `e1_terms`, and as the
+    point's packed `e1`, E2 as the packed `e2` the summand is read from,
+    all as packed codes; the window is read through `resolution`, on the
+    run's `memo`.  Returns (ok, lhs, rhs): (E1, packed E2) and (Ext^1,
+    packed Ext^2), E1 and Ext^1 as Laurent polynomials, when they
+    disagree, else None for both.
     """
-    ext = resolution(data.partition, "ext", memo)
-    lhs = (unpack_terms(data.e1_terms, data.partition.size), data.e2)
-    rhs = (ext.get(1, Laurent()), subtorus_codes(ext.get(2, Laurent()), data.base))
-    ok = lhs == rhs and data.e1 == subtorus_codes(rhs[0], data.base)
-    return ok, lhs, rhs
+    n = data.partition.size
+    perm, ext, fits = resolution(data.partition, "ext", memo)
+    e1, e2 = ext.get(1, ()), pack_moved(ext.get(2, ()), perm, n)[1]
+    if fits and pack_moved(e1, perm, n) == (data.e1_terms, data.e1) and data.e2 == e2:
+        return True, None, None
+    return False, (unpack_terms(data.e1_terms, n), data.e2), (_moved_laurent(e1, perm), e2)
 
 
 def record_oracle_check(data: FixedPointData, params: TorusParams, orientation: int,

@@ -33,11 +33,12 @@ same sequence, so it has no route of its own.
 
 The fixed points of the localization do not come through here: their
 tangent character is counted from graph components in `characters`.  These
-routes serve the checks, `vertex_oracle_check` (through `euler_character`),
-`obstruction_crosscheck` (Ext^1 and Ext^2 of O_Z in one call) and the
-cyclic completion report behind `cyclic-check`.  The first two read them
-through `localize.resolution`, at one point of each S4 orbit, and move them
-to the others: permuting the variables permutes the Taylor complex.
+routes serve the checks, `vertex_oracle_check` (T as Q + bar(Q) kappa^-1
+minus `euler_character`), `obstruction_crosscheck` (Ext^1 and Ext^2 of O_Z
+in one call) and the cyclic completion report behind `cyclic-check`.  The
+first two read them through `localize.resolution`, at one point of each S4
+orbit, keep their exponents and pack them at the others, permuted:
+permuting the variables permutes the Taylor complex.
 
 Characters are returned as Laurent polynomials in t1..t4 with int
 coefficients, since every dimension and signed cochain count is an integer;

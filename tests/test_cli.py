@@ -286,6 +286,79 @@ def test_check_oracle_catches_a_fault_off_the_first_member_of_each_orbit(
         assert out.count("\noracle: FAIL\n") == 11 and out.count("\noracle: PASS\n") == 4
 
 
+@pytest.mark.parametrize("command", ["dt4-series", "vertex"])
+def test_check_oracle_looks_up_each_point_once_per_run(command, capsys, monkeypatch):
+    # both checks read a point's first orbit member from the run's memo, so
+    # each run searches the 24 relabelings once per point, and the suite's
+    # run once per point its criterion checks
+    from dt4calc.partitions import partition_levels
+    from dt4calc.suite import run_suite
+
+    searched = []
+    real = localize._first_member
+    monkeypatch.setattr(localize, "_first_member", lambda pi: searched.append(pi) or real(pi))
+    points = [pi for level in partition_levels(4, 3)[1:] for pi in level]
+    for _ in range(2):
+        code, out, _ = run(capsys, command, "--n-max", "3", "--s", GENERIC_S,
+                           "--check-oracle")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "oracle: PASS (15 partitions checked)"
+        assert searched == points
+        searched.clear()
+    assert [row["ok"] for row in run_suite(only="vertex-oracle")] == [True]
+    assert searched == points
+
+
+def aliased(ch, n, avoid=()):
+    """ch with its first term not in `avoid` moved out of [-n, n]^4, onto a
+    vector with the same full torus code in base 2n + 1 and subtorus code in
+    base 4n + 1."""
+    from dt4calc.characters import subtorus_code, torus_code
+    from dt4calc.exact import Laurent
+
+    p, q = 2 * n + 1, 4 * n + 1
+    # p(p - 1) (1, 1, 1, 1) + (p^2 + p + 1) (1, -q, 0, 0) + (0, 1, -q, 0)
+    r, s = p * (p - 1), p * p + p + 1
+    delta = (r + s, r - q * s + 1, r - q, r)
+    assert torus_code(delta, p) == 0 and subtorus_code(delta, q) == 0
+    terms = dict(ch.terms)
+    e = min(set(terms) - set(avoid))
+    terms[tuple(a + b for a, b in zip(e, delta))] = terms.pop(e)
+    return Laurent(terms)
+
+
+@pytest.mark.parametrize("route", ["euler_character", "ext_characters"])
+def test_check_oracle_refuses_a_route_term_outside_the_packing_box(route, capsys,
+                                                                  monkeypatch):
+    # the moved term packs onto the codes of the true one, so only the range
+    # guard on the route's exponents tells them apart; without it both
+    # checks would compare equal codes and pass.  The chi term moved is at
+    # no exponent of Q + bar(Q) kappa^-1, so the route T keeps it whole
+    from dt4calc.localize import FixedPointData
+    from dt4calc.partitions import partition_levels
+
+    real = getattr(localize, route)
+
+    def tampered(ideal, **kwargs):
+        got = real(ideal, **kwargs)
+        n = ideal.partition.size
+        if route == "ext_characters":
+            return {**got, 1: aliased(got[1], n)}
+        boxes = ideal.partition.boxes
+        return aliased(got, n, avoid=boxes + tuple(tuple(-x - 1 for x in b) for b in boxes))
+
+    monkeypatch.setattr(localize, route, tampered)
+    check = {"euler_character": localize.vertex_oracle_check,
+             "ext_characters": localize.obstruction_crosscheck}[route]
+    for pi in (pi for level in partition_levels(4, 3)[1:] for pi in level):
+        ok, lhs, rhs = check(FixedPointData(pi))
+        assert not ok and lhs != rhs, pi.id()
+    code, out, _ = run(capsys, "dt4-series", "--n-max", "3", "--s", GENERIC_S,
+                       "--check-oracle")
+    assert code == EXIT_MISMATCH
+    assert out.splitlines()[-1] == "oracle: FAIL (15 partitions checked)"
+
+
 def test_check_oracle_keeps_no_state_between_runs(capsys, monkeypatch):
     # each run makes its own memo: a fault introduced after a passing run
     # shows in the next run of the same command line and of the suite

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dt4calc import cli, localize, partitions, taylor
-from dt4calc.characters import mirrored, unpack_terms
+from dt4calc.characters import mirrored, pack_moved, torus_code, unpack_terms
 from dt4calc.chow import CohClass, cy_hypersurface_context, vdim_ideal_cy4
 from dt4calc.cli import main, series_payload
 from dt4calc.errors import InternalInconsistency, NonGenericParameters
@@ -27,7 +27,7 @@ from dt4calc.localize import (FixedPointData, OrientationData, TorusParams,
                               cyclic_completion_report, dt4_degree0_series,
                               Summand, half_euler, obstruction_crosscheck,
                               one_box_symbolic_report,
-                              subtorus_code, subtorus_codes, transport_sign,
+                              subtorus_code, transport_sign,
                               vertex_character, vertex_oracle_check)
 from dt4calc.partitions import (DPartition, enumerate_partitions, partition_counts,
                                 partition_from_id, partition_levels)
@@ -76,6 +76,27 @@ def neg(w: tuple[int, int, int]) -> tuple[int, int, int]:
     return tuple(-x for x in w)
 
 
+def cy_codes(ch: Laurent, base: int) -> dict[int, int]:
+    """A character restricted to the subtorus, as `subtorus_code` ->
+    multiplicity, with no zero terms."""
+    out = Counter()
+    for e, c in ch.terms.items():
+        out[subtorus_code(e, base)] += c
+    return {k: c for k, c in out.items() if c}
+
+
+KAPPA_INV = Laurent.monomial((-1, -1, -1, -1))
+# (1 - t1^-1)(1 - t2^-1)(1 - t3^-1)(1 - t4^-1): the terms (-1)^|e| t^e
+P1234 = Laurent({e: (-1) ** -sum(e) for e in itertools.product((0, -1), repeat=4)})
+
+
+def laurent_vertex_character(pi: DPartition) -> Laurent:
+    """T = Q + bar(Q) kappa^-1 - Q bar(Q) (1 - t1^-1)...(1 - t4^-1) by
+    Laurent products, as fixed points built it before T was packed."""
+    q = pi.character()
+    return q + q.bar() * KAPPA_INV - q * q.bar() * P1234
+
+
 def test_torus_params_validation():
     with pytest.raises(ValueError):
         TorusParams((1, 2, 3, 4))
@@ -109,11 +130,10 @@ def test_orientation_data_validation_and_file(tmp_path):
 
 
 def test_vertex_character_one_box():
-    q = Laurent({(0, 0, 0, 0): 1})
-    t = vertex_character(q)
-    assert sum(t.terms.values()) == 2
     data = one_box_data()
-    assert data.tvir == t
+    t = vertex_character(data.partition)
+    assert sum(t.values()) == 2
+    assert data.tvir == unpack_terms(t, 1) == laurent_vertex_character(data.partition)
 
 
 def test_one_box_tangent_weights():
@@ -395,7 +415,7 @@ def test_fixed_point_kernels_match_the_reference(case):
         base = data.base
         assert mirrored(data.half) == reference_vertex_codes(pi, base), pi.id()
         e1 = reference_tangent_character(pi)
-        assert data.e1 == subtorus_codes(e1, base), pi.id()
+        assert data.e1 == cy_codes(e1, base), pi.id()
         assert unpack_terms(data.e1_terms, pi.size) == e1, pi.id()
         assert localize.tangent_codes(pi, base) == (data.e1, data.e1_terms), pi.id()
 
@@ -423,7 +443,7 @@ def test_crosscheck_catches_an_e1_error_the_obstruction_hides():
     assert e1 == (unpack_terms(terms, n) + Laurent.monomial((1, 0, 0, 0))
                   - Laurent.monomial((-1, 0, 0, 0)))
     e1cy = e1.cy_reduce()
-    assert subtorus_codes(e1cy + e1cy.bar() - data.tvir.cy_reduce(), data.base) == data.e2
+    assert cy_codes(e1cy + e1cy.bar() - data.tvir.cy_reduce(), data.base) == data.e2
     ok, lhs, rhs = obstruction_crosscheck(data)
     assert not ok
     assert lhs[0] != rhs[0] and lhs[1] == rhs[1]
@@ -436,6 +456,53 @@ def test_resolution_oracle_catches_an_extra_lcm_term(monkeypatch):
     for pi in POINTS_3[1:]:
         ok, lhs, rhs = vertex_oracle_check(FixedPointData(pi))
         assert not ok and lhs != rhs, pi.id()
+
+
+# sha256 of the "id ok lhs rhs" lines of a check at the 15 points with
+# 1 <= n <= 3 on one memo, and of criterion 4's detail, under faults that
+# fail every point, pinned when both checks compared Laurent polynomials:
+# an extra lcm term puts chi outside the packing box, a t1 t4^-1 in chi and
+# a term in each of Ext^1 and Ext^2 stay inside it
+FAILURE_DIGESTS = {
+    "lcm-term": ("87b477176a155fbed0a9e27c5cac0a4afd59a12e5cd6174e82085bff321d391b",
+                 "05fa6d7e271affb0efa7b573a82754da33f65ba897eb7999f51465c2ccb7fa6c"),
+    "chi-term": ("33e0a737ddad3cf61db3a48371da31ff72604e71744ede84e58d69fbbdf7c883",
+                 "2587213b6f7ba2260281432ce0843ca42de137d959d081a7e1f240829833bd72"),
+    "ext-terms": ("0763ccb6fe0141fa03f0fa8d0ed2ea04374d2f340232e8e4758b0d690783a661", None),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAILURE_DIGESTS))
+def test_failing_checks_report_the_laurent_sides_as_before(fault, monkeypatch):
+    if fault == "lcm-term":
+        real = taylor._lcm_sum
+        monkeypatch.setattr(taylor, "_lcm_sum",
+                            lambda ideal: {**real(ideal), (9,) * ideal.nvars: 1})
+    elif fault == "chi-term":
+        real = localize.euler_character
+        monkeypatch.setattr(localize, "euler_character",
+                            lambda ideal: real(ideal) + Laurent({(1, 0, 0, -1): 1}))
+    else:
+        real = localize.ext_characters
+
+        def ext(ideal, degree):
+            got = real(ideal, degree=degree)
+            return {**got, 1: got[1] + Laurent({(0, 0, 1, -1): 1}),
+                    2: got.get(2, Laurent()) + Laurent({(0, 1, -1, 0): 1})}
+
+        monkeypatch.setattr(localize, "ext_characters", ext)
+    check = obstruction_crosscheck if fault == "ext-terms" else vertex_oracle_check
+    memo = {}
+    lines = hashlib.sha256()
+    for pi in POINTS_3[1:]:
+        ok, lhs, rhs = check(FixedPointData(pi), memo)
+        assert not ok, pi.id()
+        lines.update(f"{pi.id()} {ok} {lhs} {rhs}\n".encode())
+    checks, detail = FAILURE_DIGESTS[fault]
+    assert lines.hexdigest() == checks
+    if detail is not None:
+        [row] = run_suite(only="vertex-oracle")
+        assert hashlib.sha256(row["detail"].encode()).hexdigest() == detail
 
 
 def test_crosscheck_catches_a_dropped_top_differential_row(monkeypatch):
@@ -456,10 +523,11 @@ def test_crosscheck_catches_a_dropped_top_differential_row(monkeypatch):
     for pi in (pi for n in range(1, 5) for pi in enumerate_partitions(4, n)):
         dropped.clear()
         ok, lhs, rhs = obstruction_crosscheck(FixedPointData(pi))
-        assert lhs[0] == rhs[0], pi.id()
         if dropped:
-            assert not ok and lhs[1] != rhs[1], pi.id()
+            assert not ok and lhs[0] == rhs[0] and lhs[1] != rhs[1], pi.id()
             caught += 1
+        else:
+            assert ok, pi.id()
     # below n = 3 no column of the top differential hits a row
     assert caught == 6 + 16
 
@@ -493,17 +561,31 @@ for _pi in (pi for n in range(7) for pi in enumerate_partitions(4, n)):
                         []).append(_pi)
 
 
+def packed(ch: Laurent, n: int) -> tuple[dict[int, int], dict[int, int]]:
+    """A character's (full torus, subtorus) codes in base 2n + 1 and 4n + 1."""
+    return {torus_code(e, 2 * n + 1): c for e, c in ch.terms.items()}, cy_codes(ch, 4 * n + 1)
+
+
 def test_moved_resolution_equals_the_direct_one():
     # each level shares one memo, so every point but the first member of its
-    # orbit reads a character computed at another point and moved to it
+    # orbit reads a route computed at another point and moved to it, by dot
+    # products to its packed codes and exponent by exponent to a Laurent
     assert sorted({len(members) for members in ORBITS_6.values()}) == [1, 4, 6, 12, 24]
     for n in range(7):
         memo = {}
         for pi in enumerate_partitions(4, n):
             ideal = pi.to_ideal()
-            assert localize.resolution(pi, "chi", memo) == euler_character(ideal), pi.id()
-            assert localize.resolution(pi, "ext", memo) == \
-                ext_characters(ideal, degree=(1, 2)), pi.id()
+            q = pi.character()
+            direct = {0: q + q.bar() * KAPPA_INV - euler_character(ideal),
+                      **ext_characters(ideal, degree=(1, 2))}
+            perm, moved, fits = localize.resolution(pi, "tvir", memo)
+            perm_ext, ext, fits_ext = localize.resolution(pi, "ext", memo)
+            assert fits and fits_ext and perm_ext == perm, pi.id()
+            moved = {**moved, **ext}
+            assert moved.keys() == direct.keys(), pi.id()
+            for i, terms in moved.items():
+                assert pack_moved(terms, perm, n) == packed(direct[i], n), (pi.id(), i)
+                assert localize._moved_laurent(terms, perm) == direct[i], (pi.id(), i)
 
 
 def test_crosscheck_compares_the_packed_e1():
@@ -524,8 +606,7 @@ def old_weights(ch: Laurent) -> tuple[tuple[int, int, int], ...]:
 def old_route(pi: DPartition) -> tuple[dict, Laurent, tuple]:
     """The views, E2 on the subtorus and the summand record by Laurent
     products, with no codes."""
-    q = pi.character()
-    tvir = vertex_character(q)
+    tvir = laurent_vertex_character(pi)
     e1 = unpack_terms(FixedPointData(pi).e1_terms, pi.size)
     e1cy = e1.cy_reduce()
     e2 = e1cy + e1cy.bar() - tvir.cy_reduce()
@@ -542,7 +623,7 @@ def old_route(pi: DPartition) -> tuple[dict, Laurent, tuple]:
     # the zero triple is its own pair and gives half its multiplicity
     factors = tuple(sorted((w, m if w != (0, 0, 0) else m // 2) for w, m in obstruction.items()
                            if w >= (0, 0, 0)))
-    views = {"q": q, "tvir": tvir, "e1_weights": e1_weights, "e2_weights": e2_weights}
+    views = {"tvir": tvir, "e1_weights": e1_weights, "e2_weights": e2_weights}
     record = (tuple(tangent.items()), factors, len(e1_weights),
               sum(m for _, m in factors))
     return views, e2, record
@@ -569,8 +650,8 @@ def test_packed_kernel_matches_the_laurent_route(case):
         views, e2, record = old_route(pi)
         for name, value in views.items():
             assert getattr(data, name) == value, (pi.id(), name)
-        assert mirrored(data.half) == subtorus_codes(views["tvir"], data.base), pi.id()
-        assert data.e2 == subtorus_codes(e2, data.base), pi.id()
+        assert mirrored(data.half) == cy_codes(views["tvir"], data.base), pi.id()
+        assert data.e2 == cy_codes(e2, data.base), pi.id()
         tangent, factors, tangent_count, degree = record
         got = Summand(data)
         assert (got.tangent, got.factors, len(got.tangent), len(got.factors)) == (
@@ -1249,9 +1330,9 @@ def test_characters_have_int_coefficients(n):
         e1 = unpack_terms(data.e1_terms, n)
         e1cy = e1.cy_reduce()
         e2 = e1cy + e1cy.bar() - data.tvir.cy_reduce()
-        for ch in (data.q, data.tvir, e1, e2):
+        for ch in (pi.character(), data.tvir, e1, e2):
             assert _int_coefficients(ch), pi.id()
-        assert subtorus_codes(e2, data.base) == data.e2, pi.id()
+        assert cy_codes(e2, data.base) == data.e2, pi.id()
         assert type(sum(data.tvir.terms.values())) is int
         ideal = pi.to_ideal()
         assert _int_coefficients(euler_character(ideal))

@@ -92,9 +92,13 @@ def test_oracle_workload_fires_every_span_the_runner_names(workload, monkeypatch
     assert [span for span in fires if layers[f"{span}.calls"] <= 0] == []
     if workload == "oracle-n4":
         # both checks run at each of the 41 points, and read the resolution
-        # route computed once for each of the 8 orbits
+        # route computed once for each of the 8 orbits; they compare packed
+        # codes, so the only Laurent products left are the 8 of
+        # `euler_character`, and the closed form T is built once per point
         assert layers["localize.vertex_oracle_check.calls"] == 41
         assert layers["localize.obstruction_crosscheck.calls"] == 41
         assert layers["partitions.DPartition.to_ideal.calls"] == 8
         assert layers["taylor.ext_characters.calls"] == 8
         assert layers["taylor.euler_character.calls"] == 8
+        assert layers["exact.Laurent.mul.calls"] == 8
+        assert layers["localize.vertex_character.calls"] == 41
