@@ -20,6 +20,7 @@ polynomial, for the `vertex` report and a failing check.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 
 from .exact import Laurent, unpack
@@ -93,13 +94,13 @@ def vertex_character(partition: DPartition) -> dict[int, int]:
 
 
 def pack_moved(terms, perm, n: int) -> tuple[dict[int, int], dict[int, int]]:
-    """(exponent, value) terms with each exponent e moved to e[i] at place
-    perm[i], as (full torus, subtorus) codes -> value in base 2n + 1 and
-    4n + 1, each code a dot product of e with the codes of the unit vectors;
-    exact for exponents in [-n, n], where full torus codes do not alias."""
-    p, q = 2 * n + 1, 4 * n + 1
-    f0, f1, f2, f3 = [p ** (3 - j) for j in perm]
-    s0, s1, s2, s3 = [(q * q, q, 1, -q * q - q - 1)[j] for j in perm]
+    """(exponent, value) terms with each exponent e moved as `DPartition.relabeled(perm)`
+    moves a box, as (full torus, subtorus) codes -> value in base 2n + 1 and
+    4n + 1, each code a dot product of e with the codes of the moved unit
+    vectors; exact for exponents in [-n, n], where full torus codes do not alias."""
+    p = 2 * n + 1
+    f0, f1, f2, f3 = [p ** (3 - perm.index(j)) for j in range(4)]
+    s0, s1, s2, s3 = _moved_units(perm, 4 * n + 1)
     full: dict[int, int] = {}
     sub: dict[int, int] = {}
     get = sub.get
@@ -108,6 +109,13 @@ def pack_moved(terms, perm, n: int) -> tuple[dict[int, int], dict[int, int]]:
         k = a * s0 + b * s1 + c * s2 + d * s3
         sub[k] = get(k, 0) + m
     return full, {k: m for k, m in sub.items() if m}
+
+
+@cache
+def _moved_units(perm, base: int) -> tuple[int, int, int, int]:
+    """The subtorus code of each unit vector moved as `pack_moved` moves it."""
+    units = (base * base, base, 1, -base * base - base - 1)  # `subtorus_code` of each
+    return tuple(units[perm.index(j)] for j in range(4))
 
 
 def mirrored(codes: dict[int, int]) -> dict[int, int]:

@@ -26,10 +26,10 @@ checks, the resolution oracle and the cross-check of E1 and E2 against
 Ext^1 and Ext^2(O_Z, O_Z), and the cyclic completion report, so E1 comes
 from a different route than every Taylor oracle that checks it.  The two
 oracles read it through `resolution`, once per S4 orbit and run, as the
-exponents of the orbit's first member, which each point packs by dot
-products with its own permutation: a passing check compares int codes
-and builds no Laurent polynomial, a failing one reports both sides as
-Laurent polynomials.
+exponents at the orbit's first point the run meets, packed at each point
+along the perm that relabels that point to it, as `Summand.relabeled`
+moves a record: a passing check compares int codes and builds no Laurent
+polynomial, a failing one reports both sides as Laurent polynomials.
 
 Only that last evaluation depends on the parameters.  The rest of a summand
 is kept per process in a compact `Summand` record, so a second series at
@@ -51,12 +51,12 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations, permutations, product
 from math import prod
 from operator import itemgetter
 
-from .characters import (half_codes, mirrored, pack_moved, subtorus_code, tangent_codes,
+from .characters import (_moved_units, half_codes, mirrored, pack_moved, tangent_codes,
                          unpack_terms, vertex_character)
 from .errors import InternalInconsistency, NonGenericParameters
 from .exact import Laurent, LinForm, form_str, integer_scaling, number_str, unpack
@@ -221,10 +221,10 @@ class FixedPointData:
     when its triple is above (0, 0, 0).  `e1_terms` holds E1 on the full
     torus, packed as `tangent_codes` counts it.
 
-    What the `vertex` report reads are views, each built on first access:
-    `tvir`, the packed closed form of `vertex_character` as a Laurent
-    polynomial, and the weight lists, as records hold them
-    (`sorted_triples`).
+    Views, each built on first access: `tvir_codes`, the packed closed
+    form of `vertex_character` that the resolution oracle compares, and
+    what the `vertex` report reads, `tvir`, the same as a Laurent
+    polynomial, and the weight lists, as records hold them (`sorted_triples`).
     """
 
     def __init__(self, partition: DPartition):
@@ -251,8 +251,12 @@ class FixedPointData:
             raise InternalInconsistency(f"{what} character has non effective terms {bad}")
 
     @cached_property
+    def tvir_codes(self) -> dict[int, int]:
+        return vertex_character(self.partition)
+
+    @cached_property
     def tvir(self) -> Laurent:
-        return unpack_terms(vertex_character(self.partition), self.partition.size)
+        return unpack_terms(self.tvir_codes, self.partition.size)
 
     @cached_property
     def e1_weights(self) -> tuple[tuple[int, int, int], ...]:
@@ -348,16 +352,10 @@ def moved_codes(triples, perm, base: int) -> list[int]:
     permuted as `DPartition.relabeled(perm)` permutes box coordinates: with
     v = triple + (0,), the triple (v[p0] - v[p3], v[p1] - v[p3],
     v[p2] - v[p3]).  The move and the packing are linear in the triple, so
-    the code is read off the codes of the three unit triples.
+    the code is read off the moved unit codes that `pack_moved` reads too.
     """
-    k0, k1, k2 = _moved_units(perm, base)
+    k0, k1, k2, _ = _moved_units(perm, base)
     return [a * k0 + b * k1 + c * k2 for a, b, c in triples]
-
-
-@cache
-def _moved_units(perm, base: int) -> tuple[int, int, int]:
-    return tuple(subtorus_code([u[p] for p in perm], base)
-                 for u in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
 
 
 def transport_sign(record: Summand, perm, base: int) -> int:
@@ -366,7 +364,7 @@ def transport_sign(record: Summand, perm, base: int) -> int:
     of factor occurrences whose moved code (`moved_codes`) is negative, the
     factors that `Summand.relabeled` turns to the positive code of their
     pair."""
-    k0, k1, k2 = _moved_units(perm, base)
+    k0, k1, k2, _ = _moved_units(perm, base)
     return -1 if sum(a * k0 + b * k1 + c * k2 < 0 for a, b, c in record.factors) % 2 else 1
 
 
@@ -382,44 +380,42 @@ _MOVES = [(perm, itemgetter(*perm)) for perm in permutations(range(4))]
 _SUMMANDS: dict[DPartition, tuple[Summand, tuple, int]] = {}
 
 
-def _first_member(partition: DPartition) -> tuple[tuple, tuple]:
-    """The first member of the point's S4 orbit in box order, as its boxes,
-    and the perm that relabels the point to it."""
-    return min((tuple(sorted(map(move, partition.boxes))), perm) for perm, move in _MOVES)
-
-
 def resolution(partition: DPartition, what: str, memo=None) -> tuple[tuple, dict, bool]:
     """The resolution route at a point by degree: for `what` "tvir",
     Q + bar(Q) kappa^-1 - chi(O_Z, O_Z) at 0, for "ext" the (1, 2) window
-    of Ext; computed at most once per `memo`, its own if None, on the ideal
-    of the first member of the point's S4 orbit, where each point's first
-    member is looked up once.  Returns (perm, terms, fits): the route's
-    (exponent, value) pairs at that member, which Ext of a monomial ideal,
-    equivariant under permuting the variables, moves to the point with
-    e[i] at place perm[i]; and whether every exponent lies in [-n, n],
-    where packed codes (`pack_moved`) cannot alias.
-    """
+    of Ext; computed at most once per `memo`, its own if None, and S4
+    orbit, on the ideal of the orbit's first point the memo meets, which
+    maps the boxes of each of its relabelings q = point.relabeled(perm) to
+    (ideal, perm).  Returns (perm, terms, fits): the route's (exponent,
+    value) pairs at that point, which Ext of a monomial ideal, equivariant
+    under permuting the variables, moves to q as `relabeled` moves a box;
+    and whether every exponent lies in [-n, n], where packed codes
+    (`pack_moved`) cannot alias."""
     memo = {} if memo is None else memo
-    first, perm = memo.get(partition) or memo.setdefault(partition, _first_member(partition))
-    got = memo.get((first, what))
+    if partition.boxes not in memo:
+        ideal = partition.to_ideal()
+        for perm, move in _MOVES:
+            memo.setdefault(tuple(sorted(map(move, partition.boxes))), (ideal, perm))
+    ideal, perm = memo[partition.boxes]
+    got = memo.get((ideal, what))
     if got is None:
-        ideal = memo.get(first) or memo.setdefault(first, partition.relabeled(perm).to_ideal())
         if what == "tvir":
-            units = Laurent({e: 1 for b in first for e in (b, tuple(-x - 1 for x in b))})
+            units = Laurent({e: 1 for b in ideal.staircase()
+                             for e in (b, tuple(-x - 1 for x in b))})
             chars = {0: units - euler_character(ideal)}
         else:
             chars = ext_characters(ideal, degree=(1, 2))
         terms = {i: list(ch.terms.items()) for i, ch in chars.items()}
         n = partition.size
-        got = memo[first, what] = terms, all(
+        got = memo[ideal, what] = terms, all(
             -n <= x <= n for pairs in terms.values() for e, _ in pairs for x in e)
     return perm, *got
 
 
 def _moved_laurent(terms, perm) -> Laurent:
     """Terms of `resolution` moved to the point as a Laurent polynomial."""
-    back = itemgetter(*sorted(range(4), key=perm.__getitem__))
-    return Laurent({back(e): m for e, m in terms})
+    move = itemgetter(*perm)
+    return Laurent({move(e): m for e, m in terms})
 
 
 def vertex_oracle_check(data: FixedPointData, memo=None) -> tuple[bool, object, object]:
@@ -431,7 +427,7 @@ def vertex_oracle_check(data: FixedPointData, memo=None) -> tuple[bool, object, 
     so a passing check builds no Laurent polynomial."""
     perm, route, fits = resolution(data.partition, "tvir", memo)
     if fits and pack_moved(route[0], perm, data.partition.size) == (
-            vertex_character(data.partition), mirrored(data.half)):
+            data.tvir_codes, mirrored(data.half)):
         return True, None, None
     return False, data.tvir, _moved_laurent(route[0], perm)
 

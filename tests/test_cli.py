@@ -13,7 +13,7 @@ from unittest import mock
 
 import pytest
 
-from dt4calc import localize
+from dt4calc import characters, localize
 from dt4calc.cli import (EXIT_BOUND, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_NONGENERIC,
                          EXIT_OK, EXIT_UNSUPPORTED, EXIT_USAGE, build_parser, main)
 
@@ -138,7 +138,7 @@ def test_check_oracle_catches_an_e1_error(capsys, monkeypatch):
             return codes, terms
         # t1 packs to (2n + 1)^3 on the full torus, where the first exponent
         # is the highest of four digits in base 2n + 1
-        return (plus_error(codes, localize.subtorus_code((1, 0, 0, 0), base)),
+        return (plus_error(codes, characters.subtorus_code((1, 0, 0, 0), base)),
                 plus_error(terms, (2 * pi.size + 1) ** 3))
 
     monkeypatch.setattr(localize, "tangent_codes", tampered)
@@ -159,8 +159,8 @@ def test_broken_invariant_exits_internal(capsys, monkeypatch):
     def tampered(pi, base):
         half = dict(kernel(pi, base))
         if pi.size == 2:
-            s1 = localize.subtorus_code((1, 0, 0, 0), base)
-            s3 = localize.subtorus_code((0, 0, 1, 0), base)
+            s1 = characters.subtorus_code((1, 0, 0, 0), base)
+            s3 = characters.subtorus_code((0, 0, 1, 0), base)
             for k, m in ((s1, -3), (s3, 3)):
                 half[k] = half.get(k, 0) + m
         return half
@@ -191,7 +191,7 @@ def test_each_checked_invariant_exits_internal(kernel, edit, message, capsys, mo
         out = real(pi, base)
         if pi.size == 1:
             edit(out if kernel == "half_codes" else out[0],
-                 localize.subtorus_code((1, 0, 0, 0), base))
+                 characters.subtorus_code((1, 0, 0, 0), base))
         return out
 
     monkeypatch.setattr(localize, kernel, tampered)
@@ -288,25 +288,25 @@ def test_check_oracle_catches_a_fault_off_the_first_member_of_each_orbit(
 
 @pytest.mark.parametrize("command", ["dt4-series", "vertex"])
 def test_check_oracle_looks_up_each_point_once_per_run(command, capsys, monkeypatch):
-    # both checks read a point's first orbit member from the run's memo, so
-    # each run searches the 24 relabelings once per point, and the suite's
-    # run once per point its criterion checks
-    from dt4calc.partitions import partition_levels
+    # both checks read a point's route from the run's memo, which builds one
+    # ideal for each orbit it meets and maps every member to it, so each run
+    # builds the 4 ideals of the orbits with 1 <= n <= 3 and the next run
+    # builds them again, and so does the suite's run of its criterion
+    from dt4calc.partitions import DPartition
     from dt4calc.suite import run_suite
 
-    searched = []
-    real = localize._first_member
-    monkeypatch.setattr(localize, "_first_member", lambda pi: searched.append(pi) or real(pi))
-    points = [pi for level in partition_levels(4, 3)[1:] for pi in level]
+    built = []
+    to_ideal = DPartition.to_ideal
+    monkeypatch.setattr(DPartition, "to_ideal", lambda pi: built.append(pi) or to_ideal(pi))
     for _ in range(2):
         code, out, _ = run(capsys, command, "--n-max", "3", "--s", GENERIC_S,
                            "--check-oracle")
         assert code == EXIT_OK
         assert out.splitlines()[-1] == "oracle: PASS (15 partitions checked)"
-        assert searched == points
-        searched.clear()
+        assert len(built) == len({first_of_orbit(pi) for pi in built}) == 4
+        built.clear()
     assert [row["ok"] for row in run_suite(only="vertex-oracle")] == [True]
-    assert searched == points
+    assert len(built) == len({first_of_orbit(pi) for pi in built}) == 4
 
 
 def aliased(ch, n, avoid=()):

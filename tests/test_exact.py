@@ -9,9 +9,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dt4calc.characters import subtorus_code
 from dt4calc.errors import InternalInconsistency, NonGenericParameters
 from dt4calc.exact import Laurent, LinForm, form_str, integer_scaling, unpack
-from dt4calc.localize import Summand, TorusParams, half_euler, subtorus_code
+from dt4calc.localize import Summand, TorusParams, half_euler
 
 DEFAULT_S = (Fraction(1), Fraction(2), Fraction(3), Fraction(-6))
 BASE = 41  # digits up to 20, above every coefficient these tests use

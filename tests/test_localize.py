@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dt4calc import cli, localize, partitions, taylor
-from dt4calc.characters import mirrored, pack_moved, torus_code, unpack_terms
+from dt4calc import characters, cli, localize, partitions, taylor
+from dt4calc.characters import mirrored, pack_moved, subtorus_code, torus_code, unpack_terms
 from dt4calc.chow import CohClass, cy_hypersurface_context, vdim_ideal_cy4
 from dt4calc.cli import main, series_payload
 from dt4calc.errors import InternalInconsistency, NonGenericParameters
@@ -26,8 +26,7 @@ from dt4calc.exact import Laurent, form_str, unpack
 from dt4calc.localize import (FixedPointData, OrientationData, TorusParams,
                               cyclic_completion_report, dt4_degree0_series,
                               Summand, half_euler, obstruction_crosscheck,
-                              one_box_symbolic_report,
-                              subtorus_code, transport_sign,
+                              one_box_symbolic_report, transport_sign,
                               vertex_character, vertex_oracle_check)
 from dt4calc.partitions import (DPartition, enumerate_partitions, partition_counts,
                                 partition_from_id, partition_levels)
@@ -533,9 +532,10 @@ def test_crosscheck_catches_a_dropped_top_differential_row(monkeypatch):
 
 
 def test_both_checks_share_one_ideal_and_one_staircase(monkeypatch):
-    # on one memo both checks read the ideal of the first member of the
-    # point's orbit in box order, built once; the point, three boxes along
-    # t1, is not that member, three boxes along t4
+    # on one memo both checks read the ideal of the first point of the
+    # orbit that the memo meets, built once: here the point itself, three
+    # boxes along t1, although the orbit's first member in box order is
+    # three boxes along t4
     built, read = [], []
     to_ideal = DPartition.to_ideal
     monkeypatch.setattr(DPartition, "to_ideal", lambda pi: built.append(pi) or to_ideal(pi))
@@ -549,7 +549,7 @@ def test_both_checks_share_one_ideal_and_one_staircase(monkeypatch):
     assert vertex_oracle_check(data, memo)[0] and obstruction_crosscheck(data, memo)[0]
     assert vertex_oracle_check(data, memo)[0] and obstruction_crosscheck(data, memo)[0]
     first = DPartition(4, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2)])
-    assert built == [first] and data.partition != first
+    assert built == [data.partition] and data.partition != first
     assert len(read) == 2 and read[0] is read[1]
     assert read[0].staircase() is built[0].boxes
 
@@ -566,26 +566,41 @@ def packed(ch: Laurent, n: int) -> tuple[dict[int, int], dict[int, int]]:
     return {torus_code(e, 2 * n + 1): c for e, c in ch.terms.items()}, cy_codes(ch, 4 * n + 1)
 
 
-def test_moved_resolution_equals_the_direct_one():
-    # each level shares one memo, so every point but the first member of its
-    # orbit reads a route computed at another point and moved to it, by dot
-    # products to its packed codes and exponent by exponent to a Laurent
+def test_moved_resolution_equals_the_direct_one(monkeypatch):
+    # each walk of a level shares one memo, so every point but the first of
+    # its orbit that the memo meets reads a route computed at another point
+    # and moved to it, by dot products to its packed codes and exponent by
+    # exponent to a Laurent; in level order that point is the orbit's first
+    # member in box order, in reverse order another member
     assert sorted({len(members) for members in ORBITS_6.values()}) == [1, 4, 6, 12, 24]
+    orbit = {pi: first for first, members in ORBITS_6.items() for pi in members}
+    built = []
+    to_ideal = DPartition.to_ideal
+    monkeypatch.setattr(DPartition, "to_ideal", lambda pi: built.append(pi) or to_ideal(pi))
     for n in range(7):
-        memo = {}
-        for pi in enumerate_partitions(4, n):
-            ideal = pi.to_ideal()
+        level = enumerate_partitions(4, n)
+        direct = {}
+        for pi in level:
+            ideal = to_ideal(pi)
             q = pi.character()
-            direct = {0: q + q.bar() * KAPPA_INV - euler_character(ideal),
-                      **ext_characters(ideal, degree=(1, 2))}
-            perm, moved, fits = localize.resolution(pi, "tvir", memo)
-            perm_ext, ext, fits_ext = localize.resolution(pi, "ext", memo)
-            assert fits and fits_ext and perm_ext == perm, pi.id()
-            moved = {**moved, **ext}
-            assert moved.keys() == direct.keys(), pi.id()
-            for i, terms in moved.items():
-                assert pack_moved(terms, perm, n) == packed(direct[i], n), (pi.id(), i)
-                assert localize._moved_laurent(terms, perm) == direct[i], (pi.id(), i)
+            direct[pi] = {0: q + q.bar() * KAPPA_INV - euler_character(ideal),
+                          **ext_characters(ideal, degree=(1, 2))}
+        for walk in (level, level[::-1]):
+            memo = {}
+            built.clear()
+            for pi in walk:
+                perm, moved, fits = localize.resolution(pi, "tvir", memo)
+                perm_ext, ext, fits_ext = localize.resolution(pi, "ext", memo)
+                assert fits and fits_ext and perm_ext == perm, pi.id()
+                moved = {**moved, **ext}
+                assert moved.keys() == direct[pi].keys(), pi.id()
+                for i, terms in moved.items():
+                    want = direct[pi][i]
+                    assert pack_moved(terms, perm, n) == packed(want, n), (pi.id(), i)
+                    assert localize._moved_laurent(terms, perm) == want, (pi.id(), i)
+            # one ideal per orbit, at the first member the walk meets
+            firsts = {orbit[pi]: pi for pi in walk[::-1]}
+            assert len(built) == len(firsts) and set(built) == set(firsts.values()), n
 
 
 def test_crosscheck_compares_the_packed_e1():
@@ -1237,7 +1252,7 @@ def clear_module_caches(monkeypatch) -> None:
     monkeypatch.setattr(partitions, "_levels", {})
     for name in ("_SUMMANDS", "_TRIPLES"):
         monkeypatch.setattr(localize, name, {})
-    localize._moved_units.cache_clear()
+    characters._moved_units.cache_clear()
 
 
 def test_series_report_bytes_do_not_depend_on_the_cache_state(monkeypatch):

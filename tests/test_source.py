@@ -1,8 +1,8 @@
 """The runtime stays stdlib-only and free of floating point: every module of
-the package imports only the standard library and names no float.  No
-module asserts.  The summand cache has one writer, the series, a suite
-verdict one builder, the suite runner, and a `LinForm` one builder, the
-record oracle."""
+the package imports only the standard library and names no float, and each
+module but `__init__` uses every name it imports.  No module asserts.  The
+summand cache has one writer, the series, a suite verdict one builder, the
+suite runner, and a `LinForm` one builder, the record oracle."""
 
 import ast
 import glob
@@ -39,6 +39,21 @@ def test_absolute_imports_are_stdlib(path):
         bad += [(node.lineno, name) for name in names
                 if name.split(".")[0] not in sys.stdlib_module_names | {"__future__"}]
     assert bad == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if not p.endswith("__init__.py")],
+                         ids=os.path.basename)
+def test_every_imported_name_is_used(path):
+    # `__init__` imports names to export them; every other module reads each
+    # name it imports, `from __future__` aside
+    tree = _tree(path)
+    imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted((line, name) for name, line in imported.items() if name not in used) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
