@@ -85,6 +85,8 @@ def vertex_character(partition: DPartition) -> dict[int, int]:
     no zero terms: Q + bar(Q) kappa^-1 less 16 shifts of the box
     differences D = Q bar(Q), the terms of D P1234.  Every exponent lies in
     [-n, n], so codes are equal only when exponents are."""
+    if partition.d != 4:
+        raise ValueError("fixed points live in dimension 4")
     p = 2 * partition.size + 1
     boxes = [torus_code(b, p) for b in partition.boxes]
     kappa = torus_code((1, 1, 1, 1), p)

@@ -1,10 +1,10 @@
 """Command line front end.
 
-Every subcommand is one entry of COMMANDS: a function that reads the parsed
-arguments and builds a plain dict payload in a fixed key order, then its
-text and CSV renderers (JSON is the payload itself).  All rationals are
-printed exactly as num/den strings and nothing time dependent is ever
-emitted, so two runs with the same arguments produce byte identical output.
+Every subcommand is one COMMANDS entry, read by `build_parser` and `main`:
+its help line and flags, a command building a plain dict payload in a fixed
+key order from the parsed arguments, and its text and CSV renderers (JSON
+is the payload itself).  Rationals print exactly as num/den strings and
+nothing time dependent is printed, so output is byte stable run to run.
 
 A command line that names a subcommand is parsed by a parser holding only
 that subparser (`build_parser(command)`); help and command lines naming
@@ -99,17 +99,21 @@ EXIT_CODES = (
 def _parse_params(text: str) -> TorusParams:
     try:
         return TorusParams.parse(text)
-    except (ValueError, ZeroDivisionError) as e:
+    except ZeroDivisionError:
+        raise UsageError(f"bad --s value {text!r}: a coordinate has a zero denominator")
+    except ValueError as e:
         raise UsageError(f"bad --s value {text!r}: {e}")
 
 
-def _load_orientation(path: str) -> OrientationData:
+def _load_orientation(path: str) -> tuple[OrientationData | None, str | None]:
+    """The signs `--orientation` names, as (orientation, None), or
+    (None, reason) when the file is refused."""
     if path == "default":
-        return OrientationData()
+        return OrientationData(), None
     try:
-        return OrientationData.from_file(path)
+        return OrientationData.from_file(path), None
     except (OSError, ValueError) as e:
-        raise UsageError(f"bad orientation file {path!r}: {e}")
+        return None, str(e)
 
 
 _COUNT_WORDS = {2: "two", 3: "three"}
@@ -305,7 +309,9 @@ def series_payload(n_max: int, params: TorusParams, orientation: OrientationData
 
 def cmd_dt4_series(args):
     params = _parse_params(args.s)
-    orientation = _load_orientation(args.orientation)
+    orientation, reason = _load_orientation(args.orientation)
+    if reason is not None:
+        raise UsageError(f"bad orientation file {args.orientation!r}: {reason}")
     payload = series_payload(args.n_max, params, orientation,
                              check_oracle=args.check_oracle,
                              orientation_label=args.orientation)
@@ -403,8 +409,7 @@ def text_cyclic_check(p):
 
 
 def cmd_suite(args):
-    orientation_path = None if args.orientation == "default" else args.orientation
-    results = run_suite(only=args.only, orientation_path=orientation_path)
+    results = run_suite(args.only, *_load_orientation(args.orientation))
     if not results:
         raise UsageError(f"no acceptance check matches --only {args.only!r}")
     passed = sum(r["ok"] for r in results)
@@ -416,42 +421,6 @@ def text_suite(p):
     lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['criterion']:>2} {r['name']}: {r['detail']}"
              for r in p["results"]]
     return lines + [f"{len(p['results'])} checks: {p['passed']} passed, {p['failed']} failed"]
-
-
-# name -> (command, text lines of the payload, CSV header and rows of the payload)
-COMMANDS = {
-    "liqin": (cmd_liqin, lambda p: _spaced(csv_liqin(p)), csv_liqin),
-    "chi": (cmd_chi, text_chi, lambda p: _table([p], list(p))),
-    "vdim": (cmd_vdim, lambda p: _spaced(csv_vdim(p)), csv_vdim),
-    "partitions": (cmd_partitions, text_partitions, lambda p: _table(
-        [{"n": n, "count": c} for n, c in enumerate(p["counts"])], ("n", "count"))),
-    "vertex": (cmd_vertex, text_vertex,
-               lambda p: _table(p["points"], ("n", "id", "contribution"))),
-    "dt4-series": (cmd_dt4_series, text_series,
-                   lambda p: _table(p["points"], ("n", "id", "value"))),
-    "goettsche": (cmd_goettsche, text_goettsche, lambda p: _table(
-        [{"n": n, "coefficient": c} for n, c in enumerate(p["coefficients"])],
-        ("n", "coefficient"))),
-    "tstar": (cmd_tstar, text_tstar, lambda p: _table(
-        [p], [k for k in ("c", "case", "n", "euler", "value") if k in p])),
-    "cyclic-check": (cmd_cyclic_check, text_cyclic_check,
-                     lambda p: _table(p["reports"], ("id", "n", "ok"))),
-    "suite": (cmd_suite, text_suite,
-              lambda p: _table(p["results"], ("criterion", "name", "ok", "detail"))),
-}
-
-
-def render(payload: dict, fmt: str, text_lines, csv_table) -> str:
-    if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        header, rows = csv_table(payload)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
-    return "\n".join(text_lines(payload)) + "\n"
 
 
 def _at_least(low: int):
@@ -466,42 +435,71 @@ def _at_least(low: int):
 
 _N_MAX = _at_least(0)
 
-# name -> (help line, (flag, add_argument keywords) of each argument but --format)
-ARGUMENTS = {
-    "liqin": ("hyperplane-section Euler pairing table with both k readings", ()),
+# name -> (help line, (flag, add_argument keywords) of each argument but
+# --format, command, text lines of the payload, CSV header and rows of it)
+COMMANDS = {
+    "liqin": ("hyperplane-section Euler pairing table with both k readings", (),
+              cmd_liqin, lambda p: _spaced(csv_liqin(p)), csv_liqin),
     "chi": ("Euler pairing of line bundles on the (2,5) hypersurface", (
         ("--left", {"help": "line bundle bidegree p,q (default structure sheaf)"}),
-        ("--right", {"help": "line bundle bidegree p,q"}))),
+        ("--right", {"help": "line bundle bidegree p,q"})),
+        cmd_chi, text_chi, lambda p: _table([p], list(p))),
     "vdim": ("virtual dimension table for ideal sheaves of points", (
-        ("--n-max", {"type": _N_MAX, "default": 10}),)),
+        ("--n-max", {"type": _N_MAX, "default": 10}),),
+        cmd_vdim, lambda p: _spaced(csv_vdim(p)), csv_vdim),
     "partitions": ("downward-closed partition counts", (
         ("--d", {"type": int, "choices": (2, 3, 4), "default": 4}),
         ("--n-max", {"type": _N_MAX, "default": 6}),
-        ("--list", {"action": "store_true", "help": "also print identifiers"}))),
+        ("--list", {"action": "store_true", "help": "also print identifiers"})),
+        cmd_partitions, text_partitions, lambda p: _table(
+            [{"n": n, "count": c} for n, c in enumerate(p["counts"])], ("n", "count"))),
     "vertex": ("per fixed point characters, weights, and contributions", (
         ("--n-max", {"type": _N_MAX, "default": 2}),
         ("--s", {"default": "1,2,3,-6"}),
-        ("--check-oracle", {"action": "store_true"}))),
+        ("--check-oracle", {"action": "store_true"})),
+        cmd_vertex, text_vertex, lambda p: _table(p["points"], ("n", "id", "contribution"))),
     "dt4-series": ("degree-0 equivariant series with per-point breakdown", (
         ("--n-max", {"type": _N_MAX, "default": 2}),
         ("--s", {"default": "1,2,3,-6"}),
         ("--orientation", {"default": "default",
                            "help": '"default" or a JSON file of per-point signs'}),
         ("--jobs", {"type": _at_least(1), "default": 1}),
-        ("--check-oracle", {"action": "store_true"}))),
+        ("--check-oracle", {"action": "store_true"})),
+        cmd_dt4_series, text_series, lambda p: _table(p["points"], ("n", "id", "value"))),
     "goettsche": ("punctual Hilbert scheme Euler series", (
         ("--euler", {"type": int, "help": "Euler number of the surface"}),
         ("--n-max", {"type": _N_MAX, "default": 20}),
-        ("--check-oracle", {"action": "store_true"}))),
+        ("--check-oracle", {"action": "store_true"})),
+        cmd_goettsche, text_goettsche, lambda p: _table(
+            [{"n": n, "coefficient": c} for n, c in enumerate(p["coefficients"])],
+            ("n", "coefficient"))),
     "tstar": ("reduced invariants of the cotangent fibre geometry", (
         ("--c", {"help": "Chern character triple r,c1,n"}),
-        ("--euler", {"type": int, "help": "surface Euler number (punctual case)"}))),
+        ("--euler", {"type": int, "help": "surface Euler number (punctual case)"})),
+        cmd_tstar, text_tstar, lambda p: _table(
+            [p], [k for k in ("c", "case", "n", "euler", "value") if k in p])),
     "cyclic-check": ("push plane partitions into four variables and compare Ext", (
-        ("--n-max", {"type": _N_MAX, "default": 3}),)),
+        ("--n-max", {"type": _N_MAX, "default": 3}),),
+        cmd_cyclic_check, text_cyclic_check, lambda p: _table(p["reports"], ("id", "n", "ok"))),
     "suite": ("run the acceptance checks", (
         ("--only", {"help": "run only checks whose name contains this"}),
-        ("--orientation", {"default": "default"}))),
+        ("--orientation", {"default": "default"})),
+        cmd_suite, text_suite,
+        lambda p: _table(p["results"], ("criterion", "name", "ok", "detail"))),
 }
+
+
+def render(payload: dict, fmt: str, text_lines, csv_table) -> str:
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        header, rows = csv_table(payload)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+    return "\n".join(text_lines(payload)) + "\n"
 
 
 @functools.cache
@@ -524,7 +522,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{" + ",".join(COMMANDS) + "}" if one else None)
     for name in (command,) if one else COMMANDS:
-        help_text, arguments = ARGUMENTS[name]
+        help_text, arguments = COMMANDS[name][:2]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         for flag, options in arguments:
@@ -535,7 +533,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
-    command, text_lines, csv_table = COMMANDS[args.command]
+    _, _, command, text_lines, csv_table = COMMANDS[args.command]
     try:
         payload, code = command(args)
     except (UsageError, Dt4Error) as e:

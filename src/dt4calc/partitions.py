@@ -26,6 +26,7 @@ ENV_BOUND_VAR = "DT4_MAX_N"
 def size_bound(d: int) -> int:
     """Largest admissible n for dimension d; DT4_MAX_N, an integer of at
     least 0, overrides the d = 4 cap."""
+    _check_dim(d)
     if d == 4:
         raw = os.environ.get(ENV_BOUND_VAR)
         if raw is not None:
@@ -212,6 +213,8 @@ def partition_levels(d: int, n_max: int) -> list[tuple[DPartition, ...]]:
     names the first size over the bound, as a loop over the levels would.
     """
     _check_dim(d)
+    if n_max < 0:
+        raise ValueError("size must be nonnegative")
     bound = size_bound(d)
     if n_max > bound:
         raise _over_bound(d, bound + 1, bound)
@@ -223,6 +226,8 @@ COUNT_BOUND_2 = 10000
 
 def partition_numbers(n_max: int) -> list[int]:
     """p(0)..p(n_max) by the Euler pentagonal number recurrence."""
+    if n_max < 0:
+        raise ValueError("size must be nonnegative")
     p = [0] * (n_max + 1)
     p[0] = 1
     for n in range(1, n_max + 1):
@@ -253,9 +258,6 @@ def partition_counts(d: int, n_max: int) -> list[int]:
     range.  For d = 3 and 4 they are the lengths of the enumerated levels.
     Either bound is checked before any count is made.
     """
-    _check_dim(d)
-    if n_max < 0:
-        raise ValueError("size must be nonnegative")
     if d != 2:
         return [len(level) for level in partition_levels(d, n_max)]
     if n_max > COUNT_BOUND_2:

@@ -28,6 +28,8 @@ def goettsche_series(e: int, n_max: int) -> list[int]:
     coefficient down, as c_n += sum over m >= 1 of b_m c_(n - km): about
     n_max^2 log(n_max) / 2 integer products in all, whatever e is.
     """
+    if n_max < 0:
+        raise ValueError("size must be nonnegative")
     b = [1]
     for m in range(1, n_max + 1):
         b.append(b[-1] * (e + m - 1) // m)

@@ -3,12 +3,12 @@
 Every check recomputes its claim and compares against frozen expected values
 or an independent route, and returns (ok, detail); `run_suite` returns each
 verdict as the row `suite` prints, named from `CRITERIA`, the one place a
-criterion's name is written.  The state carried between checks is each
-fixed point the run builds, at most once and handed on like the
-orientation, and what the library keeps per process (partition levels, the
-summand cache).
-Timing limits are part of the verdict where a criterion carries one, but
-measured times are never printed, so output stays byte stable run to run.
+criterion's name is written.  It opens no file: the caller reads the
+orientation and hands it, or why its file was refused, to every check, as
+it hands on each fixed point the run builds, at most once; the library
+keeps partition levels and the summand cache per process.  Timing limits
+are part of the verdict where a criterion carries one, but measured times
+are never printed, so output stays byte stable run to run.
 """
 
 from __future__ import annotations
@@ -226,16 +226,12 @@ CRITERIA = [
 ]
 
 
-def run_suite(only: str | None = None, orientation_path: str | None = None):
+def run_suite(only: str | None = None, orientation: OrientationData | None = None,
+              orientation_error: str | None = None):
     """Run the acceptance checks, optionally filtered by name substring, as
-    rows {"criterion", "name", "ok", "detail"}."""
-    orientation = None
-    orientation_error = None
-    if orientation_path is not None:
-        try:
-            orientation = OrientationData.from_file(orientation_path)
-        except (OSError, ValueError) as e:
-            orientation_error = str(e)
+    rows {"criterion", "name", "ok", "detail"}.  Criterion 10 flips one sign
+    of `orientation`, or fails with `orientation_error`, the reason the
+    command line refused its orientation file."""
     point = cache(FixedPointData)
     memo = {}  # the resolution route per S4 orbit, for this run only
     rows = []

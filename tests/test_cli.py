@@ -494,6 +494,13 @@ def test_series_bad_parameters_usage_exit(capsys):
     assert "sum to zero" in err
 
 
+@pytest.mark.parametrize("command", ["dt4-series", "vertex"])
+def test_a_zero_denominator_in_s_gives_its_own_message(command, capsys):
+    code, out, err = run(capsys, command, "--s", "1/0,1,1,-2")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: bad --s value '1/0,1,1,-2': a coordinate has a zero denominator\n"
+
+
 def test_series_byte_determinism_across_jobs(capsys):
     outs = []
     for jobs in ("1", "4"):
@@ -899,6 +906,47 @@ def test_suite_corrupt_orientation_fails_orientation_check(capsys, tmp_path):
     assert code == EXIT_MISMATCH
     assert any(ln.startswith("FAIL") and "orientation-flip" in ln
                for ln in out.splitlines())
+
+
+def test_run_suite_takes_the_orientation_or_the_reason_it_was_refused():
+    from dt4calc.suite import run_suite
+
+    flipped = localize.OrientationData({"0,0,0,0;1,0,0,0": -1})
+    assert [row["ok"] for row in run_suite(only="orientation-flip",
+                                           orientation=flipped)] == [True]
+    assert run_suite(only="orientation-flip", orientation_error="x") == [
+        {"criterion": "10", "name": "orientation-flip", "ok": False,
+         "detail": "orientation data rejected: x"}]
+
+
+def test_suite_reads_its_orientation_file_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "signs.json"
+    path.write_text('{"0,0,0,0;1,0,0,0": -1}')
+    read = []
+    from_file = localize.OrientationData.from_file
+    monkeypatch.setattr(localize.OrientationData, "from_file",
+                        lambda p: read.append(p) or from_file(p))
+    assert run(capsys, "suite", "--orientation", str(path))[0] == EXIT_OK
+    assert read == [str(path)]
+    read.clear()
+    assert run(capsys, "suite")[0] == EXIT_OK
+    assert read == []
+
+
+@pytest.mark.parametrize("signs", [None, '{"0,0,0,0;1,0,0,0": 1.0}'],
+                         ids=["missing", "float-sign"])
+def test_series_and_suite_give_the_same_reason_for_a_refused_file(signs, capsys, tmp_path):
+    path = tmp_path / "signs.json"
+    if signs is not None:
+        path.write_text(signs)
+    code, out, err = run(capsys, "dt4-series", "--orientation", str(path))
+    prefix = f"error: bad orientation file '{path}': "
+    assert code == EXIT_USAGE and out == "" and err.startswith(prefix)
+    reason = err[len(prefix):-1]
+    code, out, err = run(capsys, "suite", "--only", "orientation",
+                         "--orientation", str(path))
+    assert code == EXIT_MISMATCH and err == ""
+    assert out.splitlines()[0] == f"FAIL 10 orientation-flip: orientation data rejected: {reason}"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -30,6 +30,7 @@ from dt4calc.localize import (FixedPointData, OrientationData, TorusParams,
                               vertex_character, vertex_oracle_check)
 from dt4calc.partitions import (DPartition, enumerate_partitions, partition_counts,
                                 partition_from_id, partition_levels)
+from dt4calc.series import convolution_oracle, goettsche_series
 from dt4calc.suite import SUITE_PARAMS, run_suite
 from dt4calc.taylor import euler_character, ext_characters
 
@@ -1430,10 +1431,20 @@ ONE_BOX = enumerate_partitions(4, 1)[0]
     (lambda: vdim_ideal_cy4(0, 2), "h02 must be 0 or 1"),
     (lambda: Laurent({(1, 2): 1}), "exponent vector must have length 4, got (1, 2)"),
     (lambda: OrientationData({1: 1}), "orientation key 1 is not a string"),
+    (lambda: partitions.partition_numbers(-1), "size must be nonnegative"),
+    (lambda: convolution_oracle(3, -1), "size must be nonnegative"),
+    (lambda: goettsche_series(3, -1), "size must be nonnegative"),
+    (lambda: partition_levels(4, -1), "size must be nonnegative"),
+    (lambda: dt4_degree0_series(-1), "size must be nonnegative"),
+    (lambda: partitions.size_bound(5), "dimension must be 2, 3 or 4, got 5"),
+    (lambda: vertex_character(DPartition(2, [(0, 0)])), "fixed points live in dimension 4"),
+    (lambda: vertex_character(DPartition(3, [(0, 0, 0)])), "fixed points live in dimension 4"),
 ], ids=["torus-length", "point-dimension", "contribution-orientation",
         "enumerate-dimension", "enumerate-size", "counts-size", "relabel-perm",
         "ring-mismatch", "monomial-ring", "line-bundle-degrees", "vdim-count",
-        "vdim-holonomy", "laurent-exponent", "orientation-key"])
+        "vdim-holonomy", "laurent-exponent", "orientation-key", "pentagonal-size",
+        "convolution-size", "goettsche-size", "levels-size", "series-size",
+        "bound-dimension", "vertex-dimension-2", "vertex-dimension-3"])
 def test_library_guards_refuse_bad_input(make, message):
     with pytest.raises(ValueError) as exc:
         make()

@@ -1,8 +1,11 @@
-"""The README's library example runs and prints the values its comments show."""
+"""The README's library example runs and prints the values its comments
+show, and its command table names the subcommands the CLI defines."""
 
 import ast
 from fractions import Fraction
 from pathlib import Path
+
+from dt4calc.cli import COMMANDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +30,10 @@ def test_readme_library_example_values():
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
     assert shown == [Fraction(-5, 3), -6]
+
+
+def test_readme_command_table_lists_every_subcommand_in_order():
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in section.splitlines()
+            if line.startswith("| `")]
+    assert rows == [f"`{name}`" for name in COMMANDS]
