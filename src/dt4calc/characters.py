@@ -7,8 +7,11 @@ There (1 - t1^-1)...(1 - t4^-1) = P123 + bar(P123) with
 P123 = (1 - t1^-1)(1 - t2^-1)(1 - t3^-1), so the virtual tangent character
 is T = V + bar(V) (`mirrored`) with V = Q - Q bar(Q) P123, eight shifts of
 the box differences (`half_codes`).  On the full torus, where exponents
-are packed in base 2n + 1 (`torus_code`), T itself is 16 shifts of them
-(`vertex_character`).
+are packed too (`torus_code`), T itself is 16 shifts of them
+(`vertex_character`).  Both packings have one base for every level, fixed
+for points of up to MAX_N boxes, whose codes, even a row target of
+`tangent_codes`, are one-digit ints, below 2^30; a larger point raises
+BoundExceeded before any code is built.
 
 The tangent character E1 = Hom(I, O_Z) is counted from graph components at
 each multidegree (`tangent_codes`), with no Taylor complex, no ideal and no
@@ -23,26 +26,43 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
+from .errors import BoundExceeded
 from .exact import Laurent, unpack
 from .partitions import DPartition
 
-
-def torus_code(e, p: int) -> int:
-    """The exponent vector e on the full torus as one int: signed digits in
-    base p, the first most significant.  In base 2n + 1, as `unpack_terms`
-    reads them, vectors with entries in [-n, n] have distinct codes."""
-    return ((e[0] * p + e[1]) * p + e[2]) * p + e[3]
+MAX_N = 90
+FULL = 2 * MAX_N + 1
+SUB = 4 * MAX_N + 1
 
 
-def subtorus_code(e, base: int) -> int:
+def torus_code(e) -> int:
+    """The exponent vector e on the full torus as one int: signed digits in base
+    FULL, the first most significant, distinct for vectors in [-MAX_N, MAX_N]^4."""
+    return ((e[0] * FULL + e[1]) * FULL + e[2]) * FULL + e[3]
+
+
+def subtorus_code(e) -> int:
     """The exponent or coefficient vector e on the subtorus, (e1-e4, e2-e4,
-    e3-e4), as one int: signed digits in `base`, the first most significant."""
-    return ((e[0] - e[3]) * base + e[1] - e[3]) * base + e[2] - e[3]
+    e3-e4), as one int: signed digits in base SUB, the first most significant."""
+    return ((e[0] - e[3]) * SUB + e[1] - e[3]) * SUB + e[2] - e[3]
 
 
-# the (exponent, sign) of each term (-1)^|e| t^e of
-# P1234 = (1 - t1^-1)(1 - t2^-1)(1 - t3^-1)(1 - t4^-1)
-_P1234 = tuple((e, (-1) ** -sum(e)) for e in product((0, -1), repeat=4))
+def subtorus_triple(code: int) -> tuple[int, int, int]:
+    """The reduced triple a `subtorus_code` packs."""
+    return unpack(code, 3, SUB)
+
+
+def _packable(partition: DPartition) -> tuple:
+    """The boxes of a partition the packing serves; BoundExceeded past MAX_N."""
+    if partition.size > MAX_N:
+        raise BoundExceeded(f"{partition.size} boxes exceeds the packing cap {MAX_N}")
+    return partition.boxes
+
+
+# the (code, sign) of each term (-1)^|e| t^e of P1234 = (1 - t1^-1)...(1 - t4^-1)
+# on the full torus, and of P123 = (1 - t1^-1)(1 - t2^-1)(1 - t3^-1) on the subtorus
+_FULL_SHIFTS = [(torus_code(e), (-1) ** -sum(e)) for e in product((0, -1), repeat=4)]
+_HALF_SHIFTS = [(subtorus_code(e + (0,)), (-1) ** -sum(e)) for e in product((0, -1), repeat=3)]
 
 
 def _less_box_differences(boxes: list[int], shifts, out: dict[int, int]) -> dict[int, int]:
@@ -65,44 +85,37 @@ def _less_box_differences(boxes: list[int], shifts, out: dict[int, int]) -> dict
     return {k: m for k, m in out.items() if m}
 
 
-def half_codes(partition: DPartition, base: int) -> dict[int, int]:
+def half_codes(partition: DPartition) -> dict[int, int]:
     """The half V of the virtual tangent character T = V + bar(V) on the
     subtorus, code -> multiplicity, with no zero terms.
 
-    There P1234 equals P123 + bar(P123), with P123 = (1 - t1^-1)(1 - t2^-1)
-    (1 - t3^-1) the terms of P1234 with e4 = 0, and the box differences
+    There P1234 equals P123 + bar(P123), and the box differences
     D = Q bar(Q) are self dual, so V = Q - D P123: eight shifts of the box
     differences.
     """
-    boxes = [subtorus_code(b, base) for b in partition.boxes]
-    shifts = [(subtorus_code(e, base), sign) for e, sign in _P1234 if not e[3]]
-    return _less_box_differences(boxes, shifts, dict.fromkeys(boxes, 1))
+    boxes = [subtorus_code(b) for b in _packable(partition)]
+    return _less_box_differences(boxes, _HALF_SHIFTS, dict.fromkeys(boxes, 1))
 
 
 def vertex_character(partition: DPartition) -> dict[int, int]:
-    """The virtual tangent character T at a fixed point, its full torus
-    terms packed in base 2n + 1 (`torus_code`), code -> multiplicity, with
-    no zero terms: Q + bar(Q) kappa^-1 less 16 shifts of the box
-    differences D = Q bar(Q), the terms of D P1234.  Every exponent lies in
-    [-n, n], so codes are equal only when exponents are."""
+    """The virtual tangent character T at a fixed point, code -> multiplicity
+    on the full torus (`torus_code`), with no zero terms: Q + bar(Q) kappa^-1
+    less 16 shifts of the box differences D = Q bar(Q), the terms of D P1234.
+    Every exponent lies in [-n, n], so codes are equal only when exponents are."""
     if partition.d != 4:
         raise ValueError("fixed points live in dimension 4")
-    p = 2 * partition.size + 1
-    boxes = [torus_code(b, p) for b in partition.boxes]
-    kappa = torus_code((1, 1, 1, 1), p)
+    boxes = [torus_code(b) for b in _packable(partition)]
     # bar(Q) kappa^-1 has the exponent -b - 1 for a box b, negative, so no box
-    units = dict.fromkeys(boxes + [-k - kappa for k in boxes], 1)
-    return _less_box_differences(boxes, [(torus_code(e, p), sign) for e, sign in _P1234], units)
+    units = dict.fromkeys(boxes + [torus_code([-x - 1 for x in b]) for b in partition.boxes], 1)
+    return _less_box_differences(boxes, _FULL_SHIFTS, units)
 
 
-def pack_moved(terms, perm, n: int) -> tuple[dict[int, int], dict[int, int]]:
+def pack_moved(terms, perm) -> tuple[dict[int, int], dict[int, int]]:
     """(exponent, value) terms with each exponent e moved as `DPartition.relabeled(perm)`
-    moves a box, as (full torus, subtorus) codes -> value in base 2n + 1 and
-    4n + 1, each code a dot product of e with the codes of the moved unit
-    vectors; exact for exponents in [-n, n], where full torus codes do not alias."""
-    p = 2 * n + 1
-    f0, f1, f2, f3 = [p ** (3 - perm.index(j)) for j in range(4)]
-    s0, s1, s2, s3 = _moved_units(perm, 4 * n + 1)
+    moves a box, as (full torus, subtorus) codes -> value, each code a dot
+    product of e with the codes of the moved unit vectors (`_moved_units`);
+    exact for exponents in [-MAX_N, MAX_N], where full torus codes do not alias."""
+    (f0, f1, f2, f3), (s0, s1, s2, s3) = _moved_units(perm)
     full: dict[int, int] = {}
     sub: dict[int, int] = {}
     get = sub.get
@@ -114,10 +127,10 @@ def pack_moved(terms, perm, n: int) -> tuple[dict[int, int], dict[int, int]]:
 
 
 @cache
-def _moved_units(perm, base: int) -> tuple[int, int, int, int]:
-    """The subtorus code of each unit vector moved as `pack_moved` moves it."""
-    units = (base * base, base, 1, -base * base - base - 1)  # `subtorus_code` of each
-    return tuple(units[perm.index(j)] for j in range(4))
+def _moved_units(perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (full torus, subtorus) codes of the unit vectors `pack_moved` moves."""
+    units = [tuple(int(i == perm.index(j)) for i in range(4)) for j in range(4)]
+    return tuple(map(torus_code, units)), tuple(map(subtorus_code, units))
 
 
 def mirrored(codes: dict[int, int]) -> dict[int, int]:
@@ -130,10 +143,10 @@ def mirrored(codes: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def tangent_codes(partition: DPartition, base: int) -> tuple[dict[int, int], dict[int, int]]:
+def tangent_codes(partition: DPartition) -> tuple[dict[int, int], dict[int, int]]:
     """E1 = Hom(I, O_Z) at a solid partition, with no matrix and no rank, as
-    (codes, terms): code -> multiplicity on the subtorus in `base`, and the
-    full torus terms, packed exponent -> multiplicity (`unpack_terms`).
+    (codes, terms): subtorus code -> multiplicity, and the full torus terms,
+    packed exponent -> multiplicity (`unpack_terms`).
 
     At a multidegree mu, Hom_mu is the kernel of the first Taylor
     differential on the generators h with mu + h a box, the live ones.  A
@@ -145,18 +158,16 @@ def tangent_codes(partition: DPartition, base: int) -> tuple[dict[int, int], dic
     Generators are the addable boxes.  One pass over the (box, generator)
     pairs groups them by mu = box - generator, which gives each mu its live
     generators as a bitmask, and its subtorus code as code(box) -
-    code(generator).  Full torus vectors are packed into ints in base
-    2n + 1 (`torus_code`).
-    Every vector compared here has coordinates in [-n, 2n - 1] and every box
-    in [0, n - 1], so two of them differ by less than the base in each
-    coordinate, and their codes are equal only when the vectors are.
+    code(generator).  Every full torus vector compared here (`torus_code`)
+    has coordinates in [-n, 2n - 1] and every box in [0, n - 1], so two of
+    them differ by less than FULL = 2 MAX_N + 1 in each coordinate, and
+    their codes are equal only when the vectors are.
     """
-    boxes = partition.boxes
+    boxes = _packable(partition)
     gens = partition.addable_boxes()
-    p = 2 * len(boxes) + 1
-    box_codes = {torus_code(b, p) for b in boxes}
-    gen_codes = [torus_code(g, p) for g in gens]
-    gen_info = [(1 << i, pg, subtorus_code(g, base))
+    box_codes = {torus_code(b) for b in boxes}
+    gen_codes = [torus_code(g) for g in gens]
+    gen_info = [(1 << i, pg, subtorus_code(g))
                 for i, (g, pg) in enumerate(zip(gens, gen_codes))]
     # for each generator g, the (bit, packed lcm(g, h) - g) of the other
     # generators h whose lcm(g, h) - g is a box: when g is live, mu + g is a
@@ -165,15 +176,15 @@ def tangent_codes(partition: DPartition, base: int) -> tuple[dict[int, int], dic
     for i, (g0, g1, g2, g3) in enumerate(gens):
         row = []
         for j, (h0, h1, h2, h3) in enumerate(gens):
-            d = ((((h0 - g0 if h0 > g0 else 0) * p + (h1 - g1 if h1 > g1 else 0)) * p
-                  + (h2 - g2 if h2 > g2 else 0)) * p + (h3 - g3 if h3 > g3 else 0))
+            d = ((((h0 - g0 if h0 > g0 else 0) * FULL + (h1 - g1 if h1 > g1 else 0)) * FULL
+                  + (h2 - g2 if h2 > g2 else 0)) * FULL + (h3 - g3 if h3 > g3 else 0))
             if j != i and d in box_codes:
                 row.append((1 << j, d))
         pairs.append(row)
     live: dict[int, int] = {}
     sub: dict[int, int] = {}
     for b in boxes:
-        pb, sb = torus_code(b, p), subtorus_code(b, base)
+        pb, sb = torus_code(b), subtorus_code(b)
         for bit, pg, sg in gen_info:
             mu = pb - pg
             mask = live.get(mu)
@@ -211,9 +222,7 @@ def tangent_codes(partition: DPartition, base: int) -> tuple[dict[int, int], dic
     return codes, terms
 
 
-def unpack_terms(terms: dict[int, int], n: int) -> Laurent:
-    """Packed full torus terms at a partition of size n, such as those of
-    `tangent_codes`, as a Laurent polynomial: each key is a `torus_code` in
-    base 2n + 1, four signed digits."""
-    p = 2 * n + 1
-    return Laurent({unpack(code, 4, p): m for code, m in terms.items()})
+def unpack_terms(terms: dict[int, int]) -> Laurent:
+    """Packed full torus terms, such as those of `tangent_codes`, as a
+    Laurent polynomial: each key is a `torus_code`, four signed digits."""
+    return Laurent({unpack(code, 4, FULL): m for code, m in terms.items()})

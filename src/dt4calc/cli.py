@@ -15,9 +15,9 @@ Exit codes:
   0  success
   1  a checked value disagreed with its expected or oracle value
   2  usage error (bad flags or counts, bad orientation file, bad parameters)
-  3  enumeration bound or --n-max cap exceeded, DT4_MAX_N is not an integer
-     or is negative, or a number to print is past the interpreter's integer
-     string limit
+  3  enumeration bound, --n-max cap or the 90-box packing cap exceeded,
+     DT4_MAX_N is not an integer or is negative, or a number to print is
+     past the interpreter's integer string limit
   4  torus parameters hit a vanishing denominator weight
   5  requested case is outside the computed range
   6  internal consistency check failed
@@ -107,13 +107,13 @@ def _parse_params(text: str) -> TorusParams:
 
 def _load_orientation(path: str) -> tuple[OrientationData | None, str | None]:
     """The signs `--orientation` names, as (orientation, None), or
-    (None, reason) when the file is refused."""
+    (None, reason) when the file is refused; the reason names the path once."""
     if path == "default":
         return OrientationData(), None
     try:
         return OrientationData.from_file(path), None
-    except (OSError, ValueError) as e:
-        return None, str(e)
+    except (OSError, ValueError) as e:  # an OSError's message names the path again
+        return None, f"bad orientation file {path!r}: {getattr(e, 'strerror', None) or e}"
 
 
 _COUNT_WORDS = {2: "two", 3: "three"}
@@ -311,7 +311,7 @@ def cmd_dt4_series(args):
     params = _parse_params(args.s)
     orientation, reason = _load_orientation(args.orientation)
     if reason is not None:
-        raise UsageError(f"bad orientation file {args.orientation!r}: {reason}")
+        raise UsageError(reason)
     payload = series_payload(args.n_max, params, orientation,
                              check_oracle=args.check_oracle,
                              orientation_label=args.orientation)

@@ -10,10 +10,11 @@ Everything downstream works over two representations:
     equality.
   * weights: an integer linear form ``a1*s1 + ... + a4*s4`` in the torus
     parameters, modulo ``s1 + s2 + s3 + s4 = 0``, is its reduced int triple
-    ``(a1 - a4, a2 - a4, a3 - a4)``, the digits of its `subtorus_code`; sums,
-    negation and the choice of sign in a ``(w, -w)`` pair are done on those
-    codes.  Records and the `vertex` report hold bare triples; `LinForm` is
-    only the record oracle's evaluator of a decoded triple.
+    ``(a1 - a4, a2 - a4, a3 - a4)``, the digits of its `subtorus_code`, one
+    code at every level (`unpack` reads digits); sums, negation and the
+    choice of sign in a ``(w, -w)`` pair are done on those codes.  Records
+    and the `vertex` report hold bare triples; `LinForm` is only the record
+    oracle's evaluator of a decoded triple.
 
 Parameter values and summands are rationals, ``fractions.Fraction``
 (lowest terms, positive denominator, unbounded size); integers are ``int``.
@@ -22,7 +23,7 @@ Parameter values and summands are rationals, ``fractions.Fraction``
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 
@@ -54,10 +55,6 @@ class Laurent:
         out = Laurent.__new__(Laurent)
         out.terms = {e: c for e, c in terms.items() if c}
         return out
-
-    @staticmethod
-    def monomial(exp: Iterable[int]) -> "Laurent":
-        return Laurent({tuple(exp): 1})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Laurent):

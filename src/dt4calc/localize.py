@@ -19,9 +19,9 @@ by packed subtorus codes, with no Laurent polynomial (`characters`).  A
 summand record holds its weights as reduced int triples, each code decoded
 once per process, and evaluates them with local arithmetic; the record
 oracle decodes the codes again and evaluates them with its own `LinForm`.
-The closed form T on the full torus is built the same way, packed in
-base 2n + 1 (`vertex_character`); the `vertex` report reads it as a
-Laurent polynomial.  The Taylor complex of `taylor` serves only the
+The closed form T on the full torus is built the same way, packed with
+one base for every level (`vertex_character`); the `vertex` report reads
+it as a Laurent polynomial.  The Taylor complex of `taylor` serves only the
 checks, the resolution oracle and the cross-check of E1 and E2 against
 Ext^1 and Ext^2(O_Z, O_Z), and the cyclic completion report, so E1 comes
 from a different route than every Taylor oracle that checks it.  The two
@@ -56,10 +56,10 @@ from itertools import combinations, permutations, product
 from math import prod
 from operator import itemgetter
 
-from .characters import (_moved_units, half_codes, mirrored, pack_moved, tangent_codes,
-                         unpack_terms, vertex_character)
+from .characters import (_moved_units, half_codes, mirrored, pack_moved, subtorus_triple,
+                         tangent_codes, unpack_terms, vertex_character)
 from .errors import InternalInconsistency, NonGenericParameters
-from .exact import Laurent, LinForm, form_str, integer_scaling, number_str, unpack
+from .exact import Laurent, LinForm, form_str, integer_scaling, number_str
 from .partitions import DPartition, partition_from_id, partition_levels
 from .taylor import ext_characters, euler_character
 
@@ -148,18 +148,17 @@ class OrientationData:
         with open(path) as fh:
             text = fh.read(cls.MAX_CHARS + 1)
         if len(text) > cls.MAX_CHARS:
-            raise ValueError(f"orientation file {path} is longer than "
-                             f"{cls.MAX_CHARS} characters")
+            raise ValueError(f"longer than {cls.MAX_CHARS} characters")
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
-            raise ValueError(f"orientation file {path} is not valid JSON: {e}")
+            raise ValueError(f"not valid JSON: {e}")
         except RecursionError:
-            raise ValueError(f"orientation file {path} is nested too deeply to read")
+            raise ValueError("nested too deeply to read")
         except ValueError:  # an integer of more digits than int() reads
-            raise ValueError(f"orientation file {path} holds an integer too long to read")
+            raise ValueError("holds an integer too long to read")
         if not isinstance(raw, dict):
-            raise ValueError(f"orientation file {path} must hold a JSON object")
+            raise ValueError("must hold a JSON object")
         return cls(raw)
 
     def sign(self, partition: DPartition) -> int:
@@ -190,32 +189,32 @@ def half_euler(codes: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((w, m // 2 if w == 0 else m) for w, m in codes.items() if w >= 0))
 
 
-# base -> code -> reduced triple, decoded once per process, so every record
-# that holds a weight shares one triple for it
-_TRIPLES: dict[int, dict[int, tuple[int, int, int]]] = {}
+# code -> reduced triple, decoded once per process, so every record at
+# every level that holds a weight shares one triple for it
+_TRIPLES: dict[int, tuple[int, int, int]] = {}
 
 
-def weight_triples(codes, base: int) -> tuple[tuple[int, int, int], ...]:
+def weight_triples(codes) -> tuple[tuple[int, int, int], ...]:
     """The reduced triple of each code, in order, from the shared cache."""
-    known = _TRIPLES.setdefault(base, {})
-    return tuple(known.get(k) or known.setdefault(k, unpack(k, 3, base)) for k in codes)
+    get = _TRIPLES.get
+    return tuple(get(k) or _TRIPLES.setdefault(k, subtorus_triple(k)) for k in codes)
 
 
-def sorted_triples(codes: dict[int, int], base: int) -> tuple[tuple[int, int, int], ...]:
+def sorted_triples(codes: dict[int, int]) -> tuple[tuple[int, int, int], ...]:
     """A code -> multiplicity map as reduced triples sorted by code, each
     repeated by its multiplicity."""
-    return weight_triples([k for k in sorted(codes) for _ in range(codes[k])], base)
+    return weight_triples([k for k in sorted(codes) for _ in range(codes[k])])
 
 
 class FixedPointData:
     """Everything the localization formula needs at one fixed point.
 
     The characters the summand needs are restricted to the subtorus and kept
-    as dicts from `subtorus_code` to multiplicity, in base 4n + 1: `half`
-    holds V, `e1` the tangent and `e2` the obstruction character
-    E1 + bar(E1) - T, built as `mirrored(e1 - half)`, so self dual and of
-    2|E1| - 2n weights by construction; the rank of V and the effectivity
-    of E1 and E2 are checked.  Every reduced coefficient they hold lies in [-2n + 1, 2n - 1],
+    as dicts from `subtorus_code` to multiplicity: `half` holds V, `e1` the
+    tangent and `e2` the obstruction character E1 + bar(E1) - T, built as
+    `mirrored(e1 - half)`, so self dual and of 2|E1| - 2n weights by
+    construction; the rank of V and the effectivity of E1 and E2 are
+    checked.  Every reduced coefficient they hold lies in [-2n + 1, 2n - 1],
     inside the digit range, so adding codes adds vectors, negating is `bar`,
     codes sort as their reduced triples do, and a code is positive exactly
     when its triple is above (0, 0, 0).  `e1_terms` holds E1 on the full
@@ -232,12 +231,11 @@ class FixedPointData:
             raise ValueError("fixed points live in dimension 4")
         self.partition = partition
         n = partition.size
-        self.base = base = 4 * n + 1
-        self.half = half = half_codes(partition, base)
+        self.half = half = half_codes(partition)
         if sum(half.values()) != n:
             raise InternalInconsistency(
                 f"virtual dimension shadow {2 * sum(half.values())} != {2 * n}")
-        self.e1, self.e1_terms = tangent_codes(partition, base)
+        self.e1, self.e1_terms = tangent_codes(partition)
         self._effective(self.e1, "tangent")
         w = dict(self.e1)
         for k, m in half.items():
@@ -246,7 +244,7 @@ class FixedPointData:
         self._effective(self.e2, "obstruction")
 
     def _effective(self, codes: dict[int, int], what: str) -> None:
-        bad = {form_str(unpack(k, 3, self.base)): m for k, m in codes.items() if m < 0}
+        bad = {form_str(subtorus_triple(k)): m for k, m in codes.items() if m < 0}
         if bad:
             raise InternalInconsistency(f"{what} character has non effective terms {bad}")
 
@@ -256,15 +254,15 @@ class FixedPointData:
 
     @cached_property
     def tvir(self) -> Laurent:
-        return unpack_terms(self.tvir_codes, self.partition.size)
+        return unpack_terms(self.tvir_codes)
 
     @cached_property
     def e1_weights(self) -> tuple[tuple[int, int, int], ...]:
-        return sorted_triples(self.e1, self.base)
+        return sorted_triples(self.e1)
 
     @cached_property
     def e2_weights(self) -> tuple[tuple[int, int, int], ...]:
-        return sorted_triples(self.e2, self.base)
+        return sorted_triples(self.e2)
 
     def summand(self) -> "Summand":
         """The compact record of this point's summand, built on first call
@@ -303,8 +301,8 @@ class Summand:
     def __init__(self, data: FixedPointData):
         if 0 in data.e1:
             raise InternalInconsistency("zero weight in the tangent character")
-        self.tangent = sorted_triples(data.e1, data.base)
-        self.factors = sorted_triples(dict(half_euler(data.e2)), data.base)
+        self.tangent = sorted_triples(data.e1)
+        self.factors = sorted_triples(dict(half_euler(data.e2)))
 
     def value(self, params: TorusParams, orientation: int = 1, at=None) -> Fraction:
         """The summand at s with the given orientation sign.
@@ -327,18 +325,16 @@ class Summand:
         num = orientation * prod([a * x + b * y + c * z for a, b, c in self.factors])
         return Fraction(num * scale ** len(self.tangent), prod(den) * scale ** len(self.factors))
 
-    def relabeled(self, perm, base: int) -> "Summand":
+    def relabeled(self, perm) -> "Summand":
         """The record of the relabeled point `pi.relabeled(perm)`, from this one.
 
         Each weight moves to its permuted triple (`moved_codes`), each factor
         to the positive code of its pair, and both are sorted by code again,
-        so the result equals the direct build field by field.  `base` is
-        the point's code base, 4n + 1.
+        so the result equals the direct build field by field.
         """
         out = Summand.__new__(Summand)
-        out.tangent = weight_triples(sorted(moved_codes(self.tangent, perm, base)), base)
-        out.factors = weight_triples(sorted(map(abs, moved_codes(self.factors, perm, base))),
-                                     base)
+        out.tangent = weight_triples(sorted(moved_codes(self.tangent, perm)))
+        out.factors = weight_triples(sorted(map(abs, moved_codes(self.factors, perm))))
         return out
 
     def __eq__(self, other) -> bool:
@@ -347,25 +343,24 @@ class Summand:
         return all(getattr(self, k) == getattr(other, k) for k in Summand.__slots__)
 
 
-def moved_codes(triples, perm, base: int) -> list[int]:
+def moved_codes(triples, perm) -> list[int]:
     """The code of each reduced triple, in order, with its coefficients
     permuted as `DPartition.relabeled(perm)` permutes box coordinates: with
     v = triple + (0,), the triple (v[p0] - v[p3], v[p1] - v[p3],
     v[p2] - v[p3]).  The move and the packing are linear in the triple, so
     the code is read off the moved unit codes that `pack_moved` reads too.
     """
-    k0, k1, k2, _ = _moved_units(perm, base)
+    k0, k1, k2, _ = _moved_units(perm)[1]
     return [a * k0 + b * k1 + c * k2 for a, b, c in triples]
 
 
-def transport_sign(record: Summand, perm, base: int) -> int:
+def transport_sign(record: Summand, perm) -> int:
     """The sign eps with summand(q) at s = eps * summand(rep) at s', for
     q = rep.relabeled(perm) and s'[j] = s[perm.index(j)]: -1 to the number
     of factor occurrences whose moved code (`moved_codes`) is negative, the
     factors that `Summand.relabeled` turns to the positive code of their
     pair."""
-    k0, k1, k2, _ = _moved_units(perm, base)
-    return -1 if sum(a * k0 + b * k1 + c * k2 < 0 for a, b, c in record.factors) % 2 else 1
+    return -1 if sum(k < 0 for k in moved_codes(record.factors, perm)) % 2 else 1
 
 
 # each perm of the four axes with the getter that moves a box as
@@ -426,8 +421,7 @@ def vertex_oracle_check(data: FixedPointData, memo=None) -> tuple[bool, object, 
     route as Laurent polynomials when they disagree, else None for both,
     so a passing check builds no Laurent polynomial."""
     perm, route, fits = resolution(data.partition, "tvir", memo)
-    if fits and pack_moved(route[0], perm, data.partition.size) == (
-            data.tvir_codes, mirrored(data.half)):
+    if fits and pack_moved(route[0], perm) == (data.tvir_codes, mirrored(data.half)):
         return True, None, None
     return False, data.tvir, _moved_laurent(route[0], perm)
 
@@ -446,12 +440,11 @@ def obstruction_crosscheck(data: FixedPointData, memo=None) -> tuple[bool, objec
     packed Ext^2), E1 and Ext^1 as Laurent polynomials, when they
     disagree, else None for both.
     """
-    n = data.partition.size
     perm, ext, fits = resolution(data.partition, "ext", memo)
-    e1, e2 = ext.get(1, ()), pack_moved(ext.get(2, ()), perm, n)[1]
-    if fits and pack_moved(e1, perm, n) == (data.e1_terms, data.e1) and data.e2 == e2:
+    e1, e2 = ext.get(1, ()), pack_moved(ext.get(2, ()), perm)[1]
+    if fits and pack_moved(e1, perm) == (data.e1_terms, data.e1) and data.e2 == e2:
         return True, None, None
-    return False, (unpack_terms(data.e1_terms, n), data.e2), (_moved_laurent(e1, perm), e2)
+    return False, (unpack_terms(data.e1_terms), data.e2), (_moved_laurent(e1, perm), e2)
 
 
 def record_oracle_check(data: FixedPointData, params: TorusParams, orientation: int,
@@ -471,11 +464,11 @@ def record_oracle_check(data: FixedPointData, params: TorusParams, orientation: 
     if entry is None:
         return False
     rep, perm, _ = entry
-    if rep.relabeled(perm, data.base) != Summand(data):
+    if rep.relabeled(perm) != Summand(data):
         return False
     scale, s = params.scaled
-    tangent = [(LinForm(unpack(k, 3, data.base)), m) for k, m in data.e1.items()]
-    obstruction = [(LinForm(unpack(k, 3, data.base)), m) for k, m in data.e2.items()]
+    tangent = [(LinForm(subtorus_triple(k)), m) for k, m in data.e1.items()]
+    obstruction = [(LinForm(subtorus_triple(k)), m) for k, m in data.e2.items()]
     den = prod(w.evaluate(s) ** m for w, m in tangent)
     if not den:
         return False
@@ -517,7 +510,6 @@ def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
     coeffs = []
     details = []
     for n, level in enumerate(levels):
-        base = 4 * n + 1
         total = Fraction(0)
         by_boxes = None  # boxes -> the level's own point, made at its first build
         for pi in level:
@@ -531,14 +523,14 @@ def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
                 for perm, move in _MOVES:
                     q = by_boxes[tuple(sorted(map(move, pi.boxes)))]
                     if q not in _SUMMANDS:
-                        _SUMMANDS[q] = (rep, perm, transport_sign(rep, perm, base))
+                        _SUMMANDS[q] = (rep, perm, transport_sign(rep, perm))
                 v = data.contribution(params, sign)
             else:
                 rep, perm, eps = entry
                 try:
                     v = rep.value(params, eps * sign, moved_s[perm])
                 except NonGenericParameters:
-                    v = rep.relabeled(perm, base).value(params, sign)
+                    v = rep.relabeled(perm).value(params, sign)
             total += v
             if want_details:
                 details.append((n, pi.id(), v))

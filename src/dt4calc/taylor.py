@@ -22,7 +22,8 @@ box, so each column tries its one-generator extensions, and rows that no
 column hits, which cannot change the rank, are never built.  A rank is
 skipped where the next size has no cochain at mu.  Without a degree it
 lists every subset and returns every degree.  Multidegrees are packed into
-ints; `ext_characters` gives the digit-range argument.
+ints in a base taken from each ideal's generators, since an ideal may be
+of any size; `ext_characters` gives the digit-range argument.
 
 The Euler characteristic chi(O_Z, O_Z) needs no ranks: each differential
 cancels equal dimensions in adjacent degrees, so it is the signed sum of the

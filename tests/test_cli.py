@@ -132,14 +132,12 @@ def test_check_oracle_catches_an_e1_error(capsys, monkeypatch):
 
     kernel = localize.tangent_codes
 
-    def tampered(pi, base):
-        codes, terms = kernel(pi, base)
+    def tampered(pi):
+        codes, terms = kernel(pi)
         if not pi.size:
             return codes, terms
-        # t1 packs to (2n + 1)^3 on the full torus, where the first exponent
-        # is the highest of four digits in base 2n + 1
-        return (plus_error(codes, characters.subtorus_code((1, 0, 0, 0), base)),
-                plus_error(terms, (2 * pi.size + 1) ** 3))
+        return (plus_error(codes, characters.subtorus_code((1, 0, 0, 0))),
+                plus_error(terms, characters.torus_code((1, 0, 0, 0))))
 
     monkeypatch.setattr(localize, "tangent_codes", tampered)
     monkeypatch.setattr(localize, "_SUMMANDS", {})
@@ -156,11 +154,11 @@ def test_broken_invariant_exits_internal(capsys, monkeypatch):
     # honest representation has
     kernel = localize.half_codes
 
-    def tampered(pi, base):
-        half = dict(kernel(pi, base))
+    def tampered(pi):
+        half = dict(kernel(pi))
         if pi.size == 2:
-            s1 = characters.subtorus_code((1, 0, 0, 0), base)
-            s3 = characters.subtorus_code((0, 0, 1, 0), base)
+            s1 = characters.subtorus_code((1, 0, 0, 0))
+            s3 = characters.subtorus_code((0, 0, 1, 0))
             for k, m in ((s1, -3), (s3, 3)):
                 half[k] = half.get(k, 0) + m
         return half
@@ -187,11 +185,11 @@ def test_each_checked_invariant_exits_internal(kernel, edit, message, capsys, mo
     # with one line that names it
     real = getattr(localize, kernel)
 
-    def tampered(pi, base):
-        out = real(pi, base)
+    def tampered(pi):
+        out = real(pi)
         if pi.size == 1:
             edit(out if kernel == "half_codes" else out[0],
-                 characters.subtorus_code((1, 0, 0, 0), base))
+                 characters.subtorus_code((1, 0, 0, 0)))
         return out
 
     monkeypatch.setattr(localize, kernel, tampered)
@@ -271,10 +269,10 @@ def test_check_oracle_catches_a_fault_off_the_first_member_of_each_orbit(
     # still fail against the route moved to them
     tangent_codes = localize.tangent_codes
 
-    def tampered(pi, base):
-        e1, terms = tangent_codes(pi, base)
+    def tampered(pi):
+        e1, terms = tangent_codes(pi)
         if pi.size and pi != first_of_orbit(pi):
-            t1 = (2 * pi.size + 1) ** 3
+            t1 = characters.torus_code((1, 0, 0, 0))
             terms = {**terms, t1: terms.get(t1, 0) + 1, -t1: terms.get(-t1, 0) - 1}
         return e1, terms
 
@@ -309,18 +307,18 @@ def test_check_oracle_looks_up_each_point_once_per_run(command, capsys, monkeypa
     assert len(built) == len({first_of_orbit(pi) for pi in built}) == 4
 
 
-def aliased(ch, n, avoid=()):
-    """ch with its first term not in `avoid` moved out of [-n, n]^4, onto a
-    vector with the same full torus code in base 2n + 1 and subtorus code in
-    base 4n + 1."""
-    from dt4calc.characters import subtorus_code, torus_code
+def aliased(ch, avoid=()):
+    """ch with its first term not in `avoid` moved out of [-MAX_N, MAX_N]^4,
+    onto a vector with the same full torus and subtorus codes."""
+    from dt4calc.characters import FULL, MAX_N, SUB, subtorus_code, torus_code
     from dt4calc.exact import Laurent
 
-    p, q = 2 * n + 1, 4 * n + 1
+    p, q = FULL, SUB
     # p(p - 1) (1, 1, 1, 1) + (p^2 + p + 1) (1, -q, 0, 0) + (0, 1, -q, 0)
     r, s = p * (p - 1), p * p + p + 1
     delta = (r + s, r - q * s + 1, r - q, r)
-    assert torus_code(delta, p) == 0 and subtorus_code(delta, q) == 0
+    assert torus_code(delta) == 0 and subtorus_code(delta) == 0
+    assert max(map(abs, delta)) > MAX_N
     terms = dict(ch.terms)
     e = min(set(terms) - set(avoid))
     terms[tuple(a + b for a, b in zip(e, delta))] = terms.pop(e)
@@ -341,11 +339,10 @@ def test_check_oracle_refuses_a_route_term_outside_the_packing_box(route, capsys
 
     def tampered(ideal, **kwargs):
         got = real(ideal, **kwargs)
-        n = ideal.partition.size
         if route == "ext_characters":
-            return {**got, 1: aliased(got[1], n)}
+            return {**got, 1: aliased(got[1])}
         boxes = ideal.partition.boxes
-        return aliased(got, n, avoid=boxes + tuple(tuple(-x - 1 for x in b) for b in boxes))
+        return aliased(got, avoid=boxes + tuple(tuple(-x - 1 for x in b) for b in boxes))
 
     monkeypatch.setattr(localize, route, tampered)
     check = {"euler_character": localize.vertex_oracle_check,
@@ -391,8 +388,8 @@ def test_check_oracle_catches_a_tampered_packed_vertex_character(capsys, monkeyp
     e2 = {pi: FixedPointData(pi).e2 for level in partition_levels(4, 2) for pi in level}
     half_codes = localize.half_codes
 
-    def tampered(pi, base):
-        half = Counter(half_codes(pi, base))
+    def tampered(pi):
+        half = Counter(half_codes(pi))
         if pi.size:
             v = max(e2[pi])
             half[v] += 1
@@ -701,8 +698,7 @@ def test_a_coordinate_int_cannot_read_gives_its_own_message(capsys, tmp_path):
     path.write_text(f'{{"0,0,0,0": {huge}}}')
     code, out, err = run(capsys, "dt4-series", "--orientation", str(path))
     assert code == EXIT_USAGE and out == ""
-    assert err == (f"error: bad orientation file '{path}': "
-                   f"orientation file {path} holds an integer too long to read\n")
+    assert err == f"error: bad orientation file '{path}': holds an integer too long to read\n"
 
 
 @pytest.mark.parametrize("joined,split,value", [
@@ -810,11 +806,11 @@ def test_deeply_nested_orientation_is_rejected(capsys, tmp_path):
 def test_an_endless_orientation_file_is_refused_at_the_cap(capsys):
     # /dev/zero never ends: the read stops one character past the cap, so
     # memory stays bounded and each command names the cause in one line
-    message = (f"orientation file /dev/zero is longer than "
+    message = (f"bad orientation file '/dev/zero': longer than "
                f"{localize.OrientationData.MAX_CHARS} characters")
     code, out, err = run(capsys, "dt4-series", "--n-max", "1", "--orientation", "/dev/zero")
     assert code == EXIT_USAGE and out == ""
-    assert err == f"error: bad orientation file '/dev/zero': {message}\n"
+    assert err == f"error: {message}\n"
     code, out, err = run(capsys, "suite", "--orientation", "/dev/zero", "--only", "orientation")
     assert code == EXIT_MISMATCH and err == ""
     assert out.startswith(f"FAIL 10 orientation-flip: orientation data rejected: {message}\n")
@@ -828,8 +824,7 @@ def test_an_orientation_file_at_the_cap_is_read(capsys, monkeypatch, tmp_path):
     path.write_text("{}" + " " * 9)
     code, out, err = run(capsys, "dt4-series", "--n-max", "1", "--orientation", str(path))
     assert code == EXIT_USAGE and out == ""
-    assert err == (f"error: bad orientation file '{path}': "
-                   f"orientation file {path} is longer than 10 characters\n")
+    assert err == f"error: bad orientation file '{path}': longer than 10 characters\n"
 
 
 def test_goettsche_json_integer_array(capsys):
@@ -942,7 +937,11 @@ def test_series_and_suite_give_the_same_reason_for_a_refused_file(signs, capsys,
     code, out, err = run(capsys, "dt4-series", "--orientation", str(path))
     prefix = f"error: bad orientation file '{path}': "
     assert code == EXIT_USAGE and out == "" and err.startswith(prefix)
-    reason = err[len(prefix):-1]
+    # the reason names the path once, in the prefix, and both commands print it
+    assert err.count(str(path)) == 1
+    if signs is None:
+        assert err == f"{prefix}No such file or directory\n"
+    reason = err[len("error: "):-1]
     code, out, err = run(capsys, "suite", "--only", "orientation",
                          "--orientation", str(path))
     assert code == EXIT_MISMATCH and err == ""

@@ -18,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dt4calc import characters, cli, localize, partitions, taylor
-from dt4calc.characters import mirrored, pack_moved, subtorus_code, torus_code, unpack_terms
+from dt4calc.characters import (MAX_N, mirrored, pack_moved, subtorus_code, subtorus_triple,
+                                torus_code, unpack_terms)
 from dt4calc.chow import CohClass, cy_hypersurface_context, vdim_ideal_cy4
 from dt4calc.cli import main, series_payload
-from dt4calc.errors import InternalInconsistency, NonGenericParameters
-from dt4calc.exact import Laurent, form_str, unpack
+from dt4calc.errors import BoundExceeded, InternalInconsistency, NonGenericParameters
+from dt4calc.exact import Laurent, form_str
 from dt4calc.localize import (FixedPointData, OrientationData, TorusParams,
                               cyclic_completion_report, dt4_degree0_series,
                               Summand, half_euler, obstruction_crosscheck,
@@ -76,16 +77,16 @@ def neg(w: tuple[int, int, int]) -> tuple[int, int, int]:
     return tuple(-x for x in w)
 
 
-def cy_codes(ch: Laurent, base: int) -> dict[int, int]:
+def cy_codes(ch: Laurent) -> dict[int, int]:
     """A character restricted to the subtorus, as `subtorus_code` ->
     multiplicity, with no zero terms."""
     out = Counter()
     for e, c in ch.terms.items():
-        out[subtorus_code(e, base)] += c
+        out[subtorus_code(e)] += c
     return {k: c for k, c in out.items() if c}
 
 
-KAPPA_INV = Laurent.monomial((-1, -1, -1, -1))
+KAPPA_INV = Laurent({(-1, -1, -1, -1): 1})
 # (1 - t1^-1)(1 - t2^-1)(1 - t3^-1)(1 - t4^-1): the terms (-1)^|e| t^e
 P1234 = Laurent({e: (-1) ** -sum(e) for e in itertools.product((0, -1), repeat=4)})
 
@@ -133,7 +134,7 @@ def test_vertex_character_one_box():
     data = one_box_data()
     t = vertex_character(data.partition)
     assert sum(t.values()) == 2
-    assert data.tvir == unpack_terms(t, 1) == laurent_vertex_character(data.partition)
+    assert data.tvir == unpack_terms(t) == laurent_vertex_character(data.partition)
 
 
 def test_one_box_tangent_weights():
@@ -166,7 +167,7 @@ def test_one_box_half_euler_value():
     assert all(k > 0 for k, _ in factors) and sum(m for _, m in factors) == 3
     # canonical product (s2+s3)(s1+s3)(s1+s2) = 5*4*3; equals -e3 at this s,
     # where e3(1,2,3,-6) = 6 - 12 - 18 - 36 = -60
-    assert prod(sum(a * x for a, x in zip(unpack(k, 3, data.base), (1, 2, 3))) ** m
+    assert prod(sum(a * x for a, x in zip(subtorus_triple(k), (1, 2, 3))) ** m
                 for k, m in factors) == 60
 
 
@@ -257,7 +258,7 @@ def test_symbolic_identity_against_sympy():
     factors = half_euler(data.e2)
     num = sympy.Integer(1)
     for k, m in factors:
-        num *= sum(int(c) * v for c, v in zip(unpack(k, 3, data.base), s)) ** m
+        num *= sum(int(c) * v for c, v in zip(subtorus_triple(k), s)) ** m
     den = sympy.Integer(1)
     for w in data.e1_weights:
         den *= sum(int(c) * v for c, v in zip(w, s))
@@ -266,8 +267,8 @@ def test_symbolic_identity_against_sympy():
 
 
 def test_half_euler_pairing_rules():
-    w = subtorus_code((1, 1, 0, 0), 9)  # reduced (1, 1, 0)
-    v = subtorus_code((0, 0, 0, 1), 9)  # reduced (-1, -1, -1)
+    w = subtorus_code((1, 1, 0, 0))  # reduced (1, 1, 0)
+    v = subtorus_code((0, 0, 0, 1))  # reduced (-1, -1, -1)
     assert half_euler({w: 1, -w: 1}) == half_euler({-w: 1, w: 1}) == ((w, 1),)
     # a pair is stored by its canonical, positive code, sorted as the forms'
     # reduced coefficients
@@ -279,10 +280,10 @@ def test_half_euler_pairing_rules():
 def test_half_euler_zero_weight_is_a_zero_factor():
     # the zero weight is its own pair, so two zero weights give one zero
     # factor, and the record's product vanishes with no flag
-    w = subtorus_code((1, 1, 0, 0), 9)
+    w = subtorus_code((1, 1, 0, 0))
     codes = {0: 2, w: 1, -w: 1}
     assert half_euler(codes) == ((0, 1), (w, 1))
-    record = Summand(SimpleNamespace(base=9, e1={subtorus_code((1, 0, 0, 0), 9): 1}, e2=codes))
+    record = Summand(SimpleNamespace(e1={subtorus_code((1, 0, 0, 0)): 1}, e2=codes))
     assert record.factors == ((0, 0, 0), (1, 1, 0))
     for orientation in (1, -1):
         value = record.value(TorusParams.default(), orientation)
@@ -326,7 +327,7 @@ def taylor_hom(pi: DPartition) -> Laurent:
 @pytest.mark.parametrize("n", range(7))
 def test_tangent_character_matches_taylor_degree_zero(n):
     for pi in enumerate_partitions(4, n):
-        assert unpack_terms(FixedPointData(pi).e1_terms, n) == taylor_hom(pi), pi.id()
+        assert unpack_terms(FixedPointData(pi).e1_terms) == taylor_hom(pi), pi.id()
 
 
 @pytest.mark.parametrize("axis", range(4))
@@ -336,18 +337,17 @@ def test_tangent_character_on_single_axis_columns(axis):
     for h in range(1, 9):
         column = DPartition(4, [tuple(k if i == axis else 0 for i in range(4))
                                 for k in range(h)])
-        assert unpack_terms(FixedPointData(column).e1_terms, h) == taylor_hom(column), \
-            column.id()
+        assert unpack_terms(FixedPointData(column).e1_terms) == taylor_hom(column), column.id()
 
 
-def reference_vertex_codes(partition: DPartition, base: int) -> dict[int, int]:
+def reference_vertex_codes(partition: DPartition) -> dict[int, int]:
     """T = V + bar(V) with V = Q - D P123 by `Counter` passes, as fixed points
     were built before the shifts went into one dict."""
-    boxes = [subtorus_code(b, base) for b in partition.boxes]
+    boxes = [subtorus_code(b) for b in partition.boxes]
     diffs = Counter(a - b for a in boxes for b in boxes)
     half = Counter(boxes)
     for e in itertools.product((0, -1), repeat=3):
-        shift, sign = subtorus_code(e + (0,), base), (-1) ** -sum(e)
+        shift, sign = subtorus_code(e + (0,)), (-1) ** -sum(e)
         for d, m in diffs.items():
             half[d + shift] -= sign * m
     tcy = Counter(half)
@@ -412,12 +412,11 @@ REFERENCE_CASES["columns"] = [
 def test_fixed_point_kernels_match_the_reference(case):
     for pi in REFERENCE_CASES[case]:
         data = FixedPointData(pi)
-        base = data.base
-        assert mirrored(data.half) == reference_vertex_codes(pi, base), pi.id()
+        assert mirrored(data.half) == reference_vertex_codes(pi), pi.id()
         e1 = reference_tangent_character(pi)
-        assert data.e1 == cy_codes(e1, base), pi.id()
-        assert unpack_terms(data.e1_terms, pi.size) == e1, pi.id()
-        assert localize.tangent_codes(pi, base) == (data.e1, data.e1_terms), pi.id()
+        assert data.e1 == cy_codes(e1), pi.id()
+        assert unpack_terms(data.e1_terms) == e1, pi.id()
+        assert localize.tangent_codes(pi) == (data.e1, data.e1_terms), pi.id()
 
 
 def test_series_builds_no_laurent(monkeypatch):
@@ -433,17 +432,17 @@ def test_series_builds_no_laurent(monkeypatch):
 
 def test_crosscheck_catches_an_e1_error_the_obstruction_hides():
     data = FixedPointData(POINTS_3[5])
-    n = data.partition.size
     # t1 - t1^-1 is antisymmetric, so it cancels in E2 = E1 + bar(E1) - T;
-    # packed in base 2n + 1, t1 is the code (2n + 1)^3 and t1^-1 its negative
-    t1 = (2 * n + 1) ** 3
+    # packed, t1^-1 is the negative of the code of t1
+    t1 = torus_code((1, 0, 0, 0))
+    assert torus_code((-1, 0, 0, 0)) == -t1
     terms = data.e1_terms
     data.e1_terms = {**terms, t1: terms.get(t1, 0) + 1, -t1: terms.get(-t1, 0) - 1}
-    e1 = unpack_terms(data.e1_terms, n)
-    assert e1 == (unpack_terms(terms, n) + Laurent.monomial((1, 0, 0, 0))
-                  - Laurent.monomial((-1, 0, 0, 0)))
+    e1 = unpack_terms(data.e1_terms)
+    assert e1 == (unpack_terms(terms) + Laurent({(1, 0, 0, 0): 1})
+                  - Laurent({(-1, 0, 0, 0): 1}))
     e1cy = e1.cy_reduce()
-    assert cy_codes(e1cy + e1cy.bar() - data.tvir.cy_reduce(), data.base) == data.e2
+    assert cy_codes(e1cy + e1cy.bar() - data.tvir.cy_reduce()) == data.e2
     ok, lhs, rhs = obstruction_crosscheck(data)
     assert not ok
     assert lhs[0] != rhs[0] and lhs[1] == rhs[1]
@@ -462,13 +461,15 @@ def test_resolution_oracle_catches_an_extra_lcm_term(monkeypatch):
 # 1 <= n <= 3 on one memo, and of criterion 4's detail, under faults that
 # fail every point, pinned when both checks compared Laurent polynomials:
 # an extra lcm term puts chi outside the packing box, a t1 t4^-1 in chi and
-# a term in each of Ext^1 and Ext^2 stay inside it
+# a term in each of Ext^1 and Ext^2 stay inside it.  The cross-check's
+# packed E2 sides are hashed as reduced triples in code order, which does not
+# depend on the packing's base
 FAILURE_DIGESTS = {
     "lcm-term": ("87b477176a155fbed0a9e27c5cac0a4afd59a12e5cd6174e82085bff321d391b",
                  "05fa6d7e271affb0efa7b573a82754da33f65ba897eb7999f51465c2ccb7fa6c"),
     "chi-term": ("33e0a737ddad3cf61db3a48371da31ff72604e71744ede84e58d69fbbdf7c883",
                  "2587213b6f7ba2260281432ce0843ca42de137d959d081a7e1f240829833bd72"),
-    "ext-terms": ("0763ccb6fe0141fa03f0fa8d0ed2ea04374d2f340232e8e4758b0d690783a661", None),
+    "ext-terms": ("abf995027b2cd205dfcb7eccb72b5df214761fffb7185d8207d9582805a2610a", None),
 }
 
 
@@ -497,6 +498,9 @@ def test_failing_checks_report_the_laurent_sides_as_before(fault, monkeypatch):
     for pi in POINTS_3[1:]:
         ok, lhs, rhs = check(FixedPointData(pi), memo)
         assert not ok, pi.id()
+        if fault == "ext-terms":
+            lhs, rhs = [(e1, {subtorus_triple(k): m for k, m in sorted(e2.items())})
+                        for e1, e2 in (lhs, rhs)]
         lines.update(f"{pi.id()} {ok} {lhs} {rhs}\n".encode())
     checks, detail = FAILURE_DIGESTS[fault]
     assert lines.hexdigest() == checks
@@ -562,9 +566,9 @@ for _pi in (pi for n in range(7) for pi in enumerate_partitions(4, n)):
                         []).append(_pi)
 
 
-def packed(ch: Laurent, n: int) -> tuple[dict[int, int], dict[int, int]]:
-    """A character's (full torus, subtorus) codes in base 2n + 1 and 4n + 1."""
-    return {torus_code(e, 2 * n + 1): c for e, c in ch.terms.items()}, cy_codes(ch, 4 * n + 1)
+def packed(ch: Laurent) -> tuple[dict[int, int], dict[int, int]]:
+    """A character's (full torus, subtorus) codes, packed term by term."""
+    return {torus_code(e): c for e, c in ch.terms.items()}, cy_codes(ch)
 
 
 def test_moved_resolution_equals_the_direct_one(monkeypatch):
@@ -597,7 +601,7 @@ def test_moved_resolution_equals_the_direct_one(monkeypatch):
                 assert moved.keys() == direct[pi].keys(), pi.id()
                 for i, terms in moved.items():
                     want = direct[pi][i]
-                    assert pack_moved(terms, perm, n) == packed(want, n), (pi.id(), i)
+                    assert pack_moved(terms, perm) == packed(want), (pi.id(), i)
                     assert localize._moved_laurent(terms, perm) == want, (pi.id(), i)
             # one ideal per orbit, at the first member the walk meets
             firsts = {orbit[pi]: pi for pi in walk[::-1]}
@@ -623,7 +627,7 @@ def old_route(pi: DPartition) -> tuple[dict, Laurent, tuple]:
     """The views, E2 on the subtorus and the summand record by Laurent
     products, with no codes."""
     tvir = laurent_vertex_character(pi)
-    e1 = unpack_terms(FixedPointData(pi).e1_terms, pi.size)
+    e1 = unpack_terms(FixedPointData(pi).e1_terms)
     e1cy = e1.cy_reduce()
     e2 = e1cy + e1cy.bar() - tvir.cy_reduce()
     e1_weights, e2_weights = old_weights(e1), old_weights(e2)
@@ -666,8 +670,8 @@ def test_packed_kernel_matches_the_laurent_route(case):
         views, e2, record = old_route(pi)
         for name, value in views.items():
             assert getattr(data, name) == value, (pi.id(), name)
-        assert mirrored(data.half) == cy_codes(views["tvir"], data.base), pi.id()
-        assert data.e2 == cy_codes(e2, data.base), pi.id()
+        assert mirrored(data.half) == cy_codes(views["tvir"]), pi.id()
+        assert data.e2 == cy_codes(e2), pi.id()
         tangent, factors, tangent_count, degree = record
         got = Summand(data)
         assert (got.tangent, got.factors, len(got.tangent), len(got.factors)) == (
@@ -785,7 +789,7 @@ def transported_orientation(perm, n_max: int) -> OrientationData:
     signs: dict[str, int] = {}
     for n in range(n_max + 1):
         for pi in enumerate_partitions(4, n):
-            if transport_sign(DATA_3[pi].summand(), perm, 4 * n + 1) != 1:
+            if transport_sign(DATA_3[pi].summand(), perm) != 1:
                 signs[pi.relabeled(perm).id()] = -1
     return OrientationData(signs)
 
@@ -827,7 +831,7 @@ def test_cyclic_completion_wrong_dimension_rejected():
 
 
 def test_empty_partition_contributes_one():
-    assert localize.tangent_codes(DPartition(4), 1) == ({}, {})
+    assert localize.tangent_codes(DPartition(4)) == ({}, {})
     data = FixedPointData(DPartition(4, []))
     assert data.contribution(GENERIC, 1) == 1
     assert not data.tvir.terms
@@ -980,7 +984,7 @@ def test_transported_records_equal_the_direct_builds(monkeypatch):
             assert eps * rep.value(params, 1, permuted(params, perm)) == \
                 direct.value(params), pi.id()
             signs.add(eps)
-            record = rep.relabeled(perm, 4 * pi.size + 1)
+            record = rep.relabeled(perm)
             for name in Summand.__slots__:
                 assert getattr(record, name) == getattr(direct, name), (pi.id(), name)
     assert signs == {1, -1}
@@ -1083,8 +1087,8 @@ def test_series_oracle_fails_each_point_with_a_wrong_record_transport(monkeypatc
     # printed bytes, which never use the transport, are unchanged
     relabeled = Summand.relabeled
 
-    def reversed_tangent(self, perm, base):
-        record = relabeled(self, perm, base)
+    def reversed_tangent(self, perm):
+        record = relabeled(self, perm)
         record.tangent = record.tangent[::-1]
         return record
 
@@ -1130,11 +1134,11 @@ def test_series_oracle_checks_the_records_the_series_printed(monkeypatch):
     # the points whose true eps is -1, and the oracle fails exactly those
     transport_sign = localize.transport_sign
     monkeypatch.setattr(localize, "_SUMMANDS", {})
-    monkeypatch.setattr(localize, "transport_sign", lambda record, perm, base: 1)
+    monkeypatch.setattr(localize, "transport_sign", lambda record, perm: 1)
     payload = series_payload(3, GENERIC, OrientationData(), check_oracle=True)
     cache = localize._SUMMANDS
     flipped = [pi.id() for pi in POINTS_3
-               if transport_sign(cache[pi][0], cache[pi][1], 4 * pi.size + 1) == -1]
+               if transport_sign(cache[pi][0], cache[pi][1]) == -1]
     direct = [Summand(DATA_3[pi]).value(GENERIC) for pi in POINTS_3]
     printed = [Fraction(pt["value"]) for pt in payload["points"]]
     assert [pt["id"] for pt in payload["points"]] == [pi.id() for pi in POINTS_3]
@@ -1165,9 +1169,9 @@ def test_series_oracle_fails_a_bad_triple_the_records_share(monkeypatch):
     # `weight_triples`; the oracle decodes the point's codes itself
     triples = localize.weight_triples
     clear_module_caches(monkeypatch)
-    monkeypatch.setattr(localize, "weight_triples", lambda codes, base: tuple(
+    monkeypatch.setattr(localize, "weight_triples", lambda codes: tuple(
         (a + 1, b, c) if k == max(codes) else (a, b, c)
-        for k, (a, b, c) in zip(codes, triples(codes, base))))
+        for k, (a, b, c) in zip(codes, triples(codes))))
     payload = series_payload(3, GENERIC, OrientationData(), check_oracle=True)
     assert payload["oracle"]["failures"] == [pi.id() for pi in POINTS_3[1:]]
 
@@ -1343,12 +1347,12 @@ def _int_coefficients(ch: Laurent) -> bool:
 def test_characters_have_int_coefficients(n):
     for pi in enumerate_partitions(4, n):
         data = FixedPointData(pi)
-        e1 = unpack_terms(data.e1_terms, n)
+        e1 = unpack_terms(data.e1_terms)
         e1cy = e1.cy_reduce()
         e2 = e1cy + e1cy.bar() - data.tvir.cy_reduce()
         for ch in (pi.character(), data.tvir, e1, e2):
             assert _int_coefficients(ch), pi.id()
-        assert cy_codes(e2, data.base) == data.e2, pi.id()
+        assert cy_codes(e2) == data.e2, pi.id()
         assert type(sum(data.tvir.terms.values())) is int
         ideal = pi.to_ideal()
         assert _int_coefficients(euler_character(ideal))
@@ -1359,22 +1363,22 @@ def test_characters_have_int_coefficients(n):
 def test_subtorus_triples_are_decoded_once_and_shared(monkeypatch):
     decoded = []
 
-    def counting(code, k, base):
-        decoded.append((base, code))
-        return unpack(code, k, base)
+    def counting(code):
+        decoded.append(code)
+        return subtorus_triple(code)
 
     monkeypatch.setattr(localize, "_TRIPLES", {})
-    monkeypatch.setattr(localize, "unpack", counting)
+    monkeypatch.setattr(localize, "subtorus_triple", counting)
+    everywhere = []
     for n, level in enumerate(partition_levels(4, 5)):
         held = []
         for pi in level:
             data = FixedPointData(pi)
-            base = data.base
             record = Summand(data)
             tangent = [k for k in sorted(data.e1) for _ in range(data.e1[k])]
             factors = [k for k, m in half_euler(data.e2) for _ in range(m)]
-            known = localize._TRIPLES[base]
-            assert list(record.tangent) == [unpack(k, 3, base) for k in tangent]
+            known = localize._TRIPLES
+            assert list(record.tangent) == [subtorus_triple(k) for k in tangent]
             assert all(w is known[k] for w, k in zip(record.tangent, tangent))
             assert all(w is known[k] for w, k in zip(record.factors, factors))
             held.extend([*dict.fromkeys(record.tangent), *dict.fromkeys(record.factors)])
@@ -1382,8 +1386,55 @@ def test_subtorus_triples_are_decoded_once_and_shared(monkeypatch):
         # from n = 2 on the records repeat weights
         assert len({id(w) for w in held}) == len(set(held))
         assert n < 2 or len(set(held)) < len(held)
-    # each code decoded once per base, however many records hold it
+        everywhere.extend(held)
+    # and one across the levels, since a weight has one code at every level
+    assert len({id(w) for w in everywhere}) == len(set(everywhere))
+    # each code decoded once, however many records at however many levels hold it
     assert len(decoded) == len(set(decoded))
+
+
+def test_a_weight_has_one_code_at_every_level(monkeypatch):
+    # the packing does not depend on the size of a point: across n <= 6 each
+    # reduced triple the characters hold has the one code `subtorus_code`
+    # gives it, and a series to n <= 6 leaves one shared triple per code
+    codes_of: dict[tuple, set] = {}
+    for level in partition_levels(4, 6):
+        for pi in level:
+            data = FixedPointData(pi)
+            for k in (*data.half, *data.e1, *data.e2):
+                codes_of.setdefault(subtorus_triple(k), set()).add(k)
+    assert len(codes_of) > 100
+    assert all(codes == {subtorus_code(w + (0,))} for w, codes in codes_of.items())
+    clear_module_caches(monkeypatch)
+    dt4_degree0_series(6, GENERIC)
+    known = localize._TRIPLES
+    assert len(set(known.values())) == len(known)
+    assert all(subtorus_code(w + (0,)) == k for k, w in known.items())
+    held = [w for rep, _, _ in localize._SUMMANDS.values() for w in rep.tangent + rep.factors]
+    assert {id(w) for w in held} == {id(w) for w in known.values()}
+
+
+# sha256 of str() of the contribution at 2,31,347,-380 of the column of 90
+# boxes, computed when each level packed its codes in a base of its own
+COLUMN_90_PIN = "d1d6c9e9503aec34198e75db4c5c3489d3f72bd6bfd1b45f592a157f19448036"
+
+
+def test_the_packing_serves_a_column_of_max_n_boxes():
+    # the column has the largest coordinates, and so the largest digits, a
+    # point of its size can have
+    assert MAX_N == 90
+    data = FixedPointData(DPartition(4, [(0, 0, 0, k) for k in range(90)]))
+    assert vertex_oracle_check(data)[0] and obstruction_crosscheck(data)[0]
+    value = data.contribution(TorusParams.parse("2,31,347,-380"))
+    assert hashlib.sha256(str(value).encode()).hexdigest() == COLUMN_90_PIN
+
+
+def test_a_partition_past_the_packing_cap_is_refused():
+    column = DPartition(4, [(0, 0, 0, k) for k in range(91)])
+    for build in (FixedPointData, vertex_character, characters.half_codes,
+                  characters.tangent_codes):
+        with pytest.raises(BoundExceeded, match="^91 boxes exceeds the packing cap 90$"):
+            build(column)
 
 
 # sha256 over every point's weights for n <= 7 and of the vertex report at

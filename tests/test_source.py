@@ -2,7 +2,8 @@
 the package imports only the standard library and names no float, and each
 module but `__init__` uses every name it imports.  No module asserts.  The
 summand cache has one writer, the series, a suite verdict one builder, the
-suite runner, and a `LinForm` one builder, the record oracle."""
+suite runner, and a `LinForm` one builder, the record oracle.  Only
+`characters` names the packing of a fixed point's codes."""
 
 import ast
 import glob
@@ -140,3 +141,28 @@ def test_only_the_record_oracle_builds_a_linform():
     # with `Summand.value`
     calls = _calls("LinForm")
     assert calls and {scope for scope, _ in calls} == {"localize.record_oracle_check"}, calls
+
+
+def test_only_characters_names_the_packing():
+    # a fixed point's codes have one packing, set in `characters`: no other
+    # module names its bounds or bases, takes a base as a parameter but the
+    # generic decoder `exact.unpack`, or decodes with `unpack` but `taylor`,
+    # whose codes are the multidegrees of its own complex, in a base it
+    # takes from each ideal's generators
+    names, params, decodes = set(), set(), set()
+    for path in MODULES:
+        module = os.path.basename(path)[:-3]
+        for node, scope in _scoped(_tree(path), module):
+            if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))) in {
+                    "MAX_N", "FULL", "SUB"}:
+                names.add(module)
+            if isinstance(node, ast.arg) and node.arg == "base":
+                params.add((scope, node.arg))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "unpack":
+                decodes.add((module, ast.unparse(node.args[-1])))
+    assert names == {"characters"}
+    assert params == {("exact.unpack", "base")}
+    assert decodes == {("characters", "FULL"), ("characters", "SUB"), ("taylor", "base")}
+    [taylor_base] = [node.value for node in ast.walk(_tree(os.path.join(SRC, "taylor.py")))
+                     if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "base"]
+    assert "gens" in {n.id for n in ast.walk(taylor_base) if isinstance(n, ast.Name)}

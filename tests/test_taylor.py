@@ -21,7 +21,7 @@ def elementary_in_inverses(k, nv):
         e = [0, 0, 0, 0]
         for i in combo:
             e[i] = -1
-        out = out + Laurent.monomial(e)
+        out = out + Laurent({tuple(e): 1})
     return out
 
 
@@ -29,7 +29,7 @@ def box_character(ideal) -> Laurent:
     out = Laurent()
     for b in ideal.staircase():
         e = list(b) + [0] * (4 - len(b))
-        out = out + Laurent.monomial(e)
+        out = out + Laurent({tuple(e): 1})
     return out
 
 
@@ -38,7 +38,7 @@ def conj_product(nv) -> Laurent:
     for i in range(nv):
         e = [0, 0, 0, 0]
         e[i] = -1
-        out = out * (Laurent({(0, 0, 0, 0): 1}) - Laurent.monomial(e))
+        out = out * (Laurent({(0, 0, 0, 0): 1}) - Laurent({tuple(e): 1}))
     return out
 
 
