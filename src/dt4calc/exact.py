@@ -25,7 +25,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import BoundExceeded
 
@@ -195,3 +195,18 @@ def integer_scaling(s) -> tuple[int, tuple[int, ...]]:
     """
     scale = lcm(*(Fraction(x).denominator for x in s))
     return scale, tuple(int(x * scale) for x in s)
+
+
+def fraction_sum(pairs: list[tuple[int, int]]) -> Fraction:
+    """The sum of the rationals num/den of int pairs, den nonzero, as one
+    reduced Fraction.  Adjacent pairs are added over the lcm of their
+    denominators, in rounds, so each round adds operands of like size; the
+    last pair, the sum over the lcm of every den, is reduced once."""
+    while len(pairs) > 1:
+        it = iter(pairs)
+        out = []
+        for (a, b), (c, d) in zip(it, it):
+            g = gcd(b, d)
+            out.append((a * (d // g) + c * (b // g), b // g * d))
+        pairs = out + pairs[2 * len(out):]
+    return Fraction(*pairs[0])

@@ -31,9 +31,11 @@ along the perm that relabels that point to it, as `Summand.relabeled`
 moves a record: a passing check compares int codes and builds no Laurent
 polynomial, a failing one reports both sides as Laurent polynomials.
 
-Only that last evaluation depends on the parameters.  The rest of a summand
-is kept per process in a compact `Summand` record, so a second series at
-new parameters builds no fixed point data.  Relabeling the four axes
+Only that last evaluation depends on the parameters; it gives each point
+as exact ints (num, den), and the series reduces each level once.  The
+rest of a summand is kept per process in a compact `Summand` record, so a
+second series at new parameters builds no fixed point data.  Relabeling
+the four axes
 permutes the fixed points and carries their weights along, so every cache
 entry has one shape, (record, perm, eps): the point's summand at s is eps
 times the record's at s permuted.  Only the series writes the cache: when
@@ -59,7 +61,7 @@ from operator import itemgetter
 from .characters import (_moved_units, half_codes, mirrored, pack_moved, subtorus_triple,
                          tangent_codes, unpack_terms, vertex_character)
 from .errors import InternalInconsistency, NonGenericParameters
-from .exact import Laurent, LinForm, form_str, integer_scaling, number_str
+from .exact import Laurent, LinForm, form_str, fraction_sum, integer_scaling, number_str
 from .partitions import DPartition, partition_from_id, partition_levels
 from .taylor import ext_characters, euler_character
 
@@ -305,25 +307,30 @@ class Summand:
         self.factors = sorted_triples(dict(half_euler(data.e2)))
 
     def value(self, params: TorusParams, orientation: int = 1, at=None) -> Fraction:
-        """The summand at s with the given orientation sign.
-
-        Weights are evaluated at L*s, so both products are integers and one
-        Fraction is built at the end; `at`, when given, replaces L*s by
-        another integer vector of the same scale, such as L*s permuted.  The
-        first tangent weight, in sorted order, that vanishes raises
-        NonGenericParameters; a vanishing numerator factor makes the summand
-        zero.
-        """
+        """The summand at s with the given orientation sign, from `ints` at
+        L*s or at `at`, such as L*s permuted.  The first tangent weight, in
+        sorted order, that vanishes raises NonGenericParameters."""
         if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         scale, s = params.scaled
-        x, y, z, _ = s if at is None else at
-        den = [a * x + b * y + c * z for a, b, c in self.tangent]
-        if 0 in den:
-            w = form_str(self.tangent[den.index(0)])
-            raise NonGenericParameters(f"tangent weight {w} vanishes at s = {params}")
-        num = orientation * prod([a * x + b * y + c * z for a, b, c in self.factors])
-        return Fraction(num * scale ** len(self.tangent), prod(den) * scale ** len(self.factors))
+        at = s if at is None else at
+        num, den = self.ints(scale, at, orientation)
+        if not den:
+            x, y, z, _ = at
+            w = next(w for w in self.tangent if w[0] * x + w[1] * y + w[2] * z == 0)
+            raise NonGenericParameters(f"tangent weight {form_str(w)} vanishes at s = {params}")
+        return Fraction(num, den)
+
+    def ints(self, scale: int, at, sign: int) -> tuple[int, int]:
+        """(num, den), the summand as num/den with its weights at `at`, L*s
+        or L*s permuted for L = `scale`: sign times the factor product times
+        L to the tangent degree, over the tangent product times L to the
+        factor degree.  A zero factor makes num 0, a vanishing tangent
+        weight den 0."""
+        x, y, z, _ = at
+        num = sign * prod([a * x + b * y + c * z for a, b, c in self.factors])
+        den = prod([a * x + b * y + c * z for a, b, c in self.tangent])
+        return num * scale ** len(self.tangent), den * scale ** len(self.factors)
 
     def relabeled(self, perm) -> "Summand":
         """The record of the relabeled point `pi.relabeled(perm)`, from this one.
@@ -364,8 +371,10 @@ def transport_sign(record: Summand, perm) -> int:
 
 
 # each perm of the four axes with the getter that moves a box as
-# `DPartition.relabeled(perm)` does
-_MOVES = [(perm, itemgetter(*perm)) for perm in permutations(range(4))]
+# `DPartition.relabeled(perm)` does and the one that moves s as the series
+# does, s'[j] = s[perm.index(j)]
+_MOVES = [(perm, itemgetter(*perm), itemgetter(*map(perm.index, range(4))))
+          for perm in permutations(range(4))]
 
 # summand cache: partition -> (record, perm, eps), the point's summand at s
 # being eps times the record's at L*s permuted by perm; the built point of
@@ -389,7 +398,7 @@ def resolution(partition: DPartition, what: str, memo=None) -> tuple[tuple, dict
     memo = {} if memo is None else memo
     if partition.boxes not in memo:
         ideal = partition.to_ideal()
-        for perm, move in _MOVES:
+        for perm, move, _ in _MOVES:
             memo.setdefault(tuple(sorted(map(move, partition.boxes))), (ideal, perm))
     ideal, perm = memo[partition.boxes]
     got = memo.get((ideal, what))
@@ -457,7 +466,7 @@ def record_oracle_check(data: FixedPointData, params: TorusParams, orientation: 
     a product at L*s over the point's own codes, each decoded here and
     evaluated by a `LinForm`: one weight of each (w, -w) pair of `e2`, the
     one above the zero triple, over every weight of `e1`, each to its
-    multiplicity.  That product shares no code with `Summand.value`.  A
+    multiplicity.  That product shares no code with `Summand.ints`.  A
     point with no entry fails, and the cache is only read.
     """
     entry = _SUMMANDS.get(data.partition)
@@ -497,44 +506,51 @@ def dt4_degree0_series(n_max: int, params: TorusParams | None = None,
     evaluation meets a vanishing tangent weight, the record moved to the
     point raises instead, so the error names the first such weight in the
     point's own sorted order.  The orientation sign is applied at
-    evaluation.  Everything runs on the calling thread.
+    evaluation.  A point is evaluated as exact ints (`Summand.ints`), a
+    point the call builds or a printed row as its reduced Fraction, and each
+    level is reduced once (`fraction_sum`).  Everything runs on the calling
+    thread.
     """
     if params is None:
         params = TorusParams.default()
     if orientation is None:
         orientation = OrientationData()
     levels = partition_levels(4, n_max)
-    scaled = params.scaled[1]
-    moved_s = {perm: tuple(scaled[perm.index(j)] for j in range(4)) for perm, _ in _MOVES}
+    scale, scaled = params.scaled
+    moved_s = {perm: unmove(scaled) for perm, _, unmove in _MOVES}
 
     coeffs = []
     details = []
     for n, level in enumerate(levels):
-        total = Fraction(0)
+        pairs = []
         by_boxes = None  # boxes -> the level's own point, made at its first build
         for pi in level:
             sign = orientation.sign(pi)
             entry = _SUMMANDS.get(pi)
+            v = None
             if entry is None:
                 data = FixedPointData(pi)
                 rep = data.summand()
                 if by_boxes is None:
                     by_boxes = {q.boxes: q for q in level}
-                for perm, move in _MOVES:
+                for perm, move, _ in _MOVES:
                     q = by_boxes[tuple(sorted(map(move, pi.boxes)))]
                     if q not in _SUMMANDS:
                         _SUMMANDS[q] = (rep, perm, transport_sign(rep, perm))
                 v = data.contribution(params, sign)
             else:
                 rep, perm, eps = entry
-                try:
-                    v = rep.value(params, eps * sign, moved_s[perm])
-                except NonGenericParameters:
+                num, den = rep.ints(scale, moved_s[perm], eps * sign)
+                if not den:
                     v = rep.relabeled(perm).value(params, sign)
-            total += v
+                elif want_details:
+                    v = Fraction(num, den)
+            if v is not None:
+                num, den = v.numerator, v.denominator
+            pairs.append((num, den))
             if want_details:
                 details.append((n, pi.id(), v))
-        coeffs.append(total)
+        coeffs.append(fraction_sum(pairs))
     if want_details:
         return coeffs, details
     return coeffs

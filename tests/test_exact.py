@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from dt4calc.characters import subtorus_code, subtorus_triple
 from dt4calc.errors import InternalInconsistency, NonGenericParameters
-from dt4calc.exact import Laurent, LinForm, form_str, integer_scaling
+from dt4calc.exact import Laurent, LinForm, form_str, fraction_sum, integer_scaling
 from dt4calc.localize import Summand, TorusParams, half_euler
 
 DEFAULT_S = (Fraction(1), Fraction(2), Fraction(3), Fraction(-6))
@@ -207,6 +207,14 @@ def test_linform_evaluate_is_exact_for_ints_and_fractions():
     assert type(w.evaluate((1, 7, 41, -49))) is int
     half = w.evaluate((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(-1)))
     assert half == Fraction(-7, 3) and type(half) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10 ** 30, 10 ** 30),
+                          st.integers(-10 ** 30, 10 ** 30).filter(bool)), min_size=1))
+def test_fraction_sum_equals_the_sum_of_fractions(pairs):
+    # denominators of both signs, zero numerators, odd and even counts
+    assert fraction_sum(pairs) == sum((Fraction(a, b) for a, b in pairs), Fraction(0))
 
 
 def test_integer_scaling():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dt4calc import characters, cli, localize, partitions, taylor
+from dt4calc import characters, cli, exact, localize, partitions, taylor
 from dt4calc.characters import (MAX_N, mirrored, pack_moved, subtorus_code, subtorus_triple,
                                 torus_code, unpack_terms)
 from dt4calc.chow import CohClass, cy_hypersurface_context, vdim_ideal_cy4
@@ -745,6 +745,71 @@ def test_orientation_flip_negates_one_summand():
             assert v1[pid] == v0[pid]
 
 
+# s1, s2, s3 with L = 42, s4 making the sum zero; generic up to n = 5
+RATIONAL = TorusParams((Fraction(3, 2), Fraction(5, 7), Fraction(11, 3), Fraction(-247, 42)))
+# one vector as the sweep-n4 benchmark draws them, entries up to 10^6
+SWEEP_SCALE = TorusParams((-596854, -267460, -519502, 1383816))
+
+
+def direct_levels(n_max, params, orientation) -> tuple[list, list]:
+    """Each level as the Fraction sum of every point's direct contribution,
+    and each point's (n, id, contribution) row."""
+    rows = [(n, pi.id(), FixedPointData(pi).contribution(params, orientation.sign(pi)))
+            for n, level in enumerate(partition_levels(4, n_max)) for pi in level]
+    return [sum((v for m, _, v in rows if m == n), Fraction(0))
+            for n in range(n_max + 1)], rows
+
+
+@pytest.mark.parametrize("params", [RATIONAL, SWEEP_SCALE], ids=["rational", "sweep-scale"])
+@pytest.mark.parametrize("flip", [False, True], ids=["default", "flipped"])
+def test_level_sums_equal_the_sums_of_direct_contributions(params, flip, monkeypatch):
+    # cold, the series evaluates each point it builds through
+    # `FixedPointData.contribution` and the rest from moved records; warm,
+    # every point from its record as exact ints; each level is reduced once
+    assert params.scaled[0] == (42 if params is RATIONAL else 1)
+    orientation = OrientationData()
+    if flip:
+        orientation = orientation.flipped(enumerate_partitions(4, 4)[7])
+    expected, rows = direct_levels(5, params, orientation)
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    for _ in ("cold", "warm"):
+        assert dt4_degree0_series(5, params, orientation) == expected
+        assert dt4_degree0_series(5, params, orientation, want_details=True) == (expected, rows)
+    assert dt4_degree0_series(5, params, orientation) != direct_levels(
+        5, params, orientation.flipped(enumerate_partitions(4, 3)[0]))[0]
+
+
+def test_level_sum_with_a_zero_summand_at_the_default_s(monkeypatch):
+    expected, rows = direct_levels(2, TorusParams.default(), OrientationData())
+    assert Fraction(0) in [v for n, _, v in rows if n == 2]
+    monkeypatch.setattr(localize, "_SUMMANDS", {})
+    for _ in ("cold", "warm"):
+        assert dt4_degree0_series(2) == expected
+        assert dt4_degree0_series(2, want_details=True) == (expected, rows)
+
+
+@pytest.mark.parametrize("want_details", [False, True])
+def test_a_warm_series_reduces_each_level_once(want_details, monkeypatch):
+    # one Fraction per level (`fraction_sum`), and with details one more per
+    # point for its row: no point's value is reduced on its own unless it is
+    # printed
+    dt4_degree0_series(5, GENERIC)
+    params = TorusParams((3, 8, 50, -61))
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(localize, "Fraction", counted)
+    monkeypatch.setattr(exact, "Fraction", counted)
+    coeffs = dt4_degree0_series(5, params, want_details=want_details)
+    points = sum(map(len, partition_levels(4, 5)))
+    assert len(built) == 6 + want_details * points
+    monkeypatch.undo()
+    assert coeffs == dt4_degree0_series(5, params, want_details=want_details)
+
+
 def test_relabeled_form_matches_box_relabeling():
     # permuting a weight's coefficients as box coordinates are permuted, the
     # transport that `Summand.relabeled` and `transported_orientation` share,
@@ -1151,13 +1216,18 @@ def test_series_oracle_checks_the_records_the_series_printed(monkeypatch):
 
 
 def test_series_oracle_fails_a_value_bug_the_record_and_direct_build_share(monkeypatch):
-    # the series and the direct build both evaluate through `Summand.value`;
+    # the series and the direct build both evaluate through `Summand.ints`;
     # the oracle checks the printed value against the point's own codes,
     # decoded there and evaluated by its own `LinForm`, so a doubled value
-    # fails every point
-    value = Summand.value
+    # doubles every coefficient and fails every point
+    ints = Summand.ints
+
+    def doubled(self, *args):
+        num, den = ints(self, *args)
+        return 2 * num, den
+
     monkeypatch.setattr(localize, "_SUMMANDS", {})
-    monkeypatch.setattr(Summand, "value", lambda self, *args: 2 * value(self, *args))
+    monkeypatch.setattr(Summand, "ints", doubled)
     payload = series_payload(3, GENERIC, OrientationData(), check_oracle=True)
     assert payload["coefficients"] == [str(2 * c) for c in SERIES_GENERIC]
     assert payload["oracle"]["checked"] == 15
